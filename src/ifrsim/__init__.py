@@ -9,8 +9,8 @@ from .formulas import (availability, r_ifr, r_ifr_pipeline, r_standby, r_tmr,
                        reliability_from_rate)
 from .faults import (Delay, FaultScenario, FaultSite, FaultUnit, PERMANENT,
                      ScenarioError, StressLedger, StuckAt, TimedFault,
-                     TransientFlip, active_faults, apply_faults,
-                     parse_scenario, update_stress)
+                     TransientFlip, apply_faults, parse_scenario,
+                     update_stress)
 from .hw import (BUS_BITS, Copy, InterStageBus, PowerState, StageKind,
                  encode_bus, estimate_switch_transistors, parity_check,
                  parity_encode, switch_route, trc_compare)

@@ -9,18 +9,19 @@ exhausted.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import formulas
 from .faults import ScenarioError, parse_scenario
 from .hw import Copy, StageKind
-from .isa import AssemblyError, ExecutionError, assemble, run_reference
+from .isa import AssemblyError, assemble
 from .markov import (DEFAULT_TOL, ModelError, SolverError, SweepSpec,
                      build_ifr_pipeline_model, build_simplex_model,
                      build_standby_model, build_tmr_model,
                      death_probability, monte_carlo_death_probability,
                      parse_model, sweep, sweep_model_constant)
-from .pipeline import CoreConfig, Outcome, run_core
+from .pipeline import CoreConfig, Outcome, matches_reference, run_core
 from .report import CsvReport, TOOL_ID, fmt_float
 
 EXIT_OK = 0
@@ -131,14 +132,7 @@ def cmd_sim(args) -> int:
         raise CliError(f"scenario: {exc}") from None
 
     sim = run_core(program, config, scenario, max_cycles=args.max_cycles)
-
-    golden = None
-    if sim.outcome is Outcome.COMPLETED:
-        try:
-            ref_state, _ = run_reference(program, args.max_cycles)
-            golden = sim.final_state == ref_state
-        except ExecutionError:
-            golden = False
+    golden = matches_reference(sim, program) if sim.outcome is Outcome.COMPLETED else None
 
     report = CsvReport(columns=["fault_id", "class", "stage", "detect_cycle",
                                 "swap_complete_cycle", "recovery_cycles", "recovery_us"])
@@ -267,7 +261,23 @@ def _builtin_builder(name: str, aux_ratio: float):
                    "standby, ifr-pipeline")
 
 
+def _bad_numbers_are_usage_errors(command):
+    """The model builders, `SweepSpec` and the solver raise ValueError for
+    out-of-range numbers (a negative rate or mission time, tol outside
+    (0, 1), a reversed or one-point sweep); report those as usage errors."""
+    @functools.wraps(command)
+    def run(args) -> int:
+        try:
+            return command(args)
+        except ValueError as exc:
+            raise CliError(str(exc)) from None
+    return run
+
+
+@_bad_numbers_are_usage_errors
 def cmd_markov(args) -> int:
+    if args.mc is not None and args.mc < 1:
+        raise CliError(f"--mc needs at least 1 trial, got {args.mc}")
     report = CsvReport(columns=[])
     report.add_meta("tool", TOOL_ID)
     report.add_meta("subcommand", "markov")
@@ -344,6 +354,7 @@ def cmd_markov(args) -> int:
     return status
 
 
+@_bad_numbers_are_usage_errors
 def cmd_compare(args) -> int:
     lo, hi, points = args.sweep
     spec_kwargs = dict(lo=lo, hi=hi, points=int(points),

@@ -120,10 +120,6 @@ class FaultScenario:
                     "be classified permanent", stacklevel=2)
 
 
-def active_faults(scenario: FaultScenario, cycle: int) -> set[TimedFault]:
-    return {f for f in scenario.faults if f.active_at(cycle)}
-
-
 def _force_bit(data: int, parity: int, bit: int, value: int) -> tuple[int, int]:
     if bit < BUS_DATA_BITS:
         data = data | (1 << bit) if value else data & ~(1 << bit)
@@ -257,6 +253,15 @@ class BlockStress:
     def total(self) -> int:
         return self.on_cycles + self.off_cycles + self.powering_cycles
 
+    def add(self, state: PowerState, cycles: int) -> None:
+        """Count `cycles` spent in power state `state`."""
+        if state is PowerState.ON:
+            self.on_cycles += cycles
+        elif state is PowerState.OFF:
+            self.off_cycles += cycles
+        else:
+            self.powering_cycles += cycles
+
 
 @dataclass
 class StressLedger:
@@ -278,11 +283,5 @@ def update_stress(ledger: StressLedger, power_states) -> StressLedger:
     """Advance the ledger by one cycle. `power_states` maps (stage, copy) to
     a PowerState; exactly one counter per block is incremented."""
     for key, state in power_states.items():
-        stress = ledger.blocks[key]
-        if state is PowerState.ON:
-            stress.on_cycles += 1
-        elif state is PowerState.OFF:
-            stress.off_cycles += 1
-        else:
-            stress.powering_cycles += 1
+        ledger.blocks[key].add(state, 1)
     return ledger

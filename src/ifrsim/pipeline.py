@@ -23,16 +23,15 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
-from .faults import (CONTROLLER_VEC_BITS, FaultScenario, FaultUnit, TimedFault,
-                     Delay, StressLedger, apply_faults, apply_vector_faults,
-                     update_stress)
+from .faults import (CONTROLLER_VEC_BITS, Delay, FaultScenario, FaultUnit,
+                     StressLedger, apply_faults, apply_vector_faults)
 from .hw import (Copy, InterStageBus, PIPELINE_ORDER, PowerState, StageKind,
-                 encode_bus, parity_check, switch_route, trc_compare)
-from .isa import (ArchState, Instruction, Opcode, Program, WORD_MASK,
-                  decode_word, dst_reg, encode_instruction, execute_result,
-                  run_reference, src_regs)
+                 encode_bus, parity_check, trc_compare)
+from .isa import (ArchState, ExecutionError, Instruction, Opcode, Program,
+                  WORD_MASK, decode_word, dst_reg, encode_instruction,
+                  execute_result, run_reference, src_regs)
 
 DEFAULT_MAX_CYCLES = 100_000
 PIPELINE_DEPTH = 3
@@ -58,13 +57,6 @@ class CoreConfig:
         return cycles / self.clock_hz * 1e6
 
 
-@dataclass
-class BlockInstance:
-    kind: StageKind
-    copy: Copy
-    power: PowerState
-
-
 class ControllerMode(enum.Enum):
     MONITOR = 0
     SUSPECT = 1
@@ -81,7 +73,6 @@ class ControllerState:
     swap_stage: StageKind | None = None
     remaining: int = 0
     error_counters: tuple[int, int, int] = (0, 0, 0)
-    replay_pc: int = 0
     on_spare: frozenset = frozenset()
 
     def counter(self, stage: StageKind) -> int:
@@ -156,8 +147,7 @@ def controller_step(state: ControllerState, parity_errors, trc_error: bool,
         new = replace(state, mode=ControllerMode.FLUSH, suspect_stage=None,
                       swap_stage=classified, remaining=config.flush_cycles,
                       error_counters=(0, 0, 0))
-        faulty_copy = Copy.SPARE if classified in state.on_spare else Copy.MAIN
-        return new, ControllerActions(flush=True, power_off=((classified, faulty_copy),),
+        return new, ControllerActions(flush=True, power_off=((classified, Copy.MAIN),),
                                       classified=classified)
 
     peak = max(counters[PIPELINE_ORDER.index(s)] for s in erroring)
@@ -242,20 +232,16 @@ class SimReport:
         return [e for e in self.events if e.classified == "permanent"]
 
 
-@dataclass
-class _FetchPacket:
-    word: int
-    pc: int
-    is_control: bool
-
-
-@dataclass
-class _DecodePacket:
-    instr: Instruction
-    op_a: int
-    op_b: int
-    st_addr: int
-    pc: int
+_LIVE_MODES = (ControllerMode.MONITOR, ControllerMode.SUSPECT, ControllerMode.RESUME)
+_NO_MASKS = (0, 0, 0)
+# run_core indexes its state by integers: stages 0..2 in pipeline order, the
+# controller as unit 3, and copy 0 = main (rail a), copy 1 = spare (rail b).
+_COPIES = (Copy.MAIN, Copy.SPARE)
+_COPY_INDEX = {copy: i for i, copy in enumerate(_COPIES)}
+_STAGE_INDEX = {kind: i for i, kind in enumerate(PIPELINE_ORDER)}
+_UNIT_INDEX = {FaultUnit(kind.value): i for kind, i in _STAGE_INDEX.items()}
+_UNIT_INDEX[FaultUnit.CONTROLLER] = len(PIPELINE_ORDER)
+_RAIL_MASK = (1 << CONTROLLER_VEC_BITS) - 1
 
 
 def _decode_operands(instr: Instruction, regs) -> tuple[int, int, int]:
@@ -279,6 +265,12 @@ def _decode_operands(instr: Instruction, regs) -> tuple[int, int, int]:
     return op_a, op_b, st_addr
 
 
+def _decoded(word: int) -> tuple[Instruction, tuple[int, ...], int]:
+    """What the decode stage needs of a word: (instruction, sources, dest)."""
+    instr = decode_word(word)
+    return instr, src_regs(instr), dst_reg(instr)
+
+
 def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
              max_cycles: int = DEFAULT_MAX_CYCLES, trace: bool = False) -> SimReport:
     """Simulate the repairable core cycle by cycle under a fault scenario.
@@ -287,34 +279,85 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
     drains behind control-flow instructions, so cycle counts are a property
     of this artifact while architectural correctness is checked against the
     reference interpreter.
+
+    Bus words and parity masks are plain ints. The bus fabric (parity
+    encode, fault application, parity check) is evaluated only at sites that
+    carry faults: a fault-free site drives its word with a zero error mask
+    by construction. Likewise the controller rails are built and two-rail
+    checked only when a rail carries faults, and the stress ledger is kept
+    as spans that close when a block's power changes.
     """
     scenario.validate(config.permanent_threshold)
 
-    faults_by_site: dict = {}
+    # site_faults[unit][copy]: the (scenario index, fault) pairs at that site.
+    site_faults = [([], []) for _ in range(len(PIPELINE_ORDER) + 1)]
     for index, fault in enumerate(scenario.faults):
-        faults_by_site.setdefault((fault.site.unit, fault.site.copy), []).append((index, fault))
+        unit = _UNIT_INDEX[fault.site.unit]
+        site_faults[unit][_COPY_INDEX[fault.site.copy]].append((index, fault))
+    stage_faults = site_faults[:-1]
+    rail_a, rail_b = site_faults[-1]
+    any_stage_faults = any(faults for copies in stage_faults for faults in copies)
 
-    blocks = {(kind, copy): BlockInstance(kind, copy,
-                                          PowerState.ON if copy is Copy.MAIN else PowerState.OFF)
-              for kind in PIPELINE_ORDER for copy in Copy}
-    switches = {kind: Copy.MAIN for kind in PIPELINE_ORDER}
+    select = [0, 0, 0]  # switch setting per stage
+    power = [[PowerState.ON, PowerState.OFF] for _ in PIPELINE_ORDER]
+    since = [[0, 0] for _ in PIPELINE_ORDER]  # first cycle of each block's power span
     ledger = StressLedger()
-    ctrl = ControllerState(replay_pc=program.origin)
 
-    regs = [0] * 16
-    mem: dict = {}
-    pc = program.origin
-    halted = False
-    fetch_pc = program.origin
-    fetch_wait = False
-    pd: _FetchPacket | None = None
-    de: _DecodePacket | None = None
+    def close_span(stage: int, copy: int, end: int) -> None:
+        stress = ledger.blocks[(PIPELINE_ORDER[stage], _COPIES[copy])]
+        stress.add(power[stage][copy], end - since[stage][copy])
+        since[stage][copy] = end
+
+    def set_power(kind: StageKind, copy: Copy, state: PowerState, cycle: int) -> None:
+        # A controller action of this cycle takes effect from the next one.
+        stage, copy = _STAGE_INDEX[kind], _COPY_INDEX[copy]
+        close_span(stage, copy, cycle + 1)
+        power[stage][copy] = state
 
     max_extra = max((f.kind.extra for f in scenario.faults if isinstance(f.kind, Delay)),
                     default=1)
-    true_hist: dict = {}  # site -> deque of true data words over observed cycles
-    last_emitted: dict = {}  # site -> data word driven last observed cycle
+    true_hist: dict = {}  # (stage, copy) -> deque of true data words over observed cycles
     held_delay: dict = {}  # fault index -> latched stale data word
+
+    def faulty_bus(stage: int, copy: int, word: int, cycle: int) -> tuple[int, int]:
+        """Drive `word` through a site that carries faults: (data, error mask)."""
+        true_bus = encode_bus(word)
+        hist = true_hist.setdefault((stage, copy), deque(maxlen=max_extra + 1))
+        active = []
+        prev_data = word
+        for i, f in stage_faults[stage][copy]:
+            if not f.active_at(cycle):
+                if isinstance(f.kind, Delay):
+                    held_delay.pop(i, None)
+                continue
+            active.append(f)
+            if isinstance(f.kind, Delay):
+                if i not in held_delay:
+                    held_delay[i] = hist[max(len(hist) - f.kind.extra, 0)] if hist else word
+                prev_data = held_delay[i]
+        bus = apply_faults(true_bus, active, InterStageBus(prev_data, true_bus.parity))
+        hist.append(word)
+        return bus.data, parity_check(bus)
+
+    def attribute_fault(stage: int, cycle: int) -> int | None:
+        for index, fault in stage_faults[stage][select[stage]]:
+            if fault.active_at(cycle):
+                return index
+        return None
+
+    origin = program.origin
+    slots = [(encode_instruction(instr), instr.opcode in _CONTROL_OPS)
+             for instr in program.instructions]
+    decoded: dict = {}  # instruction word -> _decoded(word)
+
+    regs = [0] * 16
+    mem: dict = {}
+    pc = replay_pc = fetch_pc = origin
+    halted = False
+    fetch_wait = False
+    pd: int | None = None  # predecode latch: the fetched word
+    de: tuple | None = None  # decode latch: (instr, dest, op_a, op_b, st_addr)
+    ctrl = ControllerState()
 
     events: list[RecoveryEvent] = []
     # Permanent events stay open until the first post-resume commit; a second
@@ -325,159 +368,128 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
     outcome: Outcome | None = None
     total_cycles = 0
 
-    def attribute_fault(stage: StageKind, copy: Copy, cycle: int) -> int | None:
-        for index, fault in faults_by_site.get((FaultUnit(stage.value), copy), []):
-            if fault.active_at(cycle):
-                return index
-        return None
-
     for cycle in range(max_cycles):
         total_cycles = cycle + 1
-        update_stress(ledger, {key: block.power for key, block in blocks.items()})
-
-        live = ctrl.mode in (ControllerMode.MONITOR, ControllerMode.SUSPECT,
-                             ControllerMode.RESUME)
-        stage_masks = {kind: 0 for kind in PIPELINE_ORDER}
-        emitted: dict = {}
-        d_packet: _DecodePacket | None = None
+        live = ctrl.mode in _LIVE_MODES
+        masks = _NO_MASKS
+        error = False
+        pending = None
+        d_instr = None
         stall = False
-        pending: _FetchPacket | None = None
 
         if live:
             # Decode: consumes the predecode latch, stalls on a read-after-write
             # hazard against the instruction currently in execute.
             d_word = 0
             if pd is not None:
-                instr = decode_word(pd.word)
-                producer = dst_reg(de.instr) if de is not None else 0
-                if producer and producer in src_regs(instr):
+                entry = decoded.get(pd)
+                if entry is None:
+                    entry = decoded[pd] = _decoded(pd)
+                instr, sources, dest = entry
+                if de is not None and de[1] and de[1] in sources:
                     stall = True
                 else:
-                    op_a, op_b, st_addr = _decode_operands(instr, regs)
-                    d_packet = _DecodePacket(instr, op_a, op_b, st_addr, pd.pc)
-                    d_word = op_a
+                    d_word, d_op_b, d_st_addr = _decode_operands(instr, regs)
+                    d_instr, d_dest = instr, dest
 
             # Predecode: fetch only if the latch will be free this cycle.
             p_word = 0
-            slot_free = pd is None or not stall
-            if slot_free and not fetch_wait and program.in_bounds(fetch_pc):
-                instr_word = encode_instruction(program.fetch(fetch_pc))
-                is_control = program.fetch(fetch_pc).opcode in _CONTROL_OPS
-                pending = _FetchPacket(instr_word, fetch_pc, is_control)
-                p_word = instr_word
+            if not stall and not fetch_wait and 0 <= fetch_pc - origin < len(slots):
+                pending = slots[fetch_pc - origin]
+                p_word = pending[0]
 
             # Execute.
-            e_word = 0
-            if de is not None:
-                e_word = execute_result(de.instr, de.op_a, de.op_b, mem)
+            e_word = execute_result(de[0], de[2], de[3], mem) if de is not None else 0
 
-            for kind, word in ((StageKind.PREDECODE, p_word),
-                               (StageKind.DECODE, d_word),
-                               (StageKind.EXECUTE, e_word)):
-                selected = switches[kind]
-                block = blocks[(kind, selected)]
-                assert block.power is PowerState.ON, "selected copy must be powered"
-                site = (FaultUnit(kind.value), selected)
-                true_bus = encode_bus(word)
-                active = [(i, f) for i, f in faults_by_site.get(site, [])
-                          if f.active_at(cycle)]
-                for i, f in faults_by_site.get(site, []):
-                    if isinstance(f.kind, Delay) and not f.active_at(cycle):
-                        held_delay.pop(i, None)
-                hist = true_hist.setdefault(site, deque(maxlen=max_extra + 1))
-                prev_data = last_emitted.get(site, word)
-                for i, f in active:
-                    if isinstance(f.kind, Delay):
-                        if i not in held_delay:
-                            lag_index = len(hist) - f.kind.extra
-                            if lag_index >= 0:
-                                held_delay[i] = hist[lag_index]
-                            elif hist:
-                                held_delay[i] = hist[0]
-                            else:
-                                held_delay[i] = word
-                        prev_data = held_delay[i]
-                bus = apply_faults(true_bus, [f for _, f in active],
-                                   InterStageBus(prev_data, true_bus.parity))
-                routed = switch_route(selected,
-                                      bus if selected is Copy.MAIN else encode_bus(0),
-                                      bus if selected is Copy.SPARE else encode_bus(0))
-                stage_masks[kind] = parity_check(routed)
-                emitted[kind] = routed
-                hist.append(word)
-                last_emitted[site] = routed.data
+            words = [p_word, d_word, e_word]
+            if any_stage_faults:
+                masks = [0, 0, 0]
+                for stage in range(len(PIPELINE_ORDER)):
+                    copy = select[stage]
+                    if stage_faults[stage][copy]:
+                        words[stage], masks[stage] = faulty_bus(stage, copy, words[stage], cycle)
+                error = any(masks)
 
         if bus_trace is not None:
-            bus_trace.append(tuple(emitted[k].data for k in PIPELINE_ORDER) if live else None)
+            bus_trace.append(tuple(words) if live else None)
 
-        # Controller: both copies compute the same transition; copy B's
-        # outputs are complemented and the rails are compared every cycle.
-        new_ctrl, actions = controller_step(ctrl, stage_masks, False, config)
-        vec = controller_output_vector(new_ctrl, actions)
-        ctrl_site_a = [f for i, f in faults_by_site.get((FaultUnit.CONTROLLER, Copy.MAIN), [])
-                       if f.active_at(cycle)]
-        ctrl_site_b = [f for i, f in faults_by_site.get((FaultUnit.CONTROLLER, Copy.SPARE), [])
-                       if f.active_at(cycle)]
-        rail_a = apply_vector_faults(vec, ctrl_site_a)
-        rail_b = apply_vector_faults(~vec & ((1 << CONTROLLER_VEC_BITS) - 1), ctrl_site_b)
-        if not trc_compare(rail_a, rail_b, CONTROLLER_VEC_BITS):
-            new_ctrl, actions = controller_step(ctrl, stage_masks, True, config)
-
+        # Controller. Idle monitoring is the identity step.
+        if ctrl.mode is ControllerMode.MONITOR and not error:
+            new_ctrl, actions = ctrl, _NO_ACTIONS
+        else:
+            new_ctrl, actions = controller_step(ctrl, dict(zip(PIPELINE_ORDER, masks)),
+                                                False, config)
+        if rail_a or rail_b:
+            # Both controller copies compute the same transition; copy B's
+            # outputs are complemented and the rails are compared. Without
+            # rail faults the rails agree by construction.
+            vec = controller_output_vector(new_ctrl, actions)
+            out_a = apply_vector_faults(vec, [f for _, f in rail_a if f.active_at(cycle)])
+            out_b = apply_vector_faults(~vec & _RAIL_MASK,
+                                        [f for _, f in rail_b if f.active_at(cycle)])
+            if not trc_compare(out_a, out_b, CONTROLLER_VEC_BITS):
+                new_ctrl, actions = controller_step(ctrl, {}, True, config)
         ctrl = new_ctrl
 
-        # Event bookkeeping.
-        if actions.classified is not None:
-            detect = cycle - (config.permanent_threshold - 1)
-            event = RecoveryEvent(
-                fault_id=attribute_fault(actions.classified, switches[actions.classified], detect),
-                stage=actions.classified, classified="permanent",
-                detect_cycle=detect, end_cycle=cycle,
-                counting_cycles=config.permanent_threshold,
-                flush_cycles=config.flush_cycles,
-                powerup_cycles=config.powerup_cycles_per_block)
-            events.append(event)
-            open_events.append(event)
-        if actions.transient_clear is not None:
-            stage, run_length = actions.transient_clear
-            detect = cycle - run_length
-            events.append(RecoveryEvent(
-                fault_id=attribute_fault(stage, switches[stage], detect),
-                stage=stage, classified="transient",
-                detect_cycle=detect, end_cycle=cycle))
+        if actions is not _NO_ACTIONS:
+            # Event bookkeeping.
+            if actions.classified is not None:
+                stage = _STAGE_INDEX[actions.classified]
+                detect = cycle - (config.permanent_threshold - 1)
+                event = RecoveryEvent(
+                    fault_id=attribute_fault(stage, detect),
+                    stage=actions.classified, classified="permanent",
+                    detect_cycle=detect, end_cycle=cycle,
+                    counting_cycles=config.permanent_threshold,
+                    flush_cycles=config.flush_cycles,
+                    powerup_cycles=config.powerup_cycles_per_block)
+                events.append(event)
+                open_events.append(event)
+            if actions.transient_clear is not None:
+                kind, run_length = actions.transient_clear
+                detect = cycle - run_length
+                events.append(RecoveryEvent(
+                    fault_id=attribute_fault(_STAGE_INDEX[kind], detect),
+                    stage=kind, classified="transient",
+                    detect_cycle=detect, end_cycle=cycle))
 
-        if actions.dead:
-            outcome = Outcome.DEAD
-            break
+            if actions.dead:
+                outcome = Outcome.DEAD
+                break
 
-        # Apply controller actions to the fabric.
-        if actions.flush:
-            pd = de = None
-            pending = None
-        for stage, copy in actions.power_off:
-            blocks[(stage, copy)].power = PowerState.OFF
-        for stage, copy in actions.power_on:
-            blocks[(stage, copy)].power = PowerState.POWERING
-        for stage in actions.switch_flip:
-            blocks[(stage, Copy.SPARE)].power = PowerState.ON
-            switches[stage] = Copy.SPARE
-        if actions.replay:
-            fetch_pc = ctrl.replay_pc
-            fetch_wait = False
-            pd = de = None
-            pending = None
-            for event in open_events:
-                if event.resume_cycle is None:
-                    event.resume_cycle = cycle + 1
-
-        for kind in PIPELINE_ORDER:
-            on_copies = sum(blocks[(kind, copy)].power is PowerState.ON for copy in Copy)
-            assert on_copies <= 1, "at most one copy of a stage may be powered"
+            # Apply controller actions to the fabric.
+            if actions.flush:
+                pd = de = None
+                pending = None
+            for kind, copy in actions.power_off:
+                set_power(kind, copy, PowerState.OFF, cycle)
+            for kind, copy in actions.power_on:
+                set_power(kind, copy, PowerState.POWERING, cycle)
+            for kind in actions.switch_flip:
+                set_power(kind, Copy.SPARE, PowerState.ON, cycle)
+                select[_STAGE_INDEX[kind]] = 1
+            if actions.power_off or actions.power_on or actions.switch_flip:
+                # Power changes only here, so the invariants are checked here.
+                live_next = ctrl.mode in _LIVE_MODES
+                for stage in range(len(PIPELINE_ORDER)):
+                    assert power[stage].count(PowerState.ON) <= 1, \
+                        "at most one copy of a stage may be powered"
+                    assert not live_next or power[stage][select[stage]] is PowerState.ON, \
+                        "selected copy must be powered"
+            if actions.replay:
+                fetch_pc = replay_pc
+                fetch_wait = False
+                pd = de = None
+                pending = None
+                for event in open_events:
+                    if event.resume_cycle is None:
+                        event.resume_cycle = cycle + 1
 
         # Advance the pipeline when nothing flagged an error this cycle.
-        if live and not any(stage_masks.values()) and not actions.flush:
+        if live and not error and not actions.flush:
             if de is not None:
-                result = emitted[StageKind.EXECUTE].data
-                instr = de.instr
+                result = words[2]
+                instr = de[0]
                 op = instr.opcode
                 if op is Opcode.HALT:
                     halted = True
@@ -492,13 +504,11 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
                     fetch_wait = False
                 else:
                     if op is Opcode.ST:
-                        mem[de.st_addr] = result
-                    else:
-                        dest = dst_reg(instr)
-                        if dest:
-                            regs[dest] = result
+                        mem[de[4]] = result
+                    elif de[1]:
+                        regs[de[1]] = result
                     pc += 1
-                ctrl = replace(ctrl, replay_pc=pc)
+                replay_pc = pc
                 for event in open_events:
                     event.swap_complete_cycle = cycle
                     event.refill_cycles = cycle - event.resume_cycle + 1
@@ -506,16 +516,13 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
             # Latches capture the routed bus words, so a corruption that
             # evaded parity really does propagate downstream; sideband
             # metadata (decoded fields, addresses) is not fault-addressable.
-            if d_packet is not None:
-                d_packet.op_a = emitted[StageKind.DECODE].data
-            de = d_packet if not stall else None
+            de = None if d_instr is None else (d_instr, d_dest, words[1], d_op_b, d_st_addr)
             if stall:
                 pass  # pd holds; decode retries next cycle
             elif pending is not None:
-                pd = _FetchPacket(emitted[StageKind.PREDECODE].data, pending.pc,
-                                  pending.is_control)
+                pd = words[0]
                 fetch_pc += 1
-                if pending.is_control:
+                if pending[1]:
                     fetch_wait = True
             else:
                 pd = None
@@ -530,19 +537,29 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
     if outcome is None:
         outcome = Outcome.EXHAUSTED
 
+    for stage in range(len(PIPELINE_ORDER)):
+        for copy in range(len(_COPIES)):
+            close_span(stage, copy, total_cycles)
     ledger.assert_conserved(total_cycles)
     final_state = ArchState(tuple(regs), pc, mem, halted)
-    final_power = {key: block.power for key, block in blocks.items()}
+    final_power = {(kind, _COPIES[copy]): power[stage][copy]
+                   for stage, kind in enumerate(PIPELINE_ORDER) for copy in range(len(_COPIES))}
     return SimReport(outcome=outcome, final_state=final_state,
                      total_cycles=total_cycles, events=events, stress=ledger,
                      final_power=final_power, config=config, bus_trace=bus_trace)
 
 
-def matches_reference(report: SimReport, program: Program,
-                      max_steps: int | None = None) -> bool:
-    """Golden check: a completed run must equal the reference interpreter."""
+def matches_reference(report: SimReport, program: Program) -> bool:
+    """Golden check: a completed run must equal the reference interpreter.
+
+    Every committed instruction takes a cycle, so the reference gets
+    `total_cycles` steps; a reference run that needs more, or falls off the
+    end of the program, is a mismatch.
+    """
     if report.outcome is not Outcome.COMPLETED:
         return False
-    steps = max_steps if max_steps is not None else max(len(program) * 4, 64)
-    ref_state, _ = run_reference(program, steps)
+    try:
+        ref_state, _ = run_reference(program, report.total_cycles)
+    except ExecutionError:
+        return False
     return report.final_state == ref_state

@@ -1,8 +1,8 @@
 """Randomized program and fault-scenario generators shared by the test suite.
 
-Programs are straight-line with forward-only control flow so every run
-terminates; scenarios are derived from a fault-free bus trace so stuck-at
-exposures are guaranteed by construction.
+Programs either branch forward only or run one loop with a bounded trip
+count, so every run terminates; scenarios are derived from a fault-free bus
+trace so stuck-at exposures are guaranteed by construction.
 """
 from __future__ import annotations
 
@@ -45,6 +45,26 @@ def gen_program(rng: random.Random, body_length: int = 16) -> Program:
             target = index + rng.randrange(2, min(6, room + 1))
             lines.append(f"JMP {target}")
     lines.append("HALT")
+    return assemble("\n".join(lines))
+
+
+def gen_loop_program(rng: random.Random, body_length: int = 5) -> Program:
+    """Random terminating program with one backward-branch loop: a counter in
+    r10 runs down from a small trip count around an ALU/load/store body."""
+    lines = ["LDI r9, 64", f"LDI r10, {rng.randrange(2, 12)}", "LDI r11, 1"]
+    for reg in range(1, 7):
+        lines.append(f"LDI r{reg}, {rng.randrange(-99, 100)}")
+    top = len(lines)
+    for _ in range(body_length):
+        roll = rng.random()
+        if roll < 0.6:
+            lines.append(f"{rng.choice(_ALU)} r{rng.randrange(1, 9)}, r{rng.randrange(0, 9)}, "
+                         f"r{rng.randrange(0, 9)}")
+        elif roll < 0.8:
+            lines.append(f"ST r{rng.randrange(1, 9)}, r9, {rng.randrange(0, 16)}")
+        else:
+            lines.append(f"LD r{rng.randrange(1, 8)}, r9, {rng.randrange(0, 16)}")
+    lines += ["SUB r10, r10, r11", "BEQ r10, r0, 2", f"JMP {top}", "HALT"]
     return assemble("\n".join(lines))
 
 

@@ -1,0 +1,48 @@
+"""The benchmark under perfbench/ reaches into ifrsim by name; these checks
+keep those names working. The benchmark files are only read, never changed."""
+import dataclasses
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from ifrsim.faults import parse_scenario
+from ifrsim.isa import assemble
+from ifrsim.pipeline import CoreConfig, RecoveryEvent, SimReport, run_core
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"_perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+LAYERS = _load("layertrace").LAYERS
+
+
+@pytest.mark.parametrize("layer, name", [(layer, name) for layer, names in LAYERS.items()
+                                         for name in names])
+def test_traced_layer_function_is_callable(layer, name):
+    assert callable(getattr(importlib.import_module(f"ifrsim.{layer}"), name))
+
+
+def test_sim_report_has_the_fields_the_benchmark_reads(monkeypatch):
+    fields = {f.name for f in dataclasses.fields(SimReport)}
+    assert {"outcome", "final_state", "total_cycles", "events", "stress",
+            "final_power"} <= fields
+    assert {"fault_id", "stage", "classified", "detect_cycle", "end_cycle",
+            "swap_complete_cycle", "resume_cycle", "refill_cycles"} \
+        <= {f.name for f in dataclasses.fields(RecoveryEvent)}
+    # And the benchmark's own digest input can be built from a real report.
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # workloads imports gen
+    workloads = _load("workloads")
+    program = assemble("LDI r1, 3\nADD r2, r1, r1\nHALT")
+    report = run_core(program, CoreConfig(),
+                      parse_scenario("@2 PERM decode.main stuckat 1 1"))
+    stats = workloads._sim_stats(report)
+    assert stats["outcome"] == "completed"
+    assert len(stats["events"]) == 1 and len(stats["stress"]) == 6

@@ -208,6 +208,26 @@ def test_markov_aux_ratio_flag_changes_ifr_curve(tmp_path):
     assert upper_1000 < 3e-6 < upper_100
 
 
+@pytest.mark.parametrize("args", [
+    ["markov", "--builtin", "simplex", "--lam", "-1"],
+    ["markov", "--builtin", "simplex", "--lam", "1e-6", "--T", "-5"],
+    ["markov", "--builtin", "simplex", "--lam", "1e-6", "--tol", "2"],
+    ["markov", "--builtin", "tmr", "--sweep", "1e-2", "1e-6", "5"],
+    ["markov", "--builtin", "tmr", "--sweep", "1e-6", "1e-2", "1"],
+    ["markov", "--builtin", "simplex", "--lam", "1e-6", "--mc", "0"],
+    ["compare", "--T", "-5"],
+    ["compare", "--tol", "2"],
+    ["compare", "--sweep", "1e-2", "1e-6", "5"],
+    ["compare", "--sweep", "1e-6", "1e-2", "1"],
+])
+def test_markov_and_compare_bad_numbers_are_usage_errors(args, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert main(args + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_sim_rejects_unknown_config_key(tmp_path):
     config = tmp_path / "core.cfg"
     config.write_text("warp_factor=9\n")

@@ -2,8 +2,8 @@ import pytest
 
 from ifrsim.faults import (Delay, FaultScenario, FaultSite, FaultUnit, PERMANENT,
                            ScenarioError, StressLedger, StuckAt, TimedFault,
-                           TransientFlip, active_faults, apply_faults,
-                           parse_scenario, update_stress)
+                           TransientFlip, apply_faults, parse_scenario,
+                           update_stress)
 from ifrsim.hw import Copy, InterStageBus, PowerState, StageKind, encode_bus
 
 _SITE = FaultSite(FaultUnit.DECODE, Copy.MAIN)
@@ -14,15 +14,13 @@ def _fault(kind, start=10, duration=1):
 
 
 def test_active_window_start():
-    fault = _fault(TransientFlip(0), start=10, duration=1)
-    scenario = FaultScenario((fault,))
-    assert active_faults(scenario, 10) == {fault}
+    assert _fault(TransientFlip(0), start=10, duration=1).active_at(10)
 
 
 def test_active_window_end_exclusive():
-    scenario = FaultScenario((_fault(TransientFlip(0), start=10, duration=1),))
-    assert active_faults(scenario, 11) == set()
-    assert active_faults(scenario, 9) == set()
+    fault = _fault(TransientFlip(0), start=10, duration=1)
+    assert not fault.active_at(11)
+    assert not fault.active_at(9)
 
 
 def test_permanent_fault_never_expires():

@@ -2,10 +2,10 @@ import random
 
 import pytest
 
-from corpus import (gen_permanent_stuckat_scenario, gen_program,
+from corpus import (gen_loop_program, gen_permanent_stuckat_scenario, gen_program,
                     gen_transient_scenario, trace_run)
 from ifrsim.faults import (Delay, FaultScenario, FaultSite, FaultUnit, PERMANENT,
-                           StuckAt, TimedFault, TransientFlip)
+                           StuckAt, TimedFault, TransientFlip, parse_scenario)
 from ifrsim.hw import Copy, PowerState, StageKind
 from ifrsim.isa import assemble
 from ifrsim.pipeline import (ControllerActions, ControllerMode, ControllerState,
@@ -381,3 +381,119 @@ def test_golden_equivalence_randomized_corpus():
             assert report.outcome is Outcome.COMPLETED
             assert matches_reference(report, program), scenario
             report.stress.assert_conserved(report.total_cycles)
+
+
+def test_golden_equivalence_loop_corpus():
+    # Backward branches: programs commit several times more instructions than
+    # they hold, under fault-free, transient and permanent stuck-at runs.
+    rng = random.Random(0x100F)
+    for _ in range(25):
+        program = gen_loop_program(rng, rng.randrange(3, 8))
+        base = trace_run(program, CFG)
+        assert base.outcome is Outcome.COMPLETED
+        assert matches_reference(base, program)
+        for scenario in (gen_transient_scenario(rng, base.total_cycles,
+                                                CFG.permanent_threshold),
+                         gen_permanent_stuckat_scenario(rng, base.bus_trace)):
+            report = run_core(program, CFG, scenario)
+            assert report.outcome is Outcome.COMPLETED
+            assert matches_reference(report, program), scenario
+
+
+def test_golden_check_budget_covers_long_loops():
+    # 7 instructions, 50 trips: about 200 committed instructions, far more
+    # than any multiple of the program length.
+    program = assemble("""
+    LDI r1, 50
+    LDI r2, 1
+    ADD r3, r3, r1
+    SUB r1, r1, r2
+    BEQ r1, r0, 2
+    JMP 2
+    HALT
+    """)
+    report = run_core(program, CFG, FaultScenario())
+    assert report.outcome is Outcome.COMPLETED
+    assert report.final_state.regs[3] == 50 * 51 // 2
+    assert matches_reference(report, program)
+
+
+# ---------------------------------------------------------------------------
+# Faulted sites next to fault-free ones
+# ---------------------------------------------------------------------------
+
+_DECODE_SWAP = "@10 PERM decode.main stuckat 3 1"
+
+
+def test_delay_after_another_stage_swapped_reads_full_history():
+    # Execute's delay line activates long after decode moved to its spare and
+    # the pipeline was flushed and replayed; the stale word it picks up comes
+    # from execute's own bus history, so the error shows on the first cycle.
+    program = _alternating_program(80)
+    report = run_core(program, CFG, parse_scenario(
+        _DECODE_SWAP + "\n@120 PERM execute.main delay 1"))
+    assert report.outcome is Outcome.COMPLETED
+    assert matches_reference(report, program)
+    decode, execute = report.permanent_events
+    assert (decode.stage, decode.fault_id, decode.resume_cycle) == (StageKind.DECODE, 0, 93)
+    assert (execute.stage, execute.fault_id) == (StageKind.EXECUTE, 1)
+    assert (execute.detect_cycle, execute.end_cycle) == (120, 135)
+    assert report.total_cycles == 413
+
+
+def test_spare_fault_is_inert_until_switch_in():
+    # The spare's flip window opens before the swap and closes after it: the
+    # run is undisturbed until the spare is selected at the resume cycle.
+    program = _alternating_program(80)
+    alone = run_core(program, CFG, parse_scenario(_DECODE_SWAP))
+    report = run_core(program, CFG, parse_scenario(
+        _DECODE_SWAP + "\n@85 T:15 decode.spare flip 0"))
+    assert report.outcome is Outcome.COMPLETED
+    assert matches_reference(report, program)
+    swap, flip = report.events
+    assert swap.resume_cycle == alone.events[0].resume_cycle == 93
+    assert (flip.classified, flip.fault_id, flip.stage) == ("transient", 1, StageKind.DECODE)
+    assert (flip.detect_cycle, flip.end_cycle) == (93, 100)
+    # The error stalled the refill for exactly the flip's remaining window.
+    assert swap.swap_complete_cycle == alone.events[0].swap_complete_cycle + 7
+
+
+def test_two_swaps_stress_spans():
+    program = _alternating_program(80)
+    report = run_core(program, CFG, parse_scenario(
+        _DECODE_SWAP + "\n@150 PERM execute.main stuckat 0 1"))
+    assert report.outcome is Outcome.COMPLETED
+    assert matches_reference(report, program)
+    assert [(e.stage, e.end_cycle) for e in report.permanent_events] == \
+        [(StageKind.DECODE, 25), (StageKind.EXECUTE, 166)]
+    assert report.total_cycles == 412
+    spans = {(k.value, c.value): (s.on_cycles, s.off_cycles, s.powering_cycles)
+             for (k, c), s in report.stress.blocks.items()}
+    # main: on through its classification cycle; spare: off until the flush
+    # ends, powering for the configured cycles, then on.
+    assert spans == {
+        ("predecode", "main"): (412, 0, 0), ("predecode", "spare"): (0, 412, 0),
+        ("decode", "main"): (26, 386, 0), ("decode", "spare"): (319, 29, 64),
+        ("execute", "main"): (167, 245, 0), ("execute", "spare"): (178, 170, 64),
+    }
+    powered = {(k.value, c.value): p.value for (k, c), p in report.final_power.items()}
+    assert powered == {
+        ("predecode", "main"): "on", ("predecode", "spare"): "off",
+        ("decode", "main"): "off", ("decode", "spare"): "on",
+        ("execute", "main"): "off", ("execute", "spare"): "on",
+    }
+
+
+@pytest.mark.parametrize("text, cycles, events", [
+    # Rail a's bit 0 already reads 0 while idle; it is exposed when the
+    # controller leaves MONITOR for SUSPECT on decode's first error.
+    ("@0 PERM controller.a stuckat 0 0\n" + _DECODE_SWAP, 11, 0),
+    # A one-cycle flip on rail b in the middle of decode's power-up.
+    ("@40 T:1 controller.b flip 15\n" + _DECODE_SWAP, 41, 1),
+])
+def test_latent_controller_rail_fault_ends_dead(text, cycles, events):
+    report = run_core(_alternating_program(80), CFG, parse_scenario(text))
+    assert report.outcome is Outcome.DEAD
+    assert report.total_cycles == cycles
+    assert len(report.events) == events
+    report.stress.assert_conserved(cycles)
