@@ -1,12 +1,18 @@
-"""Byte-identity guard: `ifrsim sim` on every sample scenario must reproduce
-the CSVs checked in under tests/golden/.
+"""Byte-identity guard: `ifrsim sim` on every sample scenario, and a fixed
+set of `markov`, `compare` and `formulas` invocations, must reproduce the
+CSVs checked in under tests/golden/.
 
 The CSVs were generated by running, from the repository root,
 
     ifrsim sim samples/workload.asm samples/<name>.flt --out tests/golden/<name>.csv
 
+and, for each `<name>: <argv>` pair in `CLI_CASES` below,
+
+    ifrsim <argv> --out tests/golden/cli/<name>.csv
+
 A change to the simulator that moves any simulated number (cycle counts,
-events, stress spans, golden verdict) shows up here as a byte difference.
+events, stress spans, golden verdict) shows up here as a byte difference,
+and so does a change to the bracket, sweep, Monte Carlo or formula rows.
 """
 from pathlib import Path
 
@@ -18,6 +24,15 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SCENARIOS = sorted(path.stem for path in (ROOT / "samples").glob("*.flt"))
 EXIT_CODES = {"controller_stuck": 4}  # 0 for the others
+CLI_CASES = {
+    "markov_builtin_point": "markov --builtin simplex --lam 1e-6",
+    "markov_builtin_sweep": "markov --builtin ifr-pipeline --sweep 1e-6 1e-2 4 --mc 3000 --seed 3",
+    "markov_model_point": "markov --model samples/twostate.model",
+    "markov_model_sweep": "markov --model samples/twostate.model "
+                          "--sweep-const lambda 1e-6 1e-3 3 --mc 1000 --seed 2",
+    "compare": "compare --sweep 1e-6 1e-2 7",
+    "formulas": "formulas --tmr --standby",
+}
 
 
 def test_every_sample_scenario_has_a_golden_csv():
@@ -32,3 +47,15 @@ def test_sim_csv_is_byte_identical(name, tmp_path, monkeypatch):
     code = main(["sim", "samples/workload.asm", f"samples/{name}.flt", "--out", str(out)])
     assert code == EXIT_CODES.get(name, 0)
     assert out.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
+
+
+def test_every_cli_case_has_a_golden_csv():
+    assert sorted(path.stem for path in (GOLDEN / "cli").glob("*.csv")) == sorted(CLI_CASES)
+
+
+@pytest.mark.parametrize("name", sorted(CLI_CASES))
+def test_cli_csv_is_byte_identical(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(ROOT)  # `markov --model` records the path as given
+    out = tmp_path / f"{name}.csv"
+    assert main(CLI_CASES[name].split() + ["--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / "cli" / f"{name}.csv").read_bytes()
