@@ -14,13 +14,12 @@ import sys
 
 from . import formulas
 from .faults import ScenarioError, parse_scenario
-from .hw import Copy, StageKind
 from .isa import AssemblyError, assemble
 from .markov import (DEFAULT_TOL, ModelError, SolverError, SweepSpec,
                      build_ifr_pipeline_model, build_simplex_model,
                      build_standby_model, build_tmr_model,
                      death_probability, monte_carlo_death_probability,
-                     parse_model, sweep, sweep_model_constant)
+                     parse_model, sweep)
 from .pipeline import CoreConfig, Outcome, matches_reference, run_core
 from .report import CsvReport, TOOL_ID, fmt_float
 
@@ -34,7 +33,7 @@ EXIT_EXHAUSTED = 6
 DEFAULT_AUX_RATIO = 1e-3  # lambda_sw = lambda_ctrl = ratio * lambda_p for builtins
 
 _CONFIG_KEYS = ("clock_hz", "permanent_threshold", "flush_cycles",
-                "powerup_cycles_per_block", "rng_seed")
+                "powerup_cycles_per_block")
 
 
 class CliError(Exception):
@@ -92,8 +91,6 @@ def _load_config(args) -> CoreConfig:
         flag = getattr(args, key, None)
         if flag is not None:
             overrides[key] = flag
-    if getattr(args, "seed", None) is not None:
-        overrides["rng_seed"] = args.seed
     try:
         kwargs = {}
         for key, value in overrides.items():
@@ -117,7 +114,6 @@ def _config_meta(report: CsvReport, config: CoreConfig) -> None:
     report.add_meta("permanent_threshold", config.permanent_threshold)
     report.add_meta("flush_cycles", config.flush_cycles)
     report.add_meta("powerup_cycles_per_block", config.powerup_cycles_per_block)
-    report.add_meta("rng_seed", config.rng_seed)
 
 
 def cmd_sim(args) -> int:
@@ -170,8 +166,11 @@ def cmd_sim(args) -> int:
 
 
 def cmd_formulas(args) -> int:
-    groups = [flag for flag in ("tmr_standby", "ifr", "ifr_pipeline", "availability", "exp")
-              if getattr(args, "_group_" + flag)]
+    groups = [group for group, chosen in (("tmr_standby", args.tmr or args.standby),
+                                          ("ifr", args.ifr),
+                                          ("ifr_pipeline", args.ifr_pipeline),
+                                          ("availability", args.availability),
+                                          ("exp", args.exp)) if chosen]
     if len(groups) != 1:
         raise CliError("choose exactly one formula group per invocation: "
                        "--tmr/--standby, --ifr, --ifr-pipeline, --availability, or --exp")
@@ -242,23 +241,15 @@ def cmd_formulas(args) -> int:
     return EXIT_PARSE if failures else EXIT_OK
 
 
-_BUILTIN_SINGLE = {"simplex": build_simplex_model, "tmr": build_tmr_model,
-                   "standby": build_standby_model}
-
-
-def _ifr_builder(aux_ratio: float):
-    def build(lam: float):
-        return build_ifr_pipeline_model(lam, lam * aux_ratio, lam * aux_ratio)
-    return build
-
-
-def _builtin_builder(name: str, aux_ratio: float):
-    if name in _BUILTIN_SINGLE:
-        return _BUILTIN_SINGLE[name]
-    if name in ("ifr", "ifr-pipeline", "ifr_pipeline"):
-        return _ifr_builder(aux_ratio)
-    raise CliError(f"unknown builtin model {name!r}; choose from simplex, tmr, "
-                   "standby, ifr-pipeline")
+# The builtin models as (rate, aux_ratio) -> model; only ifr-pipeline reads
+# aux_ratio, for its switch and controller rates.
+_BUILTINS = {
+    "simplex": lambda lam, aux_ratio: build_simplex_model(lam),
+    "tmr": lambda lam, aux_ratio: build_tmr_model(lam),
+    "standby": lambda lam, aux_ratio: build_standby_model(lam),
+    "ifr-pipeline": lambda lam, aux_ratio: build_ifr_pipeline_model(
+        lam, lam * aux_ratio, lam * aux_ratio),
+}
 
 
 def _bad_numbers_are_usage_errors(command):
@@ -274,6 +265,40 @@ def _bad_numbers_are_usage_errors(command):
     return run
 
 
+def _markov_source(args, report: CsvReport):
+    """Pick the model source and what it varies: returns a `build(value) ->
+    model`, the swept column name (None for a model file's single point), and
+    either the point value or a `(lo, hi, points)` grid."""
+    if args.builtin:
+        if args.sweep_const:
+            raise CliError("--sweep-const applies to --model only; --builtin takes "
+                           "--lam or --sweep")
+        if args.lam is not None and args.sweep:
+            raise CliError("--builtin takes --lam or --sweep, not both")
+        if args.lam is None and not args.sweep:
+            raise CliError("builtin single-point mode needs --lam (or use --sweep)")
+        report.add_meta("model", args.builtin)
+        report.add_meta("aux_ratio", fmt_float(args.aux_ratio))
+        build = functools.partial(_BUILTINS[args.builtin], aux_ratio=args.aux_ratio)
+        if args.sweep:
+            lo, hi, points = args.sweep
+            return build, "lambda", (lo, hi, int(points))
+        return build, "lambda", args.lam
+    if args.lam is not None or args.sweep:
+        raise CliError("--lam and --sweep apply to --builtin only; --model takes "
+                       "--sweep-const")
+    try:
+        model = parse_model(open(args.model, encoding="utf-8").read())
+    except (OSError, ModelError) as exc:
+        raise CliError(f"model: {exc}") from None
+    report.add_meta("model", args.model)
+    if args.sweep_const:
+        name, lo, hi, points = args.sweep_const
+        return (functools.partial(model.with_constant, name), name,
+                (float(lo), float(hi), int(points)))
+    return lambda _: model, None, None
+
+
 @_bad_numbers_are_usage_errors
 def cmd_markov(args) -> int:
     if args.mc is not None and args.mc < 1:
@@ -283,73 +308,39 @@ def cmd_markov(args) -> int:
     report.add_meta("subcommand", "markov")
     report.add_meta("mission_time_hours", fmt_float(args.T))
     report.add_meta("tol", fmt_float(args.tol))
-    status = EXIT_OK
-
     mc_cols = ["mc_estimate", "mc_ci99"] if args.mc else []
     if args.mc:
         report.add_meta("mc_trials", args.mc)
-        report.add_meta("mc_seed", args.seed if args.seed is not None else 0)
+        report.add_meta("mc_seed", args.seed)
 
     def mc_cells(model):
         if not args.mc:
             return []
-        estimate = monte_carlo_death_probability(
-            model, args.T, args.mc, args.seed if args.seed is not None else 0)
+        estimate = monte_carlo_death_probability(model, args.T, args.mc, args.seed)
         return [estimate.estimate, estimate.ci99]
 
-    if args.builtin:
-        builder = _builtin_builder(args.builtin, args.aux_ratio)
-        report.add_meta("model", args.builtin)
-        report.add_meta("aux_ratio", fmt_float(args.aux_ratio))
-        if args.sweep:
-            lo, hi, points = args.sweep
-            spec = SweepSpec("lambda", lo, hi, int(points), args.T, args.tol)
-            curve = sweep(builder, spec)
-            report.columns = ["lambda", "lower", "upper", "width_rel", "error"] + mc_cols
-            for point in curve.points:
-                if point.error:
-                    status = EXIT_SOLVER
-                    report.add_row(point.lam, None, None, None, "solver_failure",
-                                   *([None, None] if args.mc else []))
-                    print(f"lambda={point.lam}: {point.error}", file=sys.stderr)
-                    continue
+    build, column, where = _markov_source(args, report)
+    status = EXIT_OK
+    if isinstance(where, tuple):
+        curve = sweep(build, SweepSpec(column, *where, args.T, args.tol))
+        report.columns = [column, "lower", "upper", "width_rel", "error"] + mc_cols
+        for point in curve.points:
+            if point.error:
+                status = EXIT_SOLVER
+                report.add_row(point.lam, None, None, None, "solver_failure",
+                               *[None] * len(mc_cols))
+                print(f"{column}={point.lam}: {point.error}", file=sys.stderr)
+            else:
                 width = (point.upper - point.lower) / point.upper if point.upper else 0.0
                 report.add_row(point.lam, point.lower, point.upper, width, None,
-                               *mc_cells(builder(point.lam)))
-        else:
-            if args.lam is None:
-                raise CliError("builtin single-point mode needs --lam (or use --sweep)")
-            model = builder(args.lam)
-            bracket = death_probability(model, args.T, args.tol)
-            report.columns = ["lambda", "lower", "upper", "width_rel"] + mc_cols
-            report.add_row(args.lam, bracket.lower, bracket.upper,
-                           bracket.relative_width, *mc_cells(model))
+                               *mc_cells(build(point.lam)))
     else:
-        try:
-            model = parse_model(open(args.model, encoding="utf-8").read())
-        except (OSError, ModelError) as exc:
-            raise CliError(f"model: {exc}") from None
-        report.add_meta("model", args.model)
-        if args.sweep_const:
-            name, lo, hi, points = args.sweep_const
-            spec = SweepSpec(name, float(lo), float(hi), int(points), args.T, args.tol)
-            curve = sweep_model_constant(model, spec)
-            report.columns = [name, "lower", "upper", "width_rel", "error"] + mc_cols
-            for point in curve.points:
-                if point.error:
-                    status = EXIT_SOLVER
-                    report.add_row(point.lam, None, None, None, "solver_failure",
-                                   *([None, None] if args.mc else []))
-                    continue
-                width = (point.upper - point.lower) / point.upper if point.upper else 0.0
-                report.add_row(point.lam, point.lower, point.upper, width, None,
-                               *mc_cells(model.with_constant(name, point.lam)))
-        else:
-            bracket = death_probability(model, args.T, args.tol)
-            report.columns = ["lower", "upper", "width_rel"] + mc_cols
-            report.add_row(bracket.lower, bracket.upper, bracket.relative_width,
-                           *mc_cells(model))
-
+        model = build(where)
+        bracket = death_probability(model, args.T, args.tol)
+        swept = [] if column is None else [column]
+        report.columns = swept + ["lower", "upper", "width_rel"] + mc_cols
+        report.add_row(*([] if column is None else [where]), bracket.lower, bracket.upper,
+                       bracket.relative_width, *mc_cells(model))
     _emit(report, args)
     return status
 
@@ -357,15 +348,13 @@ def cmd_markov(args) -> int:
 @_bad_numbers_are_usage_errors
 def cmd_compare(args) -> int:
     lo, hi, points = args.sweep
-    spec_kwargs = dict(lo=lo, hi=hi, points=int(points),
-                       mission_time=args.T, tol=args.tol)
-    builders = [("simplex", build_simplex_model), ("tmr", build_tmr_model),
-                ("standby", build_standby_model), ("ifr", _ifr_builder(args.aux_ratio))]
-    curves = {name: sweep(builder, SweepSpec("lambda", **spec_kwargs))
-              for name, builder in builders}
+    spec = SweepSpec("lambda", lo, hi, int(points), args.T, args.tol)
+    curves = [sweep(functools.partial(build, aux_ratio=args.aux_ratio), spec)
+              for build in _BUILTINS.values()]
 
-    report = CsvReport(columns=["lambda"] + [f"{name}_{side}"
-                                             for name, _ in builders
+    # Column prefixes: the builtin names up to the first '-' (ifr-pipeline -> ifr).
+    report = CsvReport(columns=["lambda"] + [f"{name.partition('-')[0]}_{side}"
+                                             for name in _BUILTINS
                                              for side in ("lower", "upper")])
     report.add_meta("tool", TOOL_ID)
     report.add_meta("subcommand", "compare")
@@ -373,10 +362,9 @@ def cmd_compare(args) -> int:
     report.add_meta("tol", fmt_float(args.tol))
     report.add_meta("aux_ratio", fmt_float(args.aux_ratio))
     status = EXIT_OK
-    for i in range(int(points)):
-        cells = [curves["simplex"].points[i].lam]
-        for name, _ in builders:
-            point = curves[name].points[i]
+    for row in zip(*(curve.points for curve in curves)):
+        cells = [row[0].lam]
+        for point in row:
             if point.error:
                 status = EXIT_SOLVER
                 cells.extend([None, None])
@@ -396,8 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--out", help="write the CSV report to this path (default stdout)")
-        p.add_argument("--seed", type=int, help="seed recorded in reports and used "
-                                                "by Monte Carlo sampling")
 
     p_sim = sub.add_parser("sim", help="run a program under a fault scenario")
     p_sim.add_argument("program", help="assembly source file")
@@ -436,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_markov = sub.add_parser("markov", help="solve or sweep a dependability model")
     src = p_markov.add_mutually_exclusive_group(required=True)
-    src.add_argument("--builtin", choices=["simplex", "tmr", "standby", "ifr-pipeline"])
+    src.add_argument("--builtin", choices=list(_BUILTINS))
     src.add_argument("--model", help="model description file")
     p_markov.add_argument("--lam", type=float, help="failure rate per hour for builtin models")
     p_markov.add_argument("--sweep", nargs=3, type=float, metavar=("LO", "HI", "POINTS"),
@@ -451,6 +437,8 @@ def build_parser() -> argparse.ArgumentParser:
                                "rate for the builtin ifr-pipeline model")
     p_markov.add_argument("--mc", type=int, help="append a Monte Carlo oracle column with "
                                                  "this many trials")
+    p_markov.add_argument("--seed", type=int, default=0,
+                          help="Monte Carlo seed for --mc (default 0)")
     common(p_markov)
     p_markov.set_defaults(func=cmd_markov)
 
@@ -470,12 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "formulas":
-        args._group_tmr_standby = args.tmr or args.standby
-        args._group_ifr = args.ifr
-        args._group_ifr_pipeline = args.ifr_pipeline
-        args._group_availability = args.availability
-        args._group_exp = args.exp
     try:
         return args.func(args)
     except CliError as exc:

@@ -44,7 +44,6 @@ class CoreConfig:
     permanent_threshold: int = 16
     flush_cycles: int = 3
     powerup_cycles_per_block: int = 64
-    rng_seed: int = 0
 
     def __post_init__(self):
         if self.clock_hz <= 0:

@@ -204,8 +204,7 @@ def test_criterion_8_conservation_and_determinism(tmp_path):
     report.stress.assert_conserved(report.total_cycles)  # also asserted in-run
 
     invocations = [
-        ["sim", str(SAMPLES / "workload.asm"), str(SAMPLES / "decode_stuckat.flt"),
-         "--seed", "7"],
+        ["sim", str(SAMPLES / "workload.asm"), str(SAMPLES / "decode_stuckat.flt")],
         ["formulas", "--tmr", "--standby", "-R", "0..1:0.1"],
         ["markov", "--builtin", "ifr-pipeline", "--sweep", "1e-6", "1e-2", "9",
          "--T", "1000", "--mc", "10000", "--seed", "7"],

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from ifrsim.cli import build_parser
 from ifrsim.faults import parse_scenario
 from ifrsim.isa import assemble
 from ifrsim.pipeline import CoreConfig, RecoveryEvent, SimReport, run_core
@@ -46,3 +47,16 @@ def test_sim_report_has_the_fields_the_benchmark_reads(monkeypatch):
     stats = workloads._sim_stats(report)
     assert stats["outcome"] == "completed"
     assert len(stats["events"]) == 1 and len(stats["stress"]) == 6
+
+
+def test_markov_oracle_calls_parse(monkeypatch):
+    # The oracle workload calls the CLI in-process; every argv it builds must
+    # still be accepted, flags and all.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workload = _load("workloads").MarkovOracle(1, tiny=True)
+    try:
+        parser = build_parser()
+        for argv, _, _ in workload.calls:
+            parser.parse_args(argv)
+    finally:
+        workload.close()

@@ -219,6 +219,12 @@ def test_markov_aux_ratio_flag_changes_ifr_curve(tmp_path):
     ["compare", "--tol", "2"],
     ["compare", "--sweep", "1e-2", "1e-6", "5"],
     ["compare", "--sweep", "1e-6", "1e-2", "1"],
+    # Flags that do not belong to the model source are refused, not ignored.
+    ["markov", "--model", str(SAMPLES / "twostate.model"), "--sweep", "1e-6", "1e-2", "3"],
+    ["markov", "--model", str(SAMPLES / "twostate.model"), "--lam", "1e-6"],
+    ["markov", "--builtin", "simplex", "--lam", "1e-6",
+     "--sweep-const", "lambda", "1e-6", "1e-3", "3"],
+    ["markov", "--builtin", "simplex", "--lam", "1e-6", "--sweep", "1e-6", "1e-2", "3"],
 ])
 def test_markov_and_compare_bad_numbers_are_usage_errors(args, tmp_path, capsys):
     out = tmp_path / "x.csv"
@@ -233,6 +239,45 @@ def test_sim_rejects_unknown_config_key(tmp_path):
     config.write_text("warp_factor=9\n")
     assert main(["sim", WORKLOAD, str(SAMPLES / "faultfree.flt"),
                  "--config", str(config), "--out", str(tmp_path / "x.csv")]) == 2
+
+
+def test_markov_sweep_const_solver_failure_row(tmp_path, capsys):
+    # A repair chain whose repair rate makes the series refuse the stiff point.
+    model = tmp_path / "repair.model"
+    model.write_text("CONST lambda = 1e-3;\nCONST mu = 1;\n"
+                     "STATE up;\nSTATE degraded;\nSTATE dead DEATH;\nINIT up;\n"
+                     "up -> degraded : 2*lambda;\ndegraded -> up : mu;\n"
+                     "degraded -> dead : lambda;\n")
+    code, text = run_cli(["markov", "--model", str(model), "--sweep-const", "mu", "1", "1e3",
+                          "2", "--mc", "500", "--seed", "1"], tmp_path)
+    _, columns, rows = parse_csv(text)
+    assert code == 3
+    assert columns == ["mu", "lower", "upper", "width_rel", "error", "mc_estimate", "mc_ci99"]
+    assert rows[0]["error"] == "" and rows[0]["mc_estimate"] != ""
+    assert rows[1]["error"] == "solver_failure"
+    assert [rows[1][key] for key in ("lower", "upper", "width_rel", "mc_estimate",
+                                     "mc_ci99")] == [""] * 5
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("mu=1000.0: ")
+
+
+@pytest.mark.parametrize("args, config", [
+    (["sim", WORKLOAD, str(SAMPLES / "faultfree.flt"), "--seed", "1"], None),
+    (["sim", WORKLOAD, str(SAMPLES / "faultfree.flt")], "rng_seed=1\n"),
+    (["formulas", "--tmr", "--seed", "1"], None),
+    (["compare", "--seed", "1"], None),
+])
+def test_seed_is_a_markov_flag_only(args, config, tmp_path):
+    # The simulator and the closed forms are deterministic; only `markov --mc`
+    # samples, so no other subcommand takes a seed.
+    if config is not None:
+        (tmp_path / "core.cfg").write_text(config)
+        args = args + ["--config", str(tmp_path / "core.cfg")]
+    try:
+        code = main(args + ["--out", str(tmp_path / "x.csv")])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +306,7 @@ def test_compare_scales_and_identity(tmp_path):
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("args", [
-    ["sim", WORKLOAD, str(SAMPLES / "decode_stuckat.flt"), "--seed", "11"],
+    ["sim", WORKLOAD, str(SAMPLES / "decode_stuckat.flt")],
     ["formulas", "--tmr", "--standby"],
     ["markov", "--builtin", "ifr-pipeline", "--sweep", "1e-6", "1e-2", "9",
      "--mc", "5000", "--seed", "3"],
