@@ -21,8 +21,7 @@ from .markov import (BoundedProbability, MarkovModel, ModelError,
                      MonteCarloEstimate, ReliabilityCurve, SolverError,
                      SweepSpec, build_ifr_pipeline_model, build_simplex_model,
                      build_standby_model, build_tmr_model, death_probability,
-                     monte_carlo_death_probability, parse_model, sweep,
-                     sweep_model_constant)
+                     monte_carlo_death_probability, parse_model, sweep)
 from .pipeline import (ControllerActions, ControllerMode, ControllerState,
                        CoreConfig, Outcome, RecoveryEvent, SimReport,
                        controller_step, matches_reference, run_core)

@@ -265,10 +265,23 @@ def _bad_numbers_are_usage_errors(command):
     return run
 
 
+def _sweep_points(points) -> int:
+    """A sweep's POINTS, which must be a whole number (argparse hands it over
+    as a float for --sweep and as a string for --sweep-const)."""
+    try:
+        if float(points).is_integer():
+            return int(float(points))
+    except ValueError:
+        pass
+    raise CliError(f"sweep POINTS must be a whole number, got {points}")
+
+
 def _markov_source(args, report: CsvReport):
     """Pick the model source and what it varies: returns a `build(value) ->
     model`, the swept column name (None for a model file's single point), and
     either the point value or a `(lo, hi, points)` grid."""
+    if args.aux_ratio is not None and args.builtin != "ifr-pipeline":
+        raise CliError("--aux-ratio applies to --builtin ifr-pipeline only")
     if args.builtin:
         if args.sweep_const:
             raise CliError("--sweep-const applies to --model only; --builtin takes "
@@ -277,12 +290,13 @@ def _markov_source(args, report: CsvReport):
             raise CliError("--builtin takes --lam or --sweep, not both")
         if args.lam is None and not args.sweep:
             raise CliError("builtin single-point mode needs --lam (or use --sweep)")
+        aux_ratio = DEFAULT_AUX_RATIO if args.aux_ratio is None else args.aux_ratio
         report.add_meta("model", args.builtin)
-        report.add_meta("aux_ratio", fmt_float(args.aux_ratio))
-        build = functools.partial(_BUILTINS[args.builtin], aux_ratio=args.aux_ratio)
+        report.add_meta("aux_ratio", fmt_float(aux_ratio))
+        build = functools.partial(_BUILTINS[args.builtin], aux_ratio=aux_ratio)
         if args.sweep:
             lo, hi, points = args.sweep
-            return build, "lambda", (lo, hi, int(points))
+            return build, "lambda", (lo, hi, _sweep_points(points))
         return build, "lambda", args.lam
     if args.lam is not None or args.sweep:
         raise CliError("--lam and --sweep apply to --builtin only; --model takes "
@@ -295,7 +309,7 @@ def _markov_source(args, report: CsvReport):
     if args.sweep_const:
         name, lo, hi, points = args.sweep_const
         return (functools.partial(model.with_constant, name), name,
-                (float(lo), float(hi), int(points)))
+                (float(lo), float(hi), _sweep_points(points)))
     return lambda _: model, None, None
 
 
@@ -348,7 +362,7 @@ def cmd_markov(args) -> int:
 @_bad_numbers_are_usage_errors
 def cmd_compare(args) -> int:
     lo, hi, points = args.sweep
-    spec = SweepSpec("lambda", lo, hi, int(points), args.T, args.tol)
+    spec = SweepSpec("lambda", lo, hi, _sweep_points(points), args.T, args.tol)
     curves = [sweep(functools.partial(build, aux_ratio=args.aux_ratio), spec)
               for build in _BUILTINS.values()]
 
@@ -432,9 +446,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_markov.add_argument("--T", type=float, default=1000.0, help="mission time in hours")
     p_markov.add_argument("--tol", type=float, default=DEFAULT_TOL,
                           help="relative bound width target (default 0.05)")
-    p_markov.add_argument("--aux-ratio", dest="aux_ratio", type=float, default=DEFAULT_AUX_RATIO,
+    p_markov.add_argument("--aux-ratio", dest="aux_ratio", type=float,
                           help="switch/controller failure rate as a fraction of the stage "
-                               "rate for the builtin ifr-pipeline model")
+                               "rate for --builtin ifr-pipeline (default "
+                               f"{DEFAULT_AUX_RATIO:g})")
     p_markov.add_argument("--mc", type=int, help="append a Monte Carlo oracle column with "
                                                  "this many trials")
     p_markov.add_argument("--seed", type=int, default=0,

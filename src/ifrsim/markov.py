@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,7 +47,7 @@ class Transition:
     source: str
     target: str
     rate: float
-    expr: tuple  # AST, kept so swept constants can be re-evaluated
+    expr: tuple  # AST, kept so a model can be rebuilt with a constant changed
 
 
 @dataclass(frozen=True)
@@ -56,8 +56,9 @@ class MarkovModel:
     initial: str
     death_states: frozenset
     transitions: tuple[Transition, ...]
-    constants: dict = field(default_factory=dict)
+    constants: dict = field(default_factory=dict)  # name -> value
     name: str = "custom"
+    definitions: dict = field(default_factory=dict)  # name -> defining AST
 
     def validate(self) -> "MarkovModel":
         if not self.states:
@@ -98,16 +99,17 @@ class MarkovModel:
         return sum(tr.rate for tr in self.transitions if tr.source == state)
 
     def with_constant(self, name: str, value: float) -> "MarkovModel":
-        """Rebuild the model with one constant re-assigned and every rate
-        expression re-evaluated (used by parameter sweeps)."""
+        """Rebuild the model with `name` defined as `value`; the constants
+        defined from it and every rate are re-evaluated (used by sweeps)."""
         if name not in self.constants:
             raise ModelError(f"unknown constant {name!r}")
-        constants = dict(self.constants)
-        constants[name] = value
-        transitions = tuple(
-            replace(tr, rate=_eval_expr(tr.expr, constants)) for tr in self.transitions)
-        return MarkovModel(self.states, self.initial, self.death_states,
-                           transitions, constants, self.name).validate()
+        # A model built without definitions keeps its other constants' values.
+        definitions = {cname: self.definitions.get(cname, ("num", v))
+                       for cname, v in self.constants.items()}
+        definitions[name] = ("num", float(value))
+        return _model(self.name, self.states, self.initial, self.death_states,
+                      [(tr.source, tr.target, tr.expr) for tr in self.transitions],
+                      definitions)
 
 
 @dataclass(frozen=True)
@@ -206,20 +208,42 @@ def _tokenize(text: str):
     return tokens
 
 
-def _eval_expr(expr: tuple, constants: dict) -> float:
+def _eval_expr(expr: tuple, definitions: dict, values: dict, trail: tuple = ()) -> float:
+    """Evaluate an expression AST. A constant is evaluated from its entry in
+    `definitions` on first use and kept in `values`; `trail` holds the
+    constants whose definitions are being evaluated, to catch a cycle."""
     op = expr[0]
     if op == "num":
         return expr[1]
     if op == "const":
-        try:
-            return constants[expr[1]]
-        except KeyError:
-            raise ModelError(f"unknown constant {expr[1]!r}") from None
+        name = expr[1]
+        if name not in values:
+            if name in trail:
+                raise ModelError(f"constant {name!r} is defined in terms of itself")
+            if name not in definitions:
+                raise ModelError(f"unknown constant {name!r}")
+            values[name] = _eval_expr(definitions[name], definitions, values, trail + (name,))
+        return values[name]
     if op == "+":
-        return _eval_expr(expr[1], constants) + _eval_expr(expr[2], constants)
+        return (_eval_expr(expr[1], definitions, values, trail)
+                + _eval_expr(expr[2], definitions, values, trail))
     if op == "*":
-        return _eval_expr(expr[1], constants) * _eval_expr(expr[2], constants)
+        return (_eval_expr(expr[1], definitions, values, trail)
+                * _eval_expr(expr[2], definitions, values, trail))
     raise AssertionError(expr)
+
+
+def _model(name: str, states, initial: str, death, transitions, definitions: dict) -> MarkovModel:
+    """Build a validated model from `(source, target, rate-expr)` transitions
+    and each constant's defining expression: the constants are evaluated in
+    definition order, then the rates."""
+    values: dict = {}
+    for cname in definitions:
+        _eval_expr(("const", cname), definitions, values)
+    return MarkovModel(tuple(states), initial, frozenset(death),
+                       tuple(Transition(src, dst, _eval_expr(expr, definitions, values), expr)
+                             for src, dst, expr in transitions),
+                       values, name, definitions).validate()
 
 
 class _Parser:
@@ -276,7 +300,7 @@ def parse_model(text: str, name: str = "custom") -> MarkovModel:
     """Parse and validate a model description. Declarations may appear in any
     order; constants are resolved after the whole text is read."""
     parser = _Parser(text)
-    constants: dict = {}
+    definitions: dict = {}
     states: list[str] = []
     death: set = set()
     initial: str | None = None
@@ -290,9 +314,9 @@ def parse_model(text: str, name: str = "custom") -> MarkovModel:
             parser.take(value="=")
             expr = parser.parse_expr()
             parser.take(value=";")
-            if cname[1] in constants:
+            if cname[1] in definitions:
                 raise ModelError(f"duplicate constant {cname[1]!r}", cname[2], cname[3])
-            constants[cname[1]] = ("expr", expr)
+            definitions[cname[1]] = expr
         elif token[0] == "name" and token[1] == "STATE":
             parser.take()
             sname = parser.take("name")
@@ -325,40 +349,7 @@ def parse_model(text: str, name: str = "custom") -> MarkovModel:
     if initial is None:
         raise ModelError("model has no INIT declaration")
 
-    resolved: dict = {}
-
-    def resolve(cname: str, trail: tuple = ()) -> float:
-        if cname in resolved:
-            return resolved[cname]
-        if cname in trail:
-            raise ModelError(f"constant {cname!r} is defined in terms of itself")
-        if cname not in constants:
-            raise ModelError(f"unknown constant {cname!r}")
-        expr = constants[cname][1]
-        value = _eval_with_resolver(expr, cname, trail)
-        resolved[cname] = value
-        return value
-
-    def _eval_with_resolver(expr: tuple, cname: str, trail: tuple) -> float:
-        op = expr[0]
-        if op == "num":
-            return expr[1]
-        if op == "const":
-            return resolve(expr[1], trail + (cname,))
-        return (_eval_with_resolver(expr[1], cname, trail)
-                + _eval_with_resolver(expr[2], cname, trail)) if op == "+" else (
-                _eval_with_resolver(expr[1], cname, trail)
-                * _eval_with_resolver(expr[2], cname, trail))
-
-    for cname in constants:
-        resolve(cname)
-
-    transitions = tuple(
-        Transition(src, dst, _eval_expr(expr, resolved), expr)
-        for src, dst, expr in raw_transitions)
-    model = MarkovModel(tuple(states), initial, frozenset(death), transitions,
-                        resolved, name)
-    return model.validate()
+    return _model(name, states, initial, death, raw_transitions, definitions)
 
 
 # ---------------------------------------------------------------------------
@@ -371,9 +362,12 @@ def _require_rate(name: str, value: float) -> float:
     return float(value)
 
 
+_LAMBDA = ("const", "lambda")
+
+
 def _builtin(name, states, initial, death, transitions, constants, expected_outgoing):
-    model = MarkovModel(tuple(states), initial, frozenset(death),
-                        tuple(transitions), constants, name).validate()
+    model = _model(name, states, initial, death, transitions,
+                   {cname: ("num", value) for cname, value in constants.items()})
     # Rate conservation: every operational state's outgoing rates must sum to
     # the combined failure rate of the components that can still fail there.
     for state, expected in expected_outgoing.items():
@@ -386,9 +380,8 @@ def _builtin(name, states, initial, death, transitions, constants, expected_outg
 def build_simplex_model(lam: float) -> MarkovModel:
     """Single core: up -> dead at the core failure rate."""
     lam = _require_rate("lambda", lam)
-    expr = ("const", "lambda")
     return _builtin("simplex", ("up", "dead"), "up", {"dead"},
-                    [Transition("up", "dead", lam, expr)],
+                    [("up", "dead", _LAMBDA)],
                     {"lambda": lam}, {"up": lam})
 
 
@@ -396,11 +389,9 @@ def build_tmr_model(lam: float) -> MarkovModel:
     """Triple modular redundancy with perfect voting: the system dies when the
     second of three copies fails (majority lost)."""
     lam = _require_rate("lambda", lam)
-    expr3 = ("*", ("num", 3.0), ("const", "lambda"))
-    expr2 = ("*", ("num", 2.0), ("const", "lambda"))
     return _builtin("tmr", ("3up", "2up", "dead"), "3up", {"dead"},
-                    [Transition("3up", "2up", 3 * lam, expr3),
-                     Transition("2up", "dead", 2 * lam, expr2)],
+                    [("3up", "2up", ("*", ("num", 3.0), _LAMBDA)),
+                     ("2up", "dead", ("*", ("num", 2.0), _LAMBDA))],
                     {"lambda": lam}, {"3up": 3 * lam, "2up": 2 * lam})
 
 
@@ -409,11 +400,9 @@ def build_standby_model(lam: float) -> MarkovModel:
     components carry the failure rate while unfailed, matching the two-unit
     closed form whose complement is (1 - exp(-lam*T))^2."""
     lam = _require_rate("lambda", lam)
-    expr2 = ("*", ("num", 2.0), ("const", "lambda"))
-    expr1 = ("const", "lambda")
     return _builtin("standby", ("2up", "1up", "dead"), "2up", {"dead"},
-                    [Transition("2up", "1up", 2 * lam, expr2),
-                     Transition("1up", "dead", lam, expr1)],
+                    [("2up", "1up", ("*", ("num", 2.0), _LAMBDA)),
+                     ("1up", "dead", _LAMBDA)],
                     {"lambda": lam}, {"2up": 2 * lam, "1up": lam})
 
 
@@ -428,12 +417,12 @@ def build_ifr_pipeline_model(lambda_p: float, lambda_sw: float,
     lc = _require_rate("lambda_ctrl", lambda_ctrl)
     e_p, e_sw, e_c = ("const", "lambda_p"), ("const", "lambda_sw"), ("const", "lambda_ctrl")
     transitions = [
-        Transition("all_up", "on_spare", lp, e_p),
-        Transition("all_up", "dead_switch", lsw, e_sw),
-        Transition("all_up", "dead_ctrl", lc, e_c),
-        Transition("on_spare", "dead_pipeline", lp, e_p),
-        Transition("on_spare", "dead_switch", lsw, e_sw),
-        Transition("on_spare", "dead_ctrl", lc, e_c),
+        ("all_up", "on_spare", e_p),
+        ("all_up", "dead_switch", e_sw),
+        ("all_up", "dead_ctrl", e_c),
+        ("on_spare", "dead_pipeline", e_p),
+        ("on_spare", "dead_switch", e_sw),
+        ("on_spare", "dead_ctrl", e_c),
     ]
     total = lp + lsw + lc
     return _builtin("ifr_pipeline",
@@ -615,7 +604,3 @@ def sweep(builder, spec: SweepSpec) -> ReliabilityCurve:
             points.append(CurvePoint(lam, 0.0, 1.0, error=str(exc)))
     return ReliabilityCurve(name or "custom", spec.mission_time, tuple(points))
 
-
-def sweep_model_constant(model: MarkovModel, spec: SweepSpec) -> ReliabilityCurve:
-    """Sweep a named constant of an already-parsed model."""
-    return sweep(lambda value: model.with_constant(spec.constant, value), spec)

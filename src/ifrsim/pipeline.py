@@ -351,7 +351,7 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
 
     regs = [0] * 16
     mem: dict = {}
-    pc = replay_pc = fetch_pc = origin
+    pc = fetch_pc = origin
     halted = False
     fetch_wait = False
     pd: int | None = None  # predecode latch: the fetched word
@@ -459,7 +459,6 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
             # Apply controller actions to the fabric.
             if actions.flush:
                 pd = de = None
-                pending = None
             for kind, copy in actions.power_off:
                 set_power(kind, copy, PowerState.OFF, cycle)
             for kind, copy in actions.power_on:
@@ -476,10 +475,8 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
                     assert not live_next or power[stage][select[stage]] is PowerState.ON, \
                         "selected copy must be powered"
             if actions.replay:
-                fetch_pc = replay_pc
+                fetch_pc = pc
                 fetch_wait = False
-                pd = de = None
-                pending = None
                 for event in open_events:
                     if event.resume_cycle is None:
                         event.resume_cycle = cycle + 1
@@ -507,7 +504,6 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
                     elif de[1]:
                         regs[de[1]] = result
                     pc += 1
-                replay_pc = pc
                 for event in open_events:
                     event.swap_complete_cycle = cycle
                     event.refill_cycles = cycle - event.resume_cycle + 1

@@ -10,6 +10,7 @@ import pytest
 from ifrsim.cli import build_parser
 from ifrsim.faults import parse_scenario
 from ifrsim.isa import assemble
+from ifrsim.markov import parse_model
 from ifrsim.pipeline import CoreConfig, RecoveryEvent, SimReport, run_core
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -60,3 +61,17 @@ def test_markov_oracle_calls_parse(monkeypatch):
             parser.parse_args(argv)
     finally:
         workload.close()
+
+
+def test_repair_chain_model_has_what_the_benchmark_reads(monkeypatch):
+    # markov-stiff parses generated repair chains and reads the model's
+    # states, transitions and the mu constant directly.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    model = parse_model(_load("gen").repair_chain(1e-3, 10.0))
+    assert model.states == ("up", "degraded", "dead")
+    assert model.initial == "up"
+    assert model.death_states == frozenset({"dead"})
+    assert [(tr.source, tr.target, tr.rate) for tr in model.transitions] == [
+        ("up", "degraded", 2e-3), ("degraded", "up", 10.0), ("degraded", "dead", 1e-3)]
+    assert model.outgoing_rate("degraded") == 10.0 + 1e-3
+    assert model.constants["mu"] == 10.0 and type(model.constants["mu"]) is float

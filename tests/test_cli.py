@@ -225,6 +225,16 @@ def test_markov_aux_ratio_flag_changes_ifr_curve(tmp_path):
     ["markov", "--builtin", "simplex", "--lam", "1e-6",
      "--sweep-const", "lambda", "1e-6", "1e-3", "3"],
     ["markov", "--builtin", "simplex", "--lam", "1e-6", "--sweep", "1e-6", "1e-2", "3"],
+    # A sweep's point count is a whole number, not truncated.
+    ["markov", "--builtin", "simplex", "--sweep", "1e-6", "1e-2", "2.9"],
+    ["compare", "--sweep", "1e-6", "1e-2", "3.7"],
+    ["markov", "--model", str(SAMPLES / "twostate.model"),
+     "--sweep-const", "lambda", "1e-6", "1e-3", "3.5"],
+    # --aux-ratio only moves the ifr-pipeline builtin.
+    ["markov", "--model", str(SAMPLES / "twostate.model"), "--aux-ratio", "5"],
+    ["markov", "--builtin", "simplex", "--lam", "1e-6", "--aux-ratio", "5"],
+    ["markov", "--builtin", "tmr", "--sweep", "1e-6", "1e-2", "3", "--aux-ratio", "5"],
+    ["markov", "--builtin", "standby", "--lam", "1e-6", "--aux-ratio", "5"],
 ])
 def test_markov_and_compare_bad_numbers_are_usage_errors(args, tmp_path, capsys):
     out = tmp_path / "x.csv"
@@ -259,6 +269,21 @@ def test_markov_sweep_const_solver_failure_row(tmp_path, capsys):
                                      "mc_ci99")] == [""] * 5
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("mu=1000.0: ")
+
+
+def test_markov_sweep_const_re_evaluates_derived_constants(tmp_path):
+    model = tmp_path / "derived.model"
+    model.write_text("CONST lambda = 1e-3;\nCONST mu = 2 * lambda;\n"
+                     "STATE up;\nSTATE dead DEATH;\nINIT up;\nup -> dead : mu;\n")
+    code, text = run_cli(["markov", "--model", str(model), "--sweep-const", "lambda",
+                          "1e-5", "1e-3", "3", "--T", "1000"], tmp_path)
+    _, _, rows = parse_csv(text)
+    assert code == 0 and len(rows) == 3
+    for row, lam in zip(rows, (1e-5, 1e-4, 1e-3)):
+        assert float(row["lambda"]) == pytest.approx(lam, rel=1e-8)
+        # The CSV rounds to 9 significant digits.
+        truth = 1 - math.exp(-2 * lam * 1000)
+        assert float(row["lower"]) * (1 - 1e-8) <= truth <= float(row["upper"]) * (1 + 1e-8)
 
 
 @pytest.mark.parametrize("args, config", [

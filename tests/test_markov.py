@@ -1,13 +1,14 @@
 import math
 import random
+from functools import partial
 
 import pytest
 
-from ifrsim.markov import (BoundedProbability, ModelError, SolverError, SweepSpec,
-                           build_ifr_pipeline_model, build_simplex_model,
-                           build_standby_model, build_tmr_model,
+from ifrsim.markov import (BoundedProbability, MarkovModel, ModelError, SolverError,
+                           SweepSpec, Transition, build_ifr_pipeline_model,
+                           build_simplex_model, build_standby_model, build_tmr_model,
                            death_probability, monte_carlo_death_probability,
-                           parse_model, sweep, sweep_model_constant)
+                           parse_model, sweep)
 
 T = 1000.0
 
@@ -309,8 +310,43 @@ def test_sweep_named_constant_of_parsed_model():
         INIT up;
         up -> dead : lambda;
     """)
-    curve = sweep_model_constant(model, SweepSpec("lambda", 1e-6, 1e-4, 5, T))
+    curve = sweep(partial(model.with_constant, "lambda"), SweepSpec("lambda", 1e-6, 1e-4, 5, T))
     assert len(curve.points) == 5
     for point in curve.points:
         truth = analytic_simplex(point.lam, T)
         assert point.lower <= truth <= point.upper
+
+
+DERIVED = """
+    CONST lambda = 1e-3;
+    CONST mu = 2 * lambda;
+    STATE up; STATE dead DEATH;
+    INIT up;
+    up -> dead : mu;
+"""
+
+
+def test_with_constant_re_evaluates_derived_constants():
+    model = parse_model(DERIVED).with_constant("lambda", 1e-5)
+    assert model.constants == {"lambda": 1e-5, "mu": 2e-5}
+    assert model.transitions[0].rate == 2e-5
+
+
+def test_with_constant_replaces_a_derived_definition():
+    model = parse_model(DERIVED)
+    swept = model.with_constant("mu", 7e-4)
+    assert swept.constants == {"lambda": 1e-3, "mu": 7e-4}
+    assert swept.transitions[0].rate == 7e-4
+    assert model.constants["mu"] == 2e-3 and model.transitions[0].rate == 2e-3
+
+
+def test_with_constant_rejects_unknown_name():
+    with pytest.raises(ModelError, match="unknown constant 'nu'"):
+        parse_model(DERIVED).with_constant("nu", 1.0)
+
+
+def test_with_constant_on_a_model_built_without_definitions():
+    model = MarkovModel(("up", "dead"), "up", frozenset({"dead"}),
+                        (Transition("up", "dead", 3e-3, ("*", ("const", "k"), ("const", "lam"))),),
+                        {"lam": 1e-3, "k": 3.0})
+    assert model.with_constant("k", 2.0).transitions[0].rate == 2e-3
