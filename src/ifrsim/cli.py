@@ -70,6 +70,17 @@ def _parse_range(spec: str, *, integer: bool = False) -> list:
     return values
 
 
+def _whole_number(value, name: str) -> int:
+    """`value` (a number or its text) as an int; ValueError unless it is a
+    whole number, so 2.5 is refused rather than cut to 2."""
+    try:
+        if float(value).is_integer():
+            return int(float(value))
+    except (OverflowError, ValueError):
+        pass
+    raise ValueError(f"{name} must be a whole number, got {value}")
+
+
 def _load_config(args) -> CoreConfig:
     overrides: dict = {}
     if getattr(args, "config", None):
@@ -92,11 +103,9 @@ def _load_config(args) -> CoreConfig:
         if flag is not None:
             overrides[key] = flag
     try:
-        kwargs = {}
-        for key, value in overrides.items():
-            kwargs[key] = float(value) if key == "clock_hz" else int(float(value))
-        return CoreConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
+        return CoreConfig(**{key: float(value) if key == "clock_hz" else _whole_number(value, key)
+                             for key, value in overrides.items()})
+    except ValueError as exc:
         raise CliError(f"bad configuration: {exc}") from None
 
 
@@ -118,6 +127,8 @@ def _config_meta(report: CsvReport, config: CoreConfig) -> None:
 
 def cmd_sim(args) -> int:
     config = _load_config(args)
+    if args.max_cycles < 1:
+        raise CliError(f"--max-cycles must be at least 1, got {args.max_cycles}")
     try:
         program = assemble(open(args.program, encoding="utf-8").read())
     except (OSError, AssemblyError) as exc:
@@ -265,17 +276,6 @@ def _bad_numbers_are_usage_errors(command):
     return run
 
 
-def _sweep_points(points) -> int:
-    """A sweep's POINTS, which must be a whole number (argparse hands it over
-    as a float for --sweep and as a string for --sweep-const)."""
-    try:
-        if float(points).is_integer():
-            return int(float(points))
-    except ValueError:
-        pass
-    raise CliError(f"sweep POINTS must be a whole number, got {points}")
-
-
 def _markov_source(args, report: CsvReport):
     """Pick the model source and what it varies: returns a `build(value) ->
     model`, the swept column name (None for a model file's single point), and
@@ -296,7 +296,7 @@ def _markov_source(args, report: CsvReport):
         build = functools.partial(_BUILTINS[args.builtin], aux_ratio=aux_ratio)
         if args.sweep:
             lo, hi, points = args.sweep
-            return build, "lambda", (lo, hi, _sweep_points(points))
+            return build, "lambda", (lo, hi, _whole_number(points, "sweep POINTS"))
         return build, "lambda", args.lam
     if args.lam is not None or args.sweep:
         raise CliError("--lam and --sweep apply to --builtin only; --model takes "
@@ -309,7 +309,7 @@ def _markov_source(args, report: CsvReport):
     if args.sweep_const:
         name, lo, hi, points = args.sweep_const
         return (functools.partial(model.with_constant, name), name,
-                (float(lo), float(hi), _sweep_points(points)))
+                (float(lo), float(hi), _whole_number(points, "sweep POINTS")))
     return lambda _: model, None, None
 
 
@@ -362,7 +362,7 @@ def cmd_markov(args) -> int:
 @_bad_numbers_are_usage_errors
 def cmd_compare(args) -> int:
     lo, hi, points = args.sweep
-    spec = SweepSpec("lambda", lo, hi, _sweep_points(points), args.T, args.tol)
+    spec = SweepSpec("lambda", lo, hi, _whole_number(points, "sweep POINTS"), args.T, args.tol)
     curves = [sweep(functools.partial(build, aux_ratio=args.aux_ratio), spec)
               for build in _BUILTINS.values()]
 

@@ -30,11 +30,6 @@ class FaultUnit(enum.Enum):
     EXECUTE = "execute"
     CONTROLLER = "controller"
 
-    def to_stage(self) -> StageKind | None:
-        if self is FaultUnit.CONTROLLER:
-            return None
-        return StageKind(self.value)
-
 
 @dataclass(frozen=True)
 class StuckAt:
@@ -59,10 +54,6 @@ FaultKind = StuckAt | Delay | TransientFlip
 class FaultSite:
     unit: FaultUnit
     copy: Copy
-
-    @property
-    def stage(self) -> StageKind | None:
-        return self.unit.to_stage()
 
 
 PERMANENT = None  # duration sentinel
@@ -120,54 +111,45 @@ class FaultScenario:
                     "be classified permanent", stacklevel=2)
 
 
-def _force_bit(data: int, parity: int, bit: int, value: int) -> tuple[int, int]:
-    if bit < BUS_DATA_BITS:
-        data = data | (1 << bit) if value else data & ~(1 << bit)
-    else:
-        pbit = bit - BUS_DATA_BITS
-        parity = parity | (1 << pbit) if value else parity & ~(1 << pbit)
-    return data, parity
+_KIND_RANK = {Delay: 0, TransientFlip: 1, StuckAt: 2}
+
+
+def _fault_order(fault: TimedFault) -> tuple:
+    """The one order faults apply in: by kind (delay, flip, stuck-at), then
+    bit, then stuck value, so stuck-ats dominate and a line stuck at both
+    values reads 1."""
+    kind = fault.kind
+    return _KIND_RANK[type(kind)], getattr(kind, "bit", -1), getattr(kind, "value", 0)
 
 
 def apply_faults(bus: InterStageBus, faults: set[TimedFault] | list[TimedFault],
                  previous_bus: InterStageBus) -> InterStageBus:
     """Corrupt one bus with every fault in the set.
 
-    Delay faults replace the data lines with the previous bus's data (parity
-    stays fresh), transient flips XOR their line, and stuck-at faults are
-    applied last so they dominate.
+    The 36 lines are packed as `data | parity << 32` and corrupted as one
+    vector by `apply_vector_faults`. An active delay fault first replaces
+    the data lines with the previous bus's data (parity stays fresh).
+    `run_core` latches a delayed word across cycles itself and packs its
+    buses straight into `apply_vector_faults`.
     """
-    data, parity = bus.data, bus.parity
-
-    def order(fault: TimedFault) -> tuple:
-        rank = {Delay: 0, TransientFlip: 1, StuckAt: 2}[type(fault.kind)]
-        bit = getattr(fault.kind, "bit", -1)
-        return (rank, bit, getattr(fault.kind, "value", 0))
-
-    for fault in sorted(faults, key=order):
-        kind = fault.kind
-        if isinstance(kind, Delay):
-            data = previous_bus.data
-        elif isinstance(kind, TransientFlip):
-            if kind.bit < BUS_DATA_BITS:
-                data ^= 1 << kind.bit
-            else:
-                parity ^= 1 << (kind.bit - BUS_DATA_BITS)
-        else:
-            data, parity = _force_bit(data, parity, kind.bit, kind.value)
-    return InterStageBus(data, parity)
+    data = bus.data
+    if any(isinstance(fault.kind, Delay) for fault in faults):
+        data = previous_bus.data
+    vector = apply_vector_faults(data | bus.parity << BUS_DATA_BITS, faults, BUS_BITS)
+    return InterStageBus(vector & ((1 << BUS_DATA_BITS) - 1), vector >> BUS_DATA_BITS)
 
 
 def apply_vector_faults(vector: int, faults: list[TimedFault], width: int = CONTROLLER_VEC_BITS) -> int:
-    """Stuck-at / flip application on a flat bit vector (controller rails)."""
-    mask = (1 << width) - 1
-    for fault in sorted(faults, key=lambda f: (isinstance(f.kind, StuckAt), getattr(f.kind, "bit", 0))):
+    """Flip and stuck-at application on a flat bit vector: a controller rail
+    or a packed bus. A delay is left to the caller, which drives the stale
+    data into `vector`."""
+    for fault in sorted(faults, key=_fault_order):
         kind = fault.kind
         if isinstance(kind, TransientFlip):
             vector ^= 1 << kind.bit
         elif isinstance(kind, StuckAt):
             vector = vector | (1 << kind.bit) if kind.value else vector & ~(1 << kind.bit)
-    return vector & mask
+    return vector & ((1 << width) - 1)
 
 
 _STAGE_TOKENS = {u.value: u for u in FaultUnit}

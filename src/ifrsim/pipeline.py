@@ -22,13 +22,14 @@ interpreter's, which is the checked contract of this module.
 from __future__ import annotations
 
 import enum
+import math
 from collections import deque
 from dataclasses import dataclass, replace
 
 from .faults import (CONTROLLER_VEC_BITS, Delay, FaultScenario, FaultUnit,
-                     StressLedger, apply_faults, apply_vector_faults)
-from .hw import (Copy, InterStageBus, PIPELINE_ORDER, PowerState, StageKind,
-                 encode_bus, parity_check, trc_compare)
+                     StressLedger, apply_vector_faults)
+from .hw import (BUS_BITS, BUS_DATA_BITS, Copy, InterStageBus, PIPELINE_ORDER,
+                 PowerState, StageKind, encode_bus, parity_check, trc_compare)
 from .isa import (ArchState, ExecutionError, Instruction, Opcode, Program,
                   WORD_MASK, decode_word, dst_reg, encode_instruction,
                   execute_result, run_reference, src_regs)
@@ -46,8 +47,8 @@ class CoreConfig:
     powerup_cycles_per_block: int = 64
 
     def __post_init__(self):
-        if self.clock_hz <= 0:
-            raise ValueError("clock_hz must be positive")
+        if not (math.isfinite(self.clock_hz) and self.clock_hz > 0):
+            raise ValueError(f"clock_hz must be finite and positive, got {self.clock_hz}")
         for name in ("permanent_threshold", "flush_cycles", "powerup_cycles_per_block"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -67,43 +68,47 @@ class ControllerMode(enum.Enum):
 
 @dataclass(frozen=True)
 class ControllerState:
+    """The controller's registers. Stages are pipeline positions 0..2
+    (predecode, decode, execute), the indices `run_core` uses."""
     mode: ControllerMode = ControllerMode.MONITOR
-    suspect_stage: StageKind | None = None
-    swap_stage: StageKind | None = None
+    suspect_stage: int | None = None
+    swap_stage: int | None = None
     remaining: int = 0
     error_counters: tuple[int, int, int] = (0, 0, 0)
     on_spare: frozenset = frozenset()
 
-    def counter(self, stage: StageKind) -> int:
-        return self.error_counters[PIPELINE_ORDER.index(stage)]
-
 
 @dataclass(frozen=True)
 class ControllerActions:
-    flush: bool = False
-    power_off: tuple = ()
-    power_on: tuple = ()
-    switch_flip: tuple = ()
-    replay: bool = False
-    classified: StageKind | None = None
-    transient_clear: tuple | None = None  # (stage, consecutive error cycles)
+    """The strobes of one controller step; at most one field is set. Stages
+    are pipeline positions 0..2. `classified` flushes the pipeline and powers
+    off that stage's main copy; `power_on` starts powering up its spare;
+    `swap` flips its switch to the spare and replays; `transient_clear` is
+    (stage, consecutive error cycles); `dead` is fail-stop.
+    """
+    classified: int | None = None
+    power_on: int | None = None
+    swap: int | None = None
+    transient_clear: tuple[int, int] | None = None
     dead: bool = False
 
 
 _NO_ACTIONS = ControllerActions()
+_DEAD = ControllerActions(dead=True)
 
 
-def controller_step(state: ControllerState, parity_errors, trc_error: bool,
+def controller_step(state: ControllerState, masks, trc_error: bool,
                     config: CoreConfig) -> tuple[ControllerState, ControllerActions]:
     """One combinational step of the repair controller.
 
-    `parity_errors` maps each stage to its 4-bit parity error mask. Returns
+    `masks` holds the 4-bit parity error mask of each stage in pipeline
+    order; stages in the state and the actions are positions 0..2. Returns
     the next state plus the action strobes the surrounding logic must obey.
     """
     if state.mode is ControllerMode.DEAD:
         raise ValueError("controller is dead; Dead is absorbing")
     if trc_error:
-        return replace(state, mode=ControllerMode.DEAD), ControllerActions(dead=True)
+        return replace(state, mode=ControllerMode.DEAD), _DEAD
 
     mode = state.mode
     if mode is ControllerMode.FLUSH:
@@ -112,7 +117,7 @@ def controller_step(state: ControllerState, parity_errors, trc_error: bool,
             return replace(state, remaining=remaining), _NO_ACTIONS
         new = replace(state, mode=ControllerMode.POWER_SWAP,
                       remaining=config.powerup_cycles_per_block)
-        return new, ControllerActions(power_on=((state.swap_stage, Copy.SPARE),))
+        return new, ControllerActions(power_on=state.swap_stage)
 
     if mode is ControllerMode.POWER_SWAP:
         remaining = state.remaining - 1
@@ -120,71 +125,56 @@ def controller_step(state: ControllerState, parity_errors, trc_error: bool,
             return replace(state, remaining=remaining), _NO_ACTIONS
         new = replace(state, mode=ControllerMode.RESUME, remaining=0,
                       on_spare=state.on_spare | {state.swap_stage})
-        return new, ControllerActions(switch_flip=(state.swap_stage,), replay=True)
+        return new, ControllerActions(swap=state.swap_stage)
 
     # MONITOR / SUSPECT / RESUME watch the parity masks.
-    erroring = [s for s in PIPELINE_ORDER if parity_errors.get(s, 0)]
-    if not erroring:
+    if not any(masks):
         if mode is ControllerMode.SUSPECT:
-            run_length = state.counter(state.suspect_stage)
+            stage = state.suspect_stage
             new = replace(state, mode=ControllerMode.MONITOR, suspect_stage=None,
                           error_counters=(0, 0, 0))
-            return new, ControllerActions(transient_clear=(state.suspect_stage, run_length))
+            return new, ControllerActions(transient_clear=(stage, state.error_counters[stage]))
         if mode is ControllerMode.RESUME:
             return replace(state, mode=ControllerMode.MONITOR), _NO_ACTIONS
         return state, _NO_ACTIONS
 
-    counters = tuple(state.error_counters[i] + 1 if stage in erroring else 0
-                     for i, stage in enumerate(PIPELINE_ORDER))
-    classified = next((s for s in PIPELINE_ORDER
-                       if counters[PIPELINE_ORDER.index(s)] >= config.permanent_threshold),
-                      None)
-    if classified is not None:
-        if classified in state.on_spare:
-            # The spare itself has failed permanently: nothing left to swap in.
-            return replace(state, mode=ControllerMode.DEAD), ControllerActions(dead=True)
-        new = replace(state, mode=ControllerMode.FLUSH, suspect_stage=None,
-                      swap_stage=classified, remaining=config.flush_cycles,
-                      error_counters=(0, 0, 0))
-        return new, ControllerActions(flush=True, power_off=((classified, Copy.MAIN),),
-                                      classified=classified)
-
-    peak = max(counters[PIPELINE_ORDER.index(s)] for s in erroring)
-    focal = next(s for s in erroring if counters[PIPELINE_ORDER.index(s)] == peak)
-    new = replace(state, mode=ControllerMode.SUSPECT, suspect_stage=focal,
-                  error_counters=counters)
-    return new, _NO_ACTIONS
-
-
-_MODE_CODE = {mode: i for i, mode in enumerate(ControllerMode)}
-_STAGE_CODE = {stage: i + 1 for i, stage in enumerate(PIPELINE_ORDER)}
+    counters = tuple(count + 1 if mask else 0
+                     for count, mask in zip(state.error_counters, masks))
+    # Counters start below the threshold and grow by one a step, so the
+    # first stage at the peak is the first to reach the threshold.
+    peak = max(counters)
+    stage = counters.index(peak)
+    if peak < config.permanent_threshold:
+        new = replace(state, mode=ControllerMode.SUSPECT, suspect_stage=stage,
+                      error_counters=counters)
+        return new, _NO_ACTIONS
+    if stage in state.on_spare:
+        # The spare itself has failed permanently: nothing left to swap in.
+        return replace(state, mode=ControllerMode.DEAD), _DEAD
+    new = replace(state, mode=ControllerMode.FLUSH, suspect_stage=None,
+                  swap_stage=stage, remaining=config.flush_cycles,
+                  error_counters=(0, 0, 0))
+    return new, ControllerActions(classified=stage)
 
 
 def controller_output_vector(state: ControllerState, actions: ControllerActions) -> int:
     """Pack the controller's observable outputs into a 16-bit vector.
 
-    Layout: [0:3] mode, [3:5] focal stage code, 5 flush, 6 replay,
-    [7:10] power-off stage one-hot, 10 power-off-targets-spare,
-    [11:14] power-on stage one-hot, 14 power-on-targets-spare, 15 switch flip.
+    Layout: [0:3] mode, [3:5] focal stage code (position + 1), 5 flush,
+    6 replay, [7:10] power-off stage one-hot, 10 power-off-targets-spare
+    (always 0: only main copies are powered off), [11:14] power-on stage
+    one-hot, 14 power-on-targets-spare, 15 switch flip.
     """
-    vec = _MODE_CODE[state.mode] & 0x7
-    focal = state.suspect_stage or state.swap_stage
+    vec = state.mode.value
+    focal = state.suspect_stage if state.suspect_stage is not None else state.swap_stage
     if focal is not None:
-        vec |= _STAGE_CODE[focal] << 3
-    if actions.flush:
-        vec |= 1 << 5
-    if actions.replay:
-        vec |= 1 << 6
-    for stage, copy in actions.power_off:
-        vec |= 1 << (7 + PIPELINE_ORDER.index(stage))
-        if copy is Copy.SPARE:
-            vec |= 1 << 10
-    for stage, copy in actions.power_on:
-        vec |= 1 << (11 + PIPELINE_ORDER.index(stage))
-        if copy is Copy.SPARE:
-            vec |= 1 << 14
-    if actions.switch_flip:
-        vec |= 1 << 15
+        vec |= (focal + 1) << 3
+    if actions.classified is not None:
+        vec |= 1 << 5 | 1 << (7 + actions.classified)
+    if actions.power_on is not None:
+        vec |= 1 << (11 + actions.power_on) | 1 << 14
+    if actions.swap is not None:
+        vec |= 1 << 6 | 1 << 15
     return vec
 
 
@@ -237,8 +227,7 @@ _NO_MASKS = (0, 0, 0)
 # controller as unit 3, and copy 0 = main (rail a), copy 1 = spare (rail b).
 _COPIES = (Copy.MAIN, Copy.SPARE)
 _COPY_INDEX = {copy: i for i, copy in enumerate(_COPIES)}
-_STAGE_INDEX = {kind: i for i, kind in enumerate(PIPELINE_ORDER)}
-_UNIT_INDEX = {FaultUnit(kind.value): i for kind, i in _STAGE_INDEX.items()}
+_UNIT_INDEX = {FaultUnit(kind.value): i for i, kind in enumerate(PIPELINE_ORDER)}
 _UNIT_INDEX[FaultUnit.CONTROLLER] = len(PIPELINE_ORDER)
 _RAIL_MASK = (1 << CONTROLLER_VEC_BITS) - 1
 
@@ -286,6 +275,8 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
     checked only when a rail carries faults, and the stress ledger is kept
     as spans that close when a block's power changes.
     """
+    if max_cycles < 1:
+        raise ValueError(f"max_cycles must be >= 1, got {max_cycles}")
     scenario.validate(config.permanent_threshold)
 
     # site_faults[unit][copy]: the (scenario index, fault) pairs at that site.
@@ -307,11 +298,17 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
         stress.add(power[stage][copy], end - since[stage][copy])
         since[stage][copy] = end
 
-    def set_power(kind: StageKind, copy: Copy, state: PowerState, cycle: int) -> None:
+    def set_power(stage: int, copy: int, state: PowerState, cycle: int) -> None:
         # A controller action of this cycle takes effect from the next one.
-        stage, copy = _STAGE_INDEX[kind], _COPY_INDEX[copy]
         close_span(stage, copy, cycle + 1)
         power[stage][copy] = state
+        # Power changes only here, so the invariants are checked here.
+        live_next = ctrl.mode in _LIVE_MODES
+        for copies, selected in zip(power, select):
+            assert copies.count(PowerState.ON) <= 1, \
+                "at most one copy of a stage may be powered"
+            assert not live_next or copies[selected] is PowerState.ON, \
+                "selected copy must be powered"
 
     max_extra = max((f.kind.extra for f in scenario.faults if isinstance(f.kind, Delay)),
                     default=1)
@@ -323,7 +320,7 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
         true_bus = encode_bus(word)
         hist = true_hist.setdefault((stage, copy), deque(maxlen=max_extra + 1))
         active = []
-        prev_data = word
+        driven = word  # the data lines before flips and stuck-ats: stale under a delay
         for i, f in stage_faults[stage][copy]:
             if not f.active_at(cycle):
                 if isinstance(f.kind, Delay):
@@ -333,10 +330,11 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
             if isinstance(f.kind, Delay):
                 if i not in held_delay:
                     held_delay[i] = hist[max(len(hist) - f.kind.extra, 0)] if hist else word
-                prev_data = held_delay[i]
-        bus = apply_faults(true_bus, active, InterStageBus(prev_data, true_bus.parity))
+                driven = held_delay[i]
+        vector = apply_vector_faults(driven | true_bus.parity << BUS_DATA_BITS, active, BUS_BITS)
         hist.append(word)
-        return bus.data, parity_check(bus)
+        data = vector & WORD_MASK
+        return data, parity_check(InterStageBus(data, vector >> BUS_DATA_BITS))
 
     def attribute_fault(stage: int, cycle: int) -> int | None:
         for index, fault in stage_faults[stage][select[stage]]:
@@ -416,8 +414,7 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
         if ctrl.mode is ControllerMode.MONITOR and not error:
             new_ctrl, actions = ctrl, _NO_ACTIONS
         else:
-            new_ctrl, actions = controller_step(ctrl, dict(zip(PIPELINE_ORDER, masks)),
-                                                False, config)
+            new_ctrl, actions = controller_step(ctrl, masks, False, config)
         if rail_a or rail_b:
             # Both controller copies compute the same transition; copy B's
             # outputs are complemented and the rails are compared. Without
@@ -427,62 +424,47 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
             out_b = apply_vector_faults(~vec & _RAIL_MASK,
                                         [f for _, f in rail_b if f.active_at(cycle)])
             if not trc_compare(out_a, out_b, CONTROLLER_VEC_BITS):
-                new_ctrl, actions = controller_step(ctrl, {}, True, config)
+                new_ctrl, actions = controller_step(ctrl, _NO_MASKS, True, config)
         ctrl = new_ctrl
 
         if actions is not _NO_ACTIONS:
-            # Event bookkeeping.
+            if actions.dead:
+                outcome = Outcome.DEAD
+                break
             if actions.classified is not None:
-                stage = _STAGE_INDEX[actions.classified]
+                stage = actions.classified
                 detect = cycle - (config.permanent_threshold - 1)
                 event = RecoveryEvent(
                     fault_id=attribute_fault(stage, detect),
-                    stage=actions.classified, classified="permanent",
+                    stage=PIPELINE_ORDER[stage], classified="permanent",
                     detect_cycle=detect, end_cycle=cycle,
                     counting_cycles=config.permanent_threshold,
                     flush_cycles=config.flush_cycles,
                     powerup_cycles=config.powerup_cycles_per_block)
                 events.append(event)
                 open_events.append(event)
-            if actions.transient_clear is not None:
-                kind, run_length = actions.transient_clear
-                detect = cycle - run_length
-                events.append(RecoveryEvent(
-                    fault_id=attribute_fault(_STAGE_INDEX[kind], detect),
-                    stage=kind, classified="transient",
-                    detect_cycle=detect, end_cycle=cycle))
-
-            if actions.dead:
-                outcome = Outcome.DEAD
-                break
-
-            # Apply controller actions to the fabric.
-            if actions.flush:
                 pd = de = None
-            for kind, copy in actions.power_off:
-                set_power(kind, copy, PowerState.OFF, cycle)
-            for kind, copy in actions.power_on:
-                set_power(kind, copy, PowerState.POWERING, cycle)
-            for kind in actions.switch_flip:
-                set_power(kind, Copy.SPARE, PowerState.ON, cycle)
-                select[_STAGE_INDEX[kind]] = 1
-            if actions.power_off or actions.power_on or actions.switch_flip:
-                # Power changes only here, so the invariants are checked here.
-                live_next = ctrl.mode in _LIVE_MODES
-                for stage in range(len(PIPELINE_ORDER)):
-                    assert power[stage].count(PowerState.ON) <= 1, \
-                        "at most one copy of a stage may be powered"
-                    assert not live_next or power[stage][select[stage]] is PowerState.ON, \
-                        "selected copy must be powered"
-            if actions.replay:
+                set_power(stage, 0, PowerState.OFF, cycle)
+            if actions.power_on is not None:
+                set_power(actions.power_on, 1, PowerState.POWERING, cycle)
+            if actions.swap is not None:
+                select[actions.swap] = 1  # before set_power checks the selected copy
+                set_power(actions.swap, 1, PowerState.ON, cycle)
                 fetch_pc = pc
                 fetch_wait = False
                 for event in open_events:
                     if event.resume_cycle is None:
                         event.resume_cycle = cycle + 1
+            if actions.transient_clear is not None:
+                stage, run_length = actions.transient_clear
+                detect = cycle - run_length
+                events.append(RecoveryEvent(
+                    fault_id=attribute_fault(stage, detect),
+                    stage=PIPELINE_ORDER[stage], classified="transient",
+                    detect_cycle=detect, end_cycle=cycle))
 
         # Advance the pipeline when nothing flagged an error this cycle.
-        if live and not error and not actions.flush:
+        if live and not error:
             if de is not None:
                 result = words[2]
                 instr = de[0]

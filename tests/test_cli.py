@@ -251,6 +251,30 @@ def test_sim_rejects_unknown_config_key(tmp_path):
                  "--config", str(config), "--out", str(tmp_path / "x.csv")]) == 2
 
 
+@pytest.mark.parametrize("flags, config", [
+    (["--clock-hz", "nan"], None),
+    (["--clock-hz", "inf"], None),
+    ([], "clock_hz=nan\n"),
+    # Integer keys are whole numbers, not truncated or overflowed.
+    ([], "permanent_threshold=2.5\n"),
+    ([], "flush_cycles=1e400\n"),
+    (["--max-cycles", "0"], None),
+    (["--max-cycles", "-5"], None),
+], ids=["clock-hz-nan", "clock-hz-inf", "config-clock-hz-nan", "config-threshold-2.5",
+        "config-flush-1e400", "max-cycles-0", "max-cycles-negative"])
+def test_sim_bad_config_is_a_usage_error(flags, config, tmp_path, capsys):
+    if config is not None:
+        path = tmp_path / "core.cfg"
+        path.write_text(config)
+        flags = flags + ["--config", str(path)]
+    out = tmp_path / "x.csv"
+    assert main(["sim", WORKLOAD, str(SAMPLES / "faultfree.flt"), *flags,
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_markov_sweep_const_solver_failure_row(tmp_path, capsys):
     # A repair chain whose repair rate makes the series refuse the stiff point.
     model = tmp_path / "repair.model"

@@ -1,8 +1,11 @@
+import random
+
 import pytest
 
 from ifrsim.faults import (Delay, FaultScenario, FaultSite, FaultUnit, PERMANENT,
                            ScenarioError, StressLedger, StuckAt, TimedFault,
-                           TransientFlip, apply_faults, parse_scenario,
+                           TransientFlip, apply_faults, apply_vector_faults,
+                           parse_scenario,
                            update_stress)
 from ifrsim.hw import Copy, InterStageBus, PowerState, StageKind, encode_bus
 
@@ -79,6 +82,35 @@ def test_stuckat_dominates_other_kinds():
     stuck = _fault(StuckAt(0, 0))
     out = apply_faults(bus, [flips, stuck], bus)
     assert out.data & 1 == 0  # stuck-at applied after the flip wins
+
+
+def _expected_line(value: int, bit: int, faults) -> int:
+    """One line by hand: flips toggle it, then a stuck-at holds it, 1 winning a tie."""
+    for fault in faults:
+        if isinstance(fault.kind, TransientFlip) and fault.kind.bit == bit:
+            value ^= 1
+    stuck = {f.kind.value for f in faults if isinstance(f.kind, StuckAt) and f.kind.bit == bit}
+    return max(stuck) if stuck else value
+
+
+def test_bus_and_rail_faults_share_one_order():
+    rng = random.Random(7)
+    kinds = [lambda: StuckAt(rng.randrange(36), rng.randrange(2)),
+             lambda: TransientFlip(rng.randrange(36)), lambda: Delay(1)]
+    for _ in range(300):
+        faults = [_fault(rng.choice(kinds)()) for _ in range(rng.randrange(6))]
+        bus, previous = encode_bus(rng.getrandbits(32)), encode_bus(rng.getrandbits(32))
+        stale = any(isinstance(f.kind, Delay) for f in faults)
+        lines = (previous.data if stale else bus.data) | bus.parity << 32
+        expected = sum(_expected_line(lines >> bit & 1, bit, faults) << bit for bit in range(36))
+        out = apply_faults(bus, faults, previous)
+        assert out.data | out.parity << 32 == expected
+    # A line stuck at both values reads 1, whichever fault is listed first.
+    rail = FaultSite(FaultUnit.CONTROLLER, Copy.MAIN)
+    low, high = (TimedFault(StuckAt(3, value), rail, 0, PERMANENT) for value in (0, 1))
+    assert apply_vector_faults(0, [low, high]) == apply_vector_faults(0, [high, low]) == 0b1000
+    bus = encode_bus(0)
+    assert apply_faults(bus, [_fault(StuckAt(3, 1)), _fault(StuckAt(3, 0))], bus).data == 0b1000
 
 
 def test_fault_validation():

@@ -15,6 +15,9 @@ from ifrsim.pipeline import (ControllerActions, ControllerMode, ControllerState,
 
 CFG = CoreConfig()
 _MAIN = Copy.MAIN
+# The controller names stages by pipeline position.
+PREDECODE, DECODE, EXECUTE = range(3)
+_NO_ERRORS = (0, 0, 0)
 
 
 def _site(stage, copy=_MAIN):
@@ -36,86 +39,125 @@ def _alternating_program(pairs=40):
 
 def test_monitor_idle_is_identity():
     state = ControllerState()
-    new, actions = controller_step(state, {}, False, CFG)
+    new, actions = controller_step(state, _NO_ERRORS, False, CFG)
     assert new.mode is ControllerMode.MONITOR
     assert actions == ControllerActions()
 
 
 def test_threshold_crossing_schedules_flush_and_power_off():
-    counters = tuple(CFG.permanent_threshold - 1 if s is StageKind.DECODE else 0
-                     for s in (StageKind.PREDECODE, StageKind.DECODE, StageKind.EXECUTE))
-    state = ControllerState(mode=ControllerMode.SUSPECT, suspect_stage=StageKind.DECODE,
+    counters = tuple(CFG.permanent_threshold - 1 if s == DECODE else 0
+                     for s in (PREDECODE, DECODE, EXECUTE))
+    state = ControllerState(mode=ControllerMode.SUSPECT, suspect_stage=DECODE,
                             error_counters=counters)
-    new, actions = controller_step(state, {StageKind.DECODE: 0b0001}, False, CFG)
+    new, actions = controller_step(state, (0, 0b0001, 0), False, CFG)
     assert new.mode is ControllerMode.FLUSH
     assert new.remaining == CFG.flush_cycles
-    assert actions.flush
-    assert actions.power_off == ((StageKind.DECODE, Copy.MAIN),)
-    assert actions.classified is StageKind.DECODE
+    # Classifying a stage flushes and powers off its main copy.
+    assert actions == ControllerActions(classified=DECODE)
 
 
 def test_trc_error_is_fail_stop():
-    new, actions = controller_step(ControllerState(), {}, True, CFG)
+    new, actions = controller_step(ControllerState(), _NO_ERRORS, True, CFG)
     assert new.mode is ControllerMode.DEAD and actions.dead
 
 
 def test_dead_is_absorbing():
     with pytest.raises(ValueError):
-        controller_step(ControllerState(mode=ControllerMode.DEAD), {}, False, CFG)
+        controller_step(ControllerState(mode=ControllerMode.DEAD), _NO_ERRORS, False, CFG)
 
 
 def test_error_clearing_classifies_transient():
-    state = ControllerState(mode=ControllerMode.SUSPECT, suspect_stage=StageKind.EXECUTE,
+    state = ControllerState(mode=ControllerMode.SUSPECT, suspect_stage=EXECUTE,
                             error_counters=(0, 0, 5))
-    new, actions = controller_step(state, {}, False, CFG)
+    new, actions = controller_step(state, _NO_ERRORS, False, CFG)
     assert new.mode is ControllerMode.MONITOR
     assert new.error_counters == (0, 0, 0)
-    assert actions.transient_clear == (StageKind.EXECUTE, 5)
+    assert actions.transient_clear == (EXECUTE, 5)
 
 
 def test_counters_never_exceed_threshold():
     state = ControllerState()
     for _ in range(CFG.permanent_threshold):
         assert all(c <= CFG.permanent_threshold for c in state.error_counters)
-        state, actions = controller_step(state, {StageKind.EXECUTE: 1}, False, CFG)
+        state, actions = controller_step(state, (0, 0, 1), False, CFG)
     assert state.mode is ControllerMode.FLUSH  # classified exactly at threshold
+    assert actions.classified == EXECUTE
 
 
 def test_spare_failure_after_swap_is_dead():
     counters = (0, CFG.permanent_threshold - 1, 0)
-    state = ControllerState(mode=ControllerMode.SUSPECT, suspect_stage=StageKind.DECODE,
+    state = ControllerState(mode=ControllerMode.SUSPECT, suspect_stage=DECODE,
                             error_counters=counters,
-                            on_spare=frozenset({StageKind.DECODE}))
-    new, actions = controller_step(state, {StageKind.DECODE: 1}, False, CFG)
+                            on_spare=frozenset({DECODE}))
+    new, actions = controller_step(state, (0, 1, 0), False, CFG)
     assert new.mode is ControllerMode.DEAD and actions.dead
 
 
 def test_flush_then_powerswap_then_resume_timing():
-    state = ControllerState(mode=ControllerMode.FLUSH, swap_stage=StageKind.DECODE,
+    state = ControllerState(mode=ControllerMode.FLUSH, swap_stage=DECODE,
                             remaining=CFG.flush_cycles)
     power_on_at = resume_at = None
     for step in range(1, CFG.flush_cycles + CFG.powerup_cycles_per_block + 1):
-        state, actions = controller_step(state, {}, False, CFG)
-        if actions.power_on:
+        state, actions = controller_step(state, _NO_ERRORS, False, CFG)
+        if actions.power_on is not None:
             power_on_at = step
-            assert actions.power_on == ((StageKind.DECODE, Copy.SPARE),)
-        if actions.replay:
+            assert actions.power_on == DECODE  # the spare copy
+        if actions.swap is not None:
             resume_at = step
-            assert actions.switch_flip == (StageKind.DECODE,)
+            assert actions.swap == DECODE  # switch flip and replay
     assert power_on_at == CFG.flush_cycles
     assert resume_at == CFG.flush_cycles + CFG.powerup_cycles_per_block
     assert state.mode is ControllerMode.RESUME
-    assert StageKind.DECODE in state.on_spare
+    assert DECODE in state.on_spare
 
 
 def test_output_vector_is_16_bits_and_distinguishes_actions():
     idle = controller_output_vector(ControllerState(), ControllerActions())
     busy = controller_output_vector(
-        ControllerState(mode=ControllerMode.FLUSH, swap_stage=StageKind.DECODE,
+        ControllerState(mode=ControllerMode.FLUSH, swap_stage=DECODE,
                         remaining=3),
-        ControllerActions(flush=True, power_off=((StageKind.DECODE, Copy.MAIN),)))
+        ControllerActions(classified=DECODE))
     assert 0 <= idle < (1 << 16) and 0 <= busy < (1 << 16)
     assert idle != busy
+
+
+# Parity masks in pipeline order, each held for a number of steps: a decode
+# fault counted to the threshold, flushed, swapped to the spare and resumed;
+# a transient execute error that clears; then errors on predecode and decode
+# until decode, now on its spare, reaches the threshold again (Dead).
+_REPAIR_SCHEDULE = [((0, 0, 0), 1), ((0, 1, 0), 16), ((0, 0, 0), 68),
+                    ((0, 0, 4), 5), ((0, 0, 0), 1), ((2, 1, 0), 3), ((0, 1, 0), 13)]
+# (mode, output vector, steps) after each step. Rail stuck-at detection reads
+# every bit: bit 10 is never set and bit 14 comes with every power-on.
+_REPAIR_VECTORS = [
+    (ControllerMode.MONITOR, 0x0000, 1),
+    (ControllerMode.SUSPECT, 0x0011, 15),
+    (ControllerMode.FLUSH, 0x0132, 1),
+    (ControllerMode.FLUSH, 0x0012, 2),
+    (ControllerMode.POWER_SWAP, 0x5013, 1),
+    (ControllerMode.POWER_SWAP, 0x0013, 63),
+    (ControllerMode.RESUME, 0x8054, 1),
+    (ControllerMode.MONITOR, 0x0010, 1),
+    (ControllerMode.SUSPECT, 0x0019, 5),
+    (ControllerMode.MONITOR, 0x0010, 1),
+    (ControllerMode.SUSPECT, 0x0009, 3),
+    (ControllerMode.SUSPECT, 0x0011, 12),
+    (ControllerMode.DEAD, 0x0015, 1),
+]
+
+
+def test_output_vector_along_a_full_repair():
+    state = ControllerState()
+    seen, clears = [], []
+    for masks, steps in _REPAIR_SCHEDULE:
+        for _ in range(steps):
+            state, actions = controller_step(state, masks, False, CFG)
+            seen.append((state.mode, controller_output_vector(state, actions)))
+            if actions.transient_clear is not None:
+                clears.append(actions.transient_clear)
+    expected = [(mode, vec) for mode, vec, steps in _REPAIR_VECTORS for _ in range(steps)]
+    assert seen == expected
+    assert clears == [(EXECUTE, 5)]
 
 
 # ---------------------------------------------------------------------------
