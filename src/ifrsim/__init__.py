@@ -11,15 +11,15 @@ from .faults import (Delay, FaultScenario, FaultSite, FaultUnit, PERMANENT,
                      ScenarioError, StressLedger, StuckAt, TimedFault,
                      TransientFlip, apply_faults, parse_scenario,
                      update_stress)
-from .hw import (BUS_BITS, Copy, InterStageBus, PowerState, StageKind,
-                 encode_bus, estimate_switch_transistors, parity_check,
-                 parity_encode, switch_route, trc_compare)
+from .hw import (BUS_BITS, Copy, PowerState, StageKind, encode_bus,
+                 estimate_switch_transistors, parity_check, parity_encode,
+                 switch_route, trc_compare)
 from .isa import (ArchState, AssemblyError, ExecutionError, Instruction,
                   Opcode, Program, assemble, decode_word, encode_instruction,
                   run_reference, step_reference)
 from .markov import (BoundedProbability, MarkovModel, ModelError,
-                     MonteCarloEstimate, ReliabilityCurve, SolverError,
-                     SweepSpec, build_ifr_pipeline_model, build_simplex_model,
+                     MonteCarloEstimate, SolverError, SweepSpec,
+                     build_ifr_pipeline_model, build_simplex_model,
                      build_standby_model, build_tmr_model, death_probability,
                      monte_carlo_death_probability, parse_model, sweep)
 from .pipeline import (ControllerActions, ControllerMode, ControllerState,

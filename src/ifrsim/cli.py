@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 
 from . import formulas
@@ -58,6 +59,8 @@ def _parse_range(spec: str, *, integer: bool = False) -> list:
             step = float(step_text) if step_text else (hi - lo) / 10.0
     except ValueError:
         raise CliError(f"bad range {spec!r}; expected 'lo..hi[:step]' or a value") from None
+    if not all(map(math.isfinite, (lo, hi, step))):
+        raise CliError(f"bad range {spec!r}; lo, hi and step must be finite")
     if step <= 0 or hi < lo:
         raise CliError(f"bad range {spec!r}; need lo <= hi and step > 0")
     values = []
@@ -112,8 +115,11 @@ def _load_config(args) -> CoreConfig:
 def _emit(report: CsvReport, args) -> None:
     text = report.render()
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise CliError(f"cannot write --out: {exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -336,9 +342,8 @@ def cmd_markov(args) -> int:
     build, column, where = _markov_source(args, report)
     status = EXIT_OK
     if isinstance(where, tuple):
-        curve = sweep(build, SweepSpec(column, *where, args.T, args.tol))
         report.columns = [column, "lower", "upper", "width_rel", "error"] + mc_cols
-        for point in curve.points:
+        for point in sweep(build, SweepSpec(column, *where, args.T, args.tol)):
             if point.error:
                 status = EXIT_SOLVER
                 report.add_row(point.lam, None, None, None, "solver_failure",
@@ -376,7 +381,7 @@ def cmd_compare(args) -> int:
     report.add_meta("tol", fmt_float(args.tol))
     report.add_meta("aux_ratio", fmt_float(args.aux_ratio))
     status = EXIT_OK
-    for row in zip(*(curve.points for curve in curves)):
+    for row in zip(*curves):
         cells = [row[0].lam]
         for point in row:
             if point.error:

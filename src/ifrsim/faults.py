@@ -11,9 +11,10 @@ import enum
 import warnings
 from dataclasses import dataclass, field
 
-from .hw import BUS_BITS, BUS_DATA_BITS, Copy, InterStageBus, PowerState, StageKind
+from .hw import BUS_BITS, BUS_DATA_BITS, Copy, PowerState, StageKind
 
 CONTROLLER_VEC_BITS = 16
+_DATA_LINES = (1 << BUS_DATA_BITS) - 1
 
 
 class ScenarioError(ValueError):
@@ -122,21 +123,16 @@ def _fault_order(fault: TimedFault) -> tuple:
     return _KIND_RANK[type(kind)], getattr(kind, "bit", -1), getattr(kind, "value", 0)
 
 
-def apply_faults(bus: InterStageBus, faults: set[TimedFault] | list[TimedFault],
-                 previous_bus: InterStageBus) -> InterStageBus:
-    """Corrupt one bus with every fault in the set.
-
-    The 36 lines are packed as `data | parity << 32` and corrupted as one
-    vector by `apply_vector_faults`. An active delay fault first replaces
-    the data lines with the previous bus's data (parity stays fresh).
-    `run_core` latches a delayed word across cycles itself and packs its
-    buses straight into `apply_vector_faults`.
+def apply_faults(bus: int, faults: set[TimedFault] | list[TimedFault],
+                 previous_bus: int) -> int:
+    """Corrupt one bus (`hw.encode_bus`'s 36 lines) with every fault in the
+    set. An active delay fault first drives the previous bus's data lines
+    (parity stays fresh). `run_core` latches a delayed word across cycles
+    itself and drives its buses straight into `apply_vector_faults`.
     """
-    data = bus.data
     if any(isinstance(fault.kind, Delay) for fault in faults):
-        data = previous_bus.data
-    vector = apply_vector_faults(data | bus.parity << BUS_DATA_BITS, faults, BUS_BITS)
-    return InterStageBus(vector & ((1 << BUS_DATA_BITS) - 1), vector >> BUS_DATA_BITS)
+        bus = bus & ~_DATA_LINES | previous_bus & _DATA_LINES
+    return apply_vector_faults(bus, faults, BUS_BITS)
 
 
 def apply_vector_faults(vector: int, faults: list[TimedFault], width: int = CONTROLLER_VEC_BITS) -> int:

@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 BUS_DATA_BITS = 32
 BUS_PARITY_BITS = 4
 BUS_BITS = BUS_DATA_BITS + BUS_PARITY_BITS
+_DATA_MASK = (1 << BUS_DATA_BITS) - 1
 SWITCH_TRANSISTORS_PER_BIT = 20  # two 2x1 mux cells per routed bit
 
 _PARITY_TABLE = bytes(bin(i).count("1") & 1 for i in range(256))
@@ -33,19 +33,6 @@ class PowerState(enum.Enum):
     POWERING = "powering"
 
 
-@dataclass(frozen=True)
-class InterStageBus:
-    """32 data bits plus one even-parity bit per byte (byte 0 = LSB)."""
-    data: int
-    parity: int
-
-    def __post_init__(self):
-        if not 0 <= self.data <= 0xFFFFFFFF:
-            raise ValueError("bus data must fit in 32 bits")
-        if not 0 <= self.parity <= 0xF:
-            raise ValueError("bus parity must fit in 4 bits")
-
-
 def parity_encode(word: int) -> int:
     """Even parity per byte: bit i of the result covers byte i of the word."""
     if not 0 <= word <= 0xFFFFFFFF:
@@ -56,20 +43,24 @@ def parity_encode(word: int) -> int:
             | _PARITY_TABLE[(word >> 24) & 0xFF] << 3)
 
 
-def encode_bus(word: int) -> InterStageBus:
-    return InterStageBus(word, parity_encode(word))
+def encode_bus(word: int) -> int:
+    """The 36 bus lines as one int: data in bits 0-31, and the parity of
+    byte i in bit 32+i."""
+    return word | parity_encode(word) << BUS_DATA_BITS
 
 
-def parity_check(bus: InterStageBus) -> int:
+def parity_check(bus: int) -> int:
     """4-bit error mask; bit i set iff byte i disagrees with its parity bit.
 
     An even number of flipped bits within one byte cancels out and goes
     undetected; that is the documented limitation of single-parity coding.
     """
-    return parity_encode(bus.data) ^ bus.parity
+    if not 0 <= bus < 1 << BUS_BITS:
+        raise ValueError(f"bus must fit in {BUS_BITS} bits")
+    return parity_encode(bus & _DATA_MASK) ^ bus >> BUS_DATA_BITS
 
 
-def switch_route(setting: Copy, main_bus: InterStageBus, spare_bus: InterStageBus) -> InterStageBus:
+def switch_route(setting: Copy, main_bus: int, spare_bus: int) -> int:
     """Per-boundary 2-way switch: forwards the selected copy's bus."""
     return main_bus if setting is Copy.MAIN else spare_bus
 

@@ -148,6 +148,9 @@ class SweepSpec:
             raise ValueError("sweep needs at least 2 points")
         if self.mission_time < 0:
             raise ValueError("mission time must be non-negative")
+        grid = self.grid()
+        if any(b <= a for a, b in zip(grid, grid[1:])):
+            raise ValueError("sweep points must be strictly increasing in lambda")
 
     def grid(self) -> list[float]:
         ratio = self.hi / self.lo
@@ -160,18 +163,6 @@ class CurvePoint:
     lower: float
     upper: float
     error: str | None = None
-
-
-@dataclass(frozen=True)
-class ReliabilityCurve:
-    model_name: str
-    mission_time: float
-    points: tuple[CurvePoint, ...]
-
-    def __post_init__(self):
-        lams = [p.lam for p in self.points]
-        if any(b <= a for a, b in zip(lams, lams[1:])):
-            raise ValueError("sweep points must be strictly increasing in lambda")
 
 
 # ---------------------------------------------------------------------------
@@ -585,7 +576,7 @@ def monte_carlo_death_probability(model: MarkovModel, mission_time: float,
     return MonteCarloEstimate(estimate=p, ci99=ci99, trials=trials, deaths=deaths)
 
 
-def sweep(builder, spec: SweepSpec) -> ReliabilityCurve:
+def sweep(builder, spec: SweepSpec) -> tuple[CurvePoint, ...]:
     """Evaluate the death-probability bracket over a log-spaced rate grid.
 
     `builder` maps a rate to a model (the prebuilt constructors fit directly).
@@ -593,14 +584,11 @@ def sweep(builder, spec: SweepSpec) -> ReliabilityCurve:
     remaining grid.
     """
     points = []
-    name = None
     for lam in spec.grid():
         try:
-            model = builder(lam)
-            name = name or model.name
-            bracket = death_probability(model, spec.mission_time, spec.tol)
+            bracket = death_probability(builder(lam), spec.mission_time, spec.tol)
             points.append(CurvePoint(lam, bracket.lower, bracket.upper))
         except SolverError as exc:
             points.append(CurvePoint(lam, 0.0, 1.0, error=str(exc)))
-    return ReliabilityCurve(name or "custom", spec.mission_time, tuple(points))
+    return tuple(points)
 

@@ -28,8 +28,8 @@ from dataclasses import dataclass, replace
 
 from .faults import (CONTROLLER_VEC_BITS, Delay, FaultScenario, FaultUnit,
                      StressLedger, apply_vector_faults)
-from .hw import (BUS_BITS, BUS_DATA_BITS, Copy, InterStageBus, PIPELINE_ORDER,
-                 PowerState, StageKind, encode_bus, parity_check, trc_compare)
+from .hw import (BUS_BITS, Copy, PIPELINE_ORDER, PowerState, StageKind,
+                 encode_bus, parity_check, trc_compare)
 from .isa import (ArchState, ExecutionError, Instruction, Opcode, Program,
                   WORD_MASK, decode_word, dst_reg, encode_instruction,
                   execute_result, run_reference, src_regs)
@@ -193,9 +193,6 @@ class RecoveryEvent:
     end_cycle: int  # classification cycle (permanent) or clear cycle (transient)
     swap_complete_cycle: int | None = None
     resume_cycle: int | None = None
-    counting_cycles: int | None = None
-    flush_cycles: int | None = None
-    powerup_cycles: int | None = None
     refill_cycles: int | None = None
 
     @property
@@ -317,10 +314,9 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
 
     def faulty_bus(stage: int, copy: int, word: int, cycle: int) -> tuple[int, int]:
         """Drive `word` through a site that carries faults: (data, error mask)."""
-        true_bus = encode_bus(word)
+        bus = encode_bus(word)
         hist = true_hist.setdefault((stage, copy), deque(maxlen=max_extra + 1))
         active = []
-        driven = word  # the data lines before flips and stuck-ats: stale under a delay
         for i, f in stage_faults[stage][copy]:
             if not f.active_at(cycle):
                 if isinstance(f.kind, Delay):
@@ -330,11 +326,11 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
             if isinstance(f.kind, Delay):
                 if i not in held_delay:
                     held_delay[i] = hist[max(len(hist) - f.kind.extra, 0)] if hist else word
-                driven = held_delay[i]
-        vector = apply_vector_faults(driven | true_bus.parity << BUS_DATA_BITS, active, BUS_BITS)
+                # The data lines carry the stale word; the parity stays fresh.
+                bus = bus & ~WORD_MASK | held_delay[i]
+        bus = apply_vector_faults(bus, active, BUS_BITS)
         hist.append(word)
-        data = vector & WORD_MASK
-        return data, parity_check(InterStageBus(data, vector >> BUS_DATA_BITS))
+        return bus & WORD_MASK, parity_check(bus)
 
     def attribute_fault(stage: int, cycle: int) -> int | None:
         for index, fault in stage_faults[stage][select[stage]]:
@@ -437,10 +433,7 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
                 event = RecoveryEvent(
                     fault_id=attribute_fault(stage, detect),
                     stage=PIPELINE_ORDER[stage], classified="permanent",
-                    detect_cycle=detect, end_cycle=cycle,
-                    counting_cycles=config.permanent_threshold,
-                    flush_cycles=config.flush_cycles,
-                    powerup_cycles=config.powerup_cycles_per_block)
+                    detect_cycle=detect, end_cycle=cycle)
                 events.append(event)
                 open_events.append(event)
                 pd = de = None

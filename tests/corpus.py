@@ -10,7 +10,7 @@ import random
 
 from ifrsim.faults import (FaultScenario, FaultSite, FaultUnit, StuckAt,
                            TimedFault, TransientFlip, PERMANENT)
-from ifrsim.hw import Copy, PIPELINE_ORDER, parity_encode
+from ifrsim.hw import Copy, PIPELINE_ORDER, encode_bus
 from ifrsim.isa import Program, assemble
 from ifrsim.pipeline import CoreConfig, run_core
 
@@ -74,9 +74,7 @@ def trace_run(program: Program, config: CoreConfig):
 
 
 def _bus_bit(data_word: int, bit: int) -> int:
-    if bit < 32:
-        return (data_word >> bit) & 1
-    return (parity_encode(data_word) >> (bit - 32)) & 1
+    return encode_bus(data_word) >> bit & 1
 
 
 def gen_transient_scenario(rng: random.Random, total_cycles: int,

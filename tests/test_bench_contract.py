@@ -3,12 +3,14 @@ keep those names working. The benchmark files are only read, never changed."""
 import dataclasses
 import importlib
 import importlib.util
+import random
 from pathlib import Path
 
 import pytest
 
 from ifrsim.cli import build_parser
 from ifrsim.faults import parse_scenario
+from ifrsim.hw import BUS_BITS, encode_bus
 from ifrsim.isa import assemble
 from ifrsim.markov import parse_model
 from ifrsim.pipeline import CoreConfig, RecoveryEvent, SimReport, run_core
@@ -48,6 +50,17 @@ def test_sim_report_has_the_fields_the_benchmark_reads(monkeypatch):
     stats = workloads._sim_stats(report)
     assert stats["outcome"] == "completed"
     assert len(stats["events"]) == 1 and len(stats["stress"]) == 6
+
+
+def test_benchmark_bus_layout_matches_hw(monkeypatch):
+    # fault-campaign picks stuck-at bits a run exposes from its own copy of
+    # the bus layout; it must read the lines `encode_bus` drives.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    bus_bit = _load("workloads")._bus_bit
+    rng = random.Random(6)
+    for word in [0, 0xFFFFFFFF] + [rng.getrandbits(32) for _ in range(20)]:
+        for bit in range(BUS_BITS):
+            assert bus_bit(word, bit) == encode_bus(word) >> bit & 1, (word, bit)
 
 
 def test_markov_oracle_calls_parse(monkeypatch):

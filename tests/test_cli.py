@@ -235,6 +235,11 @@ def test_markov_aux_ratio_flag_changes_ifr_curve(tmp_path):
     ["markov", "--builtin", "simplex", "--lam", "1e-6", "--aux-ratio", "5"],
     ["markov", "--builtin", "tmr", "--sweep", "1e-6", "1e-2", "3", "--aux-ratio", "5"],
     ["markov", "--builtin", "standby", "--lam", "1e-6", "--aux-ratio", "5"],
+    # Two grid points that round to one rate are not a strictly increasing sweep.
+    ["markov", "--builtin", "simplex", "--sweep", "1", "1.0000000000000002", "3"],
+    # A formulas range must be finite.
+    ["formulas", "--tmr", "-R", "0..inf"],
+    ["formulas", "--tmr", "-R", "0..1:nan"],
 ])
 def test_markov_and_compare_bad_numbers_are_usage_errors(args, tmp_path, capsys):
     out = tmp_path / "x.csv"
@@ -242,6 +247,18 @@ def test_markov_and_compare_bad_numbers_are_usage_errors(args, tmp_path, capsys)
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["sim", WORKLOAD, str(SAMPLES / "decode_stuckat.flt")],
+    ["markov", "--builtin", "simplex", "--lam", "1e-6"],
+    ["compare", "--sweep", "1e-6", "1e-2", "2"],
+    ["formulas", "--tmr"],
+])
+def test_unwritable_out_is_a_usage_error(args, tmp_path, capsys):
+    assert main(args + ["--out", str(tmp_path / "missing" / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_sim_rejects_unknown_config_key(tmp_path):

@@ -3,8 +3,8 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from ifrsim.hw import (Copy, InterStageBus, encode_bus, estimate_switch_transistors,
-                       parity_check, parity_encode, switch_route, trc_compare)
+from ifrsim.hw import (Copy, encode_bus, estimate_switch_transistors, parity_check,
+                       parity_encode, switch_route, trc_compare)
 
 
 def test_parity_zero_word():
@@ -25,23 +25,19 @@ def test_parity_check_consistent_bus():
 
 def test_parity_check_flags_flipped_data_bit():
     bus = encode_bus(0x00000000)
-    assert parity_check(InterStageBus(bus.data ^ 1, bus.parity)) == 0b0001
+    assert parity_check(bus ^ 1) == 0b0001
 
 
 def test_parity_check_misses_double_flip_same_byte():
     bus = encode_bus(0x12345678)
-    assert parity_check(InterStageBus(bus.data ^ 0b11, bus.parity)) == 0
+    assert parity_check(bus ^ 0b11) == 0
 
 
 def test_parity_detects_all_single_bus_bits():
     for word in (0x00000000, 0xA5A5A5A5, 0xFFFFFFFF):
         bus = encode_bus(word)
         for bit in range(36):
-            if bit < 32:
-                corrupted = InterStageBus(bus.data ^ (1 << bit), bus.parity)
-            else:
-                corrupted = InterStageBus(bus.data, bus.parity ^ (1 << (bit - 32)))
-            assert parity_check(corrupted) != 0, f"bit {bit} of {word:#x} undetected"
+            assert parity_check(bus ^ 1 << bit) != 0, f"bit {bit} of {word:#x} undetected"
 
 
 def test_parity_blind_to_even_flips_within_byte():
@@ -49,7 +45,12 @@ def test_parity_blind_to_even_flips_within_byte():
     for byte in range(4):
         for b1, b2 in itertools.combinations(range(8), 2):
             mask = (1 << (8 * byte + b1)) | (1 << (8 * byte + b2))
-            assert parity_check(InterStageBus(bus.data ^ mask, bus.parity)) == 0
+            assert parity_check(bus ^ mask) == 0
+
+
+def test_parity_check_refuses_a_bus_wider_than_36_bits():
+    with pytest.raises(ValueError):
+        parity_check(1 << 36)
 
 
 def test_switch_routes_selected_copy():
@@ -99,7 +100,6 @@ def test_parity_roundtrip_property(word):
     assert parity_check(encode_bus(word)) == 0
 
 
-@given(st.integers(0, 0xFFFFFFFF), st.integers(0, 31))
+@given(st.integers(0, 0xFFFFFFFF), st.integers(0, 35))
 def test_single_data_flip_always_detected(word, bit):
-    bus = encode_bus(word)
-    assert parity_check(InterStageBus(bus.data ^ (1 << bit), bus.parity)) != 0
+    assert parity_check(encode_bus(word) ^ 1 << bit) != 0

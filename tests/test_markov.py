@@ -283,7 +283,7 @@ def test_sweep_rejects_degenerate_range():
 
 def test_simplex_sweep_starts_at_expected_value():
     curve = sweep(build_simplex_model, SweepSpec("lambda", 1e-6, 1e-2, 25, T))
-    first = curve.points[0]
+    first = curve[0]
     assert first.lam == 1e-6
     assert first.lower <= analytic_simplex(1e-6, T) <= first.upper
 
@@ -292,13 +292,13 @@ def test_sweep_upper_bounds_monotone_for_builtins():
     spec = SweepSpec("lambda", 1e-6, 1e-2, 25, T)
     for builder in (build_simplex_model, build_tmr_model, build_standby_model):
         curve = sweep(builder, spec)
-        uppers = [p.upper for p in curve.points]
+        uppers = [p.upper for p in curve]
         assert all(b >= a - 1e-15 for a, b in zip(uppers, uppers[1:])), builder
 
 
 def test_sweep_points_increasing_and_bounded():
     curve = sweep(build_tmr_model, SweepSpec("lambda", 1e-6, 1e-2, 10, T))
-    for point in curve.points:
+    for point in curve:
         assert point.error is None
         assert 0.0 <= point.lower <= point.upper <= 1.0
 
@@ -311,8 +311,8 @@ def test_sweep_named_constant_of_parsed_model():
         up -> dead : lambda;
     """)
     curve = sweep(partial(model.with_constant, "lambda"), SweepSpec("lambda", 1e-6, 1e-4, 5, T))
-    assert len(curve.points) == 5
-    for point in curve.points:
+    assert len(curve) == 5
+    for point in curve:
         truth = analytic_simplex(point.lam, T)
         assert point.lower <= truth <= point.upper
 

@@ -203,12 +203,9 @@ def test_recovery_accounting_identity():
                                          9, PERMANENT),))
     report = run_core(program, CFG, scenario)
     event = report.permanent_events[0]
-    assert event.counting_cycles == CFG.permanent_threshold
-    assert event.flush_cycles == CFG.flush_cycles
-    assert event.powerup_cycles == CFG.powerup_cycles_per_block
     # detect is the first counted error cycle, so threshold-1 cycles remain.
-    assert event.recovery_cycles == ((event.counting_cycles - 1) + event.flush_cycles
-                                     + event.powerup_cycles + event.refill_cycles)
+    assert event.recovery_cycles == ((CFG.permanent_threshold - 1) + CFG.flush_cycles
+                                     + CFG.powerup_cycles_per_block + event.refill_cycles)
     assert event.swap_complete_cycle > event.detect_cycle
 
 
@@ -237,7 +234,7 @@ def test_stress_ledger_matches_event_log():
     main = report.stress.blocks[(StageKind.DECODE, Copy.MAIN)]
     # Recomputed from the event log: the spare sat unpowered until the flush
     # completed, spent the configured cycles powering, and ran from then on.
-    powering_start = event.end_cycle + event.flush_cycles + 1
+    powering_start = event.end_cycle + CFG.flush_cycles + 1
     assert spare.off_cycles == powering_start
     assert spare.powering_cycles == CFG.powerup_cycles_per_block
     assert spare.on_cycles == total - powering_start - CFG.powerup_cycles_per_block
@@ -335,8 +332,8 @@ def test_two_stage_faults_recover_sequentially():
         # eventually records the commit that restored normal operation.
         assert event.swap_complete_cycle is not None
         assert event.swap_complete_cycle > event.detect_cycle
-        assert event.recovery_cycles == ((event.counting_cycles - 1) + event.flush_cycles
-                                         + event.powerup_cycles + event.refill_cycles)
+        assert event.recovery_cycles == ((CFG.permanent_threshold - 1) + CFG.flush_cycles
+                                         + CFG.powerup_cycles_per_block + event.refill_cycles)
 
 
 def test_parity_blind_double_flip_corrupts_silently():
