@@ -35,6 +35,7 @@ DEFAULT_AUX_RATIO = 1e-3  # lambda_sw = lambda_ctrl = ratio * lambda_p for built
 
 _CONFIG_KEYS = ("clock_hz", "permanent_threshold", "flush_cycles",
                 "powerup_cycles_per_block")
+_MAX_RANGE_POINTS = 1_000_000  # most rows a formulas range may ask for
 
 
 class CliError(Exception):
@@ -63,9 +64,11 @@ def _parse_range(spec: str, *, integer: bool = False) -> list:
         raise CliError(f"bad range {spec!r}; lo, hi and step must be finite")
     if step <= 0 or hi < lo:
         raise CliError(f"bad range {spec!r}; need lo <= hi and step > 0")
+    spans = (hi - lo) / step
+    if not math.isfinite(spans) or round(spans) >= _MAX_RANGE_POINTS:
+        raise CliError(f"bad range {spec!r}; more than {_MAX_RANGE_POINTS:,} points")
     values = []
-    count = int(round((hi - lo) / step)) + 1
-    for i in range(count):
+    for i in range(round(spans) + 1):
         value = lo + i * step
         if value > hi * (1 + 1e-12) + 1e-15:
             break
@@ -183,77 +186,48 @@ def cmd_sim(args) -> int:
 
 
 def cmd_formulas(args) -> int:
-    groups = [group for group, chosen in (("tmr_standby", args.tmr or args.standby),
-                                          ("ifr", args.ifr),
-                                          ("ifr_pipeline", args.ifr_pipeline),
-                                          ("availability", args.availability),
-                                          ("exp", args.exp)) if chosen]
-    if len(groups) != 1:
+    if sum((args.tmr or args.standby, args.ifr, args.ifr_pipeline, args.availability,
+            args.exp)) != 1:
         raise CliError("choose exactly one formula group per invocation: "
                        "--tmr/--standby, --ifr, --ifr-pipeline, --availability, or --exp")
-    group = groups[0]
+    # Each group gives its columns, metadata rows, grid, stderr label (None for
+    # the single-row groups, whose errors print bare) and a point -> row cells.
+    if args.tmr or args.standby:
+        chosen = [(name, fn) for name, fn, on in (("r_tmr", formulas.r_tmr, args.tmr),
+                                                  ("r_standby", formulas.r_standby, args.standby))
+                  if on]
+        columns, meta = ["R"] + [name for name, _ in chosen], [("grid_r", args.component_r)]
+        grid, label = _parse_range(args.component_r), "R"
+        cells = lambda r: [r] + [fn(r) for _, fn in chosen]
+    elif args.ifr:
+        columns, meta = ["spares", "r_ifr"], [("rb", fmt_float(args.rb))]
+        grid, label = [int(s) for s in _parse_range(args.spares, integer=True)], "s"
+        cells = lambda s: [s, formulas.r_ifr(args.rb, s)]
+    elif args.ifr_pipeline:
+        columns, meta = ["Rp", "coverage", "Rsw", "Rctrl", "r_ifr_pipeline"], []
+        grid, label = _parse_range(args.rp), "Rp"
+        cells = lambda rp: [rp, args.coverage, args.rsw, args.rctrl,
+                            formulas.r_ifr_pipeline(rp, args.coverage, args.rsw, args.rctrl)]
+    elif args.availability:
+        columns, meta, grid, label = ["mttf", "mttr", "availability"], [], [None], None
+        cells = lambda _: [args.mttf, args.mttr, formulas.availability(args.mttf, args.mttr)]
+    else:
+        columns, meta, grid, label = ["rate", "hours", "reliability"], [], [None], None
+        cells = lambda _: [args.rate, args.hours,
+                           formulas.reliability_from_rate(args.rate, args.hours)]
 
-    report = CsvReport(columns=[])
+    report = CsvReport(columns=columns)
     report.add_meta("tool", TOOL_ID)
     report.add_meta("subcommand", "formulas")
+    for key, value in meta:
+        report.add_meta(key, value)
     failures = 0
-
-    if group == "tmr_standby":
-        grid = _parse_range(args.component_r)
-        columns = ["R"]
-        if args.tmr:
-            columns.append("r_tmr")
-        if args.standby:
-            columns.append("r_standby")
-        report.columns = columns
-        report.add_meta("grid_r", args.component_r)
-        for r in grid:
-            row = [r]
-            try:
-                if args.tmr:
-                    row.append(formulas.r_tmr(r))
-                if args.standby:
-                    row.append(formulas.r_standby(r))
-                report.add_row(*row)
-            except ValueError as exc:
-                failures += 1
-                print(f"R={r}: {exc}", file=sys.stderr)
-    elif group == "ifr":
-        spares = [int(s) for s in _parse_range(args.spares, integer=True)]
-        report.columns = ["spares", "r_ifr"]
-        report.add_meta("rb", fmt_float(args.rb))
-        for s in spares:
-            try:
-                report.add_row(s, formulas.r_ifr(args.rb, s))
-            except ValueError as exc:
-                failures += 1
-                print(f"s={s}: {exc}", file=sys.stderr)
-    elif group == "ifr_pipeline":
-        grid = _parse_range(args.rp)
-        report.columns = ["Rp", "coverage", "Rsw", "Rctrl", "r_ifr_pipeline"]
-        for rp in grid:
-            try:
-                value = formulas.r_ifr_pipeline(rp, args.coverage, args.rsw, args.rctrl)
-                report.add_row(rp, args.coverage, args.rsw, args.rctrl, value)
-            except ValueError as exc:
-                failures += 1
-                print(f"Rp={rp}: {exc}", file=sys.stderr)
-    elif group == "availability":
-        report.columns = ["mttf", "mttr", "availability"]
+    for point in grid:
         try:
-            report.add_row(args.mttf, args.mttr, formulas.availability(args.mttf, args.mttr))
+            report.add_row(*cells(point))
         except ValueError as exc:
             failures += 1
-            print(str(exc), file=sys.stderr)
-    else:  # exp
-        report.columns = ["rate", "hours", "reliability"]
-        try:
-            report.add_row(args.rate, args.hours,
-                           formulas.reliability_from_rate(args.rate, args.hours))
-        except ValueError as exc:
-            failures += 1
-            print(str(exc), file=sys.stderr)
-
+            print(exc if label is None else f"{label}={point}: {exc}", file=sys.stderr)
     _emit(report, args)
     return EXIT_PARSE if failures else EXIT_OK
 

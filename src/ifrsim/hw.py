@@ -77,10 +77,8 @@ def trc_compare(out_a: int, out_b_complemented: int, width: int) -> bool:
     return out_a == (~out_b_complemented & mask)
 
 
-def estimate_switch_transistors(bus_bits: int, ways: int = 2) -> int:
+def estimate_switch_transistors(bus_bits: int) -> int:
     """Transistor cost of switching a bus: 20 transistors per routed bit."""
-    if ways != 2:
-        raise ValueError("only 2-way switches are supported")
     if bus_bits < 1:
         raise ValueError("bus_bits must be >= 1")
     return SWITCH_TRANSISTORS_PER_BIT * bus_bits

@@ -94,8 +94,6 @@ class Instruction:
 @dataclass(frozen=True)
 class Program:
     instructions: tuple[Instruction, ...]
-    origin: int = 0
-    source_lines: tuple[int, ...] = ()
 
     def __post_init__(self):
         if not self.instructions:
@@ -105,14 +103,12 @@ class Program:
         return len(self.instructions)
 
     def fetch(self, pc: int) -> Instruction:
-        index = pc - self.origin
-        if not 0 <= index < len(self.instructions):
-            raise ExecutionError(f"pc {pc} outside program [{self.origin}, "
-                                 f"{self.origin + len(self.instructions)})")
-        return self.instructions[index]
+        if not self.in_bounds(pc):
+            raise ExecutionError(f"pc {pc} outside program [0, {len(self.instructions)})")
+        return self.instructions[pc]
 
     def in_bounds(self, pc: int) -> bool:
-        return 0 <= pc - self.origin < len(self.instructions)
+        return 0 <= pc < len(self.instructions)
 
 
 @dataclass(frozen=True)
@@ -182,7 +178,7 @@ def _parse_imm(token: str, line: int) -> int:
     return value
 
 
-def assemble(source: str, origin: int = 0) -> Program:
+def assemble(source: str) -> Program:
     """Assemble text into a Program.
 
     One instruction per line, `;` starts a comment, registers are written
@@ -221,9 +217,9 @@ def assemble(source: str, origin: int = 0) -> Program:
     for index, instr in enumerate(instructions):
         if instr.opcode is Opcode.BEQ and not 0 <= index + instr.imm < n:
             raise AssemblyError(lines[index], f"branch target {index + instr.imm} outside program")
-        if instr.opcode is Opcode.JMP and not origin <= instr.imm < origin + n:
+        if instr.opcode is Opcode.JMP and not 0 <= instr.imm < n:
             raise AssemblyError(lines[index], f"jump target {instr.imm} outside program")
-    return Program(tuple(instructions), origin=origin, source_lines=tuple(lines))
+    return Program(tuple(instructions))
 
 
 def execute_result(instr: Instruction, op_a: int, op_b: int, mem: dict) -> int:
@@ -307,7 +303,7 @@ def run_reference(program: Program, max_steps: int) -> tuple[ArchState, int]:
     """
     if max_steps <= 0:
         raise ValueError("max_steps must be positive")
-    state = ArchState(pc=program.origin)
+    state = ArchState()
     executed = 0
     while not state.halted and executed < max_steps:
         state = step_reference(state, program.fetch(state.pc))

@@ -57,7 +57,6 @@ class MarkovModel:
     death_states: frozenset
     transitions: tuple[Transition, ...]
     constants: dict = field(default_factory=dict)  # name -> value
-    name: str = "custom"
     definitions: dict = field(default_factory=dict)  # name -> defining AST
 
     def validate(self) -> "MarkovModel":
@@ -107,7 +106,7 @@ class MarkovModel:
         definitions = {cname: self.definitions.get(cname, ("num", v))
                        for cname, v in self.constants.items()}
         definitions[name] = ("num", float(value))
-        return _model(self.name, self.states, self.initial, self.death_states,
+        return _model(self.states, self.initial, self.death_states,
                       [(tr.source, tr.target, tr.expr) for tr in self.transitions],
                       definitions)
 
@@ -224,7 +223,7 @@ def _eval_expr(expr: tuple, definitions: dict, values: dict, trail: tuple = ()) 
     raise AssertionError(expr)
 
 
-def _model(name: str, states, initial: str, death, transitions, definitions: dict) -> MarkovModel:
+def _model(states, initial: str, death, transitions, definitions: dict) -> MarkovModel:
     """Build a validated model from `(source, target, rate-expr)` transitions
     and each constant's defining expression: the constants are evaluated in
     definition order, then the rates."""
@@ -234,7 +233,7 @@ def _model(name: str, states, initial: str, death, transitions, definitions: dic
     return MarkovModel(tuple(states), initial, frozenset(death),
                        tuple(Transition(src, dst, _eval_expr(expr, definitions, values), expr)
                              for src, dst, expr in transitions),
-                       values, name, definitions).validate()
+                       values, definitions).validate()
 
 
 class _Parser:
@@ -287,7 +286,7 @@ class _Parser:
                          token[2], token[3])
 
 
-def parse_model(text: str, name: str = "custom") -> MarkovModel:
+def parse_model(text: str) -> MarkovModel:
     """Parse and validate a model description. Declarations may appear in any
     order; constants are resolved after the whole text is read."""
     parser = _Parser(text)
@@ -340,7 +339,7 @@ def parse_model(text: str, name: str = "custom") -> MarkovModel:
     if initial is None:
         raise ModelError("model has no INIT declaration")
 
-    return _model(name, states, initial, death, raw_transitions, definitions)
+    return _model(states, initial, death, raw_transitions, definitions)
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +356,7 @@ _LAMBDA = ("const", "lambda")
 
 
 def _builtin(name, states, initial, death, transitions, constants, expected_outgoing):
-    model = _model(name, states, initial, death, transitions,
+    model = _model(states, initial, death, transitions,
                    {cname: ("num", value) for cname, value in constants.items()})
     # Rate conservation: every operational state's outgoing rates must sum to
     # the combined failure rate of the components that can still fail there.
@@ -503,7 +502,6 @@ def death_probability(model: MarkovModel, mission_time: float,
 class MonteCarloEstimate:
     estimate: float
     ci99: float
-    trials: int
     deaths: int
 
 
@@ -573,7 +571,7 @@ def monte_carlo_death_probability(model: MarkovModel, mission_time: float,
     deaths = int(dead.sum())
     p = deaths / trials
     ci99 = 2.5758293035489004 * math.sqrt(max(p * (1.0 - p), 0.0) / trials)
-    return MonteCarloEstimate(estimate=p, ci99=ci99, trials=trials, deaths=deaths)
+    return MonteCarloEstimate(estimate=p, ci99=ci99, deaths=deaths)
 
 
 def sweep(builder, spec: SweepSpec) -> tuple[CurvePoint, ...]:

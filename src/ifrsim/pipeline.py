@@ -35,7 +35,6 @@ from .isa import (ArchState, ExecutionError, Instruction, Opcode, Program,
                   execute_result, run_reference, src_regs)
 
 DEFAULT_MAX_CYCLES = 100_000
-PIPELINE_DEPTH = 3
 _CONTROL_OPS = (Opcode.BEQ, Opcode.JMP, Opcode.HALT)
 
 
@@ -210,7 +209,6 @@ class SimReport:
     events: list
     stress: StressLedger
     final_power: dict
-    config: CoreConfig
     bus_trace: list | None = None
 
     @property
@@ -338,14 +336,13 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
                 return index
         return None
 
-    origin = program.origin
     slots = [(encode_instruction(instr), instr.opcode in _CONTROL_OPS)
              for instr in program.instructions]
     decoded: dict = {}  # instruction word -> _decoded(word)
 
     regs = [0] * 16
     mem: dict = {}
-    pc = fetch_pc = origin
+    pc = fetch_pc = 0
     halted = False
     fetch_wait = False
     pd: int | None = None  # predecode latch: the fetched word
@@ -387,8 +384,8 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
 
             # Predecode: fetch only if the latch will be free this cycle.
             p_word = 0
-            if not stall and not fetch_wait and 0 <= fetch_pc - origin < len(slots):
-                pending = slots[fetch_pc - origin]
+            if not stall and not fetch_wait and 0 <= fetch_pc < len(slots):
+                pending = slots[fetch_pc]
                 p_word = pending[0]
 
             # Execute.
@@ -516,7 +513,7 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
                    for stage, kind in enumerate(PIPELINE_ORDER) for copy in range(len(_COPIES))}
     return SimReport(outcome=outcome, final_state=final_state,
                      total_cycles=total_cycles, events=events, stress=ledger,
-                     final_power=final_power, config=config, bus_trace=bus_trace)
+                     final_power=final_power, bus_trace=bus_trace)
 
 
 def matches_reference(report: SimReport, program: Program) -> bool:

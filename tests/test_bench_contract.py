@@ -8,12 +8,13 @@ from pathlib import Path
 
 import pytest
 
-from ifrsim.cli import build_parser
+from ifrsim.cli import build_parser, main
 from ifrsim.faults import parse_scenario
 from ifrsim.hw import BUS_BITS, encode_bus
 from ifrsim.isa import assemble
 from ifrsim.markov import parse_model
 from ifrsim.pipeline import CoreConfig, RecoveryEvent, SimReport, run_core
+from test_sim_golden import CLI_CASES, GOLDEN, ROOT
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -25,7 +26,8 @@ def _load(name):
     return module
 
 
-LAYERS = _load("layertrace").LAYERS
+LAYERTRACE = _load("layertrace")
+LAYERS = LAYERTRACE.LAYERS
 
 
 @pytest.mark.parametrize("layer, name", [(layer, name) for layer, names in LAYERS.items()
@@ -61,6 +63,22 @@ def test_benchmark_bus_layout_matches_hw(monkeypatch):
     for word in [0, 0xFFFFFFFF] + [rng.getrandbits(32) for _ in range(20)]:
         for bit in range(BUS_BITS):
             assert bus_bit(word, bit) == encode_bus(word) >> bit & 1, (word, bit)
+
+
+def test_golden_cli_output_is_unchanged_under_the_tracer(tmp_path, monkeypatch):
+    # The benchmark's traced passes must reproduce its untraced warm-up pass,
+    # so no output may depend on a traced function being a timing wrapper
+    # (one named `traced`, for instance).
+    monkeypatch.chdir(ROOT)
+    tracer = LAYERTRACE.Tracer()
+    tracer.install()
+    try:
+        for name, argv in sorted(CLI_CASES.items()):
+            out = tmp_path / f"{name}.csv"
+            assert main(argv.split() + ["--out", str(out)]) == 0, name
+            assert out.read_bytes() == (GOLDEN / "cli" / f"{name}.csv").read_bytes(), name
+    finally:
+        tracer.uninstall()
 
 
 def test_markov_oracle_calls_parse(monkeypatch):

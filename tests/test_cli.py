@@ -136,6 +136,28 @@ def test_formulas_requires_one_group(tmp_path):
     assert main(["formulas", "--tmr", "--ifr", "--out", str(tmp_path / "x.csv")]) == 2
 
 
+@pytest.mark.parametrize("args, good_points, errors", [
+    (["--tmr", "--standby", "-R", "0..2:0.5"],
+     ["0.00000000e+00", "5.00000000e-01", "1.00000000e+00"],
+     ["R=1.5: R=1.5 outside [0, 1]", "R=2.0: R=2.0 outside [0, 1]"]),
+    (["--ifr", "--rb", "2", "-s", "0..1"], [],
+     ["s=0: Rb=2.0 outside [0, 1]", "s=1: Rb=2.0 outside [0, 1]"]),
+    (["--ifr-pipeline", "--rp", "0.5..1.5:0.5"], ["5.00000000e-01", "1.00000000e+00"],
+     ["Rp=1.5: Rp=1.5 outside [0, 1]"]),
+    (["--availability", "--mttf", "-1"], [], ["mttf must be positive"]),
+    (["--exp", "--rate", "0"], [], ["rate must be positive and finite"]),
+])
+def test_formulas_bad_point_is_reported_and_good_rows_kept(args, good_points, errors,
+                                                           tmp_path, capsys):
+    # A point a formula refuses costs its row and one stderr line (labelled
+    # with the grid point, bare for the single-row groups), then exit 2.
+    code, text = run_cli(["formulas"] + args, tmp_path)
+    _, columns, rows = parse_csv(text)
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == errors
+    assert [row[columns[0]] for row in rows] == good_points
+
+
 # ---------------------------------------------------------------------------
 # markov
 # ---------------------------------------------------------------------------
@@ -240,6 +262,10 @@ def test_markov_aux_ratio_flag_changes_ifr_curve(tmp_path):
     # A formulas range must be finite.
     ["formulas", "--tmr", "-R", "0..inf"],
     ["formulas", "--tmr", "-R", "0..1:nan"],
+    # ... and ask for at most a million points.
+    ["formulas", "--tmr", "-R", "0..1e308:1e-300"],
+    ["formulas", "--tmr", "-R", "0..1:1e-9"],
+    ["formulas", "--ifr", "-s", "0..1000000000000"],
 ])
 def test_markov_and_compare_bad_numbers_are_usage_errors(args, tmp_path, capsys):
     out = tmp_path / "x.csv"

@@ -91,8 +91,6 @@ def test_switch_transistor_estimate():
 def test_switch_transistor_preconditions():
     with pytest.raises(ValueError):
         estimate_switch_transistors(0)
-    with pytest.raises(ValueError):
-        estimate_switch_transistors(8, ways=3)
 
 
 @given(st.integers(0, 0xFFFFFFFF))

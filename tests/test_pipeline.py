@@ -274,16 +274,6 @@ def test_fault_on_cold_spare_is_inert():
     assert matches_reference(report, program)
 
 
-def test_nonzero_origin_program_runs_golden():
-    source = "LDI r1, 3\nADD r2, r1, r1\nBEQ r0, r0, 2\nLDI r3, 9\nJMP 105\nHALT"
-    program = assemble(source, origin=100)
-    report = run_core(program, CFG, FaultScenario())
-    assert report.outcome is Outcome.COMPLETED
-    assert matches_reference(report, program)
-    assert report.final_state.regs[2] == 6
-    assert report.final_state.regs[3] == 0  # skipped by the taken branch
-
-
 def test_detection_completeness_exposed_stuckat_always_permanent():
     program = _alternating_program()
     for stage in StageKind:

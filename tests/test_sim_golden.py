@@ -32,6 +32,13 @@ CLI_CASES = {
                           "--sweep-const lambda 1e-6 1e-3 3 --mc 1000 --seed 2",
     "compare": "compare --sweep 1e-6 1e-2 7",
     "formulas": "formulas --tmr --standby",
+    "formulas_tmr": "formulas --tmr -R 0..1:0.25",
+    "formulas_standby": "formulas --standby -R 0..1:0.25",
+    "formulas_ifr": "formulas --ifr --rb 0.9 -s 0..3",
+    "formulas_ifr_pipeline": "formulas --ifr-pipeline --rp 0.5..1:0.1 --coverage 0.9 "
+                             "--rsw 0.99 --rctrl 0.999",
+    "formulas_availability": "formulas --availability --mttf 999 --mttr 1",
+    "formulas_exp": "formulas --exp --rate 1e-3 --hours 1000",
 }
 
 
