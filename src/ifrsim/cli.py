@@ -9,6 +9,7 @@ exhausted.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import math
 import sys
@@ -21,7 +22,7 @@ from .markov import (DEFAULT_TOL, ModelError, SolverError, SweepSpec,
                      build_standby_model, build_tmr_model,
                      death_probability, monte_carlo_death_probability,
                      parse_model, sweep)
-from .pipeline import CoreConfig, Outcome, matches_reference, run_core
+from .pipeline import DEFAULT_MAX_CYCLES, CoreConfig, Outcome, matches_reference, run_core
 from .report import CsvReport, TOOL_ID, fmt_float
 
 EXIT_OK = 0
@@ -33,8 +34,8 @@ EXIT_EXHAUSTED = 6
 
 DEFAULT_AUX_RATIO = 1e-3  # lambda_sw = lambda_ctrl = ratio * lambda_p for builtins
 
-_CONFIG_KEYS = ("clock_hz", "permanent_threshold", "flush_cycles",
-                "powerup_cycles_per_block")
+# CoreConfig's settings by name, with the type of each default (float or int).
+_CONFIG_KEYS = {f.name: type(f.default) for f in dataclasses.fields(CoreConfig)}
 _MAX_RANGE_POINTS = 1_000_000  # most rows a formulas range may ask for
 
 
@@ -46,10 +47,13 @@ class CliError(Exception):
 
 def _parse_range(spec: str, *, integer: bool = False) -> list:
     """Parse 'lo..hi[:step]' or a single value. Default step spans the range
-    in ten increments (or 1 for integer ranges)."""
+    in ten increments (or 1 for integer ranges). An integer value, or the
+    span of an integer range, must fit in a float."""
     try:
         if ".." not in spec:
-            return [int(spec, 0) if integer else float(spec)]
+            value = int(spec, 0) if integer else float(spec)
+            float(value)  # OverflowError for an int past the float range
+            return [value]
         body, _, step_text = spec.partition(":")
         lo_text, _, hi_text = body.partition("..")
         if integer:
@@ -58,13 +62,15 @@ def _parse_range(spec: str, *, integer: bool = False) -> list:
         else:
             lo, hi = float(lo_text), float(hi_text)
             step = float(step_text) if step_text else (hi - lo) / 10.0
+        if not all(map(math.isfinite, (lo, hi, step))):
+            raise CliError(f"bad range {spec!r}; lo, hi and step must be finite")
+        if step <= 0 or hi < lo:
+            raise CliError(f"bad range {spec!r}; need lo <= hi and step > 0")
+        spans = (hi - lo) / step
+    except OverflowError:
+        raise CliError(f"bad range {spec!r}; it reaches past the float range") from None
     except ValueError:
         raise CliError(f"bad range {spec!r}; expected 'lo..hi[:step]' or a value") from None
-    if not all(map(math.isfinite, (lo, hi, step))):
-        raise CliError(f"bad range {spec!r}; lo, hi and step must be finite")
-    if step <= 0 or hi < lo:
-        raise CliError(f"bad range {spec!r}; need lo <= hi and step > 0")
-    spans = (hi - lo) / step
     if not math.isfinite(spans) or round(spans) >= _MAX_RANGE_POINTS:
         raise CliError(f"bad range {spec!r}; more than {_MAX_RANGE_POINTS:,} points")
     values = []
@@ -109,8 +115,8 @@ def _load_config(args) -> CoreConfig:
         if flag is not None:
             overrides[key] = flag
     try:
-        return CoreConfig(**{key: float(value) if key == "clock_hz" else _whole_number(value, key)
-                             for key, value in overrides.items()})
+        return CoreConfig(**{key: float(v) if _CONFIG_KEYS[key] is float else _whole_number(v, key)
+                             for key, v in overrides.items()})
     except ValueError as exc:
         raise CliError(f"bad configuration: {exc}") from None
 
@@ -125,13 +131,6 @@ def _emit(report: CsvReport, args) -> None:
             raise CliError(f"cannot write --out: {exc}") from None
     else:
         sys.stdout.write(text)
-
-
-def _config_meta(report: CsvReport, config: CoreConfig) -> None:
-    report.add_meta("clock_hz", fmt_float(config.clock_hz))
-    report.add_meta("permanent_threshold", config.permanent_threshold)
-    report.add_meta("flush_cycles", config.flush_cycles)
-    report.add_meta("powerup_cycles_per_block", config.powerup_cycles_per_block)
 
 
 def cmd_sim(args) -> int:
@@ -156,7 +155,8 @@ def cmd_sim(args) -> int:
     report.add_meta("subcommand", "sim")
     report.add_meta("program", args.program)
     report.add_meta("scenario", args.scenario)
-    _config_meta(report, config)
+    for key in _CONFIG_KEYS:
+        report.add_meta(key, getattr(config, key))
     report.add_meta("max_cycles", args.max_cycles)
     report.add_meta("outcome", sim.outcome.value)
     report.add_meta("total_cycles", sim.total_cycles)
@@ -185,11 +185,33 @@ def cmd_sim(args) -> int:
     return EXIT_OK
 
 
+# Each formulas group: its switches, and the value flags it reads (by dest)
+# with their defaults. A value flag of another group is refused, not ignored.
+_FORMULA_GROUPS = (
+    (("tmr", "standby"), {"component_r": "0..1:0.1"}),
+    (("ifr",), {"rb": 0.9, "spares": "0..3"}),
+    (("ifr_pipeline",), {"rp": "0.9", "coverage": 1.0, "rsw": 1.0, "rctrl": 1.0}),
+    (("availability",), {"mttf": 999.0, "mttr": 1.0}),
+    (("exp",), {"rate": 1e-6, "hours": 1000.0}),
+)
+
+
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
+
+
 def cmd_formulas(args) -> int:
-    if sum((args.tmr or args.standby, args.ifr, args.ifr_pipeline, args.availability,
-            args.exp)) != 1:
+    chosen = [flags for switches, flags in _FORMULA_GROUPS
+              if any(getattr(args, name) for name in switches)]
+    if len(chosen) != 1:
         raise CliError("choose exactly one formula group per invocation: "
                        "--tmr/--standby, --ifr, --ifr-pipeline, --availability, or --exp")
+    for switches, flags in _FORMULA_GROUPS:
+        for dest, default in flags.items():
+            if flags is not chosen[0] and getattr(args, dest) is not None:
+                raise CliError(f"{_flag(dest)} applies to {'/'.join(map(_flag, switches))} only")
+            if getattr(args, dest) is None:
+                setattr(args, dest, default)
     # Each group gives its columns, metadata rows, grid, stderr label (None for
     # the single-row groups, whose errors print bare) and a point -> row cells.
     if args.tmr or args.standby:
@@ -382,34 +404,32 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("program", help="assembly source file")
     p_sim.add_argument("scenario", help="fault scenario file")
     p_sim.add_argument("--config", help="key=value config file overriding core defaults")
-    p_sim.add_argument("--clock-hz", dest="clock_hz", type=float)
-    p_sim.add_argument("--permanent-threshold", dest="permanent_threshold", type=int)
-    p_sim.add_argument("--flush-cycles", dest="flush_cycles", type=int)
-    p_sim.add_argument("--powerup-cycles-per-block", dest="powerup_cycles_per_block", type=int)
-    p_sim.add_argument("--max-cycles", dest="max_cycles", type=int, default=100_000)
+    for key, kind in _CONFIG_KEYS.items():
+        p_sim.add_argument(_flag(key), type=kind)
+    p_sim.add_argument("--max-cycles", dest="max_cycles", type=int, default=DEFAULT_MAX_CYCLES)
     common(p_sim)
     p_sim.set_defaults(func=cmd_sim)
 
     p_form = sub.add_parser("formulas", help="tabulate the closed-form redundancy formulas")
     p_form.add_argument("--tmr", action="store_true", help="TMR reliability over the R grid")
     p_form.add_argument("--standby", action="store_true", help="standby reliability over the R grid")
-    p_form.add_argument("-R", "--component-r", default="0..1:0.1",
+    p_form.add_argument("-R", "--component-r",
                         help="component reliability grid 'lo..hi[:step]' (default 0..1:0.1)")
     p_form.add_argument("--ifr", action="store_true", help="cold-spare reliability over a spare-count range")
-    p_form.add_argument("--rb", type=float, default=0.9, help="block reliability for --ifr")
-    p_form.add_argument("-s", "--spares", default="0..3", help="spare count range for --ifr")
+    p_form.add_argument("--rb", type=float, help="block reliability for --ifr")
+    p_form.add_argument("-s", "--spares", help="spare count range for --ifr")
     p_form.add_argument("--ifr-pipeline", action="store_true", dest="ifr_pipeline")
-    p_form.add_argument("--rp", default="0.9", help="stage reliability (value or range) for --ifr-pipeline")
-    p_form.add_argument("--coverage", type=float, default=1.0)
-    p_form.add_argument("--rsw", type=float, default=1.0)
-    p_form.add_argument("--rctrl", type=float, default=1.0)
+    p_form.add_argument("--rp", help="stage reliability (value or range) for --ifr-pipeline")
+    p_form.add_argument("--coverage", type=float)
+    p_form.add_argument("--rsw", type=float)
+    p_form.add_argument("--rctrl", type=float)
     p_form.add_argument("--availability", action="store_true")
-    p_form.add_argument("--mttf", type=float, default=999.0)
-    p_form.add_argument("--mttr", type=float, default=1.0)
+    p_form.add_argument("--mttf", type=float)
+    p_form.add_argument("--mttr", type=float)
     p_form.add_argument("--exp", action="store_true",
                         help="constant-rate survival probability exp(-rate*hours)")
-    p_form.add_argument("--rate", type=float, default=1e-6, help="failures per hour for --exp")
-    p_form.add_argument("--hours", type=float, default=1000.0, help="mission time for --exp")
+    p_form.add_argument("--rate", type=float, help="failures per hour for --exp")
+    p_form.add_argument("--hours", type=float, help="mission time for --exp")
     common(p_form)
     p_form.set_defaults(func=cmd_formulas)
 

@@ -59,7 +59,7 @@ class MarkovModel:
     constants: dict = field(default_factory=dict)  # name -> value
     definitions: dict = field(default_factory=dict)  # name -> defining AST
 
-    def validate(self) -> "MarkovModel":
+    def __post_init__(self):
         if not self.states:
             raise ModelError("model has no states")
         if len(set(self.states)) != len(self.states):
@@ -92,7 +92,6 @@ class MarkovModel:
         unreachable = [s for s in self.states if s not in reached]
         if unreachable:
             raise ModelError(f"unreachable state(s): {', '.join(unreachable)}")
-        return self
 
     def outgoing_rate(self, state: str) -> float:
         return sum(tr.rate for tr in self.transitions if tr.source == state)
@@ -233,7 +232,7 @@ def _model(states, initial: str, death, transitions, definitions: dict) -> Marko
     return MarkovModel(tuple(states), initial, frozenset(death),
                        tuple(Transition(src, dst, _eval_expr(expr, definitions, values), expr)
                              for src, dst, expr in transitions),
-                       values, definitions).validate()
+                       values, definitions)
 
 
 class _Parser:
@@ -427,21 +426,6 @@ def build_ifr_pipeline_model(lambda_p: float, lambda_sw: float,
 # Transient bound solver
 # ---------------------------------------------------------------------------
 
-def _uniformized(model: MarkovModel):
-    states = model.states
-    index = {s: i for i, s in enumerate(states)}
-    n = len(states)
-    rates = np.zeros((n, n))
-    for tr in model.transitions:
-        rates[index[tr.source], index[tr.target]] += tr.rate
-    out = rates.sum(axis=1)
-    lam_max = float(out.max()) if n else 0.0
-    death = np.array([s in model.death_states for s in states], dtype=float)
-    init = np.zeros(n)
-    init[index[model.initial]] = 1.0
-    return rates, out, lam_max, death, init
-
-
 def death_probability(model: MarkovModel, mission_time: float,
                       tol: float = DEFAULT_TOL,
                       max_terms: int = MAX_SERIES_TERMS) -> BoundedProbability:
@@ -452,17 +436,21 @@ def death_probability(model: MarkovModel, mission_time: float,
     requested relative width cannot be reached within `max_terms` series
     terms (the answer is never silently loosened).
     """
-    model.validate()
     if mission_time < 0 or not math.isfinite(mission_time):
         raise ValueError("mission time must be non-negative and finite")
     if not 0 < tol < 1:
         raise ValueError("tol must be in (0, 1)")
-    if mission_time == 0.0:
-        return BoundedProbability(0.0, 0.0)
 
-    rates, out, lam_max, death, init = _uniformized(model)
-    if lam_max == 0.0:
+    index = {s: i for i, s in enumerate(model.states)}
+    n = len(model.states)
+    rates = np.zeros((n, n))
+    for tr in model.transitions:
+        rates[index[tr.source], index[tr.target]] += tr.rate
+    out = rates.sum(axis=1)
+    lam_max = float(out.max())
+    if mission_time == 0.0 or lam_max == 0.0:
         return BoundedProbability(0.0, 0.0)
+    death = np.array([s in model.death_states for s in model.states], dtype=float)
 
     jump = rates / lam_max
     np.fill_diagonal(jump, np.diagonal(jump) + 1.0 - out / lam_max)
@@ -475,11 +463,10 @@ def death_probability(model: MarkovModel, mission_time: float,
             return math.exp(k * math.log(q) - q - math.lgamma(k + 1))
         return prev * q / k if k else math.exp(-q)
 
-    vec = init
+    vec = np.eye(n)[index[model.initial]]
     w = weight(0, 0.0)
     cum_w = w
     partial = 0.0  # sum of w_k * d_k; d_0 = 0 since initial is never a death state
-    d_k = 0.0
     for k in range(1, max_terms + 1):
         vec = vec @ jump
         d_k = float(vec @ death)
@@ -516,59 +503,44 @@ def monte_carlo_death_probability(model: MarkovModel, mission_time: float,
     distributions) and records whether a death state is entered by the
     mission time. Reproducible for a fixed seed.
     """
-    model.validate()
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if mission_time < 0:
         raise ValueError("mission time must be non-negative")
     rng = np.random.default_rng(seed)
     index = {s: i for i, s in enumerate(model.states)}
-    outgoing: dict = {i: [] for i in range(len(model.states))}
+    outgoing: list = [[] for _ in model.states]
     for tr in model.transitions:
         sampler = (samplers or {}).get((tr.source, tr.target))
         outgoing[index[tr.source]].append((index[tr.target], tr.rate, sampler))
-    target_table = {s: np.array([t[0] for t in outgoing[s]], dtype=np.int64)
-                    for s in outgoing if outgoing[s]}
-
-    state = np.full(trials, index[model.initial], dtype=np.int64)
-    clock = np.zeros(trials)
-    active = np.ones(trials, dtype=bool)
-    dead = np.zeros(trials, dtype=bool)
     is_death = np.array([s in model.death_states for s in model.states])
 
-    if mission_time > 0:
-        while active.any():
-            progressed = False
-            for s in range(len(model.states)):
-                here = active & (state == s)
-                count = int(here.sum())
-                if count == 0 or not outgoing[s]:
-                    if count and not outgoing[s]:
-                        active[here] = False  # stuck forever in a live state
-                    continue
-                times = np.empty((len(outgoing[s]), count))
-                for j, (_, rate, sampler) in enumerate(outgoing[s]):
-                    if sampler is None:
-                        times[j] = rng.exponential(1.0 / rate, size=count)
-                    else:
-                        times[j] = sampler(rng, count)
-                winner = times.argmin(axis=0)
-                dt = times.min(axis=0)
-                new_clock = clock[here] + dt
-                targets = target_table[s][winner]
-                moved = new_clock <= mission_time
-                idx = np.flatnonzero(here)
-                clock[idx] = new_clock
-                state[idx[moved]] = targets[moved]
-                active[idx[~moved]] = False
-                died = moved & is_death[targets]
-                dead[idx[died]] = True
-                active[idx[died]] = False
-                progressed = True
-            if not progressed:
-                break
+    # A trial's state is -1 once it has died, outlived the mission or is stuck in
+    # a live trap. A round visits states in index order, trials in index order.
+    state = np.full(trials, index[model.initial], dtype=np.int64)
+    clock = np.zeros(trials)
+    deaths = 0
+    while mission_time > 0 and (state >= 0).any():
+        for s, moves in enumerate(outgoing):
+            idx = np.flatnonzero(state == s)
+            if not idx.size:
+                continue
+            if not moves:  # stuck in a live trap
+                state[idx] = -1
+                continue
+            times = np.empty((len(moves), idx.size))
+            for j, (_, rate, sampler) in enumerate(moves):
+                if sampler is None:
+                    times[j] = rng.exponential(1.0 / rate, size=idx.size)
+                else:
+                    times[j] = sampler(rng, idx.size)
+            targets = np.array([t for t, _, _ in moves])[times.argmin(axis=0)]
+            clock[idx] += times.min(axis=0)
+            moved = clock[idx] <= mission_time
+            died = moved & is_death[targets]
+            deaths += int(died.sum())
+            state[idx] = np.where(moved & ~died, targets, -1)
 
-    deaths = int(dead.sum())
     p = deaths / trials
     ci99 = 2.5758293035489004 * math.sqrt(max(p * (1.0 - p), 0.0) / trials)
     return MonteCarloEstimate(estimate=p, ci99=ci99, deaths=deaths)

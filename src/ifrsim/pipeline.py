@@ -192,13 +192,18 @@ class RecoveryEvent:
     end_cycle: int  # classification cycle (permanent) or clear cycle (transient)
     swap_complete_cycle: int | None = None
     resume_cycle: int | None = None
-    refill_cycles: int | None = None
 
     @property
     def recovery_cycles(self) -> int | None:
         if self.swap_complete_cycle is None:
             return None
         return self.swap_complete_cycle - self.detect_cycle
+
+    @property
+    def refill_cycles(self) -> int | None:
+        if self.swap_complete_cycle is None:
+            return None
+        return self.swap_complete_cycle - self.resume_cycle + 1
 
 
 @dataclass
@@ -478,7 +483,6 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
                     pc += 1
                 for event in open_events:
                     event.swap_complete_cycle = cycle
-                    event.refill_cycles = cycle - event.resume_cycle + 1
                 open_events.clear()
             # Latches capture the routed bus words, so a corruption that
             # evaded parity really does propagate downstream; sideband

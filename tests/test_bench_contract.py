@@ -41,8 +41,9 @@ def test_sim_report_has_the_fields_the_benchmark_reads(monkeypatch):
     assert {"outcome", "final_state", "total_cycles", "events", "stress",
             "final_power"} <= fields
     assert {"fault_id", "stage", "classified", "detect_cycle", "end_cycle",
-            "swap_complete_cycle", "resume_cycle", "refill_cycles"} \
+            "swap_complete_cycle", "resume_cycle"} \
         <= {f.name for f in dataclasses.fields(RecoveryEvent)}
+    assert isinstance(RecoveryEvent.refill_cycles, property)  # derived, read as an attribute
     # And the benchmark's own digest input can be built from a real report.
     monkeypatch.syspath_prepend(str(PERFBENCH))  # workloads imports gen
     workloads = _load("workloads")

@@ -1,9 +1,12 @@
 import math
+from functools import partial
 from pathlib import Path
 
 import pytest
 
+from ifrsim import cli
 from ifrsim.cli import main
+from ifrsim.markov import death_probability
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 WORKLOAD = str(SAMPLES / "workload.asm")
@@ -67,6 +70,15 @@ def test_sim_parity_blind_corruption_exits_mismatch(tmp_path):
     meta, _, _ = parse_csv(text)
     assert code == 5
     assert meta["golden_match"] == "false"
+
+
+def test_sim_cycle_budget_exhausted_exits_6(tmp_path):
+    code, text = run_cli(["sim", WORKLOAD, str(SAMPLES / "faultfree.flt"),
+                          "--max-cycles", "5"], tmp_path)
+    meta, _, _ = parse_csv(text)
+    assert code == 6
+    assert (meta["outcome"], meta["total_cycles"], meta["golden_match"]) == \
+        ("exhausted", "5", "na")
 
 
 def test_sim_bad_program_is_parse_error(tmp_path):
@@ -134,6 +146,24 @@ def test_formulas_exponential_bridge(tmp_path):
 
 def test_formulas_requires_one_group(tmp_path):
     assert main(["formulas", "--tmr", "--ifr", "--out", str(tmp_path / "x.csv")]) == 2
+
+
+@pytest.mark.parametrize("args, flag", [
+    (["--tmr", "--rb", "5"], "--rb"),
+    (["--tmr", "--rb", "5", "--mttf", "-3", "-s", "9..1"], "--rb"),
+    (["--ifr", "-R", "0..1"], "--component-r"),
+    (["--exp", "--coverage", "0.5"], "--coverage"),
+    (["--availability", "--hours", "5"], "--hours"),
+    # Given at its default value, a flag of another group is still refused.
+    (["--ifr-pipeline", "--rate", "1e-6"], "--rate"),
+    (["--standby", "--mttr", "1"], "--mttr"),
+])
+def test_formulas_refuses_flags_of_another_group(args, flag, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert main(["formulas"] + args + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag} applies to ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("args, good_points, errors", [
@@ -216,6 +246,15 @@ def test_markov_malformed_model_is_parse_error(tmp_path):
     assert main(["markov", "--model", str(bad), "--out", str(tmp_path / "x.csv")]) == 2
 
 
+def test_markov_single_point_solver_failure_exits_3(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(cli, "death_probability", partial(death_probability, max_terms=3))
+    out = tmp_path / "x.csv"
+    assert main(["markov", "--builtin", "tmr", "--lam", "1e-2", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("solver error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_markov_builtin_needs_point_or_sweep(tmp_path):
     assert main(["markov", "--builtin", "tmr", "--out", str(tmp_path / "x.csv")]) == 2
 
@@ -266,6 +305,10 @@ def test_markov_aux_ratio_flag_changes_ifr_curve(tmp_path):
     ["formulas", "--tmr", "-R", "0..1e308:1e-300"],
     ["formulas", "--tmr", "-R", "0..1:1e-9"],
     ["formulas", "--ifr", "-s", "0..1000000000000"],
+    # An integer range must stay inside the float range, a single value too.
+    ["formulas", "--ifr", "-s", "0..1" + "0" * 400],
+    ["formulas", "--ifr", "-s", "1" + "0" * 400],
+    ["formulas", "--ifr", "-s=-1" + "0" * 308 + "..1" + "0" * 308],
 ])
 def test_markov_and_compare_bad_numbers_are_usage_errors(args, tmp_path, capsys):
     out = tmp_path / "x.csv"

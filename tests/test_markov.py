@@ -54,6 +54,23 @@ def test_rate_expression_arithmetic():
     assert model.transitions[1].rate == pytest.approx(0.0015)
 
 
+def test_parenthesised_rate_expression():
+    model = parse_model("""
+        CONST lambda = 1e-3; CONST mu = 4e-3;
+        STATE up; STATE dead DEATH;
+        INIT up;
+        up -> dead : 2 * (lambda + mu);
+    """)
+    assert model.transitions[0].rate == pytest.approx(1e-2)
+
+
+def test_unclosed_parenthesis_reports_its_line():
+    with pytest.raises(ModelError, match=r"expected \)") as excinfo:
+        parse_model("CONST l = 1e-3;\nSTATE up; STATE dead DEATH;\nINIT up;\n"
+                    "up -> dead : 2 * (l + l;\n")
+    assert excinfo.value.line == 4
+
+
 def test_constants_may_reference_constants():
     model = parse_model("""
         CONST base = 1e-4;
@@ -115,6 +132,17 @@ def test_self_referential_constant_rejected():
             INIT up;
             up -> dead : l;
         """)
+
+
+@pytest.mark.parametrize("states, initial, death, rate, message", [
+    (("up", "island", "dead"), "up", {"dead"}, 1e-3, "unreachable"),
+    (("up", "dead"), "gone", {"dead"}, 1e-3, "initial state"),
+    (("up", "dead"), "up", {"dead"}, -1.0, "non-positive"),
+])
+def test_model_built_directly_is_checked_when_built(states, initial, death, rate, message):
+    with pytest.raises(ModelError, match=message):
+        MarkovModel(states, initial, frozenset(death),
+                    (Transition("up", "dead", rate, ("num", rate)),))
 
 
 def test_live_trap_state_has_zero_death_probability():
@@ -260,6 +288,42 @@ def test_mc_pluggable_holding_time():
     samplers = {("up", "dead"): lambda rng, size: np.full(size, 1.0)}
     estimate = monte_carlo_death_probability(model, T, 500, seed=1, samplers=samplers)
     assert estimate.estimate == 1.0
+
+
+_TRAP_MODEL = """
+    CONST l = 1e-3;
+    STATE up; STATE safe_stop; STATE dead DEATH;
+    INIT up;
+    up -> safe_stop : l;
+    up -> dead : 0.5 * l;
+"""
+_REPAIR_CHAIN = """
+    CONST lambda = 1e-3; CONST mu = 1e-2;
+    STATE up; STATE degraded; STATE dead DEATH;
+    INIT up;
+    up -> degraded : 2 * lambda;
+    degraded -> up : mu;
+    degraded -> dead : lambda;
+"""
+
+
+@pytest.mark.parametrize("make_model, samplers, estimate, ci99", [
+    # Trials stuck in a live state with no way out.
+    (lambda: parse_model(_TRAP_MODEL), None, 0.26225, 0.00801151110965198),
+    # Trials moving back to a lower-indexed state.
+    (lambda: parse_model(_REPAIR_CHAIN), None, 0.1332, 0.006188902565825071),
+    # Trials moving on to a later state within one round.
+    (lambda: build_ifr_pipeline_model(1e-3, 1e-4, 1e-4), None, 0.3943, 0.008901111824736728),
+    # A non-exponential holding time.
+    (lambda: build_simplex_model(1e-3),
+     {("up", "dead"): lambda rng, size: rng.uniform(0, 2000, size)},
+     0.4958, 0.009106610540369181),
+], ids=["trap", "repair", "ifr-pipeline", "sampler"])
+def test_mc_exact_draws_are_pinned(make_model, samplers, estimate, ci99):
+    # Pins the oracle's draw order: any change to which trial consumes which
+    # random number moves these exact values.
+    got = monte_carlo_death_probability(make_model(), T, 20_000, seed=7, samplers=samplers)
+    assert (got.estimate, got.ci99) == (estimate, ci99)
 
 
 # ---------------------------------------------------------------------------

@@ -391,6 +391,42 @@ def test_branches_and_memory_against_reference():
     assert report.final_state.regs[7] == 0
 
 
+def _mov_program(rounds=30):
+    lines = []
+    for i in range(rounds):
+        lines += [f"LDI r1, {i % 2}",
+                  "MOV r2, r1",  # reads r1 the cycle after LDI writes it
+                  "MOV r0, r2",  # r0 stays zero
+                  "MOV r3, r0",
+                  "ADD r4, r4, r2"]
+    return assemble("\n".join(lines + ["HALT"]))
+
+
+@pytest.mark.parametrize("scenario", [
+    FaultScenario(),
+    FaultScenario((TimedFault(StuckAt(3, 1), _site(StageKind.DECODE), 10, PERMANENT),)),
+], ids=["fault-free", "decode-stuckat"])
+def test_mov_against_reference(scenario):
+    program = _mov_program()
+    report = run_core(program, CFG, scenario)
+    assert report.outcome is Outcome.COMPLETED
+    assert matches_reference(report, program)
+    assert report.final_state.regs[:5] == (0, 1, 1, 0, 15)
+    assert len(report.permanent_events) == len(scenario.faults)
+
+
+def test_golden_check_fails_unless_the_reference_completes_the_same_run():
+    program = assemble("NOP\nNOP\nHALT")
+    report = run_core(program, CFG, FaultScenario())
+    assert matches_reference(report, program)
+    # The reference runs off the end of a program without the HALT.
+    assert not matches_reference(report, assemble("NOP\nNOP"))
+    # A run that did not complete is never golden.
+    exhausted = run_core(program, CFG, FaultScenario(), max_cycles=2)
+    assert exhausted.outcome is Outcome.EXHAUSTED
+    assert not matches_reference(exhausted, program)
+
+
 def test_golden_equivalence_randomized_corpus():
     # Every completed run equals the reference, across 100 programs and 20
     # scenarios each (transient mixes plus guaranteed-exposure stuck-ats).
