@@ -36,7 +36,7 @@ DEFAULT_AUX_RATIO = 1e-3  # lambda_sw = lambda_ctrl = ratio * lambda_p for built
 
 # CoreConfig's settings by name, with the type of each default (float or int).
 _CONFIG_KEYS = {f.name: type(f.default) for f in dataclasses.fields(CoreConfig)}
-_MAX_RANGE_POINTS = 1_000_000  # most rows a formulas range may ask for
+_MAX_RANGE_POINTS = 1_000_000  # most rows a formulas range or a sweep may ask for
 
 
 class CliError(Exception):
@@ -93,14 +93,28 @@ def _whole_number(value, name: str) -> int:
     raise ValueError(f"{name} must be a whole number, got {value}")
 
 
+def _sweep_points(points) -> int:
+    """A sweep's POINTS as a whole number within the range limit, checked
+    before the grid is built."""
+    count = _whole_number(points, "sweep POINTS")
+    if count > _MAX_RANGE_POINTS:
+        raise CliError(f"sweep POINTS {count:,} is more than {_MAX_RANGE_POINTS:,}")
+    return count
+
+
+def _read(path: str, what: str) -> str:
+    """The text of a UTF-8 input file; `what` labels a read error."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CliError(f"{what}: {exc}") from None
+
+
 def _load_config(args) -> CoreConfig:
     overrides: dict = {}
     if getattr(args, "config", None):
-        try:
-            text = open(args.config, encoding="utf-8").read()
-        except OSError as exc:
-            raise CliError(f"cannot read config file: {exc}") from None
-        for lineno, raw in enumerate(text.splitlines(), start=1):
+        for lineno, raw in enumerate(_read(args.config, "config").splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -138,12 +152,12 @@ def cmd_sim(args) -> int:
     if args.max_cycles < 1:
         raise CliError(f"--max-cycles must be at least 1, got {args.max_cycles}")
     try:
-        program = assemble(open(args.program, encoding="utf-8").read())
-    except (OSError, AssemblyError) as exc:
+        program = assemble(_read(args.program, "program"))
+    except AssemblyError as exc:
         raise CliError(f"program: {exc}") from None
     try:
-        scenario = parse_scenario(open(args.scenario, encoding="utf-8").read())
-    except (OSError, ScenarioError) as exc:
+        scenario = parse_scenario(_read(args.scenario, "scenario"))
+    except ScenarioError as exc:
         raise CliError(f"scenario: {exc}") from None
 
     sim = run_core(program, config, scenario, max_cycles=args.max_cycles)
@@ -298,20 +312,20 @@ def _markov_source(args, report: CsvReport):
         build = functools.partial(_BUILTINS[args.builtin], aux_ratio=aux_ratio)
         if args.sweep:
             lo, hi, points = args.sweep
-            return build, "lambda", (lo, hi, _whole_number(points, "sweep POINTS"))
+            return build, "lambda", (lo, hi, _sweep_points(points))
         return build, "lambda", args.lam
     if args.lam is not None or args.sweep:
         raise CliError("--lam and --sweep apply to --builtin only; --model takes "
                        "--sweep-const")
     try:
-        model = parse_model(open(args.model, encoding="utf-8").read())
-    except (OSError, ModelError) as exc:
+        model = parse_model(_read(args.model, "model"))
+    except ModelError as exc:
         raise CliError(f"model: {exc}") from None
     report.add_meta("model", args.model)
     if args.sweep_const:
         name, lo, hi, points = args.sweep_const
         return (functools.partial(model.with_constant, name), name,
-                (float(lo), float(hi), _whole_number(points, "sweep POINTS")))
+                (float(lo), float(hi), _sweep_points(points)))
     return lambda _: model, None, None
 
 
@@ -363,7 +377,7 @@ def cmd_markov(args) -> int:
 @_bad_numbers_are_usage_errors
 def cmd_compare(args) -> int:
     lo, hi, points = args.sweep
-    spec = SweepSpec("lambda", lo, hi, _whole_number(points, "sweep POINTS"), args.T, args.tol)
+    spec = SweepSpec("lambda", lo, hi, _sweep_points(points), args.T, args.tol)
     curves = [sweep(functools.partial(build, aux_ratio=args.aux_ratio), spec)
               for build in _BUILTINS.values()]
 

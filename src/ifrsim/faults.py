@@ -150,6 +150,9 @@ def apply_vector_faults(vector: int, faults: list[TimedFault], width: int = CONT
 
 _STAGE_TOKENS = {u.value: u for u in FaultUnit}
 _COPY_TOKENS = {"main": Copy.MAIN, "spare": Copy.SPARE, "a": Copy.MAIN, "b": Copy.SPARE}
+# Scenario keyword -> (fault kind, usage naming one integer per field).
+_KIND_TOKENS = {"stuckat": (StuckAt, "<bit> <0|1>"), "delay": (Delay, "<extra>"),
+                "flip": (TransientFlip, "<bit>")}
 
 
 def parse_scenario(text: str) -> FaultScenario:
@@ -197,25 +200,14 @@ def parse_scenario(text: str) -> FaultScenario:
         site = FaultSite(_STAGE_TOKENS[unit_name], _COPY_TOKENS[copy_name])
 
         kind_name = parts[3].lower()
+        if kind_name not in _KIND_TOKENS:
+            raise ScenarioError(lineno, f"unknown fault kind {kind_name!r}")
+        cls, usage = _KIND_TOKENS[kind_name]
         args = parts[4:]
+        if len(args) != len(usage.split()):
+            raise ScenarioError(lineno, f"{kind_name} takes {usage}")
         try:
-            if kind_name == "stuckat":
-                if len(args) != 2:
-                    raise ScenarioError(lineno, "stuckat takes <bit> <0|1>")
-                kind: FaultKind = StuckAt(int(args[0]), int(args[1]))
-            elif kind_name == "delay":
-                if len(args) != 1:
-                    raise ScenarioError(lineno, "delay takes <extra>")
-                kind = Delay(int(args[0]))
-            elif kind_name == "flip":
-                if len(args) != 1:
-                    raise ScenarioError(lineno, "flip takes <bit>")
-                kind = TransientFlip(int(args[0]))
-            else:
-                raise ScenarioError(lineno, f"unknown fault kind {kind_name!r}")
-            faults.append(TimedFault(kind, site, start, duration))
-        except ScenarioError:
-            raise
+            faults.append(TimedFault(cls(*map(int, args)), site, start, duration))
         except ValueError as exc:
             raise ScenarioError(lineno, str(exc)) from None
     return FaultScenario(tuple(faults))

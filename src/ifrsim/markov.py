@@ -505,8 +505,8 @@ def monte_carlo_death_probability(model: MarkovModel, mission_time: float,
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if mission_time < 0:
-        raise ValueError("mission time must be non-negative")
+    if mission_time < 0 or not math.isfinite(mission_time):
+        raise ValueError("mission time must be non-negative and finite")
     rng = np.random.default_rng(seed)
     index = {s: i for i, s in enumerate(model.states)}
     outgoing: list = [[] for _ in model.states]

@@ -232,31 +232,13 @@ _UNIT_INDEX[FaultUnit.CONTROLLER] = len(PIPELINE_ORDER)
 _RAIL_MASK = (1 << CONTROLLER_VEC_BITS) - 1
 
 
-def _decode_operands(instr: Instruction, regs) -> tuple[int, int, int]:
-    """Operand fetch: returns (op_a, op_b, st_addr). op_a is the word driven
-    onto the decode output bus."""
-    op = instr.opcode
-    op_a = op_b = st_addr = 0
-    if op is Opcode.LDI:
-        op_a = instr.imm & WORD_MASK
-    elif op in (Opcode.MOV, Opcode.LD):
-        op_a = regs[instr.rs1]
-    elif op in (Opcode.ADD, Opcode.SUB, Opcode.AND, Opcode.OR, Opcode.XOR):
-        op_a, op_b = regs[instr.rs1], regs[instr.rs2]
-    elif op is Opcode.ST:
-        op_a = regs[instr.rd]
-        st_addr = (regs[instr.rs1] + instr.imm) & WORD_MASK
-    elif op is Opcode.BEQ:
-        op_a, op_b = regs[instr.rd], regs[instr.rs1]
-    elif op is Opcode.JMP:
-        op_a = instr.imm & WORD_MASK
-    return op_a, op_b, st_addr
-
-
-def _decoded(word: int) -> tuple[Instruction, tuple[int, ...], int]:
-    """What the decode stage needs of a word: (instruction, sources, dest)."""
+def _decoded(word: int) -> tuple[Instruction, tuple[int, ...], int, int]:
+    """What the decode stage needs of a word: (instruction, sources, dest,
+    imm). Decode drives its sources' values as (op_a, op_b), or imm as op_a
+    if it reads no register; imm is 0 but for LDI and JMP."""
     instr = decode_word(word)
-    return instr, src_regs(instr), dst_reg(instr)
+    imm = instr.imm & WORD_MASK if instr.opcode in (Opcode.LDI, Opcode.JMP) else 0
+    return instr, src_regs(instr), dst_reg(instr), imm
 
 
 def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
@@ -288,7 +270,6 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
     rail_a, rail_b = site_faults[-1]
     any_stage_faults = any(faults for copies in stage_faults for faults in copies)
 
-    select = [0, 0, 0]  # switch setting per stage
     power = [[PowerState.ON, PowerState.OFF] for _ in PIPELINE_ORDER]
     since = [[0, 0] for _ in PIPELINE_ORDER]  # first cycle of each block's power span
     ledger = StressLedger()
@@ -304,10 +285,10 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
         power[stage][copy] = state
         # Power changes only here, so the invariants are checked here.
         live_next = ctrl.mode in _LIVE_MODES
-        for copies, selected in zip(power, select):
+        for position, copies in enumerate(power):
             assert copies.count(PowerState.ON) <= 1, \
                 "at most one copy of a stage may be powered"
-            assert not live_next or copies[selected] is PowerState.ON, \
+            assert not live_next or copies[position in ctrl.on_spare] is PowerState.ON, \
                 "selected copy must be powered"
 
     max_extra = max((f.kind.extra for f in scenario.faults if isinstance(f.kind, Delay)),
@@ -336,7 +317,7 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
         return bus & WORD_MASK, parity_check(bus)
 
     def attribute_fault(stage: int, cycle: int) -> int | None:
-        for index, fault in stage_faults[stage][select[stage]]:
+        for index, fault in stage_faults[stage][stage in ctrl.on_spare]:
             if fault.active_at(cycle):
                 return index
         return None
@@ -348,10 +329,10 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
     regs = [0] * 16
     mem: dict = {}
     pc = fetch_pc = 0
-    halted = False
     fetch_wait = False
     pd: int | None = None  # predecode latch: the fetched word
-    de: tuple | None = None  # decode latch: (instr, dest, op_a, op_b, st_addr)
+    de: tuple | None = None  # decode latch: (instr, dest, op_a, op_b)
+    # A stage's switch selects its spare (copy 1) iff it is in ctrl.on_spare.
     ctrl = ControllerState()
 
     events: list[RecoveryEvent] = []
@@ -380,11 +361,12 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
                 entry = decoded.get(pd)
                 if entry is None:
                     entry = decoded[pd] = _decoded(pd)
-                instr, sources, dest = entry
+                instr, sources, dest, imm = entry
                 if de is not None and de[1] and de[1] in sources:
                     stall = True
                 else:
-                    d_word, d_op_b, d_st_addr = _decode_operands(instr, regs)
+                    d_word = regs[sources[0]] if sources else imm
+                    d_op_b = regs[sources[1]] if len(sources) > 1 else 0
                     d_instr, d_dest = instr, dest
 
             # Predecode: fetch only if the latch will be free this cycle.
@@ -400,7 +382,7 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
             if any_stage_faults:
                 masks = [0, 0, 0]
                 for stage in range(len(PIPELINE_ORDER)):
-                    copy = select[stage]
+                    copy = stage in ctrl.on_spare
                     if stage_faults[stage][copy]:
                         words[stage], masks[stage] = faulty_bus(stage, copy, words[stage], cycle)
                 error = any(masks)
@@ -443,7 +425,6 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
             if actions.power_on is not None:
                 set_power(actions.power_on, 1, PowerState.POWERING, cycle)
             if actions.swap is not None:
-                select[actions.swap] = 1  # before set_power checks the selected copy
                 set_power(actions.swap, 1, PowerState.ON, cycle)
                 fetch_pc = pc
                 fetch_wait = False
@@ -465,7 +446,6 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
                 instr = de[0]
                 op = instr.opcode
                 if op is Opcode.HALT:
-                    halted = True
                     outcome = Outcome.COMPLETED
                 elif op is Opcode.BEQ:
                     pc += instr.imm if result else 1
@@ -477,7 +457,7 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
                     fetch_wait = False
                 else:
                     if op is Opcode.ST:
-                        mem[de[4]] = result
+                        mem[(de[3] + instr.imm) & WORD_MASK] = result
                     elif de[1]:
                         regs[de[1]] = result
                     pc += 1
@@ -486,8 +466,8 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
                 open_events.clear()
             # Latches capture the routed bus words, so a corruption that
             # evaded parity really does propagate downstream; sideband
-            # metadata (decoded fields, addresses) is not fault-addressable.
-            de = None if d_instr is None else (d_instr, d_dest, words[1], d_op_b, d_st_addr)
+            # metadata (decoded fields, op_b) is not fault-addressable.
+            de = None if d_instr is None else (d_instr, d_dest, words[1], d_op_b)
             if stall:
                 pass  # pd holds; decode retries next cycle
             elif pending is not None:
@@ -512,7 +492,7 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
         for copy in range(len(_COPIES)):
             close_span(stage, copy, total_cycles)
     ledger.assert_conserved(total_cycles)
-    final_state = ArchState(tuple(regs), pc, mem, halted)
+    final_state = ArchState(tuple(regs), pc, mem, outcome is Outcome.COMPLETED)
     final_power = {(kind, _COPIES[copy]): power[stage][copy]
                    for stage, kind in enumerate(PIPELINE_ORDER) for copy in range(len(_COPIES))}
     return SimReport(outcome=outcome, final_state=final_state,

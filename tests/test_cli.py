@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from ifrsim import cli
+from ifrsim import cli, markov
 from ifrsim.cli import main
 from ifrsim.markov import death_probability
 
@@ -97,6 +97,35 @@ def test_sim_config_file_overrides(tmp_path):
     assert code == 0
     assert meta["permanent_threshold"] == "20"
     assert int(rows[0]["recovery_cycles"]) == (20 - 1) + 5 + 64 + 3
+
+
+def test_sim_transient_row_has_no_swap_or_recovery(tmp_path):
+    scenario = tmp_path / "flip.flt"
+    scenario.write_text("@12 T:1 execute.main flip 4\n")
+    code, text = run_cli(["sim", WORKLOAD, str(scenario)], tmp_path)
+    meta, _, rows = parse_csv(text)
+    assert code == 0 and meta["golden_match"] == "true"
+    assert len(rows) == 1
+    assert (rows[0]["fault_id"], rows[0]["class"], rows[0]["stage"]) == \
+        ("0", "transient", "execute")
+    assert [rows[0][key] for key in ("swap_complete_cycle", "recovery_cycles",
+                                     "recovery_us")] == [""] * 3
+
+
+@pytest.mark.parametrize("what", ["program", "scenario", "config", "model"])
+def test_input_file_that_is_not_utf8_is_a_usage_error(what, tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff" + (SAMPLES / "twostate.model").read_bytes())
+    scenario = str(SAMPLES / "faultfree.flt")
+    args = {"program": ["sim", str(bad), scenario],
+            "scenario": ["sim", WORKLOAD, str(bad)],
+            "config": ["sim", WORKLOAD, scenario, "--config", str(bad)],
+            "model": ["markov", "--model", str(bad)]}[what]
+    out = tmp_path / "x.csv"
+    assert main(args + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {what}: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +348,23 @@ def test_markov_and_compare_bad_numbers_are_usage_errors(args, tmp_path, capsys)
 
 
 @pytest.mark.parametrize("args", [
+    ["markov", "--builtin", "simplex", "--sweep", "1e-6", "1e-2"],
+    ["markov", "--model", str(SAMPLES / "twostate.model"),
+     "--sweep-const", "lambda", "1e-6", "1e-3"],
+    ["compare", "--sweep", "1e-6", "1e-2"],
+], ids=["markov-sweep", "markov-sweep-const", "compare-sweep"])
+def test_sweep_points_share_the_range_limit(args, monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(cli, "_MAX_RANGE_POINTS", 5)
+    out = tmp_path / "x.csv"
+    assert main(args + ["6", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+    code, text = run_cli(args + ["5"], tmp_path)
+    assert code == 0 and len(parse_csv(text)[2]) == 5
+
+
+@pytest.mark.parametrize("args", [
     ["sim", WORKLOAD, str(SAMPLES / "decode_stuckat.flt")],
     ["markov", "--builtin", "simplex", "--lam", "1e-6"],
     ["compare", "--sweep", "1e-6", "1e-2", "2"],
@@ -346,8 +392,9 @@ def test_sim_rejects_unknown_config_key(tmp_path):
     ([], "flush_cycles=1e400\n"),
     (["--max-cycles", "0"], None),
     (["--max-cycles", "-5"], None),
+    (["--flush-cycles", "0"], None),
 ], ids=["clock-hz-nan", "clock-hz-inf", "config-clock-hz-nan", "config-threshold-2.5",
-        "config-flush-1e400", "max-cycles-0", "max-cycles-negative"])
+        "config-flush-1e400", "max-cycles-0", "max-cycles-negative", "flush-cycles-0"])
 def test_sim_bad_config_is_a_usage_error(flags, config, tmp_path, capsys):
     if config is not None:
         path = tmp_path / "core.cfg"
@@ -434,6 +481,17 @@ def test_compare_scales_and_identity(tmp_path):
         stb_mid = (float(row["standby_lower"]) + float(row["standby_upper"])) / 2
         assert tmr_mid <= 3 * stb_mid * (1 + 1e-9)
         assert float(row["tmr_lower"]) <= 3 * float(row["standby_upper"]) * (1 + 1e-12)
+
+
+def test_compare_solver_failure_leaves_blank_cells(monkeypatch, tmp_path):
+    monkeypatch.setattr(markov, "death_probability", partial(death_probability, max_terms=3))
+    code, text = run_cli(["compare", "--sweep", "1e-6", "1e-2", "3"], tmp_path)
+    _, columns, rows = parse_csv(text)
+    assert code == 3
+    # At 1e-2/h over 1000 h the TMR and standby series miss tol in 3 terms;
+    # their cells are blank and the row keeps the other bounds.
+    blank = [[column for column in columns if row[column] == ""] for row in rows]
+    assert blank == [[], [], ["tmr_lower", "tmr_upper", "standby_lower", "standby_upper"]]
 
 
 # ---------------------------------------------------------------------------

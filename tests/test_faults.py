@@ -174,6 +174,13 @@ def test_parse_scenario_empty_is_fault_free():
     ("@1 PERM decode.main melt 3", "unknown fault kind"),
     ("@1 PERM decode.main stuckat 3", "stuckat takes"),
     ("@1 PERM decode.main stuckat 40 1", "outside the 36-bit"),
+    ("@1 T:x decode.main stuckat 3 1", "line 1: bad duration 'T:x'"),
+    ("@1 T:0 decode.main stuckat 3 1", "line 1: fault duration must be >= 1 or PERMANENT"),
+    ("@1 PERM decode.main delay", "line 1: delay takes <extra>"),
+    ("@1 PERM decode.main delay 1 2", "line 1: delay takes <extra>"),
+    ("@1 PERM decode.main flip", "line 1: flip takes <bit>"),
+    ("@1 PERM decode.main flip 3 4", "line 1: flip takes <bit>"),
+    ("@1 PERM decode.main flip x", "line 1: invalid literal for int"),
 ])
 def test_parse_scenario_errors(line, fragment):
     with pytest.raises(ScenarioError, match=fragment):

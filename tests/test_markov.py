@@ -134,6 +134,28 @@ def test_self_referential_constant_rejected():
         """)
 
 
+_CHAIN = "STATE up; STATE dead DEATH; up -> dead : 1;\n"
+
+
+@pytest.mark.parametrize("text, message, line, column", [
+    ("CONST a = 1;\nCONST  a = 2;\n" + _CHAIN + "INIT up;", "duplicate constant 'a'", 2, 8),
+    ("STATE up;\n  STATE up;\n" + _CHAIN + "INIT up;", "duplicate state 'up'", 2, 9),
+    (_CHAIN + "INIT up;\nINIT   up;", "INIT declared twice", 3, 8),
+    (_CHAIN, "model has no INIT declaration", None, None),
+    (_CHAIN + "INIT up;\n   ;", "unexpected token ';'", 3, 4),
+    (_CHAIN + "INIT up", "unexpected end of input", None, None),
+    (_CHAIN + "INIT up;\nCONST a =", "unexpected end of rate expression", None, None),
+], ids=["duplicate-const", "duplicate-state", "init-twice", "no-init", "stray-semicolon",
+        "truncated-statement", "truncated-expression"])
+def test_model_statement_errors_report_their_position(text, message, line, column):
+    with pytest.raises(ModelError) as excinfo:
+        parse_model(text)
+    error = excinfo.value
+    assert (error.line, error.column) == (line, column)
+    where = "" if line is None else f"line {line}, column {column}: "
+    assert str(error) == where + message
+
+
 @pytest.mark.parametrize("states, initial, death, rate, message", [
     (("up", "island", "dead"), "up", {"dead"}, 1e-3, "unreachable"),
     (("up", "dead"), "gone", {"dead"}, 1e-3, "initial state"),
@@ -264,6 +286,14 @@ def test_mc_single_trial_reproducible():
 def test_mc_zero_mission_time():
     estimate = monte_carlo_death_probability(build_tmr_model(1e-3), 0.0, 100, seed=1)
     assert estimate.estimate == 0.0
+
+
+@pytest.mark.parametrize("mission_time", [math.nan, math.inf, -1.0])
+def test_mc_refuses_a_mission_time_the_solver_refuses(mission_time):
+    for oracle in (death_probability, partial(monte_carlo_death_probability,
+                                              trials=100, seed=1)):
+        with pytest.raises(ValueError, match="^mission time must be non-negative and finite$"):
+            oracle(build_simplex_model(1e-3), mission_time)
 
 
 def test_mc_seed_determinism():

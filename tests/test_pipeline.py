@@ -195,6 +195,9 @@ def test_single_cycle_transient_no_swap():
     assert matches_reference(report, program)
     assert report.permanent_events == []
     assert [e.classified for e in report.events] == ["transient"]
+    # No swap, so no recovery or refill span.
+    assert report.events[0].recovery_cycles is None
+    assert report.events[0].refill_cycles is None
 
 
 def test_recovery_accounting_identity():
@@ -413,6 +416,47 @@ def test_mov_against_reference(scenario):
     assert matches_reference(report, program)
     assert report.final_state.regs[:5] == (0, 1, 1, 0, 15)
     assert len(report.permanent_events) == len(scenario.faults)
+
+
+_REWRITTEN_BASES = assemble("""
+    LDI r4, 64
+    LDI r1, 7
+    ST r1, r4, 2      ; mem[66] <- 7 through r4, which the next instruction rewrites
+    LDI r4, 66
+    LD r2, r4, 0      ; r2 <- mem[66] through r4, which the next instruction rewrites
+    ADD r4, r2, r1
+    LDI r6, 80
+    LDI r7, 5
+    LDI r8, 1
+    ST r7, r6, 0      ; loop: store the trip count through the pointer r6 ...
+    ADD r6, r6, r8    ; ... and walk it
+    SUB r7, r7, r8
+    BEQ r7, r0, 2
+    JMP 9
+    LD r3, r6, -1
+    HALT
+""")
+
+
+@pytest.mark.parametrize("fault", [None, (StageKind.DECODE, StuckAt(3, 1)),
+                                   (StageKind.EXECUTE, StuckAt(0, 1))],
+                         ids=["fault-free", "decode-stuckat", "execute-stuckat"])
+def test_stores_and_loads_through_rewritten_base_registers(fault):
+    # A store's address and a load's address come from the base register as
+    # decode read it, not as a later instruction leaves it. Each stuck-at
+    # start cycle swaps a stage and replays from a different instruction.
+    program = _REWRITTEN_BASES
+    base = run_core(program, CFG, FaultScenario())
+    assert base.final_state.mem == {66: 7, 80: 5, 81: 4, 82: 3, 83: 2, 84: 1}
+    assert base.final_state.regs[1:9] == (7, 7, 1, 14, 0, 85, 0, 1)
+    scenarios = [FaultScenario()] if fault is None else [
+        FaultScenario((TimedFault(fault[1], _site(fault[0]), start, PERMANENT),))
+        for start in range(base.total_cycles)]
+    for scenario in scenarios:
+        report = run_core(program, CFG, scenario)
+        assert report.outcome is Outcome.COMPLETED
+        assert matches_reference(report, program), scenario
+        assert len(report.permanent_events) == len(scenario.faults)
 
 
 def test_golden_check_fails_unless_the_reference_completes_the_same_run():

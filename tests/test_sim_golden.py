@@ -66,3 +66,13 @@ def test_cli_csv_is_byte_identical(name, tmp_path, monkeypatch):
     out = tmp_path / f"{name}.csv"
     assert main(CLI_CASES[name].split() + ["--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / "cli" / f"{name}.csv").read_bytes()
+
+
+@pytest.mark.parametrize("argv, golden", [
+    ("sim samples/workload.asm samples/decode_stuckat.flt", "decode_stuckat.csv"),
+    (CLI_CASES["markov_model_point"], "cli/markov_model_point.csv"),
+], ids=["sim", "markov"])
+def test_csv_goes_to_stdout_without_out(argv, golden, monkeypatch, capsys):
+    monkeypatch.chdir(ROOT)
+    assert main(argv.split()) == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN / golden).read_bytes()
