@@ -353,7 +353,15 @@ def cmd_markov(args) -> int:
     status = EXIT_OK
     if isinstance(where, tuple):
         report.columns = [column, "lower", "upper", "width_rel", "error"] + mc_cols
-        for point in sweep(build, SweepSpec(column, *where, args.T, args.tol)):
+        models = {}  # grid value -> the model the solver saw, kept for the oracle
+
+        def build_once(value):
+            model = build(value)
+            if args.mc:
+                models[value] = model
+            return model
+
+        for point in sweep(build_once, SweepSpec(column, *where, args.T, args.tol)):
             if point.error:
                 status = EXIT_SOLVER
                 report.add_row(point.lam, None, None, None, "solver_failure",
@@ -362,7 +370,7 @@ def cmd_markov(args) -> int:
             else:
                 width = (point.upper - point.lower) / point.upper if point.upper else 0.0
                 report.add_row(point.lam, point.lower, point.upper, width, None,
-                               *mc_cells(build(point.lam)))
+                               *mc_cells(models.get(point.lam)))
     else:
         model = build(where)
         bracket = death_probability(model, args.T, args.tol)

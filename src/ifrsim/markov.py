@@ -21,6 +21,9 @@ import numpy as np
 DEFAULT_TOL = 0.05
 WIDTH_FLOOR = 1e-12
 MAX_SERIES_TERMS = 200_000
+# Monte Carlo trials per chunk, which bounds the oracle's memory. A run of at
+# most this many trials is one chunk; the pinned 20,000-trial draws need that.
+MC_CHUNK = 32_768
 # Bounds are nudged outward by a hair so that an analytic value computed with
 # a different floating-point evaluation order still falls inside the bracket.
 _FP_REL = 1e-12
@@ -120,10 +123,6 @@ class BoundedProbability:
             raise ValueError(f"invalid bracket [{self.lower}, {self.upper}]")
 
     @property
-    def midpoint(self) -> float:
-        return 0.5 * (self.lower + self.upper)
-
-    @property
     def relative_width(self) -> float:
         if self.upper == 0.0:
             return 0.0
@@ -138,6 +137,7 @@ class SweepSpec:
     points: int
     mission_time: float
     tol: float = DEFAULT_TOL
+    _grid: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0 < self.lo < self.hi:
@@ -146,13 +146,14 @@ class SweepSpec:
             raise ValueError("sweep needs at least 2 points")
         if self.mission_time < 0:
             raise ValueError("mission time must be non-negative")
-        grid = self.grid()
+        ratio = self.hi / self.lo
+        grid = tuple(self.lo * ratio ** (i / (self.points - 1)) for i in range(self.points))
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("sweep points must be strictly increasing in lambda")
+        object.__setattr__(self, "_grid", grid)
 
-    def grid(self) -> list[float]:
-        ratio = self.hi / self.lo
-        return [self.lo * ratio ** (i / (self.points - 1)) for i in range(self.points)]
+    def grid(self) -> tuple[float, ...]:
+        return self._grid
 
 
 @dataclass(frozen=True)
@@ -501,7 +502,9 @@ def monte_carlo_death_probability(model: MarkovModel, mission_time: float,
     independently sampled holding times (exponential by default; a
     `(source, target) -> callable(rng, size)` mapping may substitute other
     distributions) and records whether a death state is entered by the
-    mission time. Reproducible for a fixed seed.
+    mission time. The trials run in consecutive chunks of MC_CHUNK that share
+    one random stream, so memory is bounded by MC_CHUNK trials and the result
+    depends only on `(seed, trials)`.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -512,34 +515,46 @@ def monte_carlo_death_probability(model: MarkovModel, mission_time: float,
     outgoing: list = [[] for _ in model.states]
     for tr in model.transitions:
         sampler = (samplers or {}).get((tr.source, tr.target))
-        outgoing[index[tr.source]].append((index[tr.target], tr.rate, sampler))
+        outgoing[index[tr.source]].append((index[tr.target], 1.0 / tr.rate, sampler))
+    targets = [np.array([t for t, _, _ in moves], dtype=np.int64) for moves in outgoing]
     is_death = np.array([s in model.death_states for s in model.states])
+    # One row of holding times per move, reused by every round of every chunk.
+    buffer = np.empty((max(map(len, outgoing)), min(trials, MC_CHUNK)))
+    columns = np.arange(buffer.shape[1])
 
-    # A trial's state is -1 once it has died, outlived the mission or is stuck in
-    # a live trap. A round visits states in index order, trials in index order.
-    state = np.full(trials, index[model.initial], dtype=np.int64)
-    clock = np.zeros(trials)
     deaths = 0
-    while mission_time > 0 and (state >= 0).any():
-        for s, moves in enumerate(outgoing):
-            idx = np.flatnonzero(state == s)
-            if not idx.size:
-                continue
-            if not moves:  # stuck in a live trap
-                state[idx] = -1
-                continue
-            times = np.empty((len(moves), idx.size))
-            for j, (_, rate, sampler) in enumerate(moves):
-                if sampler is None:
-                    times[j] = rng.exponential(1.0 / rate, size=idx.size)
+    for start in range(0, trials, MC_CHUNK):
+        # A trial's state is -1 once it has died, outlived the mission or is
+        # stuck in a live trap. A round visits states in index order, trials in
+        # index order; the next chunk starts once this one has finished.
+        state = np.full(min(MC_CHUNK, trials - start), index[model.initial], dtype=np.int64)
+        clock = np.zeros(state.size)
+        while mission_time > 0 and (state >= 0).any():
+            for s, moves in enumerate(outgoing):
+                idx = np.flatnonzero(state == s)
+                if not idx.size:
+                    continue
+                if not moves:  # stuck in a live trap
+                    state[idx] = -1
+                    continue
+                times = buffer[:len(moves), :idx.size]
+                for row, (_, scale, sampler) in zip(times, moves):
+                    if sampler is None:
+                        rng.standard_exponential(out=row)
+                        row *= scale  # as rng.exponential(scale) computes it
+                    else:
+                        row[:] = sampler(rng, idx.size)
+                if len(moves) == 1:
+                    step, dest = times[0], targets[s][0]
                 else:
-                    times[j] = sampler(rng, idx.size)
-            targets = np.array([t for t, _, _ in moves])[times.argmin(axis=0)]
-            clock[idx] += times.min(axis=0)
-            moved = clock[idx] <= mission_time
-            died = moved & is_death[targets]
-            deaths += int(died.sum())
-            state[idx] = np.where(moved & ~died, targets, -1)
+                    choice = times.argmin(axis=0)
+                    step, dest = times[choice, columns[:idx.size]], targets[s][choice]
+                arrival = clock[idx] + step
+                clock[idx] = arrival
+                moved = arrival <= mission_time
+                died = moved & is_death[dest]
+                deaths += int(died.sum())
+                state[idx] = np.where(moved & ~died, dest, -1)
 
     p = deaths / trials
     ci99 = 2.5758293035489004 * math.sqrt(max(p * (1.0 - p), 0.0) / trials)

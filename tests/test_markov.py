@@ -1,10 +1,11 @@
 import math
 import random
+import tracemalloc
 from functools import partial
 
 import pytest
 
-from ifrsim.markov import (BoundedProbability, MarkovModel, ModelError, SolverError,
+from ifrsim.markov import (MC_CHUNK, BoundedProbability, MarkovModel, ModelError, SolverError,
                            SweepSpec, Transition, build_ifr_pipeline_model,
                            build_simplex_model, build_standby_model, build_tmr_model,
                            death_probability, monte_carlo_death_probability,
@@ -228,7 +229,8 @@ def test_simplex_anchor_value():
     bracket = death_probability(build_simplex_model(1e-6), T, tol=1e-6)
     expected = analytic_simplex(1e-6, T)
     assert bracket.lower <= expected <= bracket.upper
-    assert bracket.midpoint == pytest.approx(9.995e-4, abs=1e-6)
+    assert bracket.lower == pytest.approx(9.995e-4, abs=1e-6)
+    assert bracket.upper == pytest.approx(9.995e-4, abs=1e-6)
 
 
 def test_tmr_anchor_value():
@@ -354,6 +356,33 @@ def test_mc_exact_draws_are_pinned(make_model, samplers, estimate, ci99):
     # random number moves these exact values.
     got = monte_carlo_death_probability(make_model(), T, 20_000, seed=7, samplers=samplers)
     assert (got.estimate, got.ci99) == (estimate, ci99)
+
+
+def test_mc_memory_is_bounded_by_one_chunk():
+    model = build_ifr_pipeline_model(1e-3, 1e-6, 1e-6)
+    tracemalloc.start()
+    try:
+        monte_carlo_death_probability(model, T, 2 ** 19, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 16 chunks of MC_CHUNK trials; all 2**19 trials at once peak near 40 MiB.
+    assert peak < 8 * 2 ** 20
+
+
+@pytest.mark.parametrize("samplers", [
+    None,
+    {("all_up", "on_spare"): lambda rng, size: rng.uniform(0, 2000, size)},
+], ids=["exponential", "sampler"])
+def test_mc_next_chunk_continues_the_stream(samplers):
+    # Trial MC_CHUNK + 1 runs in a chunk of its own, drawn after every round of
+    # the first chunk, so it adds at most one death to the first chunk's count.
+    model = build_ifr_pipeline_model(1e-3, 1e-4, 1e-4)
+
+    def deaths(trials):
+        return monte_carlo_death_probability(model, T, trials, seed=11, samplers=samplers).deaths
+
+    assert deaths(MC_CHUNK + 1) - deaths(MC_CHUNK) in (0, 1)
 
 
 # ---------------------------------------------------------------------------
