@@ -253,59 +253,66 @@ def execute_result(instr: Instruction, op_a: int, op_b: int, mem: dict) -> int:
     raise AssertionError(op)
 
 
+def _step(regs: list, mem: dict, pc: int, instr: Instruction) -> int | None:
+    """Apply one instruction's architectural effect to `regs` and `mem` in
+    place and return the next pc, or None for HALT (the pc stays)."""
+    op = instr.opcode
+    if op in _ALU_OPS:
+        value = execute_result(instr, regs[instr.rs1], regs[instr.rs2], mem)
+    elif op is Opcode.LDI:
+        value = instr.imm
+    elif op is Opcode.LD:
+        value = mem.get((regs[instr.rs1] + instr.imm) & WORD_MASK, 0)
+    elif op is Opcode.MOV:
+        value = regs[instr.rs1]
+    elif op is Opcode.ST:
+        mem[(regs[instr.rs1] + instr.imm) & WORD_MASK] = regs[instr.rd]
+        return pc + 1
+    elif op is Opcode.BEQ:
+        return pc + instr.imm if regs[instr.rd] == regs[instr.rs1] else pc + 1
+    elif op is Opcode.JMP:
+        return instr.imm
+    elif op is Opcode.NOP:
+        return pc + 1
+    elif op is Opcode.HALT:
+        return None
+    else:
+        raise AssertionError(op)
+    if instr.rd:
+        regs[instr.rd] = value & WORD_MASK
+    return pc + 1
+
+
 def step_reference(state: ArchState, instr: Instruction) -> ArchState:
     """Apply one instruction's architectural effect. Pure function."""
     if state.halted:
         raise ExecutionError("stepping a halted state")
     regs = list(state.regs)
-    mem = state.mem
-    pc = state.pc
-    op = instr.opcode
-
-    def write(rd: int, value: int):
-        if rd != 0:
-            regs[rd] = value & WORD_MASK
-
-    if op is Opcode.NOP:
-        pc += 1
-    elif op is Opcode.HALT:
-        return ArchState(tuple(regs), pc, mem, halted=True)
-    elif op is Opcode.LDI:
-        write(instr.rd, instr.imm)
-        pc += 1
-    elif op is Opcode.MOV:
-        write(instr.rd, regs[instr.rs1])
-        pc += 1
-    elif op in _ALU_OPS:
-        write(instr.rd, execute_result(instr, regs[instr.rs1], regs[instr.rs2], mem))
-        pc += 1
-    elif op is Opcode.LD:
-        write(instr.rd, mem.get((regs[instr.rs1] + instr.imm) & WORD_MASK, 0))
-        pc += 1
-    elif op is Opcode.ST:
-        mem = dict(mem)
-        mem[(regs[instr.rs1] + instr.imm) & WORD_MASK] = regs[instr.rd]
-        pc += 1
-    elif op is Opcode.BEQ:
-        pc += instr.imm if regs[instr.rd] == regs[instr.rs1] else 1
-    elif op is Opcode.JMP:
-        pc = instr.imm
-    else:
-        raise AssertionError(op)
+    mem = dict(state.mem) if instr.opcode is Opcode.ST else state.mem
+    pc = _step(regs, mem, state.pc, instr)
+    if pc is None:
+        return ArchState(state.regs, state.pc, mem, halted=True)
     return ArchState(tuple(regs), pc, mem, halted=False)
 
 
 def run_reference(program: Program, max_steps: int) -> tuple[ArchState, int]:
-    """Run the reference interpreter until HALT or max_steps.
+    """Run the reference interpreter until HALT or max_steps, HALT counted
+    as a step.
 
     Non-termination shows up as max_steps exhaustion, not as a failure.
     Running past the end of the program without HALT raises ExecutionError.
     """
     if max_steps <= 0:
         raise ValueError("max_steps must be positive")
-    state = ArchState()
-    executed = 0
-    while not state.halted and executed < max_steps:
-        state = step_reference(state, program.fetch(state.pc))
-        executed += 1
-    return state, executed
+    instructions = program.instructions
+    regs = [0] * NUM_REGS
+    mem: dict = {}
+    pc = 0
+    for executed in range(1, max_steps + 1):
+        if not 0 <= pc < len(instructions):
+            program.fetch(pc)  # raises ExecutionError
+        next_pc = _step(regs, mem, pc, instructions[pc])
+        if next_pc is None:
+            return ArchState(tuple(regs), pc, mem, halted=True), executed
+        pc = next_pc
+    return ArchState(tuple(regs), pc, mem, halted=False), max_steps

@@ -435,7 +435,9 @@ def death_probability(model: MarkovModel, mission_time: float,
 
     Deterministic: no sampling is involved. Raises SolverError if the
     requested relative width cannot be reached within `max_terms` series
-    terms (the answer is never silently loosened).
+    terms, or by the outwardly rounded bracket at all, or if the
+    uniformization rate times the mission time overflows (the answer is
+    never silently loosened).
     """
     if mission_time < 0 or not math.isfinite(mission_time):
         raise ValueError("mission time must be non-negative and finite")
@@ -457,6 +459,8 @@ def death_probability(model: MarkovModel, mission_time: float,
     np.fill_diagonal(jump, np.diagonal(jump) + 1.0 - out / lam_max)
 
     q = lam_max * mission_time
+    if not math.isfinite(q):
+        raise SolverError(f"uniformization rate*T = {q:.3g} is not finite")
     use_log_weights = q > 700.0
 
     def weight(k: int, prev: float) -> float:
@@ -468,6 +472,7 @@ def death_probability(model: MarkovModel, mission_time: float,
     w = weight(0, 0.0)
     cum_w = w
     partial = 0.0  # sum of w_k * d_k; d_0 = 0 since initial is never a death state
+    met = None  # the last bracket that met tol before the outward rounding
     for k in range(1, max_terms + 1):
         vec = vec @ jump
         d_k = float(vec @ death)
@@ -478,9 +483,17 @@ def death_probability(model: MarkovModel, mission_time: float,
         lower = partial + tail * d_k  # jump-chain death mass only grows
         upper = min(1.0, partial + tail)
         if upper - lower <= tol * max(upper, WIDTH_FLOOR):
-            lower = max(0.0, lower * (1.0 - _FP_REL) - _FP_ABS)
-            upper = min(1.0, upper * (1.0 + _FP_REL) + _FP_ABS)
-            return BoundedProbability(lower, upper)
+            # The outward rounding widens the bracket, so it must meet tol too.
+            out_lower = max(0.0, lower * (1.0 - _FP_REL) - _FP_ABS)
+            out_upper = min(1.0, upper * (1.0 + _FP_REL) + _FP_ABS)
+            if out_upper - out_lower <= tol * max(out_upper, WIDTH_FLOOR):
+                return BoundedProbability(out_lower, out_upper)
+            if met == (lower, upper):
+                # The series no longer moves the bracket: only rounding is left.
+                raise SolverError(
+                    f"bound width target {tol} not reachable: the outward rounding "
+                    f"of [{lower:.3g}, {upper:.3g}] alone is wider")
+            met = lower, upper
     raise SolverError(
         f"bound width target {tol} not reached within {max_terms} series terms "
         f"(uniformization rate*T = {q:.3g})")

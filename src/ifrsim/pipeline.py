@@ -25,6 +25,7 @@ import enum
 import math
 from collections import deque
 from dataclasses import dataclass, replace
+from itertools import islice
 
 from .faults import (CONTROLLER_VEC_BITS, Delay, FaultScenario, FaultUnit,
                      StressLedger, apply_vector_faults)
@@ -251,11 +252,13 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
     reference interpreter.
 
     Bus words and parity masks are plain ints. The bus fabric (parity
-    encode, fault application, parity check) is evaluated only at sites that
-    carry faults: a fault-free site drives its word with a zero error mask
+    encode, fault application, parity check) is evaluated only at sites with
+    an active fault: any other site drives its word with a zero error mask
     by construction. Likewise the controller rails are built and two-rail
-    checked only when a rail carries faults, and the stress ledger is kept
-    as spans that close when a block's power changes.
+    checked only when a rail carries faults, the FLUSH and POWER_SWAP
+    countdowns are taken in one step up to the first cycle a rail fault is
+    active on, and the stress ledger is kept as spans that close when a
+    block's power changes.
     """
     if max_cycles < 1:
         raise ValueError(f"max_cycles must be >= 1, got {max_cycles}")
@@ -297,22 +300,26 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
     held_delay: dict = {}  # fault index -> latched stale data word
 
     def faulty_bus(stage: int, copy: int, word: int, cycle: int) -> tuple[int, int]:
-        """Drive `word` through a site that carries faults: (data, error mask)."""
-        bus = encode_bus(word)
+        """Drive `word` through a site that carries faults: (data, error mask).
+        With none of them active the site drives `word` clean."""
         hist = true_hist.setdefault((stage, copy), deque(maxlen=max_extra + 1))
         active = []
         for i, f in stage_faults[stage][copy]:
-            if not f.active_at(cycle):
-                if isinstance(f.kind, Delay):
-                    held_delay.pop(i, None)
-                continue
-            active.append(f)
+            if f.active_at(cycle):
+                active.append((i, f))
+            elif isinstance(f.kind, Delay):
+                held_delay.pop(i, None)
+        if not active:
+            hist.append(word)
+            return word, 0
+        bus = encode_bus(word)
+        for i, f in active:
             if isinstance(f.kind, Delay):
                 if i not in held_delay:
                     held_delay[i] = hist[max(len(hist) - f.kind.extra, 0)] if hist else word
                 # The data lines carry the stale word; the parity stays fresh.
                 bus = bus & ~WORD_MASK | held_delay[i]
-        bus = apply_vector_faults(bus, active, BUS_BITS)
+        bus = apply_vector_faults(bus, [f for _, f in active], BUS_BITS)
         hist.append(word)
         return bus & WORD_MASK, parity_check(bus)
 
@@ -344,7 +351,8 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
     outcome: Outcome | None = None
     total_cycles = 0
 
-    for cycle in range(max_cycles):
+    cycles = iter(range(max_cycles))
+    for cycle in cycles:
         total_cycles = cycle + 1
         live = ctrl.mode in _LIVE_MODES
         masks = _NO_MASKS
@@ -484,6 +492,21 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
                 # Ran past the end of the program without a HALT.
                 outcome = Outcome.EXHAUSTED
                 break
+        elif ctrl.remaining > 1:
+            # FLUSH and POWER_SWAP count down: until `remaining` is 1, a cycle
+            # changes nothing else unless a rail fault is active on it. Take
+            # those cycles in one step.
+            skip = min(ctrl.remaining - 1, max_cycles - total_cycles)
+            for _, f in rail_a + rail_b:
+                first = max(f.start, total_cycles)
+                if f.active_at(first):
+                    skip = min(skip, first - total_cycles)
+            if skip:
+                next(islice(cycles, skip, skip), None)  # consumes `skip` cycles
+                total_cycles += skip
+                ctrl = replace(ctrl, remaining=ctrl.remaining - skip)
+                if bus_trace is not None:
+                    bus_trace.extend([None] * skip)
 
     if outcome is None:
         outcome = Outcome.EXHAUSTED

@@ -11,9 +11,9 @@ import pytest
 from ifrsim.cli import build_parser, main
 from ifrsim.faults import parse_scenario
 from ifrsim.hw import BUS_BITS, encode_bus
-from ifrsim.isa import assemble
+from ifrsim.isa import ArchState, assemble, run_reference
 from ifrsim.markov import parse_model
-from ifrsim.pipeline import CoreConfig, RecoveryEvent, SimReport, run_core
+from ifrsim.pipeline import CoreConfig, Outcome, RecoveryEvent, SimReport, run_core
 from test_sim_golden import CLI_CASES, GOLDEN, ROOT
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -107,3 +107,35 @@ def test_repair_chain_model_has_what_the_benchmark_reads(monkeypatch):
         ("up", "degraded", 2e-3), ("degraded", "up", 10.0), ("degraded", "dead", 1e-3)]
     assert model.outgoing_rate("degraded") == 10.0 + 1e-3
     assert model.constants["mu"] == 10.0 and type(model.constants["mu"]) is float
+
+
+def test_run_reference_returns_the_state_and_the_steps_with_halt_counted():
+    # `_golden` unpacks (state, steps) and reads `halted`; the traced
+    # `reference_steps` count is `result[1]`, which includes the HALT.
+    result = run_reference(assemble("LDI r1, 3\nADD r2, r1, r1\nHALT"), 100)
+    assert isinstance(result, tuple) and len(result) == 2
+    state, steps = result
+    assert type(state) is ArchState and state.halted and steps == 3
+    assert state.regs[2] == 6
+    cut, cut_steps = run_reference(assemble("LDI r1, 3\nADD r2, r1, r1\nHALT"), 2)
+    assert not cut.halted and cut_steps == 2
+
+
+def test_swap_run_bus_trace_has_one_entry_per_cycle():
+    # tests/corpus.py picks stuck-at cycles by index into `bus_trace`, and
+    # skips the None entries of cycles where no stage drives a bus.
+    lines = [f"LDI r1, {i % 2}\nADD r2, r1, r1" for i in range(40)]
+    program = assemble("\n".join(lines) + "\nHALT")
+    report = run_core(program, CoreConfig(),
+                      parse_scenario("@10 PERM decode.main stuckat 3 1"), trace=True)
+    assert report.outcome is Outcome.COMPLETED
+    (event,) = report.events
+    assert len(report.bus_trace) == report.total_cycles
+    countdown = range(event.end_cycle + 1, event.resume_cycle)
+    assert len(countdown) == 67  # flush plus power-up at the default config
+    for cycle, row in enumerate(report.bus_trace):
+        if cycle in countdown:
+            assert row is None, cycle
+        else:
+            assert isinstance(row, tuple) and len(row) == 3, cycle
+            assert all(0 <= word <= 0xFFFFFFFF for word in row), cycle

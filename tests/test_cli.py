@@ -284,6 +284,19 @@ def test_markov_single_point_solver_failure_exits_3(monkeypatch, tmp_path, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, reason", [
+    (["--lam", "1e-18", "--tol", "1e-4"], "outward rounding"),
+    (["--lam", "1e-3", "--tol", "1e-12"], "outward rounding"),
+    (["--lam", "1e308", "--T", "1000"], "not finite"),
+])
+def test_markov_unreachable_bracket_exits_3(tmp_path, capsys, argv, reason):
+    out = tmp_path / "x.csv"
+    assert main(["markov", "--builtin", "simplex", *argv, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("solver error: ") and reason in err
+    assert not out.exists()
+
+
 def test_markov_builtin_needs_point_or_sweep(tmp_path):
     assert main(["markov", "--builtin", "tmr", "--out", str(tmp_path / "x.csv")]) == 2
 

@@ -1,6 +1,9 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
+from corpus import gen_loop_program, gen_program
 from ifrsim.isa import (ArchState, AssemblyError, ExecutionError, Instruction,
                         Opcode, assemble, decode_word, encode_instruction,
                         run_reference, step_reference)
@@ -153,3 +156,52 @@ def test_encode_decode_roundtrip(instr):
 @given(st.integers(0, 0xFFFFFFFF))
 def test_decode_is_total(word):
     decode_word(word)  # never raises, unknown opcodes fall back to NOP
+
+
+def _fold_steps(program, max_steps):
+    """The reference run as a fold of `step_reference`, HALT counted."""
+    state, steps = ArchState(), 0
+    while not state.halted and steps < max_steps:
+        state = step_reference(state, program.fetch(state.pc))
+        steps += 1
+    return state, steps
+
+
+_STORE_HEAVY = assemble("""
+LDI r1, 40
+LDI r2, 1
+LDI r3, 7
+ST r3, r1, 0
+ST r1, r1, 1
+ADD r3, r3, r3
+ST r3, r1, -1
+LD r4, r1, 0
+ST r4, r4, 2
+SUB r1, r1, r2
+BEQ r1, r0, 2
+JMP 3
+ST r1, r0, 0
+HALT
+""")
+
+
+def test_run_reference_equals_the_step_fold():
+    rng = random.Random(0x5EF)
+    programs = [gen_program(rng) for _ in range(40)]
+    programs += [gen_loop_program(rng, rng.randrange(3, 8)) for _ in range(20)]
+    programs.append(_STORE_HEAVY)
+    for program in programs:
+        _, full = _fold_steps(program, 100_000)
+        # Budgets that stop short of the HALT, land on it, and run past it.
+        for budget in (1, full // 2 or 1, full - 1 or 1, full, full + 5):
+            assert run_reference(program, budget) == _fold_steps(program, budget), budget
+    state, steps = run_reference(_STORE_HEAVY, 100_000)
+    assert state.halted and len(state.mem) > 40
+
+
+def test_step_reference_store_leaves_its_input_memory_unchanged():
+    mem = {12: 5}
+    state = ArchState(regs=(0, 42, 8) + (0,) * 13, mem=mem)
+    out = step_reference(state, Instruction(Opcode.ST, rd=1, rs1=2, imm=4))
+    assert out.mem == {12: 42}
+    assert state.mem is mem and mem == {12: 5}

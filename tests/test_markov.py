@@ -5,7 +5,7 @@ from functools import partial
 
 import pytest
 
-from ifrsim.markov import (MC_CHUNK, BoundedProbability, MarkovModel, ModelError, SolverError,
+from ifrsim.markov import (MC_CHUNK, WIDTH_FLOOR, BoundedProbability, MarkovModel, ModelError, SolverError,
                            SweepSpec, Transition, build_ifr_pipeline_model,
                            build_simplex_model, build_standby_model, build_tmr_model,
                            death_probability, monte_carlo_death_probability,
@@ -267,6 +267,31 @@ def test_solver_budget_failure_is_explicit():
 def test_tol_validation():
     with pytest.raises(ValueError):
         death_probability(build_simplex_model(1e-3), T, tol=0.0)
+
+
+@pytest.mark.parametrize("lam, tol", [
+    (1e-3, 3e-12), (1e-3, 1e-9), (1e-6, 1e-8), (1e-18, 0.05), (1e-2, 1e-11)])
+def test_returned_bracket_meets_tol_after_outward_rounding(lam, tol):
+    bracket = death_probability(build_simplex_model(lam), T, tol=tol)
+    assert bracket.lower <= analytic_simplex(lam, T) <= bracket.upper
+    assert bracket.upper - bracket.lower <= tol * max(bracket.upper, WIDTH_FLOOR)
+
+
+@pytest.mark.parametrize("lam, tol", [
+    # The outward nudge alone widens any bracket near 0.63 by 2.003e-12
+    # relative, and one of about 1e-15 to 2e-15 absolute.
+    (1e-3, 1e-12), (1e-3, 2e-12), (1e-18, 1e-4)])
+def test_tol_the_outward_rounding_cannot_meet_is_refused(lam, tol):
+    with pytest.raises(SolverError, match="outward rounding"):
+        death_probability(build_simplex_model(lam), T, tol=tol)
+
+
+@pytest.mark.parametrize("lam, mission_time", [(1e308, T), (1e300, 1e10)])
+def test_overflowing_uniformization_rate_is_refused_before_the_series(lam, mission_time):
+    # Uniformization needs q = rate*T finite; an infinite q would spend the
+    # whole series budget on NaN terms.
+    with pytest.raises(SolverError, match="not finite"):
+        death_probability(build_simplex_model(lam), mission_time)
 
 
 # ---------------------------------------------------------------------------

@@ -606,3 +606,91 @@ def test_latent_controller_rail_fault_ends_dead(text, cycles, events):
     assert report.total_cycles == cycles
     assert len(report.events) == events
     report.stress.assert_conserved(cycles)
+
+
+# ---------------------------------------------------------------------------
+# The repair countdown: FLUSH and POWER_SWAP cycles change only `remaining`
+# ---------------------------------------------------------------------------
+
+# _DECODE_SWAP on _alternating_program(80) classifies decode at cycle 25.
+# FLUSH runs cycles 26-28 and powers the spare on at 28; POWER_SWAP runs
+# cycles 29-92 and switches to the spare at 92; the core resumes at 93.
+_CLASSIFIED, _POWER_ON, _SWAP = 25, 28, 92
+_COUNTDOWN = range(_CLASSIFIED + 1, _SWAP + 1)
+
+
+def _run_summary(report):
+    return {
+        "outcome": report.outcome,
+        "total_cycles": report.total_cycles,
+        "events": [(e.fault_id, e.stage, e.classified, e.detect_cycle, e.end_cycle,
+                    e.swap_complete_cycle, e.resume_cycle) for e in report.events],
+        "stress": {(k.value, c.value): (s.on_cycles, s.off_cycles, s.powering_cycles)
+                   for (k, c), s in report.stress.blocks.items()},
+        "final_power": {(k.value, c.value): p.value
+                        for (k, c), p in report.final_power.items()},
+    }
+
+
+def _cut_in_countdown(outcome, last_cycle):
+    """The summary of a swap run that ends on `last_cycle` of the countdown,
+    before the switch flips. The spare powers from the cycle after the
+    power-on strobe; a run that dies on the strobe's cycle drops it."""
+    total = last_cycle + 1
+    powering = max(0, total - (_POWER_ON + 1))
+    strobed = last_cycle > _POWER_ON or (last_cycle == _POWER_ON
+                                         and outcome is Outcome.EXHAUSTED)
+    return {
+        "outcome": outcome,
+        "total_cycles": total,
+        "events": [(0, StageKind.DECODE, "permanent", 10, _CLASSIFIED, None, None)],
+        "stress": {
+            ("predecode", "main"): (total, 0, 0), ("predecode", "spare"): (0, total, 0),
+            ("decode", "main"): (_CLASSIFIED + 1, total - _CLASSIFIED - 1, 0),
+            ("decode", "spare"): (0, total - powering, powering),
+            ("execute", "main"): (total, 0, 0), ("execute", "spare"): (0, total, 0),
+        },
+        "final_power": {
+            ("predecode", "main"): "on", ("predecode", "spare"): "off",
+            ("decode", "main"): "off",
+            ("decode", "spare"): "powering" if strobed else "off",
+            ("execute", "main"): "on", ("execute", "spare"): "off",
+        },
+    }
+
+
+@pytest.mark.parametrize("start", _COUNTDOWN)
+def test_rail_fault_inside_the_countdown_ends_dead_on_its_first_cycle(start):
+    # Rail a's bit 4 (focal stage decode) is stuck at 0 from `start` on, so
+    # the rails disagree on the first cycle it is active. The strobe of that
+    # cycle (power-on at 28, switch at 92) is dropped in favour of Dead.
+    text = f"{_DECODE_SWAP}\n@{start} PERM controller.a stuckat 4 0"
+    report = run_core(_alternating_program(80), CFG, parse_scenario(text))
+    assert _run_summary(report) == _cut_in_countdown(Outcome.DEAD, start)
+
+
+@pytest.mark.parametrize("max_cycles", range(_CLASSIFIED + 1, _SWAP + 2))
+def test_cycle_budget_ending_inside_the_countdown(max_cycles):
+    report = run_core(_alternating_program(80), CFG, parse_scenario(_DECODE_SWAP),
+                      max_cycles=max_cycles)
+    if max_cycles <= _SWAP:
+        assert _run_summary(report) == _cut_in_countdown(Outcome.EXHAUSTED, max_cycles - 1)
+    else:
+        # The budget ends on the switch cycle itself: the spare is on.
+        summary = _run_summary(report)
+        assert (summary["outcome"], summary["total_cycles"]) == (Outcome.EXHAUSTED, _SWAP + 1)
+        assert summary["stress"][("decode", "spare")] == \
+            (0, _POWER_ON + 1, CFG.powerup_cycles_per_block)
+        assert summary["final_power"][("decode", "spare")] == "on"
+        assert summary["events"] == [(0, StageKind.DECODE, "permanent", 10, _CLASSIFIED,
+                                      None, _SWAP + 1)]
+
+
+def test_countdown_windows_match_the_config():
+    # The constants above follow from the config and the scenario.
+    report = run_core(_alternating_program(80), CFG, parse_scenario(_DECODE_SWAP))
+    event = report.permanent_events[0]
+    assert event.end_cycle == _CLASSIFIED
+    assert _POWER_ON == _CLASSIFIED + CFG.flush_cycles
+    assert _SWAP == _POWER_ON + CFG.powerup_cycles_per_block
+    assert event.resume_cycle == _SWAP + 1
