@@ -333,6 +333,8 @@ def _markov_source(args, report: CsvReport):
 def cmd_markov(args) -> int:
     if args.mc is not None and args.mc < 1:
         raise CliError(f"--mc needs at least 1 trial, got {args.mc}")
+    if args.seed < 0:
+        raise CliError(f"--seed must be a non-negative integer, got {args.seed}")
     report = CsvReport(columns=[])
     report.add_meta("tool", TOOL_ID)
     report.add_meta("subcommand", "markov")

@@ -98,10 +98,6 @@ class TimedFault:
 class FaultScenario:
     faults: tuple[TimedFault, ...] = ()
 
-    def labels(self, permanent_threshold: int) -> tuple[str, ...]:
-        return tuple("permanent" if f.is_permanent(permanent_threshold) else "transient"
-                     for f in self.faults)
-
     def validate(self, permanent_threshold: int) -> None:
         for index, fault in enumerate(self.faults):
             if (isinstance(fault.kind, TransientFlip)
@@ -123,22 +119,21 @@ def _fault_order(fault: TimedFault) -> tuple:
     return _KIND_RANK[type(kind)], getattr(kind, "bit", -1), getattr(kind, "value", 0)
 
 
-def apply_faults(bus: int, faults: set[TimedFault] | list[TimedFault],
-                 previous_bus: int) -> int:
-    """Corrupt one bus (`hw.encode_bus`'s 36 lines) with every fault in the
-    set. An active delay fault first drives the previous bus's data lines
-    (parity stays fresh). `run_core` latches a delayed word across cycles
-    itself and drives its buses straight into `apply_vector_faults`.
+def apply_faults(bus: int, faults: list[TimedFault], stale: int) -> int:
+    """Corrupt one bus (`hw.encode_bus`'s 36 lines) with the active faults of
+    its site. If any of them is a delay, the data lines first carry `stale`,
+    the data word the caller latched `extra` cycles back when the delay
+    activated, while the parity stays fresh; flips and stuck-ats then apply
+    on top.
     """
     if any(isinstance(fault.kind, Delay) for fault in faults):
-        bus = bus & ~_DATA_LINES | previous_bus & _DATA_LINES
+        bus = bus & ~_DATA_LINES | stale & _DATA_LINES
     return apply_vector_faults(bus, faults, BUS_BITS)
 
 
 def apply_vector_faults(vector: int, faults: list[TimedFault], width: int = CONTROLLER_VEC_BITS) -> int:
     """Flip and stuck-at application on a flat bit vector: a controller rail
-    or a packed bus. A delay is left to the caller, which drives the stale
-    data into `vector`."""
+    or a packed bus. Delays are `apply_faults`' to apply."""
     for fault in sorted(faults, key=_fault_order):
         kind = fault.kind
         if isinstance(kind, TransientFlip):

@@ -141,15 +141,19 @@ class SweepSpec:
 
     def __post_init__(self):
         if not 0 < self.lo < self.hi:
-            raise ValueError("sweep range must satisfy 0 < lo < hi")
+            raise ValueError(f"sweep range must satisfy 0 < lo < hi, got {self.constant} "
+                             f"from {self.lo:g} to {self.hi:g}")
         if self.points < 2:
             raise ValueError("sweep needs at least 2 points")
         if self.mission_time < 0:
             raise ValueError("mission time must be non-negative")
-        ratio = self.hi / self.lo
+        ratio = self.hi / self.lo  # infinite for an infinite hi, too
+        if not math.isfinite(ratio):
+            raise ValueError(f"sweep range must be finite, got {self.constant} from "
+                             f"{self.lo:g} to {self.hi:g}")
         grid = tuple(self.lo * ratio ** (i / (self.points - 1)) for i in range(self.points))
         if any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ValueError("sweep points must be strictly increasing in lambda")
+            raise ValueError(f"sweep points must be strictly increasing in {self.constant}")
         object.__setattr__(self, "_grid", grid)
 
     def grid(self) -> tuple[float, ...]:
@@ -428,14 +432,13 @@ def build_ifr_pipeline_model(lambda_p: float, lambda_sw: float,
 # ---------------------------------------------------------------------------
 
 def death_probability(model: MarkovModel, mission_time: float,
-                      tol: float = DEFAULT_TOL,
-                      max_terms: int = MAX_SERIES_TERMS) -> BoundedProbability:
+                      tol: float = DEFAULT_TOL) -> BoundedProbability:
     """Certified bracket on the probability of having entered any death state
     by the mission time.
 
     Deterministic: no sampling is involved. Raises SolverError if the
-    requested relative width cannot be reached within `max_terms` series
-    terms, or by the outwardly rounded bracket at all, or if the
+    requested relative width cannot be reached within MAX_SERIES_TERMS
+    series terms, or by the outwardly rounded bracket at all, or if the
     uniformization rate times the mission time overflows (the answer is
     never silently loosened).
     """
@@ -473,7 +476,7 @@ def death_probability(model: MarkovModel, mission_time: float,
     cum_w = w
     partial = 0.0  # sum of w_k * d_k; d_0 = 0 since initial is never a death state
     met = None  # the last bracket that met tol before the outward rounding
-    for k in range(1, max_terms + 1):
+    for k in range(1, MAX_SERIES_TERMS + 1):
         vec = vec @ jump
         d_k = float(vec @ death)
         w = weight(k, w)
@@ -495,7 +498,7 @@ def death_probability(model: MarkovModel, mission_time: float,
                     f"of [{lower:.3g}, {upper:.3g}] alone is wider")
             met = lower, upper
     raise SolverError(
-        f"bound width target {tol} not reached within {max_terms} series terms "
+        f"bound width target {tol} not reached within {MAX_SERIES_TERMS} series terms "
         f"(uniformization rate*T = {q:.3g})")
 
 
@@ -507,17 +510,15 @@ class MonteCarloEstimate:
 
 
 def monte_carlo_death_probability(model: MarkovModel, mission_time: float,
-                                  trials: int, seed: int,
-                                  samplers: dict | None = None) -> MonteCarloEstimate:
+                                  trials: int, seed: int) -> MonteCarloEstimate:
     """Trajectory-sampling oracle for the bound solver.
 
     Each trial races the outgoing transitions of the current state with
-    independently sampled holding times (exponential by default; a
-    `(source, target) -> callable(rng, size)` mapping may substitute other
-    distributions) and records whether a death state is entered by the
-    mission time. The trials run in consecutive chunks of MC_CHUNK that share
-    one random stream, so memory is bounded by MC_CHUNK trials and the result
-    depends only on `(seed, trials)`.
+    independently sampled exponential holding times and records whether a
+    death state is entered by the mission time. The trials run in
+    consecutive chunks of MC_CHUNK that share one random stream, so memory
+    is bounded by MC_CHUNK trials and the result depends only on
+    `(seed, trials)`.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -527,9 +528,8 @@ def monte_carlo_death_probability(model: MarkovModel, mission_time: float,
     index = {s: i for i, s in enumerate(model.states)}
     outgoing: list = [[] for _ in model.states]
     for tr in model.transitions:
-        sampler = (samplers or {}).get((tr.source, tr.target))
-        outgoing[index[tr.source]].append((index[tr.target], 1.0 / tr.rate, sampler))
-    targets = [np.array([t for t, _, _ in moves], dtype=np.int64) for moves in outgoing]
+        outgoing[index[tr.source]].append((index[tr.target], 1.0 / tr.rate))
+    targets = [np.array([t for t, _ in moves], dtype=np.int64) for moves in outgoing]
     is_death = np.array([s in model.death_states for s in model.states])
     # One row of holding times per move, reused by every round of every chunk.
     buffer = np.empty((max(map(len, outgoing)), min(trials, MC_CHUNK)))
@@ -551,12 +551,9 @@ def monte_carlo_death_probability(model: MarkovModel, mission_time: float,
                     state[idx] = -1
                     continue
                 times = buffer[:len(moves), :idx.size]
-                for row, (_, scale, sampler) in zip(times, moves):
-                    if sampler is None:
-                        rng.standard_exponential(out=row)
-                        row *= scale  # as rng.exponential(scale) computes it
-                    else:
-                        row[:] = sampler(rng, idx.size)
+                for row, (_, scale) in zip(times, moves):
+                    rng.standard_exponential(out=row)
+                    row *= scale  # as rng.exponential(scale) computes it
                 if len(moves) == 1:
                     step, dest = times[0], targets[s][0]
                 else:

@@ -28,8 +28,8 @@ from dataclasses import dataclass, replace
 from itertools import islice
 
 from .faults import (CONTROLLER_VEC_BITS, Delay, FaultScenario, FaultUnit,
-                     StressLedger, apply_vector_faults)
-from .hw import (BUS_BITS, Copy, PIPELINE_ORDER, PowerState, StageKind,
+                     StressLedger, apply_faults, apply_vector_faults)
+from .hw import (Copy, PIPELINE_ORDER, PowerState, StageKind,
                  encode_bus, parity_check, trc_compare)
 from .isa import (ArchState, ExecutionError, Instruction, Opcode, Program,
                   WORD_MASK, decode_word, dst_reg, encode_instruction,
@@ -294,33 +294,36 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
             assert not live_next or copies[position in ctrl.on_spare] is PowerState.ON, \
                 "selected copy must be powered"
 
-    max_extra = max((f.kind.extra for f in scenario.faults if isinstance(f.kind, Delay)),
-                    default=1)
-    true_hist: dict = {}  # (stage, copy) -> deque of true data words over observed cycles
+    # Each site with a delay fault keeps the true data words of its last
+    # `extra` + 1 observed cycles, for the largest `extra` there.
+    delay_hist: dict = {}  # (stage, copy) -> deque of true data words
+    for stage, copies in enumerate(stage_faults):
+        for copy, faults in enumerate(copies):
+            extras = [f.kind.extra for _, f in faults if isinstance(f.kind, Delay)]
+            if extras:
+                delay_hist[stage, copy] = deque(maxlen=max(extras) + 1)
     held_delay: dict = {}  # fault index -> latched stale data word
 
     def faulty_bus(stage: int, copy: int, word: int, cycle: int) -> tuple[int, int]:
         """Drive `word` through a site that carries faults: (data, error mask).
         With none of them active the site drives `word` clean."""
-        hist = true_hist.setdefault((stage, copy), deque(maxlen=max_extra + 1))
+        hist = delay_hist.get((stage, copy))
         active = []
+        stale = word
         for i, f in stage_faults[stage][copy]:
             if f.active_at(cycle):
-                active.append((i, f))
-            elif isinstance(f.kind, Delay):
-                held_delay.pop(i, None)
-        if not active:
+                active.append(f)
+                if isinstance(f.kind, Delay):
+                    # A delay latches its stale word when it activates; the
+                    # last active one in scenario order drives the data lines.
+                    if i not in held_delay:
+                        held_delay[i] = hist[max(len(hist) - f.kind.extra, 0)] if hist else word
+                    stale = held_delay[i]
+        if hist is not None:
             hist.append(word)
+        if not active:
             return word, 0
-        bus = encode_bus(word)
-        for i, f in active:
-            if isinstance(f.kind, Delay):
-                if i not in held_delay:
-                    held_delay[i] = hist[max(len(hist) - f.kind.extra, 0)] if hist else word
-                # The data lines carry the stale word; the parity stays fresh.
-                bus = bus & ~WORD_MASK | held_delay[i]
-        bus = apply_vector_faults(bus, [f for _, f in active], BUS_BITS)
-        hist.append(word)
+        bus = apply_faults(encode_bus(word), active, stale)
         return bus & WORD_MASK, parity_check(bus)
 
     def attribute_fault(stage: int, cycle: int) -> int | None:

@@ -1,12 +1,10 @@
 import math
-from functools import partial
 from pathlib import Path
 
 import pytest
 
 from ifrsim import cli, markov
 from ifrsim.cli import main
-from ifrsim.markov import death_probability
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 WORKLOAD = str(SAMPLES / "workload.asm")
@@ -276,7 +274,7 @@ def test_markov_malformed_model_is_parse_error(tmp_path):
 
 
 def test_markov_single_point_solver_failure_exits_3(monkeypatch, tmp_path, capsys):
-    monkeypatch.setattr(cli, "death_probability", partial(death_probability, max_terms=3))
+    monkeypatch.setattr(markov, "MAX_SERIES_TERMS", 3)
     out = tmp_path / "x.csv"
     assert main(["markov", "--builtin", "tmr", "--lam", "1e-2", "--out", str(out)]) == 3
     err = capsys.readouterr().err
@@ -357,6 +355,39 @@ def test_markov_and_compare_bad_numbers_are_usage_errors(args, tmp_path, capsys)
     assert main(args + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+_REPAIR_MODEL = """
+    CONST lambda = 1e-3; CONST mu = 1e-2;
+    STATE up; STATE degraded; STATE dead DEATH;
+    INIT up;
+    up -> degraded : 2 * lambda; degraded -> up : mu; degraded -> dead : lambda;
+"""
+
+
+@pytest.mark.parametrize("args, message", [
+    (["markov", "--model", "REPAIR", "--sweep-const", "mu", "1e-2", "1e-6", "3"],
+     "error: sweep range must satisfy 0 < lo < hi, got mu from 0.01 to 1e-06"),
+    (["markov", "--model", "REPAIR", "--sweep-const", "mu", "1", "1.0000000000000002", "3"],
+     "error: sweep points must be strictly increasing in mu"),
+    (["markov", "--model", "REPAIR", "--sweep-const", "mu", "1e-6", "inf", "3"],
+     "error: sweep range must be finite, got mu from 1e-06 to inf"),
+    (["markov", "--builtin", "simplex", "--sweep", "1e-300", "1e300", "5"],
+     "error: sweep range must be finite, got lambda from 1e-300 to 1e+300"),
+    (["compare", "--sweep", "1e-6", "1e400", "3"],
+     "error: sweep range must be finite, got lambda from 1e-06 to inf"),
+    (["markov", "--builtin", "simplex", "--lam", "1e-6", "--mc", "10", "--seed", "-1"],
+     "error: --seed must be a non-negative integer, got -1"),
+], ids=["const-reversed", "const-not-increasing", "const-infinite", "ratio-overflows",
+        "compare-infinite", "negative-seed"])
+def test_refusals_name_what_they_refuse(args, message, tmp_path, capsys):
+    model = tmp_path / "repair.model"
+    model.write_text(_REPAIR_MODEL)
+    out = tmp_path / "x.csv"
+    assert main([str(model) if arg == "REPAIR" else arg for arg in args]
+                + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == message + "\n"
     assert not out.exists()
 
 
@@ -497,7 +528,7 @@ def test_compare_scales_and_identity(tmp_path):
 
 
 def test_compare_solver_failure_leaves_blank_cells(monkeypatch, tmp_path):
-    monkeypatch.setattr(markov, "death_probability", partial(death_probability, max_terms=3))
+    monkeypatch.setattr(markov, "MAX_SERIES_TERMS", 3)
     code, text = run_cli(["compare", "--sweep", "1e-6", "1e-2", "3"], tmp_path)
     _, columns, rows = parse_csv(text)
     assert code == 3

@@ -127,12 +127,9 @@ def test_fault_validation():
 
 
 def test_ground_truth_labels():
-    scenario = FaultScenario((
-        _fault(StuckAt(0, 1), duration=PERMANENT),
-        _fault(StuckAt(0, 1), duration=16),
-        _fault(TransientFlip(2), duration=3),
-    ))
-    assert scenario.labels(16) == ("permanent", "permanent", "transient")
+    faults = (_fault(StuckAt(0, 1), duration=PERMANENT), _fault(StuckAt(0, 1), duration=16),
+              _fault(TransientFlip(2), duration=3))
+    assert [fault.is_permanent(16) for fault in faults] == [True, True, False]
 
 
 def test_long_flip_warns():

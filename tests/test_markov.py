@@ -5,6 +5,7 @@ from functools import partial
 
 import pytest
 
+from ifrsim import markov
 from ifrsim.markov import (MC_CHUNK, WIDTH_FLOOR, BoundedProbability, MarkovModel, ModelError, SolverError,
                            SweepSpec, Transition, build_ifr_pipeline_model,
                            build_simplex_model, build_standby_model, build_tmr_model,
@@ -259,9 +260,10 @@ def test_bounds_are_deterministic():
     assert (a.lower, a.upper) == (b.lower, b.upper)
 
 
-def test_solver_budget_failure_is_explicit():
+def test_solver_budget_failure_is_explicit(monkeypatch):
+    monkeypatch.setattr(markov, "MAX_SERIES_TERMS", 3)
     with pytest.raises(SolverError, match="bound width"):
-        death_probability(build_tmr_model(1e-2), T, tol=1e-9, max_terms=3)
+        death_probability(build_tmr_model(1e-2), T, tol=1e-9)
 
 
 def test_tol_validation():
@@ -338,15 +340,6 @@ def test_mc_overlap_with_solver_bracket():
         assert estimate.estimate + estimate.ci99 >= bracket.lower
 
 
-def test_mc_pluggable_holding_time():
-    # A deterministic holding time shorter than the mission kills every trial.
-    model = build_simplex_model(1e-6)
-    import numpy as np
-    samplers = {("up", "dead"): lambda rng, size: np.full(size, 1.0)}
-    estimate = monte_carlo_death_probability(model, T, 500, seed=1, samplers=samplers)
-    assert estimate.estimate == 1.0
-
-
 _TRAP_MODEL = """
     CONST l = 1e-3;
     STATE up; STATE safe_stop; STATE dead DEATH;
@@ -364,22 +357,18 @@ _REPAIR_CHAIN = """
 """
 
 
-@pytest.mark.parametrize("make_model, samplers, estimate, ci99", [
+@pytest.mark.parametrize("make_model, estimate, ci99", [
     # Trials stuck in a live state with no way out.
-    (lambda: parse_model(_TRAP_MODEL), None, 0.26225, 0.00801151110965198),
+    (lambda: parse_model(_TRAP_MODEL), 0.26225, 0.00801151110965198),
     # Trials moving back to a lower-indexed state.
-    (lambda: parse_model(_REPAIR_CHAIN), None, 0.1332, 0.006188902565825071),
+    (lambda: parse_model(_REPAIR_CHAIN), 0.1332, 0.006188902565825071),
     # Trials moving on to a later state within one round.
-    (lambda: build_ifr_pipeline_model(1e-3, 1e-4, 1e-4), None, 0.3943, 0.008901111824736728),
-    # A non-exponential holding time.
-    (lambda: build_simplex_model(1e-3),
-     {("up", "dead"): lambda rng, size: rng.uniform(0, 2000, size)},
-     0.4958, 0.009106610540369181),
-], ids=["trap", "repair", "ifr-pipeline", "sampler"])
-def test_mc_exact_draws_are_pinned(make_model, samplers, estimate, ci99):
+    (lambda: build_ifr_pipeline_model(1e-3, 1e-4, 1e-4), 0.3943, 0.008901111824736728),
+], ids=["trap", "repair", "ifr-pipeline"])
+def test_mc_exact_draws_are_pinned(make_model, estimate, ci99):
     # Pins the oracle's draw order: any change to which trial consumes which
     # random number moves these exact values.
-    got = monte_carlo_death_probability(make_model(), T, 20_000, seed=7, samplers=samplers)
+    got = monte_carlo_death_probability(make_model(), T, 20_000, seed=7)
     assert (got.estimate, got.ci99) == (estimate, ci99)
 
 
@@ -395,17 +384,13 @@ def test_mc_memory_is_bounded_by_one_chunk():
     assert peak < 8 * 2 ** 20
 
 
-@pytest.mark.parametrize("samplers", [
-    None,
-    {("all_up", "on_spare"): lambda rng, size: rng.uniform(0, 2000, size)},
-], ids=["exponential", "sampler"])
-def test_mc_next_chunk_continues_the_stream(samplers):
+def test_mc_next_chunk_continues_the_stream():
     # Trial MC_CHUNK + 1 runs in a chunk of its own, drawn after every round of
     # the first chunk, so it adds at most one death to the first chunk's count.
     model = build_ifr_pipeline_model(1e-3, 1e-4, 1e-4)
 
     def deaths(trials):
-        return monte_carlo_death_probability(model, T, trials, seed=11, samplers=samplers).deaths
+        return monte_carlo_death_probability(model, T, trials, seed=11).deaths
 
     assert deaths(MC_CHUNK + 1) - deaths(MC_CHUNK) in (0, 1)
 

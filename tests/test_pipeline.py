@@ -266,6 +266,34 @@ def test_delay_with_deeper_lag_classified_permanent():
     assert [e.classified for e in report.events] == ["permanent"]
 
 
+# Each register is loaded once with an even-parity byte, so a stale word
+# passes parity and stays in the final state. Delay 1 latches cycle 3's
+# result (5) at cycle 4; delay 3 latches cycle 5's (9) at cycle 8.
+_WRITE_ONCE = assemble("\n".join(
+    f"LDI r{i}, {v}" for i, v in enumerate(
+        [3, 5, 6, 9, 10, 12, 17, 18, 20, 24, 33, 34, 36, 40, 48], start=1)) + "\nHALT")
+_DELAY_1 = "@4 T:8 execute.main delay 1"
+_DELAY_3 = "@8 T:3 execute.main delay 3"
+_FLIP = "@9 T:1 execute.main flip 0"
+
+
+@pytest.mark.parametrize("faults, regs", [
+    # Delay 3 is later in scenario order, so it drives cycles 8-10.
+    ((_DELAY_1, _DELAY_3, _FLIP), (0, 3, 5, 5, 5, 5, 5, 9, 9, 5, 24, 33, 34, 36, 40, 48)),
+    # Delay 1 is later, so it drives its whole window.
+    ((_DELAY_3, _DELAY_1, _FLIP), (0, 3, 5, 5, 5, 5, 5, 5, 5, 5, 24, 33, 34, 36, 40, 48)),
+], ids=["delay-3-last", "delay-1-last"])
+def test_overlapping_delays_the_later_one_in_scenario_order_drives_the_bus(faults, regs):
+    # The flip on top breaks parity for one cycle; the delays never do.
+    report = run_core(_WRITE_ONCE, CFG, parse_scenario("\n".join(faults)))
+    assert (report.outcome, report.total_cycles) == (Outcome.COMPLETED, 19)
+    assert [(e.fault_id, e.stage, e.classified, e.detect_cycle, e.end_cycle)
+            for e in report.events] == [(0, StageKind.EXECUTE, "transient", 9, 10)]
+    assert (report.final_state.regs, report.final_state.pc,
+            report.final_state.mem) == (regs, 15, {})
+    assert not matches_reference(report, _WRITE_ONCE)
+
+
 def test_fault_on_cold_spare_is_inert():
     program = _alternating_program()
     scenario = FaultScenario((TimedFault(StuckAt(3, 1),
