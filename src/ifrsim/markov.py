@@ -2,13 +2,33 @@
 
 A model is a set of named states with exponential transitions into absorbing
 death states. The transient solver returns a certified [lower, upper] bracket
-on the probability of having entered any death state by the mission time,
-computed by uniformising the chain and truncating the Poisson-weighted jump
-series: every truncated term is non-negative and the death probability of the
-embedded jump chain is non-decreasing, so the tail mass yields rigorous
-two-sided bounds which are tightened until the requested relative width is
-met. A trajectory-sampling Monte Carlo estimator serves as an independent
-oracle for the solver.
+on the probability of having entered any death state by the mission time.
+Both of its methods uniformise the chain: with Λ at least every state's
+outgoing rate, P = I + Q/Λ is a non-negative stochastic jump matrix and
+exp(Q·T) = Σ_k Poisson(k; Λ·T) P^k.
+
+While q = Λ·T is at most SERIES_Q_MAX the solver truncates that series for
+the initial state: every truncated term is non-negative and the death
+probability of the jump chain is non-decreasing, so the tail mass yields
+rigorous two-sided bounds which are tightened until the requested relative
+width is met. Above it the series would need O(q) terms, so the solver
+scales and squares instead (Moler & Van Loan, "Nineteen Dubious Ways", 2003):
+it bounds exp(Q·T/2^s), with q/2^s a few units, between an entry-wise lower
+matrix L (the truncated series) and upper matrix U (the series plus its
+Poisson tail mass on every entry), and squares both s times, which keeps
+L <= exp(Q·T) <= U since all of them are non-negative.
+
+Squaring turns a relative rounding error per product into about 2^s times
+that error, so every rounding is accounted for: P is rounded outward from
+its exact rational value, and each computed product is deflated (L) or
+inflated (U) by a factor that covers all its roundings, as are the Poisson
+weights and the series sum. After each product L loses and U gains _TINY,
+far above anything that underflowed, and L is clipped at 0. When the
+squaring factors alone would widen the bracket past the tolerance the
+solver refuses before any product.
+
+A trajectory-sampling Monte Carlo estimator serves as an independent oracle
+for the solver.
 """
 from __future__ import annotations
 
@@ -21,6 +41,19 @@ import numpy as np
 DEFAULT_TOL = 0.05
 WIDTH_FLOOR = 1e-12
 MAX_SERIES_TERMS = 200_000
+# Above this uniformization rate times mission time the solver scales and
+# squares. Below it the series spends all but 1e-14 of its Poisson mass in
+# about q + 8·sqrt(q) terms, under 154,000, well within MAX_SERIES_TERMS. It
+# is fixed, not derived from MAX_SERIES_TERMS, so a model's method never
+# depends on the series budget.
+SERIES_Q_MAX = 150_000.0
+# Scaling and squaring: each step spans at most _STEP_Q expected jumps, and
+# its series is cut where the Poisson tail mass beyond it is below _TAIL;
+# a computed entry below _TINY may have underflowed.
+_STEP_Q = 4.0
+_TAIL = 2.0 ** -200
+_TINY = 2.0 ** -900
+_U = 2.0 ** -53  # unit roundoff of a float
 # Monte Carlo trials per chunk, which bounds the oracle's memory. A run of at
 # most this many trials is one chunk; the pinned 20,000-trial draws need that.
 MC_CHUNK = 32_768
@@ -437,10 +470,20 @@ def death_probability(model: MarkovModel, mission_time: float,
     by the mission time.
 
     Deterministic: no sampling is involved. Raises SolverError if the
-    requested relative width cannot be reached within MAX_SERIES_TERMS
-    series terms, or by the outwardly rounded bracket at all, or if the
-    uniformization rate times the mission time overflows (the answer is
-    never silently loosened).
+    uniformization rate times the mission time, q, overflows, and otherwise
+    whenever the requested width cannot be met (the answer is never silently
+    loosened). Up to SERIES_Q_MAX that is within MAX_SERIES_TERMS series
+    terms, or by the outwardly rounded bracket at all.
+
+    Above SERIES_Q_MAX the bracket comes from scaling and squaring, and tol
+    is a relative width with no WIDTH_FLOOR. Its bounds hold exactly, not
+    just up to rounding: every floating-point result is a bound for the real
+    value it stands for, because each product of non-negative factors is
+    deflated (lower) or inflated (upper) by a factor that covers its
+    roundings. Those factors compound over the 2^s steps, so the relative
+    width grows in proportion to q: 1.3% at q = 4.2e12 for 3 states. A chain
+    whose squaring factors alone exceed tol (the 3-state repair chain at
+    q = 1e18) is refused before any product.
     """
     if mission_time < 0 or not math.isfinite(mission_time):
         raise ValueError("mission time must be non-negative and finite")
@@ -454,7 +497,7 @@ def death_probability(model: MarkovModel, mission_time: float,
         rates[index[tr.source], index[tr.target]] += tr.rate
     out = rates.sum(axis=1)
     lam_max = float(out.max())
-    if mission_time == 0.0 or lam_max == 0.0:
+    if mission_time == 0.0 or lam_max == 0.0 or not model.death_states:
         return BoundedProbability(0.0, 0.0)
     death = np.array([s in model.death_states for s in model.states], dtype=float)
 
@@ -464,6 +507,8 @@ def death_probability(model: MarkovModel, mission_time: float,
     q = lam_max * mission_time
     if not math.isfinite(q):
         raise SolverError(f"uniformization rate*T = {q:.3g} is not finite")
+    if q > SERIES_Q_MAX:
+        return _squared_bracket(model, mission_time, tol)
     use_log_weights = q > 700.0
 
     def weight(k: int, prev: float) -> float:
@@ -500,6 +545,105 @@ def death_probability(model: MarkovModel, mission_time: float,
     raise SolverError(
         f"bound width target {tol} not reached within {MAX_SERIES_TERMS} series terms "
         f"(uniformization rate*T = {q:.3g})")
+
+
+def _outward(x) -> tuple[float, float]:
+    """The nearest floats at or below and at or above the exact Fraction `x`."""
+    f = float(x)  # correctly rounded
+    if f == x:
+        return f, f
+    return (f, math.nextafter(f, math.inf)) if f < x else (math.nextafter(f, -math.inf), f)
+
+
+def _factors(rounds: int) -> np.ndarray:
+    """Factors for a stacked (L, U) pair that cover `rounds` roundings of a
+    non-negative value, one more for the _SHIFT that follows, and the
+    multiplication by the factor itself. Both are exact floats."""
+    k = rounds + 3
+    return np.array([1.0 - k * _U, 1.0 + (k + k % 2) * _U])[:, None, None]
+
+
+# Added to the pair after each product: anything that underflowed is far
+# below _TINY, so L minus it, clipped at 0, and U plus it stay bounds.
+_SHIFT = np.array([-_TINY, _TINY])[:, None, None]
+
+
+def _squared_bracket(model: MarkovModel, mission_time: float, tol: float) -> BoundedProbability:
+    """Scaling and squaring between an entry-wise lower and upper matrix,
+    carried together as one stacked (L, U) pair."""
+    from fractions import Fraction  # here, as importing it takes 3 ms
+
+    n = len(model.states)
+    index = {s: i for i, s in enumerate(model.states)}
+    dead = [index[s] for s in model.death_states]
+    exact = [[Fraction(0)] * n for _ in range(n)]
+    for tr in model.transitions:
+        exact[index[tr.source]][index[tr.target]] += Fraction(tr.rate)
+    out = [sum(row) for row in exact]
+    lam = _outward(max(out))[1]  # so that the exact P is non-negative
+    exact_lam = Fraction(lam)
+    jump = np.empty((2, n, n))
+    for i, row in enumerate(exact):
+        for j, rate in enumerate(row):
+            jump[:, i, j] = _outward((rate + (exact_lam - out[i] if i == j else 0)) / exact_lam)
+
+    q = lam * mission_time
+    s = math.frexp(q / _STEP_Q)[1]  # so that r = q/2^s lies in [_STEP_Q/2, _STEP_Q)
+    square = _factors(n)  # an n-term product
+    rounding = -math.expm1((2.0 ** s - 1) * (math.log1p(square[0, 0, 0] - 1.0)
+                                             - math.log1p(square[1, 0, 0] - 1.0)))
+    if rounding > tol:
+        raise SolverError(
+            f"bound width target {tol} not reachable: the rounding of 2^{s} squaring "
+            f"steps alone widens the bracket by {rounding:.3g} (uniformization rate*T = {q:.3g})")
+    r = math.ldexp(q, -s)  # one rounding off the exact Λ·T/2^s
+    r_lo, r_hi = math.nextafter(r, 0.0), math.nextafter(r, math.inf)
+
+    # Cut the step's series after `terms` terms, where the Poisson tail mass
+    # beyond it, at most w_(terms+1) / (1 - r/(terms+2)), is below _TAIL.
+    # Doubling the bound covers its own rounding.
+    weight, k = math.exp(-r_lo), 0
+    while True:
+        k += 1
+        weight *= r_hi / k
+        if k + 1 > r_hi:
+            tail = 2.0 * weight / (1.0 - r_hi / (k + 1))
+            if tail <= _TAIL:
+                break
+    terms = k - 1
+
+    # Horner: S <- I + (r/j)·P·S for j = terms..1 makes S = Σ_(k<=terms) r^k/k! P^k.
+    # The factor covers the division r/j, the scaling of P and the n-term
+    # product. The identity is rounded outward to [1 - u, 1 + 2u], which
+    # also covers, on the diagonal, what _SHIFT covers elsewhere.
+    scale = np.array([r_lo, r_hi])[:, None, None] * _factors(n + 2)
+    steps = jump * (scale / np.arange(terms, 0, -1.0)[:, None, None, None])
+    shift = np.eye(n) * np.array([1.0 - _U, 1.0 + 2 * _U])[:, None, None] + _SHIFT
+    pair = np.broadcast_to(np.eye(n), (2, n, n)).copy()
+    for step in steps:
+        pair = step @ pair
+        pair += shift
+        np.maximum(pair, 0.0, out=pair)
+    # exp(-r) is within an ulp, two roundings. U gains the tail mass on every
+    # entry, which also covers what _SHIFT would.
+    pair *= np.array([math.exp(-r_hi), math.exp(-r_lo)])[:, None, None] * _factors(3)
+    pair += np.array([-_TINY, tail])[:, None, None]
+    np.maximum(pair, 0.0, out=pair)
+
+    for _ in range(s):
+        pair = pair @ pair
+        pair *= square
+        pair += _SHIFT
+        np.maximum(pair, 0.0, out=pair)
+
+    i0 = index[model.initial]
+    lower = max(0.0, math.nextafter(math.fsum(pair[0, i0, dead]), -math.inf))
+    upper = min(1.0, math.nextafter(math.fsum(pair[1, i0, dead]), math.inf))
+    if upper - lower > tol * upper:
+        raise SolverError(
+            f"bound width target {tol} not reached by {s} squarings: "
+            f"[{lower:.3g}, {upper:.3g}] (uniformization rate*T = {q:.3g})")
+    return BoundedProbability(lower, upper)
 
 
 @dataclass(frozen=True)

@@ -303,6 +303,9 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
             if extras:
                 delay_hist[stage, copy] = deque(maxlen=max(extras) + 1)
     held_delay: dict = {}  # fault index -> latched stale data word
+    # (stage, first cycle of a parity-error run) -> scenario index of the
+    # fault credited with it, kept only where several faults were active.
+    culprits: dict = {}
 
     def faulty_bus(stage: int, copy: int, word: int, cycle: int) -> tuple[int, int]:
         """Drive `word` through a site that carries faults: (data, error mask).
@@ -324,9 +327,22 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
         if not active:
             return word, 0
         bus = apply_faults(encode_bus(word), active, stale)
-        return bus & WORD_MASK, parity_check(bus)
+        mask = parity_check(bus)
+        if mask and len(active) > 1 and not ctrl.error_counters[stage]:
+            # A parity-error run starts (the controller has counted no error
+            # at this stage yet) with several faults active: its culprit is
+            # the first, in scenario order, whose corruption alone breaks
+            # parity, else the first active one.
+            pairs = [(i, f) for i, f in stage_faults[stage][copy] if f.active_at(cycle)]
+            culprits[stage, cycle] = next(
+                (i for i, f in pairs
+                 if parity_check(apply_faults(encode_bus(word), [f], held_delay.get(i, word)))),
+                pairs[0][0])
+        return bus & WORD_MASK, mask
 
     def attribute_fault(stage: int, cycle: int) -> int | None:
+        if (stage, cycle) in culprits:
+            return culprits[stage, cycle]
         for index, fault in stage_faults[stage][stage in ctrl.on_spare]:
             if fault.active_at(cycle):
                 return index

@@ -109,6 +109,17 @@ def test_repair_chain_model_has_what_the_benchmark_reads(monkeypatch):
     assert model.constants["mu"] == 10.0 and type(model.constants["mu"]) is float
 
 
+def test_markov_stiff_tiny_passes_its_check_with_no_op_refused(monkeypatch):
+    # The benchmark's own correctness gate on markov-stiff (mu = 1 and 1e3):
+    # every bracket must contain the mpmath value and meet tol relatively,
+    # and no point may be refused.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workload = _load("workloads").MarkovStiff(1, tiny=True)
+    outputs = [op() for op in workload.ops]
+    assert not any(workload.refused(output) for output in outputs)
+    workload.check(outputs)
+
+
 def test_run_reference_returns_the_state_and_the_steps_with_halt_counted():
     # `_golden` unpacks (state, steps) and reads `halted`; the traced
     # `reference_steps` count is `result[1]`, which includes the HALT.

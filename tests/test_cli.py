@@ -452,24 +452,43 @@ def test_sim_bad_config_is_a_usage_error(flags, config, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_markov_sweep_const_solver_failure_row(tmp_path, capsys):
-    # A repair chain whose repair rate makes the series refuse the stiff point.
+_REPAIR_MODEL = ("CONST lambda = 1e-3;\nCONST mu = 1;\n"
+                 "STATE up;\nSTATE degraded;\nSTATE dead DEATH;\nINIT up;\n"
+                 "up -> degraded : 2*lambda;\ndegraded -> up : mu;\n"
+                 "degraded -> dead : lambda;\n")
+
+
+def test_markov_sweep_const_solver_failure_row(monkeypatch, tmp_path, capsys):
+    # A 3-term series budget refuses mu=1, which takes the series; mu=1e3 is
+    # past SERIES_Q_MAX and is squared.
+    monkeypatch.setattr(markov, "MAX_SERIES_TERMS", 3)
     model = tmp_path / "repair.model"
-    model.write_text("CONST lambda = 1e-3;\nCONST mu = 1;\n"
-                     "STATE up;\nSTATE degraded;\nSTATE dead DEATH;\nINIT up;\n"
-                     "up -> degraded : 2*lambda;\ndegraded -> up : mu;\n"
-                     "degraded -> dead : lambda;\n")
+    model.write_text(_REPAIR_MODEL)
     code, text = run_cli(["markov", "--model", str(model), "--sweep-const", "mu", "1", "1e3",
                           "2", "--mc", "500", "--seed", "1"], tmp_path)
     _, columns, rows = parse_csv(text)
     assert code == 3
     assert columns == ["mu", "lower", "upper", "width_rel", "error", "mc_estimate", "mc_ci99"]
-    assert rows[0]["error"] == "" and rows[0]["mc_estimate"] != ""
-    assert rows[1]["error"] == "solver_failure"
-    assert [rows[1][key] for key in ("lower", "upper", "width_rel", "mc_estimate",
+    assert rows[1]["error"] == "" and rows[1]["mc_estimate"] != ""
+    assert rows[0]["error"] == "solver_failure"
+    assert [rows[0][key] for key in ("lower", "upper", "width_rel", "mc_estimate",
                                      "mc_ci99")] == [""] * 5
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("mu=1000.0: ")
+    assert len(err) == 1 and err[0].startswith("mu=1.0: ")
+
+
+def test_markov_sweep_const_brackets_stiff_repair(tmp_path, capsys):
+    # mu=1e3/h over 1000 h is q = 1e6 uniformized jumps: squared, not refused.
+    model = tmp_path / "repair.model"
+    model.write_text(_REPAIR_MODEL)
+    code, text = run_cli(["markov", "--model", str(model), "--sweep-const", "mu", "1", "1e3",
+                          "2"], tmp_path)
+    _, _, rows = parse_csv(text)
+    assert code == 0 and capsys.readouterr().err == ""
+    assert [row["error"] for row in rows] == ["", ""]
+    for row in rows:
+        assert 0 < float(row["lower"]) <= float(row["upper"])
+        assert float(row["width_rel"]) <= markov.DEFAULT_TOL
 
 
 def test_markov_sweep_const_re_evaluates_derived_constants(tmp_path):

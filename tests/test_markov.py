@@ -1,12 +1,17 @@
 import math
 import random
 import tracemalloc
+import warnings
+from fractions import Fraction
 from functools import partial
 
+import mpmath
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ifrsim import markov
-from ifrsim.markov import (MC_CHUNK, WIDTH_FLOOR, BoundedProbability, MarkovModel, ModelError, SolverError,
+from ifrsim.markov import (DEFAULT_TOL, MC_CHUNK, WIDTH_FLOOR, BoundedProbability, MarkovModel, ModelError, SolverError,
                            SweepSpec, Transition, build_ifr_pipeline_model,
                            build_simplex_model, build_standby_model, build_tmr_model,
                            death_probability, monte_carlo_death_probability,
@@ -226,6 +231,13 @@ def test_death_probability_at_time_zero():
     assert death_probability(build_tmr_model(1e-3), 0.0) == BoundedProbability(0.0, 0.0)
 
 
+@pytest.mark.parametrize("rate", [1.0, 1e9])
+def test_model_without_death_state_has_zero_death_probability(rate):
+    # Both methods: the series (q = 1e3) and squaring (q = 1e12).
+    model = parse_model(f"STATE a;\nSTATE b;\nINIT a;\na -> b : {rate!r};\n")
+    assert death_probability(model, T) == BoundedProbability(0.0, 0.0)
+
+
 def test_simplex_anchor_value():
     bracket = death_probability(build_simplex_model(1e-6), T, tol=1e-6)
     expected = analytic_simplex(1e-6, T)
@@ -294,6 +306,99 @@ def test_overflowing_uniformization_rate_is_refused_before_the_series(lam, missi
     # whole series budget on NaN terms.
     with pytest.raises(SolverError, match="not finite"):
         death_probability(build_simplex_model(lam), mission_time)
+
+
+# ---------------------------------------------------------------------------
+# Stiff chains: scaling and squaring above SERIES_Q_MAX
+# ---------------------------------------------------------------------------
+
+def _expm_death_probability(model, t):
+    """Death probability from a 50-digit `mpmath.expm` of Q*t."""
+    with mpmath.workdps(50):
+        index = {s: i for i, s in enumerate(model.states)}
+        q = mpmath.zeros(len(model.states))
+        for tr in model.transitions:
+            q[index[tr.source], index[tr.target]] += tr.rate
+            q[index[tr.source], index[tr.source]] -= tr.rate
+        p = mpmath.expm(q * t)
+        return sum(p[index[model.initial], index[d]] for d in model.death_states)
+
+
+def _contains(bracket, exact):
+    return mpmath.mpf(bracket.lower) <= exact <= mpmath.mpf(bracket.upper)
+
+
+def _repair_chain(lam, mu):
+    # Either unit fails at lam, a failed unit is repaired at mu, and a second
+    # failure during repair is fatal (the benchmark's stiff chain).
+    return parse_model(f"CONST lambda = {lam!r};\nCONST mu = {mu!r};\n"
+                       "STATE up;\nSTATE degraded;\nSTATE dead DEATH;\nINIT up;\n"
+                       "up -> degraded : 2 * lambda;\n"
+                       "degraded -> up : mu;\n"
+                       "degraded -> dead : lambda;\n")
+
+
+@pytest.mark.parametrize("mu", [1.0, 10.0, 1e2, 1e3, 1e6, 4.2e9])
+def test_repair_chain_bracket_contains_the_mpmath_value(mu):
+    # 4.2e9/h is the in-field swap (about 0.85 us); from 1e3/h up the
+    # series would need over 1e6 terms.
+    model = _repair_chain(1e-3, mu)
+    bracket = death_probability(model, T)
+    assert _contains(bracket, _expm_death_probability(model, T))
+    assert bracket.upper - bracket.lower <= DEFAULT_TOL * bracket.upper
+
+
+@pytest.mark.parametrize("mu, squared", [(149.9, False), (150.1, True)])
+def test_both_sides_of_the_series_threshold_contain_the_mpmath_value(mu, squared):
+    model = _repair_chain(1e-3, mu)
+    assert (model.outgoing_rate("degraded") * T > markov.SERIES_Q_MAX) is squared
+    bracket = death_probability(model, T)
+    assert _contains(bracket, _expm_death_probability(model, T))
+    assert bracket.relative_width <= DEFAULT_TOL
+
+
+@st.composite
+def _random_chains(draw):
+    """3 to 5 states with the last one the only death state, a path
+    s0 -> s1 -> ... through all of them and random extra transitions, each
+    at a rate from 1e-3 to 1e9 per hour."""
+    n = draw(st.integers(3, 5))
+    rate = st.floats(-3.0, 9.0).map(lambda x: 10.0 ** x)
+    lines = [f"STATE s{i}{' DEATH' if i == n - 1 else ''};" for i in range(n)] + ["INIT s0;"]
+    for i in range(n - 1):
+        for j in range(n):
+            if j == i + 1 or (j != i and draw(st.booleans())):
+                lines.append(f"s{i} -> s{j} : {draw(rate)!r};")
+    return parse_model("\n".join(lines))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_random_chains())
+def test_random_stiff_chain_bracket_contains_the_mpmath_value(model):
+    bracket = death_probability(model, T)
+    assert _contains(bracket, _expm_death_probability(model, T))
+    assert bracket.upper - bracket.lower <= DEFAULT_TOL * max(bracket.upper, WIDTH_FLOOR)
+
+
+@pytest.mark.parametrize("n", [3, 5, 8])
+def test_squaring_step_bounds_hold_in_exact_arithmetic(n):
+    # A float product errs far less than the worst case the factors cover, so
+    # no bracket above shows a missing factor; one squaring step of random
+    # non-negative matrices, checked in exact rationals, does.
+    a = np.random.default_rng(n).random((n, n)) ** 4
+    pair = np.stack([a, a])
+    pair = pair @ pair * markov._factors(n) + markov._SHIFT
+    for i in range(n):
+        for j in range(n):
+            exact = sum(Fraction(a[i, k]) * Fraction(a[k, j]) for k in range(n))
+            assert pair[0, i, j] <= exact <= pair[1, i, j], (i, j)
+
+
+def test_chain_too_stiff_for_the_rounding_is_refused_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverError, match=r"rounding of 2\^\d+ squaring steps alone"):
+            death_probability(_repair_chain(1e-3, 1e15), T)
 
 
 # ---------------------------------------------------------------------------

@@ -284,11 +284,12 @@ _FLIP = "@9 T:1 execute.main flip 0"
     ((_DELAY_3, _DELAY_1, _FLIP), (0, 3, 5, 5, 5, 5, 5, 5, 5, 5, 24, 33, 34, 36, 40, 48)),
 ], ids=["delay-3-last", "delay-1-last"])
 def test_overlapping_delays_the_later_one_in_scenario_order_drives_the_bus(faults, regs):
-    # The flip on top breaks parity for one cycle; the delays never do.
+    # The flip on top breaks parity for one cycle; the delays never do, so
+    # the event is credited to the flip, fault 2.
     report = run_core(_WRITE_ONCE, CFG, parse_scenario("\n".join(faults)))
     assert (report.outcome, report.total_cycles) == (Outcome.COMPLETED, 19)
     assert [(e.fault_id, e.stage, e.classified, e.detect_cycle, e.end_cycle)
-            for e in report.events] == [(0, StageKind.EXECUTE, "transient", 9, 10)]
+            for e in report.events] == [(2, StageKind.EXECUTE, "transient", 9, 10)]
     assert (report.final_state.regs, report.final_state.pc,
             report.final_state.mem) == (regs, 15, {})
     assert not matches_reference(report, _WRITE_ONCE)
