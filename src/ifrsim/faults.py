@@ -8,6 +8,7 @@ window, and delay faults make the data lines lag behind the fresh parity.
 from __future__ import annotations
 
 import enum
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -82,6 +83,11 @@ class TimedFault:
                 raise ValueError("delay extra must be >= 1")
             if self.site.unit is FaultUnit.CONTROLLER:
                 raise ValueError("delay faults are not supported on controller rails")
+
+    @property
+    def end(self) -> float:
+        """The first cycle after the fault's window; infinite if permanent."""
+        return math.inf if self.duration is None else self.start + self.duration
 
     def active_at(self, cycle: int) -> bool:
         if cycle < self.start:

@@ -94,6 +94,10 @@ class Instruction:
 @dataclass(frozen=True)
 class Program:
     instructions: tuple[Instruction, ...]
+    # What `pipeline.run_core` derives from the program once and shares
+    # between its runs: the fetch and decode tables and the fault-free run's
+    # states. It lives as long as the program and is not part of its value.
+    core_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.instructions:

@@ -242,6 +242,21 @@ def _decoded(word: int) -> tuple[Instruction, tuple[int, ...], int, int]:
     return instr, src_regs(instr), dst_reg(instr), imm
 
 
+def _program_memo(program: Program) -> dict:
+    """`program.core_memo`, filled on the program's first run: `slots`, the
+    (word, control-flow?) fetch slot of each instruction; `decoded`, the
+    word -> `_decoded` table; `records`, where `records[c]` is the fault-free
+    run at cycle c, as (bus words, regs, mem, pc, fetch_pc, fetch_wait, pd,
+    de) before its commit; and `end`, the fault-free run's last cycle, or
+    infinity until a run has reached it."""
+    memo = program.core_memo
+    if not memo:
+        memo.update(slots=[(encode_instruction(instr), instr.opcode in _CONTROL_OPS)
+                           for instr in program.instructions],
+                    decoded={}, records=[], end=math.inf)
+    return memo
+
+
 def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
              max_cycles: int = DEFAULT_MAX_CYCLES, trace: bool = False) -> SimReport:
     """Simulate the repairable core cycle by cycle under a fault scenario.
@@ -251,11 +266,20 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
     of this artifact while architectural correctness is checked against the
     reference interpreter.
 
+    A run with faults equals the program's fault-free run until its earliest
+    fault starts, so it resumes from that run's recorded state at the first
+    of: that start, the fault-free run's last cycle, and `max_cycles - 1`.
+    Each main-copy delay history starts with the fault-free bus words before
+    it. The fault-free states are recorded once per `Program`, by the runs
+    that pass through them, and only as far as some run has resumed; a run
+    with `trace=True` starts at cycle 0, since `bus_trace` holds every cycle.
+
     Bus words and parity masks are plain ints. The bus fabric (parity
     encode, fault application, parity check) is evaluated only at sites with
-    an active fault: any other site drives its word with a zero error mask
-    by construction. Likewise the controller rails are built and two-rail
-    checked only when a rail carries faults, the FLUSH and POWER_SWAP
+    an active fault, and only before the latest stage fault window ends: any
+    other site drives its word with a zero error mask by construction.
+    Likewise the controller rails are built and two-rail checked only inside
+    [earliest start, latest end) of the rail faults, the FLUSH and POWER_SWAP
     countdowns are taken in one step up to the first cycle a rail fault is
     active on, and the stress ledger is kept as spans that close when a
     block's power changes.
@@ -263,6 +287,8 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
     if max_cycles < 1:
         raise ValueError(f"max_cycles must be >= 1, got {max_cycles}")
     scenario.validate(config.permanent_threshold)
+    memo = _program_memo(program)
+    slots, decoded, records = memo["slots"], memo["decoded"], memo["records"]
 
     # site_faults[unit][copy]: the (scenario index, fault) pairs at that site.
     site_faults = [([], []) for _ in range(len(PIPELINE_ORDER) + 1)]
@@ -271,7 +297,12 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
         site_faults[unit][_COPY_INDEX[fault.site.copy]].append((index, fault))
     stage_faults = site_faults[:-1]
     rail_a, rail_b = site_faults[-1]
-    any_stage_faults = any(faults for copies in stage_faults for faults in copies)
+    # A stage fault can be active before `stage_end`, a rail fault inside
+    # [rail_from, rail_to).
+    stage_end = max((f.end for copies in stage_faults for faults in copies
+                     for _, f in faults), default=0)
+    rail_from = min((f.start for _, f in rail_a + rail_b), default=math.inf)
+    rail_to = max((f.end for _, f in rail_a + rail_b), default=0)
 
     power = [[PowerState.ON, PowerState.OFF] for _ in PIPELINE_ORDER]
     since = [[0, 0] for _ in PIPELINE_ORDER]  # first cycle of each block's power span
@@ -348,16 +379,27 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
                 return index
         return None
 
-    slots = [(encode_instruction(instr), instr.opcode in _CONTROL_OPS)
-             for instr in program.instructions]
-    decoded: dict = {}  # instruction word -> _decoded(word)
-
     regs = [0] * 16
     mem: dict = {}
     pc = fetch_pc = 0
     fetch_wait = False
     pd: int | None = None  # predecode latch: the fetched word
     de: tuple | None = None  # decode latch: (instr, dest, op_a, op_b)
+    first_start = min((f.start for f in scenario.faults), default=math.inf)
+    resume = 0
+    record_to = -1  # this run appends the fault-free records up to this cycle
+    if scenario.faults and not trace:
+        target = min(first_start, memo["end"], max_cycles - 1)
+        if target >= len(records):
+            record_to = target
+        if records:
+            resume = min(target, len(records) - 1)
+            _, regs, mem, pc, fetch_pc, fetch_wait, pd, de = records[resume]
+            regs, mem = list(regs), dict(mem)
+        for (stage, copy), hist in delay_hist.items():
+            if copy == 0:  # a spare copy is not observed before a swap
+                hist.extend(record[0][stage]
+                            for record in records[max(resume - hist.maxlen, 0):resume])
     # A stage's switch selects its spare (copy 1) iff it is in ctrl.on_spare.
     ctrl = ControllerState()
 
@@ -368,9 +410,9 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
     open_events: list[RecoveryEvent] = []
     bus_trace: list | None = [] if trace else None
     outcome: Outcome | None = None
-    total_cycles = 0
+    total_cycles = resume
 
-    cycles = iter(range(max_cycles))
+    cycles = iter(range(resume, max_cycles))
     for cycle in cycles:
         total_cycles = cycle + 1
         live = ctrl.mode in _LIVE_MODES
@@ -406,7 +448,11 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
             e_word = execute_result(de[0], de[2], de[3], mem) if de is not None else 0
 
             words = [p_word, d_word, e_word]
-            if any_stage_faults:
+            if cycle <= record_to and cycle == len(records):
+                # No fault has started yet: this is the fault-free run.
+                records.append((tuple(words), tuple(regs), dict(mem), pc, fetch_pc,
+                                fetch_wait, pd, de))
+            if cycle < stage_end:
                 masks = [0, 0, 0]
                 for stage in range(len(PIPELINE_ORDER)):
                     copy = stage in ctrl.on_spare
@@ -422,10 +468,10 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
             new_ctrl, actions = ctrl, _NO_ACTIONS
         else:
             new_ctrl, actions = controller_step(ctrl, masks, False, config)
-        if rail_a or rail_b:
+        if rail_from <= cycle < rail_to:
             # Both controller copies compute the same transition; copy B's
-            # outputs are complemented and the rails are compared. Without
-            # rail faults the rails agree by construction.
+            # outputs are complemented and the rails are compared. Outside
+            # the rail faults' windows the rails agree by construction.
             vec = controller_output_vector(new_ctrl, actions)
             out_a = apply_vector_faults(vec, [f for _, f in rail_a if f.active_at(cycle)])
             out_b = apply_vector_faults(~vec & _RAIL_MASK,
@@ -529,6 +575,8 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
 
     if outcome is None:
         outcome = Outcome.EXHAUSTED
+    elif total_cycles - 1 <= record_to and total_cycles - 1 < first_start:
+        memo["end"] = total_cycles - 1  # the fault-free run halted or ran off the end
 
     for stage in range(len(PIPELINE_ORDER)):
         for copy in range(len(_COPIES)):

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -6,8 +7,9 @@ from corpus import (gen_loop_program, gen_permanent_stuckat_scenario, gen_progra
                     gen_transient_scenario, trace_run)
 from ifrsim.faults import (Delay, FaultScenario, FaultSite, FaultUnit, PERMANENT,
                            StuckAt, TimedFault, TransientFlip, parse_scenario)
+from ifrsim import pipeline
 from ifrsim.hw import Copy, PowerState, StageKind
-from ifrsim.isa import assemble
+from ifrsim.isa import assemble, encode_instruction
 from ifrsim.pipeline import (ControllerActions, ControllerMode, ControllerState,
                              CoreConfig, Outcome, controller_step,
                              controller_output_vector, matches_reference,
@@ -723,3 +725,119 @@ def test_countdown_windows_match_the_config():
     assert _POWER_ON == _CLASSIFIED + CFG.flush_cycles
     assert _SWAP == _POWER_ON + CFG.powerup_cycles_per_block
     assert event.resume_cycle == _SWAP + 1
+
+
+# ---------------------------------------------------------------------------
+# Resuming from the fault-free run
+# ---------------------------------------------------------------------------
+
+_RESUME_CONFIGS = (CFG, CoreConfig(permanent_threshold=5, flush_cycles=1,
+                                   powerup_cycles_per_block=7))
+
+
+def _random_fault(rng, horizon):
+    """One fault anywhere: a stage or rail site, any kind it supports, a
+    start in [0, horizon) and a PERM or T:n window."""
+    unit = rng.choice(list(FaultUnit))
+    rail = unit is FaultUnit.CONTROLLER
+    roll = rng.random()
+    if roll < 0.4:
+        kind = StuckAt(rng.randrange(16 if rail else 36), rng.randrange(2))
+    elif roll < 0.7 or rail:
+        kind = TransientFlip(rng.randrange(16 if rail else 36))
+    else:
+        kind = Delay(rng.randrange(1, 4))
+    copy = Copy.MAIN if rng.random() < 0.8 else Copy.SPARE
+    duration = PERMANENT if rng.random() < 0.4 else rng.randrange(1, 30)
+    return TimedFault(kind, FaultSite(unit, copy), rng.randrange(horizon), duration)
+
+
+@pytest.mark.filterwarnings("ignore:fault .* transient flip")
+def test_resumed_runs_equal_runs_from_cycle_zero():
+    # A run resumed from the fault-free run's records equals the same run
+    # simulated from cycle 0 (`trace=True`) in every report field. One
+    # program object serves every config and scenario, so later runs resume
+    # from records that earlier runs left, in random order.
+    rng = random.Random(0x5E5E)
+    seen = set()
+    for _ in range(40):
+        program = gen_loop_program(rng, rng.randrange(3, 8))
+        fault_free = run_core(program, CFG, FaultScenario()).total_cycles
+        for _ in range(6):
+            config = rng.choice(_RESUME_CONFIGS)
+            faults = tuple(_random_fault(rng, fault_free + 40)
+                           for _ in range(rng.randrange(1, 4)))
+            first = min(f.start for f in faults)
+            budget = 3 * fault_free + 300
+            if first and rng.random() < 0.15:
+                budget = rng.randrange(1, first + 1)
+            scenario = FaultScenario(faults)
+            resumed = run_core(program, config, scenario, max_cycles=budget)
+            from_zero = run_core(program, config, scenario, max_cycles=budget, trace=True)
+            assert resumed.bus_trace is None
+            from_zero.bus_trace = None
+            assert resumed == from_zero, (program, config, scenario, budget)
+            seen.add("rail" if any(f.site.unit is FaultUnit.CONTROLLER for f in faults)
+                     else "stage")
+            seen.update(type(f.kind).__name__ for f in faults)
+            seen.update("perm" if f.duration is None else "window" for f in faults)
+            if any(isinstance(f.kind, Delay) and f.site.copy is _MAIN
+                   and f.start > f.kind.extra for f in faults):
+                seen.add("main delay")
+            if first >= fault_free:
+                seen.add("past the end")
+            if budget <= first:
+                seen.add("budget below start")
+            if config is not CFG:
+                seen.add("config")
+    assert seen >= {"rail", "stage", "StuckAt", "TransientFlip", "Delay", "perm", "window",
+                    "main delay", "past the end", "budget below start", "config"}
+
+
+def test_fault_free_records_stop_where_runs_asked():
+    # A 20,000-cycle fault-free run is recorded only up to the cycle a run
+    # resumed from, not to its end.
+    program = assemble("""
+    LDI r1, 2600
+    LDI r2, 1
+    SUB r1, r1, r2
+    BEQ r1, r0, 2
+    JMP 2
+    HALT
+    """)
+    fault_free = run_core(program, CFG, FaultScenario())
+    assert fault_free.total_cycles >= 20_000
+    assert program.core_memo["records"] == []  # a fault-free run records nothing
+    report = run_core(program, CFG, parse_scenario("@5 PERM decode.main stuckat 0 1"))
+    assert report.outcome is Outcome.COMPLETED
+    assert matches_reference(report, program)
+    assert len(program.core_memo["records"]) == 6  # cycles 0..5
+    run_core(program, CFG, parse_scenario("@3 T:2 execute.main flip 7"))
+    assert len(program.core_memo["records"]) == 6
+    # A run that a rail fault kills on its first cycle did not reach the
+    # fault-free run's end.
+    dead = run_core(program, CFG, parse_scenario("@6 PERM controller.a stuckat 0 1"))
+    assert (dead.outcome, dead.total_cycles) == (Outcome.DEAD, 7)
+    assert len(program.core_memo["records"]) == 7
+    assert program.core_memo["end"] == math.inf
+
+
+def test_fault_free_end_is_learned_from_a_run_that_reaches_it():
+    program = _alternating_program(10)
+    fault_free = run_core(program, CFG, FaultScenario())
+    late = parse_scenario(f"@{fault_free.total_cycles + 5} PERM decode.main stuckat 3 1")
+    for _ in range(2):
+        report = run_core(program, CFG, late)
+        assert report == fault_free
+        assert program.core_memo["end"] == fault_free.total_cycles - 1
+        assert len(program.core_memo["records"]) == fault_free.total_cycles
+
+
+def test_program_tables_are_built_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(pipeline, "encode_instruction",
+                        lambda instr: calls.append(instr) or encode_instruction(instr))
+    program = _alternating_program(10)
+    for text in ("", "@4 T:3 decode.main flip 2", "@9 PERM execute.main stuckat 1 1"):
+        run_core(program, CFG, parse_scenario(text))
+    assert len(calls) == len(program)
