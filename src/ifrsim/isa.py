@@ -96,7 +96,9 @@ class Program:
     instructions: tuple[Instruction, ...]
     # What `pipeline.run_core` derives from the program once and shares
     # between its runs: the fetch and decode tables and the fault-free run's
-    # states. It lives as long as the program and is not part of its value.
+    # states, each sharing unchanged registers and memory with the one
+    # before. It lives as long as the program and is not part of its value,
+    # so a fresh `Program` of the same instructions starts with none.
     core_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):

@@ -186,7 +186,7 @@ class Outcome(enum.Enum):
 
 @dataclass
 class RecoveryEvent:
-    fault_id: int | None
+    fault_id: int  # scenario index of the fault credited with the event
     stage: StageKind
     classified: str  # "permanent" | "transient"
     detect_cycle: int
@@ -215,7 +215,6 @@ class SimReport:
     events: list
     stress: StressLedger
     final_power: dict
-    bus_trace: list | None = None
 
     @property
     def permanent_events(self) -> list:
@@ -247,8 +246,10 @@ def _program_memo(program: Program) -> dict:
     (word, control-flow?) fetch slot of each instruction; `decoded`, the
     word -> `_decoded` table; `records`, where `records[c]` is the fault-free
     run at cycle c, as (bus words, regs, mem, pc, fetch_pc, fetch_wait, pd,
-    de) before its commit; and `end`, the fault-free run's last cycle, or
-    infinity until a run has reached it."""
+    de) before its commit, a record sharing its regs tuple and mem dict with
+    the one before unless a commit wrote them in between; and `end`, the
+    fault-free run's last cycle, or infinity until a run has reached it. A
+    fresh `Program` has no records, so its runs simulate from cycle 0."""
     memo = program.core_memo
     if not memo:
         memo.update(slots=[(encode_instruction(instr), instr.opcode in _CONTROL_OPS)
@@ -258,7 +259,7 @@ def _program_memo(program: Program) -> dict:
 
 
 def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
-             max_cycles: int = DEFAULT_MAX_CYCLES, trace: bool = False) -> SimReport:
+             max_cycles: int = DEFAULT_MAX_CYCLES) -> SimReport:
     """Simulate the repairable core cycle by cycle under a fault scenario.
 
     The pipeline is in-order with interlock stalls and no forwarding; fetch
@@ -272,7 +273,7 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
     Each main-copy delay history starts with the fault-free bus words before
     it. The fault-free states are recorded once per `Program`, by the runs
     that pass through them, and only as far as some run has resumed; a run
-    with `trace=True` starts at cycle 0, since `bus_trace` holds every cycle.
+    on a fresh `Program` starts at cycle 0.
 
     Bus words and parity masks are plain ints. The bus fabric (parity
     encode, fault application, parity check) is evaluated only at sites with
@@ -335,7 +336,7 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
                 delay_hist[stage, copy] = deque(maxlen=max(extras) + 1)
     held_delay: dict = {}  # fault index -> latched stale data word
     # (stage, first cycle of a parity-error run) -> scenario index of the
-    # fault credited with it, kept only where several faults were active.
+    # fault credited with it.
     culprits: dict = {}
 
     def faulty_bus(stage: int, copy: int, word: int, cycle: int) -> tuple[int, int]:
@@ -346,7 +347,7 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
         stale = word
         for i, f in stage_faults[stage][copy]:
             if f.active_at(cycle):
-                active.append(f)
+                active.append((i, f))
                 if isinstance(f.kind, Delay):
                     # A delay latches its stale word when it activates; the
                     # last active one in scenario order drives the data lines.
@@ -357,27 +358,18 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
             hist.append(word)
         if not active:
             return word, 0
-        bus = apply_faults(encode_bus(word), active, stale)
+        bus = apply_faults(encode_bus(word), [f for _, f in active], stale)
         mask = parity_check(bus)
-        if mask and len(active) > 1 and not ctrl.error_counters[stage]:
+        if mask and not ctrl.error_counters[stage]:
             # A parity-error run starts (the controller has counted no error
-            # at this stage yet) with several faults active: its culprit is
-            # the first, in scenario order, whose corruption alone breaks
-            # parity, else the first active one.
-            pairs = [(i, f) for i, f in stage_faults[stage][copy] if f.active_at(cycle)]
-            culprits[stage, cycle] = next(
-                (i for i, f in pairs
+            # at this stage yet). Its culprit is the first active fault, in
+            # scenario order, whose corruption alone breaks parity, else the
+            # first active one.
+            culprits[stage, cycle] = active[0][0] if len(active) == 1 else next(
+                (i for i, f in active
                  if parity_check(apply_faults(encode_bus(word), [f], held_delay.get(i, word)))),
-                pairs[0][0])
+                active[0][0])
         return bus & WORD_MASK, mask
-
-    def attribute_fault(stage: int, cycle: int) -> int | None:
-        if (stage, cycle) in culprits:
-            return culprits[stage, cycle]
-        for index, fault in stage_faults[stage][stage in ctrl.on_spare]:
-            if fault.active_at(cycle):
-                return index
-        return None
 
     regs = [0] * 16
     mem: dict = {}
@@ -388,14 +380,17 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
     first_start = min((f.start for f in scenario.faults), default=math.inf)
     resume = 0
     record_to = -1  # this run appends the fault-free records up to this cycle
-    if scenario.faults and not trace:
+    # The last record's regs tuple and mem dict, None once a commit has
+    # written that field since: a record shares what has not changed.
+    saved_regs = saved_mem = None
+    if scenario.faults:
         target = min(first_start, memo["end"], max_cycles - 1)
         if target >= len(records):
             record_to = target
         if records:
             resume = min(target, len(records) - 1)
-            _, regs, mem, pc, fetch_pc, fetch_wait, pd, de = records[resume]
-            regs, mem = list(regs), dict(mem)
+            _, saved_regs, saved_mem, pc, fetch_pc, fetch_wait, pd, de = records[resume]
+            regs, mem = list(saved_regs), dict(saved_mem)
         for (stage, copy), hist in delay_hist.items():
             if copy == 0:  # a spare copy is not observed before a swap
                 hist.extend(record[0][stage]
@@ -408,7 +403,6 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
     # fault may interrupt a refill, in which case the earlier event's refill
     # span absorbs the later recovery (normal function returned only then).
     open_events: list[RecoveryEvent] = []
-    bus_trace: list | None = [] if trace else None
     outcome: Outcome | None = None
     total_cycles = resume
 
@@ -450,7 +444,11 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
             words = [p_word, d_word, e_word]
             if cycle <= record_to and cycle == len(records):
                 # No fault has started yet: this is the fault-free run.
-                records.append((tuple(words), tuple(regs), dict(mem), pc, fetch_pc,
+                if saved_regs is None:
+                    saved_regs = tuple(regs)
+                if saved_mem is None:
+                    saved_mem = dict(mem)
+                records.append((tuple(words), saved_regs, saved_mem, pc, fetch_pc,
                                 fetch_wait, pd, de))
             if cycle < stage_end:
                 masks = [0, 0, 0]
@@ -459,9 +457,6 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
                     if stage_faults[stage][copy]:
                         words[stage], masks[stage] = faulty_bus(stage, copy, words[stage], cycle)
                 error = any(masks)
-
-        if bus_trace is not None:
-            bus_trace.append(tuple(words) if live else None)
 
         # Controller. Idle monitoring is the identity step.
         if ctrl.mode is ControllerMode.MONITOR and not error:
@@ -488,7 +483,7 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
                 stage = actions.classified
                 detect = cycle - (config.permanent_threshold - 1)
                 event = RecoveryEvent(
-                    fault_id=attribute_fault(stage, detect),
+                    fault_id=culprits[stage, detect],
                     stage=PIPELINE_ORDER[stage], classified="permanent",
                     detect_cycle=detect, end_cycle=cycle)
                 events.append(event)
@@ -508,7 +503,7 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
                 stage, run_length = actions.transient_clear
                 detect = cycle - run_length
                 events.append(RecoveryEvent(
-                    fault_id=attribute_fault(stage, detect),
+                    fault_id=culprits[stage, detect],
                     stage=PIPELINE_ORDER[stage], classified="transient",
                     detect_cycle=detect, end_cycle=cycle))
 
@@ -531,8 +526,10 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
                 else:
                     if op is Opcode.ST:
                         mem[(de[3] + instr.imm) & WORD_MASK] = result
+                        saved_mem = None
                     elif de[1]:
                         regs[de[1]] = result
+                        saved_regs = None
                     pc += 1
                 for event in open_events:
                     event.swap_complete_cycle = cycle
@@ -570,8 +567,6 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
                 next(islice(cycles, skip, skip), None)  # consumes `skip` cycles
                 total_cycles += skip
                 ctrl = replace(ctrl, remaining=ctrl.remaining - skip)
-                if bus_trace is not None:
-                    bus_trace.extend([None] * skip)
 
     if outcome is None:
         outcome = Outcome.EXHAUSTED
@@ -587,7 +582,7 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
                    for stage, kind in enumerate(PIPELINE_ORDER) for copy in range(len(_COPIES))}
     return SimReport(outcome=outcome, final_state=final_state,
                      total_cycles=total_cycles, events=events, stress=ledger,
-                     final_power=final_power, bus_trace=bus_trace)
+                     final_power=final_power)
 
 
 def matches_reference(report: SimReport, program: Program) -> bool:

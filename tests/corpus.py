@@ -1,8 +1,8 @@
 """Randomized program and fault-scenario generators shared by the test suite.
 
 Programs either branch forward only or run one loop with a bounded trip
-count, so every run terminates; scenarios are derived from a fault-free bus
-trace so stuck-at exposures are guaranteed by construction.
+count, so every run terminates; scenarios are derived from the fault-free
+run's bus words so stuck-at exposures are guaranteed by construction.
 """
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from ifrsim.faults import (FaultScenario, FaultSite, FaultUnit, StuckAt,
                            TimedFault, TransientFlip, PERMANENT)
 from ifrsim.hw import Copy, PIPELINE_ORDER, encode_bus
 from ifrsim.isa import Program, assemble
-from ifrsim.pipeline import CoreConfig, run_core
+from ifrsim.pipeline import DEFAULT_MAX_CYCLES, CoreConfig, run_core
 
 _ALU = ("ADD", "SUB", "AND", "OR", "XOR")
 
@@ -68,9 +68,15 @@ def gen_loop_program(rng: random.Random, body_length: int = 5) -> Program:
     return assemble("\n".join(lines))
 
 
-def trace_run(program: Program, config: CoreConfig):
-    """Fault-free run with the per-cycle bus trace captured."""
-    return run_core(program, config, FaultScenario(), trace=True)
+def fault_free_words(program: Program, config: CoreConfig) -> list:
+    """The (predecode, decode, execute) bus words of each cycle of the
+    fault-free run, read from the records in `program.core_memo`. A run
+    whose only fault sits on a spare copy that is never selected, and starts
+    at the cycle budget, records every cycle of the fault-free run."""
+    idle = TimedFault(StuckAt(0, 0), FaultSite(FaultUnit.PREDECODE, Copy.SPARE),
+                      DEFAULT_MAX_CYCLES, PERMANENT)
+    run_core(program, config, FaultScenario((idle,)))
+    return [record[0] for record in program.core_memo["records"]]
 
 
 def _bus_bit(data_word: int, bit: int) -> int:
@@ -97,12 +103,13 @@ def gen_transient_scenario(rng: random.Random, total_cycles: int,
     return FaultScenario(tuple(faults))
 
 
-def gen_permanent_stuckat_scenario(rng: random.Random, trace: list) -> FaultScenario:
+def gen_permanent_stuckat_scenario(rng: random.Random, words: list) -> FaultScenario:
     """One permanent stuck-at on an active-copy bus whose stuck value is
-    guaranteed to differ from the transported value at its start cycle."""
-    live = [(cycle, row) for cycle, row in enumerate(trace) if row is not None]
-    usable = [entry for entry in live if 3 <= entry[0] <= len(trace) - 8]
-    cycle, row = rng.choice(usable if usable else live)
+    guaranteed to differ from the transported value at its start cycle.
+    `words` is `fault_free_words` of the program."""
+    rows = list(enumerate(words))
+    usable = [entry for entry in rows if 3 <= entry[0] <= len(words) - 8]
+    cycle, row = rng.choice(usable if usable else rows)
     stage_index = rng.randrange(0, 3)
     bit = rng.randrange(0, 36)
     value = 1 - _bus_bit(row[stage_index], bit)

@@ -8,8 +8,8 @@ import random
 import time
 from pathlib import Path
 
-from corpus import (gen_permanent_stuckat_scenario, gen_program,
-                    gen_transient_scenario, trace_run)
+from corpus import (fault_free_words, gen_permanent_stuckat_scenario, gen_program,
+                    gen_transient_scenario)
 from ifrsim.cli import main
 from ifrsim.formulas import r_ifr, r_standby, r_tmr
 from ifrsim.hw import encode_bus, parity_check, trc_compare
@@ -18,7 +18,7 @@ from ifrsim.markov import (SweepSpec, build_ifr_pipeline_model, build_simplex_mo
                            build_standby_model, build_tmr_model,
                            death_probability, monte_carlo_death_probability, sweep)
 from ifrsim.pipeline import CoreConfig, Outcome, matches_reference, run_core
-from ifrsim.faults import parse_scenario
+from ifrsim.faults import FaultScenario, parse_scenario
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 T_MISSION = 1000.0
@@ -138,7 +138,7 @@ def test_criterion_6_classification_properties():
     for index in range(200):
         if index % 5 == 0:
             program = gen_program(rng)
-            base = trace_run(program, CFG)
+            base = run_core(program, CFG, FaultScenario())
         scenario = gen_transient_scenario(rng, base.total_cycles, CFG.permanent_threshold)
         report = run_core(program, CFG, scenario)
         assert report.permanent_events == [], scenario
@@ -150,8 +150,8 @@ def test_criterion_6_classification_properties():
     for index in range(200):
         if index % 5 == 0:
             program = gen_program(rng)
-            base = trace_run(program, CFG)
-        scenario = gen_permanent_stuckat_scenario(rng, base.bus_trace)
+            words = fault_free_words(program, CFG)
+        scenario = gen_permanent_stuckat_scenario(rng, words)
         report = run_core(program, CFG, scenario)
         assert len(report.permanent_events) == 1, scenario
         assert report.outcome is Outcome.COMPLETED

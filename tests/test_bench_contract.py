@@ -132,21 +132,19 @@ def test_run_reference_returns_the_state_and_the_steps_with_halt_counted():
     assert not cut.halted and cut_steps == 2
 
 
-def test_swap_run_bus_trace_has_one_entry_per_cycle():
-    # tests/corpus.py picks stuck-at cycles by index into `bus_trace`, and
-    # skips the None entries of cycles where no stage drives a bus.
+def test_swap_run_counts_down_67_cycles_and_a_budget_inside_them_exhausts():
+    # The benchmark's digests hold each event's end and resume cycles. The
+    # FLUSH and POWER_SWAP countdown between them is taken in one step, and
+    # a cycle budget that ends inside it still ends the run there.
     lines = [f"LDI r1, {i % 2}\nADD r2, r1, r1" for i in range(40)]
     program = assemble("\n".join(lines) + "\nHALT")
-    report = run_core(program, CoreConfig(),
-                      parse_scenario("@10 PERM decode.main stuckat 3 1"), trace=True)
+    scenario = parse_scenario("@10 PERM decode.main stuckat 3 1")
+    report = run_core(program, CoreConfig(), scenario)
     assert report.outcome is Outcome.COMPLETED
     (event,) = report.events
-    assert len(report.bus_trace) == report.total_cycles
-    countdown = range(event.end_cycle + 1, event.resume_cycle)
-    assert len(countdown) == 67  # flush plus power-up at the default config
-    for cycle, row in enumerate(report.bus_trace):
-        if cycle in countdown:
-            assert row is None, cycle
-        else:
-            assert isinstance(row, tuple) and len(row) == 3, cycle
-            assert all(0 <= word <= 0xFFFFFFFF for word in row), cycle
+    assert event.resume_cycle - event.end_cycle - 1 == 67  # flush plus power-up
+    budget = event.end_cycle + 30
+    exhausted = run_core(program, CoreConfig(), scenario, max_cycles=budget)
+    assert (exhausted.outcome, exhausted.total_cycles) == (Outcome.EXHAUSTED, budget)
+    (cut,) = exhausted.events
+    assert (cut.end_cycle, cut.resume_cycle) == (event.end_cycle, None)

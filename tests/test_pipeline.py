@@ -3,13 +3,13 @@ import random
 
 import pytest
 
-from corpus import (gen_loop_program, gen_permanent_stuckat_scenario, gen_program,
-                    gen_transient_scenario, trace_run)
+from corpus import (fault_free_words, gen_loop_program, gen_permanent_stuckat_scenario,
+                    gen_program, gen_transient_scenario)
 from ifrsim.faults import (Delay, FaultScenario, FaultSite, FaultUnit, PERMANENT,
                            StuckAt, TimedFault, TransientFlip, parse_scenario)
 from ifrsim import pipeline
 from ifrsim.hw import Copy, PowerState, StageKind
-from ifrsim.isa import assemble, encode_instruction
+from ifrsim.isa import Program, assemble, encode_instruction
 from ifrsim.pipeline import (ControllerActions, ControllerMode, ControllerState,
                              CoreConfig, Outcome, controller_step,
                              controller_output_vector, matches_reference,
@@ -508,15 +508,16 @@ def test_golden_equivalence_randomized_corpus():
     rng = random.Random(0xC0DE)
     for _ in range(100):
         program = gen_program(rng)
-        base = trace_run(program, CFG)
+        base = run_core(program, CFG, FaultScenario())
         assert base.outcome is Outcome.COMPLETED
         assert matches_reference(base, program)
+        words = fault_free_words(program, CFG)
         for s in range(20):
             if s % 2 == 0:
                 scenario = gen_transient_scenario(rng, base.total_cycles,
                                                   CFG.permanent_threshold)
             else:
-                scenario = gen_permanent_stuckat_scenario(rng, base.bus_trace)
+                scenario = gen_permanent_stuckat_scenario(rng, words)
             report = run_core(program, CFG, scenario)
             assert report.outcome is Outcome.COMPLETED
             assert matches_reference(report, program), scenario
@@ -529,12 +530,12 @@ def test_golden_equivalence_loop_corpus():
     rng = random.Random(0x100F)
     for _ in range(25):
         program = gen_loop_program(rng, rng.randrange(3, 8))
-        base = trace_run(program, CFG)
+        base = run_core(program, CFG, FaultScenario())
         assert base.outcome is Outcome.COMPLETED
         assert matches_reference(base, program)
         for scenario in (gen_transient_scenario(rng, base.total_cycles,
                                                 CFG.permanent_threshold),
-                         gen_permanent_stuckat_scenario(rng, base.bus_trace)):
+                         gen_permanent_stuckat_scenario(rng, fault_free_words(program, CFG))):
             report = run_core(program, CFG, scenario)
             assert report.outcome is Outcome.COMPLETED
             assert matches_reference(report, program), scenario
@@ -755,9 +756,9 @@ def _random_fault(rng, horizon):
 @pytest.mark.filterwarnings("ignore:fault .* transient flip")
 def test_resumed_runs_equal_runs_from_cycle_zero():
     # A run resumed from the fault-free run's records equals the same run
-    # simulated from cycle 0 (`trace=True`) in every report field. One
-    # program object serves every config and scenario, so later runs resume
-    # from records that earlier runs left, in random order.
+    # simulated from cycle 0, on a fresh `Program` with no records, in every
+    # report field. One program object serves every config and scenario, so
+    # later runs resume from records that earlier runs left, in random order.
     rng = random.Random(0x5E5E)
     seen = set()
     for _ in range(40):
@@ -773,9 +774,8 @@ def test_resumed_runs_equal_runs_from_cycle_zero():
                 budget = rng.randrange(1, first + 1)
             scenario = FaultScenario(faults)
             resumed = run_core(program, config, scenario, max_cycles=budget)
-            from_zero = run_core(program, config, scenario, max_cycles=budget, trace=True)
-            assert resumed.bus_trace is None
-            from_zero.bus_trace = None
+            from_zero = run_core(Program(program.instructions), config, scenario,
+                                 max_cycles=budget)
             assert resumed == from_zero, (program, config, scenario, budget)
             seen.add("rail" if any(f.site.unit is FaultUnit.CONTROLLER for f in faults)
                      else "stage")
@@ -831,6 +831,32 @@ def test_fault_free_end_is_learned_from_a_run_that_reaches_it():
         assert report == fault_free
         assert program.core_memo["end"] == fault_free.total_cycles - 1
         assert len(program.core_memo["records"]) == fault_free.total_cycles
+
+
+def test_fault_free_records_share_unchanged_registers_and_memory():
+    # Every register write here changes its register and every store writes
+    # a new value, so two records hold equal registers (memory) exactly when
+    # no commit wrote them in between. Those records share one object. The
+    # registers are written 3 times before the loop and twice a trip, memory
+    # once a trip.
+    program = assemble("""
+    LDI r9, 64
+    LDI r10, 20
+    LDI r11, 1
+    ADD r1, r1, r11
+    ST r1, r9, 0
+    SUB r10, r10, r11
+    BEQ r10, r0, 2
+    JMP 3
+    HALT
+    """)
+    words = fault_free_words(program, CFG)
+    records = program.core_memo["records"]
+    assert len(records) == len(words) > 100
+    for field, writes in ((1, 3 + 2 * 20), (2, 20)):
+        for before, after in zip(records, records[1:]):
+            assert (before[field] is after[field]) == (before[field] == after[field])
+        assert len({id(record[field]) for record in records}) == writes + 1
 
 
 def test_program_tables_are_built_once(monkeypatch):
