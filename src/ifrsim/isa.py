@@ -95,10 +95,11 @@ class Instruction:
 class Program:
     instructions: tuple[Instruction, ...]
     # What `pipeline.run_core` derives from the program once and shares
-    # between its runs: the fetch and decode tables and the fault-free run's
+    # between its runs: the fetch and decode tables, the fault-free run's
     # states, each sharing unchanged registers and memory with the one
-    # before. It lives as long as the program and is not part of its value,
-    # so a fresh `Program` of the same instructions starts with none.
+    # before, and the cycles that run has left after each BEQ or JMP. It
+    # lives as long as the program and is not part of its value, so a fresh
+    # `Program` of the same instructions starts with none.
     core_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):

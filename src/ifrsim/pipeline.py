@@ -246,15 +246,19 @@ def _program_memo(program: Program) -> dict:
     (word, control-flow?) fetch slot of each instruction; `decoded`, the
     word -> `_decoded` table; `records`, where `records[c]` is the fault-free
     run at cycle c, as (bus words, regs, mem, pc, fetch_pc, fetch_wait, pd,
-    de) before its commit, a record sharing its regs tuple and mem dict with
-    the one before unless a commit wrote them in between; and `end`, the
-    fault-free run's last cycle, or infinity until a run has reached it. A
-    fresh `Program` has no records, so its runs simulate from cycle 0."""
+    de, commits) before its commit, a record sharing its regs tuple and mem
+    dict with the one before unless a commit wrote them in between; `end`,
+    the fault-free run's last cycle, or infinity until a run has reached it;
+    and `join`, None until a settled run has reached the program's end, then
+    (tails, outcome, final state) of that end, where `tails[n]` is the number
+    of cycles the fault-free run takes after its BEQ or JMP commit number n.
+    A fresh `Program` has no records and no join table, so its runs simulate
+    every cycle from cycle 0."""
     memo = program.core_memo
     if not memo:
         memo.update(slots=[(encode_instruction(instr), instr.opcode in _CONTROL_OPS)
                            for instr in program.instructions],
-                    decoded={}, records=[], end=math.inf)
+                    decoded={}, records=[], end=math.inf, join=None)
     return memo
 
 
@@ -274,6 +278,22 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
     it. The fault-free states are recorded once per `Program`, by the runs
     that pass through them, and only as far as some run has resumed; a run
     on a fresh `Program` starts at cycle 0.
+
+    A run with faults also ends early once it has rejoined the fault-free
+    run. It is *settled* at a BEQ or JMP commit when every fault is inert
+    (past its `end`, or on a stage copy that the switch does not select:
+    the main once the stage is on its spare, the spare before), the
+    controller is in MONITOR with no event open, and no faulted bus has
+    passed parity with a corrupted data word. Then no error can arise, so
+    no swap can select a faulty copy again. Such a commit drains the
+    pipeline, so the run's state is (regs, mem, pc): the fault-free run's
+    after the same number of commits. Each settled run that reaches the
+    program's end records, per such commit, the cycles left after it, and
+    that end's outcome and final state. A later settled run that finds its
+    commit there, with the cycles left fitting `max_cycles`, ends at once
+    with that outcome and a copy of that state; its stress spans close at
+    the new end, and no event is added. A run with no faults is settled from
+    cycle 0: it fills the record but never ends early.
 
     Bus words and parity masks are plain ints. The bus fabric (parity
     encode, fault application, parity check) is evaluated only at sites with
@@ -339,9 +359,12 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
     # fault credited with it.
     culprits: dict = {}
 
+    diverged = False  # a corrupted data word passed parity
+
     def faulty_bus(stage: int, copy: int, word: int, cycle: int) -> tuple[int, int]:
         """Drive `word` through a site that carries faults: (data, error mask).
         With none of them active the site drives `word` clean."""
+        nonlocal diverged
         hist = delay_hist.get((stage, copy))
         active = []
         stale = word
@@ -360,6 +383,8 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
             return word, 0
         bus = apply_faults(encode_bus(word), [f for _, f in active], stale)
         mask = parity_check(bus)
+        if not mask and bus & WORD_MASK != word:
+            diverged = True
         if mask and not ctrl.error_counters[stage]:
             # A parity-error run starts (the controller has counted no error
             # at this stage yet). Its culprit is the first active fault, in
@@ -371,12 +396,24 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
                 active[0][0])
         return bus & WORD_MASK, mask
 
+    # (end, unit, copy) of each fault, indexed as in `site_faults`.
+    inert_when = [(f.end, _UNIT_INDEX[f.site.unit], _COPY_INDEX[f.site.copy])
+                  for f in scenario.faults]
+
+    def settled(cycle: int) -> bool:
+        """Whether, from `cycle` on, the run repeats the fault-free run (see
+        *settled* in the docstring above)."""
+        return (not diverged and ctrl.mode is ControllerMode.MONITOR and not open_events
+                and all(end <= cycle or unit < len(PIPELINE_ORDER)
+                        and copy != (unit in ctrl.on_spare) for end, unit, copy in inert_when))
+
     regs = [0] * 16
     mem: dict = {}
     pc = fetch_pc = 0
     fetch_wait = False
     pd: int | None = None  # predecode latch: the fetched word
     de: tuple | None = None  # decode latch: (instr, dest, op_a, op_b)
+    commits = 0
     first_start = min((f.start for f in scenario.faults), default=math.inf)
     resume = 0
     record_to = -1  # this run appends the fault-free records up to this cycle
@@ -389,7 +426,8 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
             record_to = target
         if records:
             resume = min(target, len(records) - 1)
-            _, saved_regs, saved_mem, pc, fetch_pc, fetch_wait, pd, de = records[resume]
+            _, saved_regs, saved_mem, pc, fetch_pc, fetch_wait, pd, de, commits = \
+                records[resume]
             regs, mem = list(saved_regs), dict(saved_mem)
         for (stage, copy), hist in delay_hist.items():
             if copy == 0:  # a spare copy is not observed before a swap
@@ -405,6 +443,12 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
     open_events: list[RecoveryEvent] = []
     outcome: Outcome | None = None
     total_cycles = resume
+    # (n, cycles so far) at each BEQ or JMP commit n since the run settled
+    # that the join table lacks; None until the run has settled. A run with
+    # no faults is settled from cycle 0.
+    drained = None if scenario.faults else []
+    join = memo["join"]
+    tails = join[0] if join else {}
 
     cycles = iter(range(resume, max_cycles))
     for cycle in cycles:
@@ -449,7 +493,7 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
                 if saved_mem is None:
                     saved_mem = dict(mem)
                 records.append((tuple(words), saved_regs, saved_mem, pc, fetch_pc,
-                                fetch_wait, pd, de))
+                                fetch_wait, pd, de, commits))
             if cycle < stage_end:
                 masks = [0, 0, 0]
                 for stage in range(len(PIPELINE_ORDER)):
@@ -510,19 +554,31 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
         # Advance the pipeline when nothing flagged an error this cycle.
         if live and not error:
             if de is not None:
+                commits += 1
                 result = words[2]
                 instr = de[0]
                 op = instr.opcode
                 if op is Opcode.HALT:
                     outcome = Outcome.COMPLETED
-                elif op is Opcode.BEQ:
-                    pc += instr.imm if result else 1
+                elif op is Opcode.BEQ or op is Opcode.JMP:
+                    pc = result if op is Opcode.JMP else pc + (instr.imm if result else 1)
                     fetch_pc = pc
                     fetch_wait = False
-                elif op is Opcode.JMP:
-                    pc = result
-                    fetch_pc = pc
-                    fetch_wait = False
+                    # Fetch waited for this commit, so the pipeline drains:
+                    # unless a corrupted word has been latched, the state is
+                    # the fault-free run's after `commits` commits.
+                    if drained is None and settled(total_cycles):
+                        drained = []
+                    if drained is not None:
+                        tail = tails.get(commits)
+                        if tail is None:
+                            drained.append((commits, total_cycles))
+                        elif scenario.faults and total_cycles + tail <= max_cycles:
+                            # A run with no faults never jumps.
+                            total_cycles += tail
+                            _, outcome, final = join
+                            regs, pc, mem = final.regs, final.pc, dict(final.mem)
+                            break
                 else:
                     if op is Opcode.ST:
                         mem[(de[3] + instr.imm) & WORD_MASK] = result
@@ -570,8 +626,18 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
 
     if outcome is None:
         outcome = Outcome.EXHAUSTED
-    elif total_cycles - 1 <= record_to and total_cycles - 1 < first_start:
-        memo["end"] = total_cycles - 1  # the fault-free run halted or ran off the end
+    else:
+        # The run halted, ran off the end or died; a settled one cannot die.
+        if total_cycles - 1 <= record_to and total_cycles - 1 < first_start:
+            memo["end"] = total_cycles - 1  # the fault-free run reached its end
+        if drained:
+            if join is None:
+                join = memo["join"] = ({}, outcome, ArchState(
+                    tuple(regs), pc, dict(mem), outcome is Outcome.COMPLETED))
+            # The table holds a suffix of the fault-free run's BEQ and JMP
+            # commits, and a settled run passes a suffix of them: `drained`
+            # holds those before the table's first.
+            join[0].update((n, total_cycles - cycles) for n, cycles in drained)
 
     for stage in range(len(PIPELINE_ORDER)):
         for copy in range(len(_COPIES)):

@@ -68,15 +68,28 @@ def gen_loop_program(rng: random.Random, body_length: int = 5) -> Program:
     return assemble("\n".join(lines))
 
 
-def fault_free_words(program: Program, config: CoreConfig) -> list:
-    """The (predecode, decode, execute) bus words of each cycle of the
-    fault-free run, read from the records in `program.core_memo`. A run
-    whose only fault sits on a spare copy that is never selected, and starts
-    at the cycle budget, records every cycle of the fault-free run."""
+def fault_free_records(program: Program, config: CoreConfig) -> list:
+    """The fault-free run's record of every cycle, as `run_core` keeps them
+    in `core_memo["records"]`. A run whose only fault sits on a spare copy
+    that is never selected, and starts at the cycle budget, records every
+    cycle it simulates. It runs on a fresh copy of `program`, which has no
+    join table to end it early, so the result does not depend on the runs
+    `program` has seen, and `program` itself is left as it was."""
+    fresh = Program(program.instructions)
     idle = TimedFault(StuckAt(0, 0), FaultSite(FaultUnit.PREDECODE, Copy.SPARE),
                       DEFAULT_MAX_CYCLES, PERMANENT)
-    run_core(program, config, FaultScenario((idle,)))
-    return [record[0] for record in program.core_memo["records"]]
+    run_core(fresh, config, FaultScenario((idle,)))
+    records = fresh.core_memo["records"]
+    # A run with no faults simulates every cycle, and runs after the idle
+    # run so that the idle run finds no join table.
+    assert len(records) == run_core(fresh, config, FaultScenario()).total_cycles
+    return records
+
+
+def fault_free_words(program: Program, config: CoreConfig) -> list:
+    """The (predecode, decode, execute) bus words of each cycle of the
+    fault-free run."""
+    return [record[0] for record in fault_free_records(program, config)]
 
 
 def _bus_bit(data_word: int, bit: int) -> int:

@@ -1,15 +1,16 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
-from corpus import (fault_free_words, gen_loop_program, gen_permanent_stuckat_scenario,
-                    gen_program, gen_transient_scenario)
+from corpus import (fault_free_records, fault_free_words, gen_loop_program,
+                    gen_permanent_stuckat_scenario, gen_program, gen_transient_scenario)
 from ifrsim.faults import (Delay, FaultScenario, FaultSite, FaultUnit, PERMANENT,
                            StuckAt, TimedFault, TransientFlip, parse_scenario)
 from ifrsim import pipeline
 from ifrsim.hw import Copy, PowerState, StageKind
-from ifrsim.isa import Program, assemble, encode_instruction
+from ifrsim.isa import Opcode, Program, assemble, encode_instruction
 from ifrsim.pipeline import (ControllerActions, ControllerMode, ControllerState,
                              CoreConfig, Outcome, controller_step,
                              controller_output_vector, matches_reference,
@@ -33,6 +34,21 @@ def _alternating_program(pairs=40):
         lines.append("ADD r2, r1, r1")
     lines.append("HALT")
     return assemble("\n".join(lines))
+
+
+def _loop_program(trips):
+    """A loop of `trips` trips that adds to r1 and stores it every trip."""
+    return assemble(f"""
+    LDI r9, 64
+    LDI r10, {trips}
+    LDI r11, 1
+    ADD r1, r1, r11
+    ST r1, r9, 0
+    SUB r10, r10, r11
+    BEQ r10, r0, 2
+    JMP 3
+    HALT
+    """)
 
 
 # ---------------------------------------------------------------------------
@@ -839,20 +855,8 @@ def test_fault_free_records_share_unchanged_registers_and_memory():
     # no commit wrote them in between. Those records share one object. The
     # registers are written 3 times before the loop and twice a trip, memory
     # once a trip.
-    program = assemble("""
-    LDI r9, 64
-    LDI r10, 20
-    LDI r11, 1
-    ADD r1, r1, r11
-    ST r1, r9, 0
-    SUB r10, r10, r11
-    BEQ r10, r0, 2
-    JMP 3
-    HALT
-    """)
-    words = fault_free_words(program, CFG)
-    records = program.core_memo["records"]
-    assert len(records) == len(words) > 100
+    records = fault_free_records(_loop_program(20), CFG)
+    assert len(records) > 100
     for field, writes in ((1, 3 + 2 * 20), (2, 20)):
         for before, after in zip(records, records[1:]):
             assert (before[field] is after[field]) == (before[field] == after[field])
@@ -867,3 +871,157 @@ def test_program_tables_are_built_once(monkeypatch):
     for text in ("", "@4 T:3 decode.main flip 2", "@9 PERM execute.main stuckat 1 1"):
         run_core(program, CFG, parse_scenario(text))
     assert len(calls) == len(program)
+
+
+# ---------------------------------------------------------------------------
+# Ending a run once it rejoins the fault-free run
+# ---------------------------------------------------------------------------
+
+def _count_executes(monkeypatch) -> list:
+    """Wrap `pipeline.execute_result`; the returned list counts its calls and
+    the calls on a HALT. A completed run that never executed its HALT ended
+    by rejoining the fault-free run."""
+    counts = [0, 0]
+    execute = pipeline.execute_result
+
+    def counted(instr, *args):
+        counts[0] += 1
+        counts[1] += instr.opcode is Opcode.HALT
+        return execute(instr, *args)
+
+    monkeypatch.setattr(pipeline, "execute_result", counted)
+    return counts
+
+
+def _main_fault(rng, words):
+    """One fault on a main stage copy that a run can settle from: a
+    permanent stuck-at exposed at its start, which swaps the stage, or a
+    flip, stuck-at or delay in a window of 1 to 40 cycles."""
+    if rng.random() < 0.4:
+        return gen_permanent_stuckat_scenario(rng, words).faults[0]
+    roll = rng.random()
+    kind = (StuckAt(rng.randrange(36), rng.randrange(2)) if roll < 0.3 else
+            TransientFlip(rng.randrange(36)) if roll < 0.6 else Delay(rng.randrange(1, 5)))
+    site = FaultSite(rng.choice((FaultUnit.PREDECODE, FaultUnit.DECODE, FaultUnit.EXECUTE)),
+                     _MAIN)
+    return TimedFault(kind, site, rng.randrange(len(words)), rng.randrange(1, 41))
+
+
+@pytest.mark.filterwarnings("ignore:fault .* transient flip")
+def test_runs_that_rejoin_the_fault_free_run_equal_runs_from_cycle_zero(monkeypatch):
+    # A run on a warm `Program`, which may end early from its join table,
+    # equals the same run on a fresh `Program`, which simulates every cycle,
+    # in every report field. Half the programs see a run with no faults
+    # first; on the others only faulted runs fill the table.
+    counts = _count_executes(monkeypatch)
+    rng = random.Random(0x7017)
+    seen = set()
+
+    def check(program, config, scenario, budget):
+        fresh = run_core(Program(program.instructions), config, scenario, max_cycles=budget)
+        counts[1] = 0
+        warm = run_core(program, config, scenario, max_cycles=budget)
+        assert warm == fresh, (program, config, scenario, budget)
+        return fresh, warm.outcome is Outcome.COMPLETED and not counts[1]
+
+    for _ in range(30):
+        program = gen_loop_program(rng, rng.randrange(3, 8))
+        words = fault_free_words(program, CFG)
+        golden = run_core(Program(program.instructions), CFG, FaultScenario())
+        warmed = rng.random() < 0.5
+        if warmed:
+            assert run_core(program, CFG, FaultScenario()) == golden
+        budget = 3 * len(words) + 300
+        for _ in range(8):
+            config = rng.choice(_RESUME_CONFIGS)
+            first = _main_fault(rng, words)
+            roll = rng.random()
+            if roll < 0.15:
+                faults = (first, _random_fault(rng, len(words) + 40))
+            elif roll < 0.3:
+                rail = FaultSite(FaultUnit.CONTROLLER, rng.choice(list(Copy)))
+                faults = (first, TimedFault(StuckAt(rng.randrange(16), rng.randrange(2)),
+                                            rail, rng.randrange(len(words)),
+                                            rng.randrange(1, 41)))
+            elif roll < 0.45:
+                # A second fault that starts well after the first has
+                # closed its window or completed its swap: on a main copy, or
+                # on the first one's spare, which kills the run if the first
+                # swapped to it.
+                alone = run_core(Program(program.instructions), config, FaultScenario((first,)),
+                                 max_cycles=budget)
+                settled = max([e.swap_complete_cycle or 0 for e in alone.events]
+                              + [first.end if first.duration else 0])
+                second = _main_fault(rng, words) if rng.random() < 0.5 else TimedFault(
+                    StuckAt(rng.randrange(36), rng.randrange(2)),
+                    replace(first.site, copy=Copy.SPARE), 0, PERMANENT)
+                faults = (first, replace(second, start=settled + rng.randrange(20, 80)))
+                seen.add("second after settling")
+            else:
+                faults = (first,)
+            scenario = FaultScenario(faults)
+            fresh, jumped = check(program, config, scenario, budget)
+            if jumped:
+                seen.add("jump")
+                seen.add("swap" if any(f.duration is None for f in faults) else "window")
+                if any(f.site.unit is FaultUnit.CONTROLLER for f in faults):
+                    seen.add("rail")
+                if any(f.site.copy is Copy.SPARE and f.site.unit is not FaultUnit.CONTROLLER
+                       and f.duration is None for f in faults):
+                    seen.add("unselected spare")
+                if config is not CFG:
+                    seen.add("config")
+                if not warmed:
+                    seen.add("table filled by faulted runs")
+                if rng.random() < 0.3:
+                    offset = rng.choice((-1, 0, 1))
+                    check(program, config, scenario, fresh.total_cycles + offset)
+                    seen.add(f"budget {offset:+d}")
+            if (fresh.outcome is Outcome.COMPLETED and fresh.final_state != golden.final_state
+                    and all(isinstance(f.kind, Delay) for f in faults)):
+                seen.add("silent delay")
+            if fresh.outcome is Outcome.DEAD and faults[-1].site.copy is Copy.SPARE:
+                seen.add("selected spare")
+    assert seen >= {"jump", "swap", "window", "rail", "config", "table filled by faulted runs",
+                    "second after settling", "unselected spare", "selected spare",
+                    "silent delay",
+                    "budget -1", "budget +0", "budget +1"}
+
+
+def test_a_run_that_rejoins_the_fault_free_run_executes_far_fewer_instructions(monkeypatch):
+    counts = _count_executes(monkeypatch)
+    program = _loop_program(200)
+    scenario = parse_scenario("@20 PERM decode.main stuckat 0 1")
+
+    def executes(target, scenario):
+        counts[0] = 0
+        report = run_core(target, CFG, scenario)
+        assert report.outcome is Outcome.COMPLETED and matches_reference(report, program)
+        return report, counts[0]
+
+    fresh, from_zero = executes(Program(program.instructions), scenario)
+    # A run with no faults simulates every cycle, every time.
+    fault_free = {executes(target, FaultScenario())[1]
+                  for target in (program, program, Program(program.instructions))}
+    assert len(fault_free) == 1
+    for _ in range(2):
+        warm, calls = executes(program, scenario)
+        assert warm == fresh
+        assert 20 * calls < from_zero
+
+
+def test_jumped_reports_do_not_share_the_memoized_final_state(monkeypatch):
+    counts = _count_executes(monkeypatch)
+    program = _loop_program(30)
+    scenario = parse_scenario("@20 PERM execute.main stuckat 0 1")
+    fault_free = run_core(program, CFG, FaultScenario())
+    expected = dict(fault_free.final_state.mem)
+    assert expected
+    fault_free.final_state.mem[0xBAD] = 1
+    for _ in range(2):
+        counts[1] = 0
+        report = run_core(program, CFG, scenario)
+        assert report.outcome is Outcome.COMPLETED and not counts[1]  # it jumped
+        assert report.final_state.mem == expected
+        report.final_state.mem[0xBAD] = 1
+    assert program.core_memo["join"][2].mem == expected
