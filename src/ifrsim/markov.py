@@ -389,48 +389,30 @@ def _require_rate(name: str, value: float) -> float:
     return float(value)
 
 
-_LAMBDA = ("const", "lambda")
-
-
-def _builtin(name, states, initial, death, transitions, constants, expected_outgoing):
-    model = _model(states, initial, death, transitions,
-                   {cname: ("num", value) for cname, value in constants.items()})
-    # Rate conservation: every operational state's outgoing rates must sum to
-    # the combined failure rate of the components that can still fail there.
-    for state, expected in expected_outgoing.items():
-        got = model.outgoing_rate(state)
-        if not math.isclose(got, expected, rel_tol=1e-12):
-            raise AssertionError(f"{name}: outgoing rate of {state} is {got}, expected {expected}")
-    return model
-
-
 def build_simplex_model(lam: float) -> MarkovModel:
     """Single core: up -> dead at the core failure rate."""
-    lam = _require_rate("lambda", lam)
-    return _builtin("simplex", ("up", "dead"), "up", {"dead"},
-                    [("up", "dead", _LAMBDA)],
-                    {"lambda": lam}, {"up": lam})
+    return parse_model(f"CONST lambda = {_require_rate('lambda', lam)!r};\n"
+                       "STATE up; STATE dead DEATH; INIT up;\n"
+                       "up -> dead : lambda;\n")
 
 
 def build_tmr_model(lam: float) -> MarkovModel:
     """Triple modular redundancy with perfect voting: the system dies when the
     second of three copies fails (majority lost)."""
-    lam = _require_rate("lambda", lam)
-    return _builtin("tmr", ("3up", "2up", "dead"), "3up", {"dead"},
-                    [("3up", "2up", ("*", ("num", 3.0), _LAMBDA)),
-                     ("2up", "dead", ("*", ("num", 2.0), _LAMBDA))],
-                    {"lambda": lam}, {"3up": 3 * lam, "2up": 2 * lam})
+    return parse_model(f"CONST lambda = {_require_rate('lambda', lam)!r};\n"
+                       "STATE up3; STATE up2; STATE dead DEATH; INIT up3;\n"
+                       "up3 -> up2 : 3 * lambda;\n"
+                       "up2 -> dead : 2 * lambda;\n")
 
 
 def build_standby_model(lam: float) -> MarkovModel:
     """Two-component standby pair with perfect detection and switching. Both
     components carry the failure rate while unfailed, matching the two-unit
     closed form whose complement is (1 - exp(-lam*T))^2."""
-    lam = _require_rate("lambda", lam)
-    return _builtin("standby", ("2up", "1up", "dead"), "2up", {"dead"},
-                    [("2up", "1up", ("*", ("num", 2.0), _LAMBDA)),
-                     ("1up", "dead", _LAMBDA)],
-                    {"lambda": lam}, {"2up": 2 * lam, "1up": lam})
+    return parse_model(f"CONST lambda = {_require_rate('lambda', lam)!r};\n"
+                       "STATE up2; STATE up1; STATE dead DEATH; INIT up2;\n"
+                       "up2 -> up1 : 2 * lambda;\n"
+                       "up1 -> dead : lambda;\n")
 
 
 def build_ifr_pipeline_model(lambda_p: float, lambda_sw: float,
@@ -439,30 +421,29 @@ def build_ifr_pipeline_model(lambda_p: float, lambda_sw: float,
     on the spare stage set, and the switch boxes or controller failing from
     either state is immediately fatal. The outgoing rate from each operational
     state equals the summed failure rates of its unfailed components."""
-    lp = _require_rate("lambda_p", lambda_p)
-    lsw = _require_rate("lambda_sw", lambda_sw)
-    lc = _require_rate("lambda_ctrl", lambda_ctrl)
-    e_p, e_sw, e_c = ("const", "lambda_p"), ("const", "lambda_sw"), ("const", "lambda_ctrl")
-    transitions = [
-        ("all_up", "on_spare", e_p),
-        ("all_up", "dead_switch", e_sw),
-        ("all_up", "dead_ctrl", e_c),
-        ("on_spare", "dead_pipeline", e_p),
-        ("on_spare", "dead_switch", e_sw),
-        ("on_spare", "dead_ctrl", e_c),
-    ]
-    total = lp + lsw + lc
-    return _builtin("ifr_pipeline",
-                    ("all_up", "on_spare", "dead_pipeline", "dead_switch", "dead_ctrl"),
-                    "all_up", {"dead_pipeline", "dead_switch", "dead_ctrl"},
-                    transitions,
-                    {"lambda_p": lp, "lambda_sw": lsw, "lambda_ctrl": lc},
-                    {"all_up": total, "on_spare": total})
+    return parse_model(
+        f"CONST lambda_p = {_require_rate('lambda_p', lambda_p)!r};\n"
+        f"CONST lambda_sw = {_require_rate('lambda_sw', lambda_sw)!r};\n"
+        f"CONST lambda_ctrl = {_require_rate('lambda_ctrl', lambda_ctrl)!r};\n"
+        "STATE all_up; STATE on_spare; INIT all_up;\n"
+        "STATE dead_pipeline DEATH; STATE dead_switch DEATH; STATE dead_ctrl DEATH;\n"
+        "all_up -> on_spare : lambda_p;\n"
+        "all_up -> dead_switch : lambda_sw;\n"
+        "all_up -> dead_ctrl : lambda_ctrl;\n"
+        "on_spare -> dead_pipeline : lambda_p;\n"
+        "on_spare -> dead_switch : lambda_sw;\n"
+        "on_spare -> dead_ctrl : lambda_ctrl;\n")
 
 
 # ---------------------------------------------------------------------------
 # Transient bound solver
 # ---------------------------------------------------------------------------
+
+def _meets(lower: float, upper: float, tol: float) -> bool:
+    """The width target of both methods: relative width tol, or absolute
+    width tol·WIDTH_FLOOR when the upper bound is below WIDTH_FLOOR."""
+    return upper - lower <= tol * max(upper, WIDTH_FLOOR)
+
 
 def death_probability(model: MarkovModel, mission_time: float,
                       tol: float = DEFAULT_TOL) -> BoundedProbability:
@@ -475,8 +456,8 @@ def death_probability(model: MarkovModel, mission_time: float,
     loosened). Up to SERIES_Q_MAX that is within MAX_SERIES_TERMS series
     terms, or by the outwardly rounded bracket at all.
 
-    Above SERIES_Q_MAX the bracket comes from scaling and squaring, and tol
-    is a relative width with no WIDTH_FLOOR. Its bounds hold exactly, not
+    Above SERIES_Q_MAX the bracket comes from scaling and squaring, with the
+    series' width target and no outward nudge. Its bounds hold exactly, not
     just up to rounding: every floating-point result is a bound for the real
     value it stands for, because each product of non-negative factors is
     deflated (lower) or inflated (upper) by a factor that covers its
@@ -530,11 +511,11 @@ def death_probability(model: MarkovModel, mission_time: float,
         tail = max(0.0, 1.0 - cum_w)
         lower = partial + tail * d_k  # jump-chain death mass only grows
         upper = min(1.0, partial + tail)
-        if upper - lower <= tol * max(upper, WIDTH_FLOOR):
+        if _meets(lower, upper, tol):
             # The outward rounding widens the bracket, so it must meet tol too.
             out_lower = max(0.0, lower * (1.0 - _FP_REL) - _FP_ABS)
             out_upper = min(1.0, upper * (1.0 + _FP_REL) + _FP_ABS)
-            if out_upper - out_lower <= tol * max(out_upper, WIDTH_FLOOR):
+            if _meets(out_lower, out_upper, tol):
                 return BoundedProbability(out_lower, out_upper)
             if met == (lower, upper):
                 # The series no longer moves the bracket: only rounding is left.
@@ -639,7 +620,7 @@ def _squared_bracket(model: MarkovModel, mission_time: float, tol: float) -> Bou
     i0 = index[model.initial]
     lower = max(0.0, math.nextafter(math.fsum(pair[0, i0, dead]), -math.inf))
     upper = min(1.0, math.nextafter(math.fsum(pair[1, i0, dead]), math.inf))
-    if upper - lower > tol * upper:
+    if not _meets(lower, upper, tol):
         raise SolverError(
             f"bound width target {tol} not reached by {s} squarings: "
             f"[{lower:.3g}, {upper:.3g}] (uniformization rate*T = {q:.3g})")

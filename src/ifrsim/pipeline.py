@@ -247,9 +247,8 @@ def _program_memo(program: Program) -> dict:
     word -> `_decoded` table; `records`, where `records[c]` is the fault-free
     run at cycle c, as (bus words, regs, mem, pc, fetch_pc, fetch_wait, pd,
     de, commits) before its commit, a record sharing its regs tuple and mem
-    dict with the one before unless a commit wrote them in between; `end`,
-    the fault-free run's last cycle, or infinity until a run has reached it;
-    and `join`, None until a settled run has reached the program's end, then
+    dict with the one before unless a commit wrote them in between; and
+    `join`, None until a settled run has reached the program's end, then
     (tails, outcome, final state) of that end, where `tails[n]` is the number
     of cycles the fault-free run takes after its BEQ or JMP commit number n.
     A fresh `Program` has no records and no join table, so its runs simulate
@@ -258,7 +257,7 @@ def _program_memo(program: Program) -> dict:
     if not memo:
         memo.update(slots=[(encode_instruction(instr), instr.opcode in _CONTROL_OPS)
                            for instr in program.instructions],
-                    decoded={}, records=[], end=math.inf, join=None)
+                    decoded={}, records=[], join=None)
     return memo
 
 
@@ -273,11 +272,11 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
 
     A run with faults equals the program's fault-free run until its earliest
     fault starts, so it resumes from that run's recorded state at the first
-    of: that start, the fault-free run's last cycle, and `max_cycles - 1`.
-    Each main-copy delay history starts with the fault-free bus words before
-    it. The fault-free states are recorded once per `Program`, by the runs
-    that pass through them, and only as far as some run has resumed; a run
-    on a fresh `Program` starts at cycle 0.
+    of: that start, `max_cycles - 1` and the last recorded cycle. Each
+    main-copy delay history starts with the fault-free bus words before it.
+    The fault-free states are recorded once per `Program`, by the runs with
+    faults that pass through them, each through its earliest fault's start;
+    a run on a fresh `Program` starts at cycle 0.
 
     A run with faults also ends early once it has rejoined the fault-free
     run. It is *settled* at a BEQ or JMP commit when every fault is inert
@@ -299,11 +298,10 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
     encode, fault application, parity check) is evaluated only at sites with
     an active fault, and only before the latest stage fault window ends: any
     other site drives its word with a zero error mask by construction.
-    Likewise the controller rails are built and two-rail checked only inside
-    [earliest start, latest end) of the rail faults, the FLUSH and POWER_SWAP
-    countdowns are taken in one step up to the first cycle a rail fault is
-    active on, and the stress ledger is kept as spans that close when a
-    block's power changes.
+    Likewise the controller rails are built and two-rail checked only in a
+    run with rail faults, a run without them takes the FLUSH and POWER_SWAP
+    countdowns in one step, and the stress ledger is kept as spans that close
+    when a block's power changes.
     """
     if max_cycles < 1:
         raise ValueError(f"max_cycles must be >= 1, got {max_cycles}")
@@ -318,12 +316,9 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
         site_faults[unit][_COPY_INDEX[fault.site.copy]].append((index, fault))
     stage_faults = site_faults[:-1]
     rail_a, rail_b = site_faults[-1]
-    # A stage fault can be active before `stage_end`, a rail fault inside
-    # [rail_from, rail_to).
+    # A stage fault can be active before `stage_end`.
     stage_end = max((f.end for copies in stage_faults for faults in copies
                      for _, f in faults), default=0)
-    rail_from = min((f.start for _, f in rail_a + rail_b), default=math.inf)
-    rail_to = max((f.end for _, f in rail_a + rail_b), default=0)
 
     power = [[PowerState.ON, PowerState.OFF] for _ in PIPELINE_ORDER]
     since = [[0, 0] for _ in PIPELINE_ORDER]  # first cycle of each block's power span
@@ -414,18 +409,16 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
     pd: int | None = None  # predecode latch: the fetched word
     de: tuple | None = None  # decode latch: (instr, dest, op_a, op_b)
     commits = 0
-    first_start = min((f.start for f in scenario.faults), default=math.inf)
+    # This run appends the fault-free records up to its earliest fault's
+    # start; a run with no faults appends none.
+    first_start = min((f.start for f in scenario.faults), default=-1)
     resume = 0
-    record_to = -1  # this run appends the fault-free records up to this cycle
     # The last record's regs tuple and mem dict, None once a commit has
     # written that field since: a record shares what has not changed.
     saved_regs = saved_mem = None
     if scenario.faults:
-        target = min(first_start, memo["end"], max_cycles - 1)
-        if target >= len(records):
-            record_to = target
         if records:
-            resume = min(target, len(records) - 1)
+            resume = min(first_start, max_cycles - 1, len(records) - 1)
             _, saved_regs, saved_mem, pc, fetch_pc, fetch_wait, pd, de, commits = \
                 records[resume]
             regs, mem = list(saved_regs), dict(saved_mem)
@@ -486,7 +479,7 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
             e_word = execute_result(de[0], de[2], de[3], mem) if de is not None else 0
 
             words = [p_word, d_word, e_word]
-            if cycle <= record_to and cycle == len(records):
+            if cycle <= first_start and cycle == len(records):
                 # No fault has started yet: this is the fault-free run.
                 if saved_regs is None:
                     saved_regs = tuple(regs)
@@ -507,10 +500,10 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
             new_ctrl, actions = ctrl, _NO_ACTIONS
         else:
             new_ctrl, actions = controller_step(ctrl, masks, False, config)
-        if rail_from <= cycle < rail_to:
+        if rail_a or rail_b:
             # Both controller copies compute the same transition; copy B's
-            # outputs are complemented and the rails are compared. Outside
-            # the rail faults' windows the rails agree by construction.
+            # outputs are complemented and the rails are compared. Without
+            # rail faults the rails agree by construction.
             vec = controller_output_vector(new_ctrl, actions)
             out_a = apply_vector_faults(vec, [f for _, f in rail_a if f.active_at(cycle)])
             out_b = apply_vector_faults(~vec & _RAIL_MASK,
@@ -610,15 +603,11 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
                 # Ran past the end of the program without a HALT.
                 outcome = Outcome.EXHAUSTED
                 break
-        elif ctrl.remaining > 1:
+        elif ctrl.remaining > 1 and not (rail_a or rail_b):
             # FLUSH and POWER_SWAP count down: until `remaining` is 1, a cycle
-            # changes nothing else unless a rail fault is active on it. Take
-            # those cycles in one step.
+            # of a run without rail faults changes nothing else. Take those
+            # cycles in one step.
             skip = min(ctrl.remaining - 1, max_cycles - total_cycles)
-            for _, f in rail_a + rail_b:
-                first = max(f.start, total_cycles)
-                if f.active_at(first):
-                    skip = min(skip, first - total_cycles)
             if skip:
                 next(islice(cycles, skip, skip), None)  # consumes `skip` cycles
                 total_cycles += skip
@@ -626,18 +615,15 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
 
     if outcome is None:
         outcome = Outcome.EXHAUSTED
-    else:
-        # The run halted, ran off the end or died; a settled one cannot die.
-        if total_cycles - 1 <= record_to and total_cycles - 1 < first_start:
-            memo["end"] = total_cycles - 1  # the fault-free run reached its end
-        if drained:
-            if join is None:
-                join = memo["join"] = ({}, outcome, ArchState(
-                    tuple(regs), pc, dict(mem), outcome is Outcome.COMPLETED))
-            # The table holds a suffix of the fault-free run's BEQ and JMP
-            # commits, and a settled run passes a suffix of them: `drained`
-            # holds those before the table's first.
-            join[0].update((n, total_cycles - cycles) for n, cycles in drained)
+    elif drained:
+        # The run halted or ran off the end: a settled run cannot die.
+        if join is None:
+            join = memo["join"] = ({}, outcome, ArchState(
+                tuple(regs), pc, dict(mem), outcome is Outcome.COMPLETED))
+        # The table holds a suffix of the fault-free run's BEQ and JMP
+        # commits, and a settled run passes a suffix of them: `drained`
+        # holds those before the table's first.
+        join[0].update((n, total_cycles - cycles) for n, cycles in drained)
 
     for stage in range(len(PIPELINE_ORDER)):
         for copy in range(len(_COPIES)):

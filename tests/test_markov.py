@@ -204,8 +204,14 @@ def test_simplex_shape():
 
 def test_tmr_rates_follow_k_of_n_structure():
     model = build_tmr_model(2e-4)
-    assert model.outgoing_rate("3up") == pytest.approx(6e-4)
-    assert model.outgoing_rate("2up") == pytest.approx(4e-4)
+    assert model.outgoing_rate("up3") == pytest.approx(6e-4)
+    assert model.outgoing_rate("up2") == pytest.approx(4e-4)
+
+
+def test_standby_rates_follow_the_unfailed_components():
+    model = build_standby_model(2e-4)
+    assert model.outgoing_rate("up2") == pytest.approx(4e-4)
+    assert model.outgoing_rate("up1") == pytest.approx(2e-4)
 
 
 def test_ifr_outgoing_sum_is_total_component_rate():
@@ -392,6 +398,23 @@ def test_squaring_step_bounds_hold_in_exact_arithmetic(n):
         for j in range(n):
             exact = sum(Fraction(a[i, k]) * Fraction(a[k, j]) for k in range(n))
             assert pair[0, i, j] <= exact <= pair[1, i, j], (i, j)
+
+
+def test_squared_bracket_below_the_width_floor_meets_tol_in_absolute_width():
+    # q = 1e6, so the solver squares. The tail mass cut from each step's
+    # series leaves the upper bound near 5e-56, far above the exact 2e-80 but
+    # far below WIDTH_FLOOR, where tol is an absolute width as in the series.
+    model = _repair_chain(1e-40, 1e3)
+    bracket = death_probability(model, T)
+    assert _contains(bracket, _expm_death_probability(model, T))
+    assert bracket.upper - bracket.lower <= DEFAULT_TOL * WIDTH_FLOOR
+
+
+def test_squared_bracket_wider_than_tol_is_refused():
+    # The squaring factors alone stay below tol, but the bracket
+    # [6.4e-10, 7.0e-10] is about 9% wide.
+    with pytest.raises(SolverError, match=r"not reached by \d+ squarings"):
+        death_probability(_repair_chain(0.1, 3e10), T)
 
 
 def test_chain_too_stiff_for_the_rounding_is_refused_without_a_warning():
