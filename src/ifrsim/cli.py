@@ -268,15 +268,30 @@ def cmd_formulas(args) -> int:
     return EXIT_PARSE if failures else EXIT_OK
 
 
-# The builtin models as (rate, aux_ratio) -> model; only ifr-pipeline reads
-# aux_ratio, for its switch and controller rates.
+# The builtin models as (rate, aux_ratio) -> model, each with the constant
+# its rate defines; only ifr-pipeline reads aux_ratio, for its switch and
+# controller rates.
 _BUILTINS = {
-    "simplex": lambda lam, aux_ratio: build_simplex_model(lam),
-    "tmr": lambda lam, aux_ratio: build_tmr_model(lam),
-    "standby": lambda lam, aux_ratio: build_standby_model(lam),
-    "ifr-pipeline": lambda lam, aux_ratio: build_ifr_pipeline_model(
-        lam, lam * aux_ratio, lam * aux_ratio),
+    "simplex": (lambda lam, aux_ratio: build_simplex_model(lam), "lambda"),
+    "tmr": (lambda lam, aux_ratio: build_tmr_model(lam), "lambda"),
+    "standby": (lambda lam, aux_ratio: build_standby_model(lam), "lambda"),
+    "ifr-pipeline": (lambda lam, aux_ratio: build_ifr_pipeline_model(lam, aux_ratio, aux_ratio),
+                     "lambda_p"),
 }
+
+
+def _builtin(name: str, aux_ratio: float):
+    """`build(rate) -> model` for a builtin. The first rate goes through the
+    builder, which checks it and parses the chain; every later rate rebuilds
+    the last model with its rate constant changed, without parsing again."""
+    make, constant = _BUILTINS[name]
+    model = None
+
+    def build(lam):
+        nonlocal model
+        model = make(lam, aux_ratio) if model is None else model.with_constant(constant, lam)
+        return model
+    return build
 
 
 def _bad_numbers_are_usage_errors(command):
@@ -309,7 +324,7 @@ def _markov_source(args, report: CsvReport):
         aux_ratio = DEFAULT_AUX_RATIO if args.aux_ratio is None else args.aux_ratio
         report.add_meta("model", args.builtin)
         report.add_meta("aux_ratio", fmt_float(aux_ratio))
-        build = functools.partial(_BUILTINS[args.builtin], aux_ratio=aux_ratio)
+        build = _builtin(args.builtin, aux_ratio)
         if args.sweep:
             lo, hi, points = args.sweep
             return build, "lambda", (lo, hi, _sweep_points(points))
@@ -388,8 +403,7 @@ def cmd_markov(args) -> int:
 def cmd_compare(args) -> int:
     lo, hi, points = args.sweep
     spec = SweepSpec("lambda", lo, hi, _sweep_points(points), args.T, args.tol)
-    curves = [sweep(functools.partial(build, aux_ratio=args.aux_ratio), spec)
-              for build in _BUILTINS.values()]
+    curves = [sweep(_builtin(name, args.aux_ratio), spec) for name in _BUILTINS]
 
     # Column prefixes: the builtin names up to the first '-' (ifr-pipeline -> ifr).
     report = CsvReport(columns=["lambda"] + [f"{name.partition('-')[0]}_{side}"

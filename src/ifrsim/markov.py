@@ -7,16 +7,16 @@ Both of its methods uniformise the chain: with Λ at least every state's
 outgoing rate, P = I + Q/Λ is a non-negative stochastic jump matrix and
 exp(Q·T) = Σ_k Poisson(k; Λ·T) P^k.
 
-While q = Λ·T is at most SERIES_Q_MAX the solver truncates that series for
-the initial state: every truncated term is non-negative and the death
-probability of the jump chain is non-decreasing, so the tail mass yields
-rigorous two-sided bounds which are tightened until the requested relative
-width is met. Above it the series would need O(q) terms, so the solver
-scales and squares instead (Moler & Van Loan, "Nineteen Dubious Ways", 2003):
-it bounds exp(Q·T/2^s), with q/2^s a few units, between an entry-wise lower
-matrix L (the truncated series) and upper matrix U (the series plus its
-Poisson tail mass on every entry), and squares both s times, which keeps
-L <= exp(Q·T) <= U since all of them are non-negative.
+While q = Λ·T is at most SERIES_Q_MAX = 128 the solver truncates that
+series for the initial state: every truncated term is non-negative and the
+death probability of the jump chain is non-decreasing, so the tail mass
+yields rigorous two-sided bounds which are tightened until the requested
+relative width is met. That costs O(q) terms, so above it the solver scales
+and squares instead (Moler & Van Loan, "Nineteen Dubious Ways", 2003), in
+O(log q) matrix products: it bounds exp(Q·T/2^s), with q/2^s a few units,
+between an entry-wise lower matrix L (the truncated series) and upper matrix
+U (the series plus its Poisson tail mass on every entry), and squares both
+s times, which keeps L <= exp(Q·T) <= U since all of them are non-negative.
 
 Squaring turns a relative rounding error per product into about 2^s times
 that error, so every rounding is accounted for: P is rounded outward from
@@ -40,13 +40,18 @@ import numpy as np
 
 DEFAULT_TOL = 0.05
 WIDTH_FLOOR = 1e-12
-MAX_SERIES_TERMS = 200_000
 # Above this uniformization rate times mission time the solver scales and
-# squares. Below it the series spends all but 1e-14 of its Poisson mass in
-# about q + 8·sqrt(q) terms, under 154,000, well within MAX_SERIES_TERMS. It
-# is fixed, not derived from MAX_SERIES_TERMS, so a model's method never
-# depends on the series budget.
-SERIES_Q_MAX = 150_000.0
+# squares. It is the measured cost crossover of the two methods on a 3-state
+# chain: the series' O(q) terms cost about as much as squaring's O(log q)
+# products between q = 64 and q = 128, and 2^7 puts the squaring step's
+# q/2^s at exactly _STEP_Q/2 there. It is fixed, not derived from
+# MAX_SERIES_TERMS, so a model's method never depends on the series budget.
+SERIES_Q_MAX = 128.0
+# The series budget. At q <= SERIES_Q_MAX the Poisson(q) mass beyond term
+# k, at most w_(k+1) / (1 - q/(k+2)), is below 2^-76 from k = 256 and below
+# 2^-14,000 from k = 4,096: the series has spent its mass long before the
+# budget, which only bounds the cost of a refusal.
+MAX_SERIES_TERMS = 4_096
 # Scaling and squaring: each step spans at most _STEP_Q expected jumps, and
 # its series is cut where the Poisson tail mass beyond it is below _TAIL;
 # a computed entry below _TINY may have underflowed.
@@ -415,16 +420,19 @@ def build_standby_model(lam: float) -> MarkovModel:
                        "up1 -> dead : lambda;\n")
 
 
-def build_ifr_pipeline_model(lambda_p: float, lambda_sw: float,
-                             lambda_ctrl: float) -> MarkovModel:
+def build_ifr_pipeline_model(lambda_p: float, sw_ratio: float,
+                             ctrl_ratio: float) -> MarkovModel:
     """Repairable pipeline: state 1 has everything operational, state 2 runs
     on the spare stage set, and the switch boxes or controller failing from
     either state is immediately fatal. The outgoing rate from each operational
-    state equals the summed failure rates of its unfailed components."""
+    state equals the summed failure rates of its unfailed components. The
+    switch boxes fail at lambda_sw = lambda_p * sw_ratio and the controller
+    at lambda_ctrl = lambda_p * ctrl_ratio, constants defined from lambda_p,
+    so `with_constant("lambda_p", ...)` moves all three rates."""
     return parse_model(
         f"CONST lambda_p = {_require_rate('lambda_p', lambda_p)!r};\n"
-        f"CONST lambda_sw = {_require_rate('lambda_sw', lambda_sw)!r};\n"
-        f"CONST lambda_ctrl = {_require_rate('lambda_ctrl', lambda_ctrl)!r};\n"
+        f"CONST lambda_sw = lambda_p * {_require_rate('sw_ratio', sw_ratio)!r};\n"
+        f"CONST lambda_ctrl = lambda_p * {_require_rate('ctrl_ratio', ctrl_ratio)!r};\n"
         "STATE all_up; STATE on_spare; INIT all_up;\n"
         "STATE dead_pipeline DEATH; STATE dead_switch DEATH; STATE dead_ctrl DEATH;\n"
         "all_up -> on_spare : lambda_p;\n"
@@ -456,8 +464,11 @@ def death_probability(model: MarkovModel, mission_time: float,
     loosened). Up to SERIES_Q_MAX that is within MAX_SERIES_TERMS series
     terms, or by the outwardly rounded bracket at all.
 
-    Above SERIES_Q_MAX the bracket comes from scaling and squaring, with the
-    series' width target and no outward nudge. Its bounds hold exactly, not
+    Above SERIES_Q_MAX = 128 the bracket comes from scaling and squaring,
+    with the series' width target and no outward nudge. Squaring has no
+    stopping rule, so its bracket is only as wide as its rounding: about
+    3e-12 relative for the 3-state repair chain at q = 1e3, where the series
+    would stop at a width just below tol. Its bounds hold exactly, not
     just up to rounding: every floating-point result is a bound for the real
     value it stands for, because each product of non-negative factors is
     deflated (lower) or inflated (upper) by a factor that covers its
@@ -490,22 +501,16 @@ def death_probability(model: MarkovModel, mission_time: float,
         raise SolverError(f"uniformization rate*T = {q:.3g} is not finite")
     if q > SERIES_Q_MAX:
         return _squared_bracket(model, mission_time, tol)
-    use_log_weights = q > 700.0
-
-    def weight(k: int, prev: float) -> float:
-        if use_log_weights:
-            return math.exp(k * math.log(q) - q - math.lgamma(k + 1))
-        return prev * q / k if k else math.exp(-q)
 
     vec = np.eye(n)[index[model.initial]]
-    w = weight(0, 0.0)
+    w = math.exp(-q)  # at least exp(-SERIES_Q_MAX), far from underflow
     cum_w = w
     partial = 0.0  # sum of w_k * d_k; d_0 = 0 since initial is never a death state
     met = None  # the last bracket that met tol before the outward rounding
     for k in range(1, MAX_SERIES_TERMS + 1):
         vec = vec @ jump
         d_k = float(vec @ death)
-        w = weight(k, w)
+        w = w * q / k
         cum_w += w
         partial += w * d_k
         tail = max(0.0, 1.0 - cum_w)

@@ -67,7 +67,7 @@ def test_criterion_3_monte_carlo_oracle():
         ("simplex", build_simplex_model(1e-3)),
         ("tmr", build_tmr_model(1e-3)),
         ("standby", build_standby_model(1e-3)),
-        ("ifr_pipeline", build_ifr_pipeline_model(1e-3, 1e-6, 1e-6)),
+        ("ifr_pipeline", build_ifr_pipeline_model(1e-3, 1e-3, 1e-3)),
     ]
     for seed_offset, (name, model) in enumerate(models):
         bracket = death_probability(model, T_MISSION)
@@ -91,7 +91,7 @@ def test_criterion_4_figure_anchors():
     # Switch/controller rates default to lambda_p/1000 for figure
     # reproduction; their series contribution (~2e-6 at the anchor) then
     # keeps the curve start on the 1e-6 scale.
-    ifr = sweep(lambda lam: build_ifr_pipeline_model(lam, lam * 1e-3, lam * 1e-3), spec)
+    ifr = sweep(lambda lam: build_ifr_pipeline_model(lam, 1e-3, 1e-3), spec)
     anchor = ifr[0]
     assert 1e-6 <= anchor.lower <= anchor.upper <= 3e-6
 

@@ -295,6 +295,18 @@ def test_markov_unreachable_bracket_exits_3(tmp_path, capsys, argv, reason):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, parses", [
+    (["markov", "--builtin", "ifr-pipeline", "--sweep", "1e-6", "1e-2", "9"], 1),
+    (["compare", "--sweep", "1e-6", "1e-2", "9"], 4),
+])
+def test_builtin_sweep_parses_each_chain_once(monkeypatch, tmp_path, argv, parses):
+    calls = []
+    parse = markov.parse_model
+    monkeypatch.setattr(markov, "parse_model", lambda text: calls.append(text) or parse(text))
+    code, _ = run_cli(argv, tmp_path)
+    assert code == 0 and len(calls) == parses
+
+
 def test_markov_builtin_needs_point_or_sweep(tmp_path):
     assert main(["markov", "--builtin", "tmr", "--out", str(tmp_path / "x.csv")]) == 2
 
@@ -459,12 +471,12 @@ _REPAIR_MODEL = ("CONST lambda = 1e-3;\nCONST mu = 1;\n"
 
 
 def test_markov_sweep_const_solver_failure_row(monkeypatch, tmp_path, capsys):
-    # A 3-term series budget refuses mu=1, which takes the series; mu=1e3 is
-    # past SERIES_Q_MAX and is squared.
+    # A 3-term series budget refuses mu=0.1 (q = 101), which takes the
+    # series; mu=1e3 is past SERIES_Q_MAX and is squared.
     monkeypatch.setattr(markov, "MAX_SERIES_TERMS", 3)
     model = tmp_path / "repair.model"
     model.write_text(_REPAIR_MODEL)
-    code, text = run_cli(["markov", "--model", str(model), "--sweep-const", "mu", "1", "1e3",
+    code, text = run_cli(["markov", "--model", str(model), "--sweep-const", "mu", "0.1", "1e3",
                           "2", "--mc", "500", "--seed", "1"], tmp_path)
     _, columns, rows = parse_csv(text)
     assert code == 3
@@ -474,7 +486,7 @@ def test_markov_sweep_const_solver_failure_row(monkeypatch, tmp_path, capsys):
     assert [rows[0][key] for key in ("lower", "upper", "width_rel", "mc_estimate",
                                      "mc_ci99")] == [""] * 5
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("mu=1.0: ")
+    assert len(err) == 1 and err[0].startswith("mu=0.1: ")
 
 
 def test_markov_sweep_const_brackets_stiff_repair(tmp_path, capsys):

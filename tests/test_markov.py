@@ -8,7 +8,7 @@ from functools import partial
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ifrsim import markov
 from ifrsim.markov import (DEFAULT_TOL, MC_CHUNK, WIDTH_FLOOR, BoundedProbability, MarkovModel, ModelError, SolverError,
@@ -215,10 +215,24 @@ def test_standby_rates_follow_the_unfailed_components():
 
 
 def test_ifr_outgoing_sum_is_total_component_rate():
-    model = build_ifr_pipeline_model(1e-3, 1e-5, 1e-6)
+    model = build_ifr_pipeline_model(1e-3, 1e-2, 1e-3)
     expected = 1e-3 + 1e-5 + 1e-6
     assert model.outgoing_rate("all_up") == pytest.approx(expected, rel=1e-12)
     assert model.outgoing_rate("on_spare") == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("build, name", [
+    (build_simplex_model, "lambda"), (build_tmr_model, "lambda"),
+    (build_standby_model, "lambda"),
+    (lambda lam: build_ifr_pipeline_model(lam, 1e-3, 1e-3), "lambda_p")])
+def test_builtin_rebuilt_with_its_rate_equals_a_fresh_build(build, name):
+    # A sweep parses a builtin once and moves its rate with with_constant;
+    # ifr-pipeline's switch and controller rates follow lambda_p as the
+    # float product lambda_p * 1e-3.
+    for lam in (1e-9, 3.7e-5, 0.25):
+        assert build(1e-3).with_constant(name, lam) == build(lam)
+    assert build_ifr_pipeline_model(1e-3, 1e-3, 1e-3).with_constant("lambda_p", 3.7e-5) \
+        .constants["lambda_sw"] == 3.7e-5 * 1e-3
 
 
 def test_builders_reject_bad_rates():
@@ -226,7 +240,7 @@ def test_builders_reject_bad_rates():
         with pytest.raises(ValueError):
             builder(0.0)
     with pytest.raises(ValueError):
-        build_ifr_pipeline_model(1e-3, -1e-5, 1e-6)
+        build_ifr_pipeline_model(1e-3, -1e-2, 1e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +253,8 @@ def test_death_probability_at_time_zero():
 
 @pytest.mark.parametrize("rate", [1.0, 1e9])
 def test_model_without_death_state_has_zero_death_probability(rate):
-    # Both methods: the series (q = 1e3) and squaring (q = 1e12).
+    # q = 1e3 and 1e12: a chain without a death state returns before either
+    # method runs, whatever its q.
     model = parse_model(f"STATE a;\nSTATE b;\nINIT a;\na -> b : {rate!r};\n")
     assert death_probability(model, T) == BoundedProbability(0.0, 0.0)
 
@@ -354,13 +369,38 @@ def test_repair_chain_bracket_contains_the_mpmath_value(mu):
     assert bracket.upper - bracket.lower <= DEFAULT_TOL * bracket.upper
 
 
-@pytest.mark.parametrize("mu, squared", [(149.9, False), (150.1, True)])
-def test_both_sides_of_the_series_threshold_contain_the_mpmath_value(mu, squared):
-    model = _repair_chain(1e-3, mu)
+@pytest.mark.parametrize("scale, squared", [(0.999, False), (1.001, True)])
+def test_both_sides_of_the_series_threshold_contain_the_mpmath_value(scale, squared):
+    # q = (mu + lambda)·T lands just below or just above SERIES_Q_MAX.
+    model = _repair_chain(1e-3, scale * markov.SERIES_Q_MAX / T - 1e-3)
     assert (model.outgoing_rate("degraded") * T > markov.SERIES_Q_MAX) is squared
     bracket = death_probability(model, T)
     assert _contains(bracket, _expm_death_probability(model, T))
     assert bracket.relative_width <= DEFAULT_TOL
+
+
+def test_chain_near_the_old_series_limit_is_squared_not_refused():
+    # q = 1.499e5 and p = 1.33e-15: with the series taken up to q = 1.5e5,
+    # this chain ran 200,000 terms (0.8 s) and was refused.
+    model = _repair_chain(1e-8, 149.9)
+    bracket = death_probability(model, T)
+    assert _contains(bracket, _expm_death_probability(model, T))
+    assert bracket.upper - bracket.lower <= DEFAULT_TOL * max(bracket.upper, WIDTH_FLOOR)
+
+
+def test_series_budget_covers_the_poisson_mass_at_the_threshold():
+    # Poisson(q) mass beyond the budget, at most w_(N+1) / (1 - q/(N+2)),
+    # at the largest q the series takes: below one unit roundoff.
+    q, n = markov.SERIES_Q_MAX, markov.MAX_SERIES_TERMS
+    log_tail = (n + 1) * math.log(q) - q - math.lgamma(n + 2) - math.log1p(-q / (n + 2))
+    assert log_tail < -53 * math.log(2)
+
+
+def test_series_refusal_below_the_threshold_stops_at_the_budget():
+    # q = 100: the series spends its Poisson mass in about 200 terms, but a
+    # 1e-12 relative width is out of its reach; it refuses at the budget.
+    with pytest.raises(SolverError, match=f"within {markov.MAX_SERIES_TERMS} series terms"):
+        death_probability(_repair_chain(1e-4, 0.1), T, tol=1e-12)
 
 
 @st.composite
@@ -384,6 +424,21 @@ def test_random_stiff_chain_bracket_contains_the_mpmath_value(model):
     bracket = death_probability(model, T)
     assert _contains(bracket, _expm_death_probability(model, T))
     assert bracket.upper - bracket.lower <= DEFAULT_TOL * max(bracket.upper, WIDTH_FLOOR)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_random_chains(), st.floats(math.log(markov.SERIES_Q_MAX), math.log(1.5e5)),
+       st.floats(-9.0, math.log10(DEFAULT_TOL)))
+def test_chain_squared_below_the_old_series_limit_contains_the_mpmath_value(model, log_q, log_tol):
+    # q in (SERIES_Q_MAX, 1.5e5]: the series took this band while it ran up
+    # to q = 1.5e5, and squaring takes it now.
+    rate = max(model.outgoing_rate(s) for s in model.states)
+    t = min(math.exp(log_q), 1.5e5) / rate
+    assume(rate * t > markov.SERIES_Q_MAX)
+    tol = 10.0 ** log_tol
+    bracket = death_probability(model, t, tol=tol)
+    assert _contains(bracket, _expm_death_probability(model, t))
+    assert bracket.upper - bracket.lower <= tol * max(bracket.upper, WIDTH_FLOOR)
 
 
 @pytest.mark.parametrize("n", [3, 5, 8])
@@ -454,8 +509,8 @@ def test_mc_refuses_a_mission_time_the_solver_refuses(mission_time):
 
 
 def test_mc_seed_determinism():
-    a = monte_carlo_death_probability(build_ifr_pipeline_model(1e-3, 1e-6, 1e-6), T, 5000, seed=5)
-    b = monte_carlo_death_probability(build_ifr_pipeline_model(1e-3, 1e-6, 1e-6), T, 5000, seed=5)
+    a = monte_carlo_death_probability(build_ifr_pipeline_model(1e-3, 1e-3, 1e-3), T, 5000, seed=5)
+    b = monte_carlo_death_probability(build_ifr_pipeline_model(1e-3, 1e-3, 1e-3), T, 5000, seed=5)
     assert a.estimate == b.estimate and a.deaths == b.deaths
 
 
@@ -491,7 +546,7 @@ _REPAIR_CHAIN = """
     # Trials moving back to a lower-indexed state.
     (lambda: parse_model(_REPAIR_CHAIN), 0.1332, 0.006188902565825071),
     # Trials moving on to a later state within one round.
-    (lambda: build_ifr_pipeline_model(1e-3, 1e-4, 1e-4), 0.3943, 0.008901111824736728),
+    (lambda: build_ifr_pipeline_model(1e-3, 0.1, 0.1), 0.3943, 0.008901111824736728),
 ], ids=["trap", "repair", "ifr-pipeline"])
 def test_mc_exact_draws_are_pinned(make_model, estimate, ci99):
     # Pins the oracle's draw order: any change to which trial consumes which
@@ -501,7 +556,7 @@ def test_mc_exact_draws_are_pinned(make_model, estimate, ci99):
 
 
 def test_mc_memory_is_bounded_by_one_chunk():
-    model = build_ifr_pipeline_model(1e-3, 1e-6, 1e-6)
+    model = build_ifr_pipeline_model(1e-3, 1e-3, 1e-3)
     tracemalloc.start()
     try:
         monte_carlo_death_probability(model, T, 2 ** 19, seed=1)
@@ -515,7 +570,7 @@ def test_mc_memory_is_bounded_by_one_chunk():
 def test_mc_next_chunk_continues_the_stream():
     # Trial MC_CHUNK + 1 runs in a chunk of its own, drawn after every round of
     # the first chunk, so it adds at most one death to the first chunk's count.
-    model = build_ifr_pipeline_model(1e-3, 1e-4, 1e-4)
+    model = build_ifr_pipeline_model(1e-3, 0.1, 0.1)
 
     def deaths(trials):
         return monte_carlo_death_probability(model, T, trials, seed=11).deaths
