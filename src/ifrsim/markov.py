@@ -643,12 +643,23 @@ def monte_carlo_death_probability(model: MarkovModel, mission_time: float,
                                   trials: int, seed: int) -> MonteCarloEstimate:
     """Trajectory-sampling oracle for the bound solver.
 
-    Each trial races the outgoing transitions of the current state with
-    independently sampled exponential holding times and records whether a
-    death state is entered by the mission time. The trials run in
-    consecutive chunks of MC_CHUNK that share one random stream, so memory
-    is bounded by MC_CHUNK trials and the result depends only on
-    `(seed, trials)`.
+    Each trial follows the chain by total-rate (Gillespie direct-method)
+    sampling and records whether a death state is entered by the mission
+    time. The trials run in consecutive chunks of MC_CHUNK that share one
+    random stream, so memory is bounded by MC_CHUNK trials and the result
+    depends only on `(seed, trials)`.
+
+    A chunk's first hop is one multinomial draw: every trial starts in the
+    initial state at clock 0, so it gives how many trials leave by the
+    mission time towards each target, and how many stay. Trials sent to a
+    death state are counted; only those sent to a live state draw a holding
+    time, from the exponential truncated at the mission time. Then each
+    round visits the states in index order. The trials waiting in a state
+    each draw one exponential at the state's total rate, and those that
+    arrive in time draw one uniform against the cumulative rate shares to
+    pick a target; no target is drawn for a state with one target or with
+    only death targets. A trial that moves to a later state is visited again
+    in the same round, one that moves to an earlier state in the next round.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -656,45 +667,74 @@ def monte_carlo_death_probability(model: MarkovModel, mission_time: float,
         raise ValueError("mission time must be non-negative and finite")
     rng = np.random.default_rng(seed)
     index = {s: i for i, s in enumerate(model.states)}
-    outgoing: list = [[] for _ in model.states]
+    targets: list = [[] for _ in model.states]
+    rates: list = [[] for _ in model.states]
     for tr in model.transitions:
-        outgoing[index[tr.source]].append((index[tr.target], 1.0 / tr.rate))
-    targets = [np.array([t for t, _ in moves], dtype=np.int64) for moves in outgoing]
-    is_death = np.array([s in model.death_states for s in model.states])
-    # One row of holding times per move, reused by every round of every chunk.
-    buffer = np.empty((max(map(len, outgoing)), min(trials, MC_CHUNK)))
-    columns = np.arange(buffer.shape[1])
+        targets[index[tr.source]].append(index[tr.target])
+        rates[index[tr.source]].append(tr.rate)
+    is_death = [s in model.death_states for s in model.states]
+    totals = [sum(out) for out in rates]
+    # Each state's rate shares, taken over its largest rate so that they
+    # hold where the total rate overflows.
+    shares = [np.array(out, dtype=float) / max(out, default=1.0) for out in rates]
+    shares = [share / share.sum() if share.size else share for share in shares]
+    # Upper cumulative shares of all but the last target, for the states
+    # whose target is drawn: those with several targets, one of them live.
+    bounds = [np.cumsum(share[:-1])
+              if len(dest) > 1 and not all(is_death[t] for t in dest) else None
+              for dest, share in zip(targets, shares)]
+
+    first = index[model.initial]
+    # Expected jumps out of the initial state by the mission time; none at
+    # mission time 0, even where the total rate overflows.
+    q0 = totals[first] * mission_time if mission_time else 0.0
+    p_move = -math.expm1(-q0)
+    # Leaves by the mission time towards each target, or stays put.
+    first_p = np.append(p_move * shares[first], math.exp(-q0))
 
     deaths = 0
     for start in range(0, trials, MC_CHUNK):
-        # A trial's state is -1 once it has died, outlived the mission or is
-        # stuck in a live trap. A round visits states in index order, trials in
-        # index order; the next chunk starts once this one has finished.
-        state = np.full(min(MC_CHUNK, trials - start), index[model.initial], dtype=np.int64)
-        clock = np.zeros(state.size)
-        while mission_time > 0 and (state >= 0).any():
-            for s, moves in enumerate(outgoing):
-                idx = np.flatnonzero(state == s)
-                if not idx.size:
+        counts = rng.multinomial(min(MC_CHUNK, trials - start), first_p)[:-1]
+        live = [(t, int(n)) for t, n in zip(targets[first], counts) if not is_death[t]]
+        movers = sum(n for _, n in live)
+        deaths += int(counts.sum()) - movers
+        # Arrival clocks of the live trials waiting in each state.
+        waiting: list = [[] for _ in model.states]
+        if movers:
+            # Holding times given that they end by the mission time.
+            clock = np.log1p(-p_move * rng.random(movers))
+            clock /= -totals[first]
+            np.minimum(clock, mission_time, out=clock)
+            at = 0
+            for t, n in live:
+                if n:
+                    waiting[t].append(clock[at:at + n])
+                    at += n
+        while any(waiting):
+            for s, total in enumerate(totals):
+                if not waiting[s]:
                     continue
-                if not moves:  # stuck in a live trap
-                    state[idx] = -1
+                clock = np.concatenate(waiting[s]) if len(waiting[s]) > 1 else waiting[s][0]
+                waiting[s] = []
+                if not total:  # stuck in a live trap
                     continue
-                times = buffer[:len(moves), :idx.size]
-                for row, (_, scale) in zip(times, moves):
-                    rng.standard_exponential(out=row)
-                    row *= scale  # as rng.exponential(scale) computes it
-                if len(moves) == 1:
-                    step, dest = times[0], targets[s][0]
-                else:
-                    choice = times.argmin(axis=0)
-                    step, dest = times[choice, columns[:idx.size]], targets[s][choice]
-                arrival = clock[idx] + step
-                clock[idx] = arrival
-                moved = arrival <= mission_time
-                died = moved & is_death[dest]
-                deaths += int(died.sum())
-                state[idx] = np.where(moved & ~died, dest, -1)
+                arrival = rng.standard_exponential(clock.size)
+                arrival /= total
+                arrival += clock
+                arrival = arrival[arrival <= mission_time]
+                if bounds[s] is None:
+                    if is_death[targets[s][0]]:
+                        deaths += arrival.size
+                    elif arrival.size:
+                        waiting[targets[s][0]].append(arrival)
+                    continue
+                pick = np.searchsorted(bounds[s], rng.random(arrival.size), side="right")
+                for k, t in enumerate(targets[s]):
+                    chosen = pick == k
+                    if is_death[t]:
+                        deaths += int(np.count_nonzero(chosen))
+                    elif chosen.any():
+                        waiting[t].append(arrival[chosen])
 
     p = deaths / trials
     ci99 = 2.5758293035489004 * math.sqrt(max(p * (1.0 - p), 0.0) / trials)

@@ -541,12 +541,12 @@ _REPAIR_CHAIN = """
 
 
 @pytest.mark.parametrize("make_model, estimate, ci99", [
-    # Trials stuck in a live state with no way out.
-    (lambda: parse_model(_TRAP_MODEL), 0.26225, 0.00801151110965198),
+    # Trials sent by the first hop to a live state with no way out.
+    (lambda: parse_model(_TRAP_MODEL), 0.26115, 0.008000649330865247),
     # Trials moving back to a lower-indexed state.
-    (lambda: parse_model(_REPAIR_CHAIN), 0.1332, 0.006188902565825071),
-    # Trials moving on to a later state within one round.
-    (lambda: build_ifr_pipeline_model(1e-3, 0.1, 0.1), 0.3943, 0.008901111824736728),
+    (lambda: parse_model(_REPAIR_CHAIN), 0.13065, 0.006138384916233164),
+    # Trials sent by the first hop to a state whose targets all kill.
+    (lambda: build_ifr_pipeline_model(1e-3, 0.1, 0.1), 0.39185, 0.008891342970457121),
 ], ids=["trap", "repair", "ifr-pipeline"])
 def test_mc_exact_draws_are_pinned(make_model, estimate, ci99):
     # Pins the oracle's draw order: any change to which trial consumes which
@@ -563,8 +563,72 @@ def test_mc_memory_is_bounded_by_one_chunk():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # 16 chunks of MC_CHUNK trials; all 2**19 trials at once peak near 40 MiB.
+    # 16 chunks of MC_CHUNK trials peak near 1.3 MiB, since a chunk holds a
+    # clock only for its trials still alive; the same trials in one chunk
+    # peak near 7.5 MiB.
     assert peak < 8 * 2 ** 20
+
+
+def test_mc_memory_holds_only_one_chunk_of_live_trials():
+    # 32 chunks that hold clocks only for their live trials peak near
+    # 1.3 MiB; chunks that hold a state and a clock for every trial peak near
+    # 4.2 MiB, and all 2**20 trials in one chunk near 13 MiB.
+    model = build_ifr_pipeline_model(1e-3, 1e-3, 1e-3)
+    tracemalloc.start()
+    try:
+        monte_carlo_death_probability(model, T, 2 ** 20, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
+
+
+def test_mc_trials_that_stay_in_the_initial_state_cost_no_memory():
+    # About one trial in a million leaves the initial state; the multinomial
+    # first hop leaves the others undrawn and unstored.
+    tracemalloc.start()
+    try:
+        estimate = monte_carlo_death_probability(build_simplex_model(1e-9), T, 2 ** 20, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 10
+    assert estimate.deaths < 10
+
+
+def test_mc_splits_a_total_rate_that_overflows_by_the_rates():
+    model = parse_model("STATE up; STATE a DEATH; STATE b DEATH; INIT up;"
+                        "up -> a : 1e308; up -> b : 1e308;")
+    assert monte_carlo_death_probability(model, T, 100, seed=1).deaths == 100
+    assert monte_carlo_death_probability(model, 0.0, 100, seed=1).deaths == 0
+
+
+def test_mc_initial_state_without_transitions_never_dies():
+    estimate = monte_carlo_death_probability(parse_model("STATE up; INIT up;"), T, 1000, seed=1)
+    assert (estimate.estimate, estimate.ci99, estimate.deaths) == (0.0, 0.0, 0)
+
+
+@pytest.mark.parametrize("make_model", [
+    # First hop straight to a death state.
+    lambda: build_simplex_model(1e-3),
+    # First hop, then a successor whose targets are all death states.
+    lambda: build_tmr_model(1e-3),
+    lambda: build_ifr_pipeline_model(1e-3, 0.1, 0.1),
+    # Returns to a lower-indexed state.
+    lambda: parse_model(_REPAIR_CHAIN),
+    # A live trap.
+    lambda: parse_model(_TRAP_MODEL),
+], ids=["simplex", "tmr", "ifr-pipeline", "repair", "trap"])
+def test_mc_death_counts_follow_the_binomial(make_model):
+    model = make_model()
+    bracket = death_probability(model, T, tol=1e-9)
+    p = (bracket.lower + bracket.upper) / 2
+    trials, seeds = 4_000, range(50)
+    sd = math.sqrt(trials * p * (1 - p))
+    z = np.array([(monte_carlo_death_probability(model, T, trials, seed=seed).deaths
+                   - trials * p) / sd for seed in seeds])
+    assert abs(z.sum() / math.sqrt(z.size)) <= 4.5
+    assert 0.5 <= z.std(ddof=1) <= 1.6
 
 
 def test_mc_next_chunk_continues_the_stream():
