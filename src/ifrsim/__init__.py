@@ -16,7 +16,7 @@ from .hw import (BUS_BITS, Copy, PowerState, StageKind, encode_bus,
                  switch_route, trc_compare)
 from .isa import (ArchState, AssemblyError, ExecutionError, Instruction,
                   Opcode, Program, assemble, decode_word, encode_instruction,
-                  run_reference, step_reference)
+                  run_reference)
 from .markov import (BoundedProbability, MarkovModel, ModelError,
                      MonteCarloEstimate, SolverError, SweepSpec,
                      build_ifr_pipeline_model, build_simplex_model,

@@ -284,6 +284,8 @@ def _builtin(name: str, aux_ratio: float):
     """`build(rate) -> model` for a builtin. The first rate goes through the
     builder, which checks it and parses the chain; every later rate rebuilds
     the last model with its rate constant changed, without parsing again."""
+    if not (math.isfinite(aux_ratio) and aux_ratio > 0):
+        raise CliError(f"--aux-ratio must be a positive finite ratio, got {aux_ratio:g}")
     make, constant = _BUILTINS[name]
     model = None
 

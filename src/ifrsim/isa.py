@@ -95,10 +95,8 @@ class Instruction:
 class Program:
     instructions: tuple[Instruction, ...]
     # What `pipeline.run_core` derives from the program once and shares
-    # between its runs: the fetch and decode tables, the fault-free run's
-    # states, each sharing unchanged registers and memory with the one
-    # before, and the cycles that run has left after each BEQ or JMP. It
-    # lives as long as the program and is not part of its value, so a fresh
+    # between its runs; `pipeline._program_memo` owns its layout. It lives
+    # as long as the program and is not part of its value, so a fresh
     # `Program` of the same instructions starts with none.
     core_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -288,18 +286,6 @@ def _step(regs: list, mem: dict, pc: int, instr: Instruction) -> int | None:
     if instr.rd:
         regs[instr.rd] = value & WORD_MASK
     return pc + 1
-
-
-def step_reference(state: ArchState, instr: Instruction) -> ArchState:
-    """Apply one instruction's architectural effect. Pure function."""
-    if state.halted:
-        raise ExecutionError("stepping a halted state")
-    regs = list(state.regs)
-    mem = dict(state.mem) if instr.opcode is Opcode.ST else state.mem
-    pc = _step(regs, mem, state.pc, instr)
-    if pc is None:
-        return ArchState(state.regs, state.pc, mem, halted=True)
-    return ArchState(tuple(regs), pc, mem, halted=False)
 
 
 def run_reference(program: Program, max_steps: int) -> tuple[ArchState, int]:

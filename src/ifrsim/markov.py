@@ -574,7 +574,8 @@ def _squared_bracket(model: MarkovModel, mission_time: float, tol: float) -> Bou
             jump[:, i, j] = _outward((rate + (exact_lam - out[i] if i == j else 0)) / exact_lam)
 
     q = lam * mission_time
-    s = math.frexp(q / _STEP_Q)[1]  # so that r = q/2^s lies in [_STEP_Q/2, _STEP_Q)
+    # r = q/2^s lies in [_STEP_Q/2, _STEP_Q); below that s is 0 and r = q.
+    s = max(math.frexp(q / _STEP_Q)[1], 0)
     square = _factors(n)  # an n-term product
     rounding = -math.expm1((2.0 ** s - 1) * (math.log1p(square[0, 0, 0] - 1.0)
                                              - math.log1p(square[1, 0, 0] - 1.0)))

@@ -24,7 +24,7 @@ from __future__ import annotations
 import enum
 import math
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import islice
 
 from .faults import (CONTROLLER_VEC_BITS, Delay, FaultScenario, FaultUnit,
@@ -66,10 +66,12 @@ class ControllerMode(enum.Enum):
     DEAD = 5
 
 
-@dataclass(frozen=True)
+@dataclass
 class ControllerState:
-    """The controller's registers. Stages are pipeline positions 0..2
-    (predecode, decode, execute), the indices `run_core` uses."""
+    """The controller's registers, which `controller_step` updates in place
+    on every clock. Stages are pipeline positions 0..2 (predecode, decode,
+    execute), the indices `run_core` uses. A step reassigns
+    `error_counters` and `on_spare` rather than mutating them."""
     mode: ControllerMode = ControllerMode.MONITOR
     suspect_stage: int | None = None
     swap_stage: int | None = None
@@ -98,45 +100,45 @@ _DEAD = ControllerActions(dead=True)
 
 
 def controller_step(state: ControllerState, masks, trc_error: bool,
-                    config: CoreConfig) -> tuple[ControllerState, ControllerActions]:
-    """One combinational step of the repair controller.
+                    config: CoreConfig) -> ControllerActions:
+    """One clock of the repair controller: steps `state` in place and returns
+    only the action strobes the surrounding logic must obey.
 
     `masks` holds the 4-bit parity error mask of each stage in pipeline
-    order; stages in the state and the actions are positions 0..2. Returns
-    the next state plus the action strobes the surrounding logic must obey.
+    order; stages in the state and the actions are positions 0..2. A
+    two-rail error is fail-stop from any mode, DEAD included; otherwise
+    stepping a DEAD controller raises.
     """
-    if state.mode is ControllerMode.DEAD:
-        raise ValueError("controller is dead; Dead is absorbing")
     if trc_error:
-        return replace(state, mode=ControllerMode.DEAD), _DEAD
-
+        state.mode = ControllerMode.DEAD
+        return _DEAD
     mode = state.mode
-    if mode is ControllerMode.FLUSH:
-        remaining = state.remaining - 1
-        if remaining > 0:
-            return replace(state, remaining=remaining), _NO_ACTIONS
-        new = replace(state, mode=ControllerMode.POWER_SWAP,
-                      remaining=config.powerup_cycles_per_block)
-        return new, ControllerActions(power_on=state.swap_stage)
+    if mode is ControllerMode.DEAD:
+        raise ValueError("controller is dead; Dead is absorbing")
 
-    if mode is ControllerMode.POWER_SWAP:
-        remaining = state.remaining - 1
-        if remaining > 0:
-            return replace(state, remaining=remaining), _NO_ACTIONS
-        new = replace(state, mode=ControllerMode.RESUME, remaining=0,
-                      on_spare=state.on_spare | {state.swap_stage})
-        return new, ControllerActions(swap=state.swap_stage)
+    if mode is ControllerMode.FLUSH or mode is ControllerMode.POWER_SWAP:
+        state.remaining -= 1
+        if state.remaining > 0:
+            return _NO_ACTIONS
+        stage = state.swap_stage
+        if mode is ControllerMode.FLUSH:
+            state.mode = ControllerMode.POWER_SWAP
+            state.remaining = config.powerup_cycles_per_block
+            return ControllerActions(power_on=stage)
+        state.mode = ControllerMode.RESUME
+        state.on_spare = state.on_spare | {stage}
+        return ControllerActions(swap=stage)
 
     # MONITOR / SUSPECT / RESUME watch the parity masks.
     if not any(masks):
+        actions = _NO_ACTIONS
         if mode is ControllerMode.SUSPECT:
             stage = state.suspect_stage
-            new = replace(state, mode=ControllerMode.MONITOR, suspect_stage=None,
-                          error_counters=(0, 0, 0))
-            return new, ControllerActions(transient_clear=(stage, state.error_counters[stage]))
-        if mode is ControllerMode.RESUME:
-            return replace(state, mode=ControllerMode.MONITOR), _NO_ACTIONS
-        return state, _NO_ACTIONS
+            actions = ControllerActions(transient_clear=(stage, state.error_counters[stage]))
+            state.suspect_stage = None
+            state.error_counters = (0, 0, 0)
+        state.mode = ControllerMode.MONITOR
+        return actions
 
     counters = tuple(count + 1 if mask else 0
                      for count, mask in zip(state.error_counters, masks))
@@ -145,16 +147,20 @@ def controller_step(state: ControllerState, masks, trc_error: bool,
     peak = max(counters)
     stage = counters.index(peak)
     if peak < config.permanent_threshold:
-        new = replace(state, mode=ControllerMode.SUSPECT, suspect_stage=stage,
-                      error_counters=counters)
-        return new, _NO_ACTIONS
+        state.mode = ControllerMode.SUSPECT
+        state.suspect_stage = stage
+        state.error_counters = counters
+        return _NO_ACTIONS
     if stage in state.on_spare:
         # The spare itself has failed permanently: nothing left to swap in.
-        return replace(state, mode=ControllerMode.DEAD), _DEAD
-    new = replace(state, mode=ControllerMode.FLUSH, suspect_stage=None,
-                  swap_stage=stage, remaining=config.flush_cycles,
-                  error_counters=(0, 0, 0))
-    return new, ControllerActions(classified=stage)
+        state.mode = ControllerMode.DEAD
+        return _DEAD
+    state.mode = ControllerMode.FLUSH
+    state.suspect_stage = None
+    state.swap_stage = stage
+    state.remaining = config.flush_cycles
+    state.error_counters = (0, 0, 0)
+    return ControllerActions(classified=stage)
 
 
 def controller_output_vector(state: ControllerState, actions: ControllerActions) -> int:
@@ -323,6 +329,8 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
     power = [[PowerState.ON, PowerState.OFF] for _ in PIPELINE_ORDER]
     since = [[0, 0] for _ in PIPELINE_ORDER]  # first cycle of each block's power span
     ledger = StressLedger()
+    # A stage's switch selects its spare (copy 1) iff it is in ctrl.on_spare.
+    ctrl = ControllerState()
 
     def close_span(stage: int, copy: int, end: int) -> None:
         stress = ledger.blocks[(PIPELINE_ORDER[stage], _COPIES[copy])]
@@ -426,8 +434,6 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
             if copy == 0:  # a spare copy is not observed before a swap
                 hist.extend(record[0][stage]
                             for record in records[max(resume - hist.maxlen, 0):resume])
-    # A stage's switch selects its spare (copy 1) iff it is in ctrl.on_spare.
-    ctrl = ControllerState()
 
     events: list[RecoveryEvent] = []
     # Permanent events stay open until the first post-resume commit; a second
@@ -496,21 +502,20 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
                 error = any(masks)
 
         # Controller. Idle monitoring is the identity step.
-        if ctrl.mode is ControllerMode.MONITOR and not error:
-            new_ctrl, actions = ctrl, _NO_ACTIONS
-        else:
-            new_ctrl, actions = controller_step(ctrl, masks, False, config)
+        actions = _NO_ACTIONS
+        if ctrl.mode is not ControllerMode.MONITOR or error:
+            actions = controller_step(ctrl, masks, False, config)
         if rail_a or rail_b:
             # Both controller copies compute the same transition; copy B's
             # outputs are complemented and the rails are compared. Without
-            # rail faults the rails agree by construction.
-            vec = controller_output_vector(new_ctrl, actions)
+            # rail faults the rails agree by construction. A mismatch ends
+            # the controller DEAD, even when this cycle's step already has.
+            vec = controller_output_vector(ctrl, actions)
             out_a = apply_vector_faults(vec, [f for _, f in rail_a if f.active_at(cycle)])
             out_b = apply_vector_faults(~vec & _RAIL_MASK,
                                         [f for _, f in rail_b if f.active_at(cycle)])
             if not trc_compare(out_a, out_b, CONTROLLER_VEC_BITS):
-                new_ctrl, actions = controller_step(ctrl, _NO_MASKS, True, config)
-        ctrl = new_ctrl
+                actions = controller_step(ctrl, _NO_MASKS, True, config)
 
         if actions is not _NO_ACTIONS:
             if actions.dead:
@@ -611,7 +616,7 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
             if skip:
                 next(islice(cycles, skip, skip), None)  # consumes `skip` cycles
                 total_cycles += skip
-                ctrl = replace(ctrl, remaining=ctrl.remaining - skip)
+                ctrl.remaining -= skip
 
     if outcome is None:
         outcome = Outcome.EXHAUSTED

@@ -391,8 +391,12 @@ _REPAIR_MODEL = """
      "error: sweep range must be finite, got lambda from 1e-06 to inf"),
     (["markov", "--builtin", "simplex", "--lam", "1e-6", "--mc", "10", "--seed", "-1"],
      "error: --seed must be a non-negative integer, got -1"),
+    (["compare", "--sweep", "1e-6", "1e-2", "3", "--aux-ratio", "-1"],
+     "error: --aux-ratio must be a positive finite ratio, got -1"),
+    (["markov", "--builtin", "ifr-pipeline", "--lam", "1e-6", "--aux-ratio", "0"],
+     "error: --aux-ratio must be a positive finite ratio, got 0"),
 ], ids=["const-reversed", "const-not-increasing", "const-infinite", "ratio-overflows",
-        "compare-infinite", "negative-seed"])
+        "compare-infinite", "negative-seed", "compare-aux-ratio", "markov-aux-ratio"])
 def test_refusals_name_what_they_refuse(args, message, tmp_path, capsys):
     model = tmp_path / "repair.model"
     model.write_text(_REPAIR_MODEL)

@@ -465,6 +465,16 @@ def test_squared_bracket_below_the_width_floor_meets_tol_in_absolute_width():
     assert bracket.upper - bracket.lower <= DEFAULT_TOL * WIDTH_FLOOR
 
 
+@pytest.mark.parametrize("q", [1e-6, 1e-3, 0.1, 1.0])
+def test_squared_bracket_below_one_step_brackets_the_exact_value(q):
+    # Below _STEP_Q/2 the step's series alone gives the bracket, unsquared.
+    lam = q / T
+    bracket = markov._squared_bracket(build_simplex_model(lam), T, DEFAULT_TOL)
+    with mpmath.workdps(50):
+        assert _contains(bracket, -mpmath.expm1(-mpmath.mpf(lam) * T))
+    assert bracket.upper - bracket.lower <= DEFAULT_TOL * max(bracket.upper, WIDTH_FLOOR)
+
+
 def test_squared_bracket_wider_than_tol_is_refused():
     # The squaring factors alone stay below tol, but the bracket
     # [6.4e-10, 7.0e-10] is about 9% wide.

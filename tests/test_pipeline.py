@@ -56,8 +56,8 @@ def _loop_program(trips):
 
 def test_monitor_idle_is_identity():
     state = ControllerState()
-    new, actions = controller_step(state, _NO_ERRORS, False, CFG)
-    assert new.mode is ControllerMode.MONITOR
+    actions = controller_step(state, _NO_ERRORS, False, CFG)
+    assert state == ControllerState()
     assert actions == ControllerActions()
 
 
@@ -66,16 +66,20 @@ def test_threshold_crossing_schedules_flush_and_power_off():
                      for s in (PREDECODE, DECODE, EXECUTE))
     state = ControllerState(mode=ControllerMode.SUSPECT, suspect_stage=DECODE,
                             error_counters=counters)
-    new, actions = controller_step(state, (0, 0b0001, 0), False, CFG)
-    assert new.mode is ControllerMode.FLUSH
-    assert new.remaining == CFG.flush_cycles
+    actions = controller_step(state, (0, 0b0001, 0), False, CFG)
+    assert state.mode is ControllerMode.FLUSH
+    assert state.remaining == CFG.flush_cycles
     # Classifying a stage flushes and powers off its main copy.
     assert actions == ControllerActions(classified=DECODE)
 
 
 def test_trc_error_is_fail_stop():
-    new, actions = controller_step(ControllerState(), _NO_ERRORS, True, CFG)
-    assert new.mode is ControllerMode.DEAD and actions.dead
+    state = ControllerState()
+    actions = controller_step(state, _NO_ERRORS, True, CFG)
+    assert state.mode is ControllerMode.DEAD and actions.dead
+    # A rail mismatch on the cycle the controller has died leaves it dead.
+    assert controller_step(state, _NO_ERRORS, True, CFG).dead
+    assert state.mode is ControllerMode.DEAD
 
 
 def test_dead_is_absorbing():
@@ -86,9 +90,9 @@ def test_dead_is_absorbing():
 def test_error_clearing_classifies_transient():
     state = ControllerState(mode=ControllerMode.SUSPECT, suspect_stage=EXECUTE,
                             error_counters=(0, 0, 5))
-    new, actions = controller_step(state, _NO_ERRORS, False, CFG)
-    assert new.mode is ControllerMode.MONITOR
-    assert new.error_counters == (0, 0, 0)
+    actions = controller_step(state, _NO_ERRORS, False, CFG)
+    assert state.mode is ControllerMode.MONITOR
+    assert state.error_counters == (0, 0, 0)
     assert actions.transient_clear == (EXECUTE, 5)
 
 
@@ -96,7 +100,7 @@ def test_counters_never_exceed_threshold():
     state = ControllerState()
     for _ in range(CFG.permanent_threshold):
         assert all(c <= CFG.permanent_threshold for c in state.error_counters)
-        state, actions = controller_step(state, (0, 0, 1), False, CFG)
+        actions = controller_step(state, (0, 0, 1), False, CFG)
     assert state.mode is ControllerMode.FLUSH  # classified exactly at threshold
     assert actions.classified == EXECUTE
 
@@ -106,8 +110,8 @@ def test_spare_failure_after_swap_is_dead():
     state = ControllerState(mode=ControllerMode.SUSPECT, suspect_stage=DECODE,
                             error_counters=counters,
                             on_spare=frozenset({DECODE}))
-    new, actions = controller_step(state, (0, 1, 0), False, CFG)
-    assert new.mode is ControllerMode.DEAD and actions.dead
+    actions = controller_step(state, (0, 1, 0), False, CFG)
+    assert state.mode is ControllerMode.DEAD and actions.dead
 
 
 def test_flush_then_powerswap_then_resume_timing():
@@ -115,7 +119,7 @@ def test_flush_then_powerswap_then_resume_timing():
                             remaining=CFG.flush_cycles)
     power_on_at = resume_at = None
     for step in range(1, CFG.flush_cycles + CFG.powerup_cycles_per_block + 1):
-        state, actions = controller_step(state, _NO_ERRORS, False, CFG)
+        actions = controller_step(state, _NO_ERRORS, False, CFG)
         if actions.power_on is not None:
             power_on_at = step
             assert actions.power_on == DECODE  # the spare copy
@@ -168,7 +172,7 @@ def test_output_vector_along_a_full_repair():
     seen, clears = [], []
     for masks, steps in _REPAIR_SCHEDULE:
         for _ in range(steps):
-            state, actions = controller_step(state, masks, False, CFG)
+            actions = controller_step(state, masks, False, CFG)
             seen.append((state.mode, controller_output_vector(state, actions)))
             if actions.transient_clear is not None:
                 clears.append(actions.transient_clear)
@@ -660,6 +664,21 @@ def test_latent_controller_rail_fault_ends_dead(text, cycles, events):
     assert report.total_cycles == cycles
     assert len(report.events) == events
     report.stress.assert_conserved(cycles)
+
+
+def test_rail_mismatch_on_the_cycle_the_controller_dies():
+    # Decode's spare reaches the permanent threshold on cycle 135, which is
+    # fail-stop. Rail a's bit 0 (set in DEAD's mode code 5) stuck at 0 from
+    # that cycle makes the rails disagree on the same cycle: the run ends as
+    # it does without the rail fault.
+    spare_fails = _DECODE_SWAP + "\n@120 PERM decode.spare stuckat 3 1"
+    program = _alternating_program(80)
+    alone = run_core(program, CFG, parse_scenario(spare_fails))
+    assert (alone.outcome, alone.total_cycles, len(alone.permanent_events)) == \
+        (Outcome.DEAD, 136, 1)
+    report = run_core(program, CFG, parse_scenario(
+        spare_fails + "\n@135 PERM controller.a stuckat 0 0"))
+    assert _run_summary(report) == _run_summary(alone)
 
 
 # ---------------------------------------------------------------------------
