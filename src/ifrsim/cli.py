@@ -280,10 +280,11 @@ _BUILTINS = {
 }
 
 
-def _builtin(name: str, aux_ratio: float):
-    """`build(rate) -> model` for a builtin. The first rate goes through the
-    builder, which checks it and parses the chain; every later rate rebuilds
-    the last model with its rate constant changed, without parsing again."""
+def _builtin(name: str, aux_ratio: float, rate_flag: str):
+    """`build(rate) -> model` for a builtin, whose rates come from
+    `rate_flag`. The first rate goes through the builder, which checks it
+    and parses the chain; every later rate rebuilds the last model with its
+    rate constant changed, without parsing again."""
     if not (math.isfinite(aux_ratio) and aux_ratio > 0):
         raise CliError(f"--aux-ratio must be a positive finite ratio, got {aux_ratio:g}")
     make, constant = _BUILTINS[name]
@@ -291,6 +292,10 @@ def _builtin(name: str, aux_ratio: float):
 
     def build(lam):
         nonlocal model
+        # The builder words its own refusal of a rate that is bad by itself.
+        if name == "ifr-pipeline" and 0 < lam < math.inf and not 0 < lam * aux_ratio < math.inf:
+            raise CliError(f"{rate_flag} {lam:g} times --aux-ratio {aux_ratio:g} "
+                           f"{'overflows' if lam * aux_ratio else 'underflows to 0'}")
         model = make(lam, aux_ratio) if model is None else model.with_constant(constant, lam)
         return model
     return build
@@ -326,7 +331,7 @@ def _markov_source(args, report: CsvReport):
         aux_ratio = DEFAULT_AUX_RATIO if args.aux_ratio is None else args.aux_ratio
         report.add_meta("model", args.builtin)
         report.add_meta("aux_ratio", fmt_float(aux_ratio))
-        build = _builtin(args.builtin, aux_ratio)
+        build = _builtin(args.builtin, aux_ratio, "--sweep" if args.sweep else "--lam")
         if args.sweep:
             lo, hi, points = args.sweep
             return build, "lambda", (lo, hi, _sweep_points(points))
@@ -405,7 +410,7 @@ def cmd_markov(args) -> int:
 def cmd_compare(args) -> int:
     lo, hi, points = args.sweep
     spec = SweepSpec("lambda", lo, hi, _sweep_points(points), args.T, args.tol)
-    curves = [sweep(_builtin(name, args.aux_ratio), spec) for name in _BUILTINS]
+    curves = [sweep(_builtin(name, args.aux_ratio, "--sweep"), spec) for name in _BUILTINS]
 
     # Column prefixes: the builtin names up to the first '-' (ifr-pipeline -> ifr).
     report = CsvReport(columns=["lambda"] + [f"{name.partition('-')[0]}_{side}"

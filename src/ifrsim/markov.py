@@ -118,7 +118,9 @@ class MarkovModel:
                 raise ModelError(f"transition {tr.source}->{tr.target} uses an unknown state")
             if tr.source in self.death_states:
                 raise ModelError(f"death state {tr.source!r} has an outgoing transition")
-            if not math.isfinite(tr.rate) or tr.rate <= 0:
+            if not math.isfinite(tr.rate):
+                raise ModelError(f"transition {tr.source}->{tr.target} has non-finite rate {tr.rate}")
+            if tr.rate <= 0:
                 raise ModelError(f"transition {tr.source}->{tr.target} has non-positive rate {tr.rate}")
         reached = {self.initial}
         frontier = [self.initial]

@@ -255,10 +255,12 @@ def _program_memo(program: Program) -> dict:
     de, commits) before its commit, a record sharing its regs tuple and mem
     dict with the one before unless a commit wrote them in between; and
     `join`, None until a settled run has reached the program's end, then
-    (tails, outcome, final state) of that end, where `tails[n]` is the number
-    of cycles the fault-free run takes after its BEQ or JMP commit number n.
-    A fresh `Program` has no records and no join table, so its runs simulate
-    every cycle from cycle 0."""
+    (tails, outcome, final state) of that end. `tails` maps the state a
+    settled run is in after commit number n, packed into one int as
+    `(n << 32 | fetch_pc & WORD_MASK) << 3 | fetch_wait << 2 | (pd is not
+    None) << 1 | (de is not None)`, to the number of cycles the run takes
+    from there to that end. A fresh `Program` has no records and no join
+    table, so its runs simulate every cycle from cycle 0."""
     memo = program.core_memo
     if not memo:
         memo.update(slots=[(encode_instruction(instr), instr.opcode in _CONTROL_OPS)
@@ -285,20 +287,24 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
     a run on a fresh `Program` starts at cycle 0.
 
     A run with faults also ends early once it has rejoined the fault-free
-    run. It is *settled* at a BEQ or JMP commit when every fault is inert
-    (past its `end`, or on a stage copy that the switch does not select:
-    the main once the stage is on its spare, the spare before), the
-    controller is in MONITOR with no event open, and no faulted bus has
-    passed parity with a corrupted data word. Then no error can arise, so
-    no swap can select a faulty copy again. Such a commit drains the
-    pipeline, so the run's state is (regs, mem, pc): the fault-free run's
-    after the same number of commits. Each settled run that reaches the
-    program's end records, per such commit, the cycles left after it, and
-    that end's outcome and final state. A later settled run that finds its
-    commit there, with the cycles left fitting `max_cycles`, ends at once
-    with that outcome and a copy of that state; its stress spans close at
-    the new end, and no event is added. A run with no faults is settled from
-    cycle 0: it fills the record but never ends early.
+    run. It is *settled* at a commit when every fault is inert (past its
+    `end`, or on a stage copy that the switch does not select: the main once
+    the stage is on its spare, the spare before), the controller is in
+    MONITOR with no event open, and no faulted bus has passed parity with a
+    corrupted data word. Then no error can arise, so no swap can select a
+    faulty copy again, and the run has latched no corrupted word: after n
+    commits its regs, mem and pc are the fault-free run's after n commits,
+    `pd` holds `slots[fetch_pc - 1]` if it holds a word, and `de` holds the
+    instruction at pc with its operands read from those regs if it holds
+    one. So n and (fetch_pc, fetch_wait, whether pd and de are full) fix
+    every cycle that follows; they are packed into one int key. Each settled
+    run that reaches the program's end records, per settled commit whose key
+    the table lacks, the cycles left after it, and that end's outcome and
+    final state. A later settled run that finds its key there, with the
+    cycles left fitting `max_cycles`, ends at once with that outcome and a
+    copy of that state; its stress spans close at the new end, and no event
+    is added. A run with no faults is settled from cycle 0: it fills the
+    table while the program has none, and never ends early.
 
     Bus words and parity masks are plain ints. The bus fabric (parity
     encode, fault application, parity check) is evaluated only at sites with
@@ -399,16 +405,20 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
                 active[0][0])
         return bus & WORD_MASK, mask
 
+    # A cycle count past the budget, which no commit reaches: a permanent
+    # fault ends here, and a run settled only from here never settles.
+    never = max_cycles + 1
     # (end, unit, copy) of each fault, indexed as in `site_faults`.
-    inert_when = [(f.end, _UNIT_INDEX[f.site.unit], _COPY_INDEX[f.site.copy])
+    inert_when = [(min(f.end, never), _UNIT_INDEX[f.site.unit], _COPY_INDEX[f.site.copy])
                   for f in scenario.faults]
 
-    def settled(cycle: int) -> bool:
-        """Whether, from `cycle` on, the run repeats the fault-free run (see
-        *settled* in the docstring above)."""
-        return (not diverged and ctrl.mode is ControllerMode.MONITOR and not open_events
-                and all(end <= cycle or unit < len(PIPELINE_ORDER)
-                        and copy != (unit in ctrl.on_spare) for end, unit, copy in inert_when))
+    def inert_from() -> int:
+        """The cycle from which every fault is inert while the switches stay
+        as they are: a rail fault or a fault on a selected copy is inert
+        from its end, one on an unselected copy at once."""
+        return max((end for end, unit, copy in inert_when
+                    if unit == len(PIPELINE_ORDER) or copy == (unit in ctrl.on_spare)),
+                   default=0)
 
     regs = [0] * 16
     mem: dict = {}
@@ -442,12 +452,15 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
     open_events: list[RecoveryEvent] = []
     outcome: Outcome | None = None
     total_cycles = resume
-    # (n, cycles so far) at each BEQ or JMP commit n since the run settled
-    # that the join table lacks; None until the run has settled. A run with
-    # no faults is settled from cycle 0.
-    drained = None if scenario.faults else []
     join = memo["join"]
     tails = join[0] if join else {}
+    # Key -> cycles so far, at each settled commit whose key the join table
+    # lacks. Every commit leaves the controller in MONITOR with no event
+    # open, so a commit is settled once the cycle count reaches `inert_at`,
+    # unless the run has diverged. A run with no faults fills the table only
+    # while the program has none, so it never finds a key there.
+    new_keys: dict = {}
+    inert_at = inert_from() if scenario.faults or join is None else never
 
     cycles = iter(range(resume, max_cycles))
     for cycle in cycles:
@@ -536,6 +549,7 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
                 set_power(actions.power_on, 1, PowerState.POWERING, cycle)
             if actions.swap is not None:
                 set_power(actions.swap, 1, PowerState.ON, cycle)
+                inert_at = inert_from()
                 fetch_pc = pc
                 fetch_wait = False
                 for event in open_events:
@@ -551,7 +565,8 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
 
         # Advance the pipeline when nothing flagged an error this cycle.
         if live and not error:
-            if de is not None:
+            committed = de is not None
+            if committed:
                 commits += 1
                 result = words[2]
                 instr = de[0]
@@ -562,21 +577,6 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
                     pc = result if op is Opcode.JMP else pc + (instr.imm if result else 1)
                     fetch_pc = pc
                     fetch_wait = False
-                    # Fetch waited for this commit, so the pipeline drains:
-                    # unless a corrupted word has been latched, the state is
-                    # the fault-free run's after `commits` commits.
-                    if drained is None and settled(total_cycles):
-                        drained = []
-                    if drained is not None:
-                        tail = tails.get(commits)
-                        if tail is None:
-                            drained.append((commits, total_cycles))
-                        elif scenario.faults and total_cycles + tail <= max_cycles:
-                            # A run with no faults never jumps.
-                            total_cycles += tail
-                            _, outcome, final = join
-                            regs, pc, mem = final.regs, final.pc, dict(final.mem)
-                            break
                 else:
                     if op is Opcode.ST:
                         mem[(de[3] + instr.imm) & WORD_MASK] = result
@@ -608,6 +608,20 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
                 # Ran past the end of the program without a HALT.
                 outcome = Outcome.EXHAUSTED
                 break
+            if committed and total_cycles >= inert_at and not diverged:
+                key = ((commits << 32 | fetch_pc & WORD_MASK) << 3 | fetch_wait << 2
+                       | (pd is not None) << 1 | (de is not None))
+                tail = tails.get(key)
+                if tail is None:
+                    new_keys[key] = total_cycles
+                elif total_cycles + tail <= max_cycles:
+                    total_cycles += tail
+                    _, outcome, final = join
+                    regs, pc, mem = final.regs, final.pc, dict(final.mem)
+                    break
+                else:
+                    # The end lies past the budget from every later commit too.
+                    inert_at = never
         elif ctrl.remaining > 1 and not (rail_a or rail_b):
             # FLUSH and POWER_SWAP count down: until `remaining` is 1, a cycle
             # of a run without rail faults changes nothing else. Take those
@@ -620,15 +634,15 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
 
     if outcome is None:
         outcome = Outcome.EXHAUSTED
-    elif drained:
+    elif new_keys:
         # The run halted or ran off the end: a settled run cannot die.
+        for key, so_far in new_keys.items():
+            new_keys[key] = total_cycles - so_far
         if join is None:
-            join = memo["join"] = ({}, outcome, ArchState(
+            memo["join"] = (new_keys, outcome, ArchState(
                 tuple(regs), pc, dict(mem), outcome is Outcome.COMPLETED))
-        # The table holds a suffix of the fault-free run's BEQ and JMP
-        # commits, and a settled run passes a suffix of them: `drained`
-        # holds those before the table's first.
-        join[0].update((n, total_cycles - cycles) for n, cycles in drained)
+        else:
+            tails.update(new_keys)
 
     for stage in range(len(PIPELINE_ORDER)):
         for copy in range(len(_COPIES)):

@@ -395,8 +395,19 @@ _REPAIR_MODEL = """
      "error: --aux-ratio must be a positive finite ratio, got -1"),
     (["markov", "--builtin", "ifr-pipeline", "--lam", "1e-6", "--aux-ratio", "0"],
      "error: --aux-ratio must be a positive finite ratio, got 0"),
+    # The switch and controller rates are the pipeline rate times --aux-ratio.
+    (["markov", "--builtin", "ifr-pipeline", "--lam", "1e10", "--aux-ratio", "1e300"],
+     "error: --lam 1e+10 times --aux-ratio 1e+300 overflows"),
+    (["markov", "--builtin", "ifr-pipeline", "--lam", "1e-30", "--aux-ratio", "1e-300"],
+     "error: --lam 1e-30 times --aux-ratio 1e-300 underflows to 0"),
+    (["compare", "--sweep", "1e-6", "1e10", "3", "--aux-ratio", "1e300"],
+     "error: --sweep 1e+10 times --aux-ratio 1e+300 overflows"),
+    (["markov", "--model", "REPAIR", "--sweep-const", "lambda", "1e300", "1e308", "3"],
+     "error: transition up->degraded has non-finite rate inf"),
 ], ids=["const-reversed", "const-not-increasing", "const-infinite", "ratio-overflows",
-        "compare-infinite", "negative-seed", "compare-aux-ratio", "markov-aux-ratio"])
+        "compare-infinite", "negative-seed", "compare-aux-ratio", "markov-aux-ratio",
+        "lam-times-aux-ratio-overflows", "lam-times-aux-ratio-underflows",
+        "compare-times-aux-ratio-overflows", "const-rate-infinite"])
 def test_refusals_name_what_they_refuse(args, message, tmp_path, capsys):
     model = tmp_path / "repair.model"
     model.write_text(_REPAIR_MODEL)

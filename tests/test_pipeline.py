@@ -1,5 +1,6 @@
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -8,7 +9,7 @@ from corpus import (fault_free_records, fault_free_words, gen_loop_program,
 from ifrsim.faults import (Delay, FaultScenario, FaultSite, FaultUnit, PERMANENT,
                            StuckAt, TimedFault, TransientFlip, parse_scenario)
 from ifrsim import pipeline
-from ifrsim.hw import Copy, PowerState, StageKind
+from ifrsim.hw import Copy, PIPELINE_ORDER, PowerState, StageKind, encode_bus
 from ifrsim.isa import Opcode, Program, assemble, encode_instruction
 from ifrsim.pipeline import (ControllerActions, ControllerMode, ControllerState,
                              CoreConfig, Outcome, controller_step,
@@ -16,6 +17,7 @@ from ifrsim.pipeline import (ControllerActions, ControllerMode, ControllerState,
                              run_core)
 
 CFG = CoreConfig()
+WORKLOAD = (Path(__file__).resolve().parent.parent / "samples" / "workload.asm").read_text()
 _MAIN = Copy.MAIN
 # The controller names stages by pipeline position.
 PREDECODE, DECODE, EXECUTE = range(3)
@@ -902,14 +904,16 @@ def test_program_tables_are_built_once(monkeypatch):
 
 def _count_executes(monkeypatch) -> list:
     """Wrap `pipeline.execute_result`; the returned list counts its calls and
-    the calls on a HALT. A completed run that never executed its HALT ended
-    by rejoining the fault-free run."""
-    counts = [0, 0]
+    the calls on a HALT, and holds the opcode of the last call. A completed
+    run that never executed its HALT ended by rejoining the fault-free run,
+    at the commit of that last opcode."""
+    counts = [0, 0, None]
     execute = pipeline.execute_result
 
     def counted(instr, *args):
         counts[0] += 1
         counts[1] += instr.opcode is Opcode.HALT
+        counts[2] = instr.opcode
         return execute(instr, *args)
 
     monkeypatch.setattr(pipeline, "execute_result", counted)
@@ -935,7 +939,9 @@ def test_runs_that_rejoin_the_fault_free_run_equal_runs_from_cycle_zero(monkeypa
     # A run on a warm `Program`, which may end early from its join table,
     # equals the same run on a fresh `Program`, which simulates every cycle,
     # in every report field. Half the programs see a run with no faults
-    # first; on the others only faulted runs fill the table.
+    # first; on the others only faulted runs fill the table. Besides loop
+    # kernels, the programs include straight-line code: the forward-branch
+    # corpus and `samples/workload.asm`.
     counts = _count_executes(monkeypatch)
     rng = random.Random(0x7017)
     seen = set()
@@ -947,8 +953,11 @@ def test_runs_that_rejoin_the_fault_free_run_equal_runs_from_cycle_zero(monkeypa
         assert warm == fresh, (program, config, scenario, budget)
         return fresh, warm.outcome is Outcome.COMPLETED and not counts[1]
 
-    for _ in range(30):
-        program = gen_loop_program(rng, rng.randrange(3, 8))
+    sources = ([lambda: gen_loop_program(rng, rng.randrange(3, 8))] * 30
+               + [lambda: gen_program(rng, rng.randrange(8, 30))] * 12
+               + [lambda: assemble(WORKLOAD)] * 3)
+    for make in sources:
+        program = make()
         words = fault_free_words(program, CFG)
         golden = run_core(Program(program.instructions), CFG, FaultScenario())
         warmed = rng.random() < 0.5
@@ -986,6 +995,8 @@ def test_runs_that_rejoin_the_fault_free_run_equal_runs_from_cycle_zero(monkeypa
             fresh, jumped = check(program, config, scenario, budget)
             if jumped:
                 seen.add("jump")
+                if counts[2] is not Opcode.BEQ and counts[2] is not Opcode.JMP:
+                    seen.add("jump at a non-branch commit")
                 seen.add("swap" if any(f.duration is None for f in faults) else "window")
                 if any(f.site.unit is FaultUnit.CONTROLLER for f in faults):
                     seen.add("rail")
@@ -1005,9 +1016,9 @@ def test_runs_that_rejoin_the_fault_free_run_equal_runs_from_cycle_zero(monkeypa
                 seen.add("silent delay")
             if fresh.outcome is Outcome.DEAD and faults[-1].site.copy is Copy.SPARE:
                 seen.add("selected spare")
-    assert seen >= {"jump", "swap", "window", "rail", "config", "table filled by faulted runs",
-                    "second after settling", "unselected spare", "selected spare",
-                    "silent delay",
+    assert seen >= {"jump", "jump at a non-branch commit", "swap", "window", "rail", "config",
+                    "table filled by faulted runs", "second after settling", "unselected spare",
+                    "selected spare", "silent delay",
                     "budget -1", "budget +0", "budget +1"}
 
 
@@ -1031,6 +1042,49 @@ def test_a_run_that_rejoins_the_fault_free_run_executes_far_fewer_instructions(m
         warm, calls = executes(program, scenario)
         assert warm == fresh
         assert 20 * calls < from_zero
+
+
+def test_a_swapped_run_on_straight_line_code_rejoins_the_fault_free_run(monkeypatch):
+    # `workload.asm` has one branch, near its end: a run that swaps its
+    # decode stage rejoins the fault-free run within a few commits of the
+    # refill, not at that branch.
+    counts = _count_executes(monkeypatch)
+    program = assemble(WORKLOAD)
+    scenario = parse_scenario("@10 PERM decode.main stuckat 3 1")
+    fresh = run_core(Program(program.instructions), CFG, scenario)
+    from_zero = counts[0]
+    assert fresh.outcome is Outcome.COMPLETED and matches_reference(fresh, program)
+    assert len(fresh.permanent_events) == 1
+    run_core(program, CFG, FaultScenario())
+    for _ in range(2):
+        counts[0] = 0
+        assert run_core(program, CFG, scenario) == fresh
+        assert 5 * counts[0] <= from_zero
+
+
+def test_runs_that_can_never_settle_equal_runs_from_cycle_zero(monkeypatch):
+    # A permanent rail fault, or a permanent stuck-at on a selected main
+    # that never breaks parity, is never inert: such runs simulate to the
+    # HALT on a warm `Program` too, and equal their fresh runs.
+    counts = _count_executes(monkeypatch)
+    program = assemble(WORKLOAD)
+    words = fault_free_words(program, CFG)
+    # A rail stuck at the value its bit always carries (power-off targets
+    # the spare: always 0 on rail a) is never seen by the two-rail check.
+    rail = "@5 PERM controller.a stuckat 10 0"
+    stage, bit, value = next((stage, bit, value) for stage in range(3) for bit in range(36)
+                             for value in (0, 1)
+                             if all(encode_bus(w[stage]) >> bit & 1 == value for w in words))
+    unexposed = f"@5 PERM {PIPELINE_ORDER[stage].value}.main stuckat {bit} {value}"
+    run_core(program, CFG, FaultScenario())
+    run_core(program, CFG, parse_scenario("@10 PERM decode.main stuckat 3 1"))
+    for text in (rail, unexposed, rail + "\n@10 PERM decode.main stuckat 3 1"):
+        scenario = parse_scenario(text)
+        fresh = run_core(Program(program.instructions), CFG, scenario)
+        assert fresh.outcome is Outcome.COMPLETED and matches_reference(fresh, program)
+        counts[1] = 0
+        assert run_core(program, CFG, scenario) == fresh
+        assert counts[1], text  # it simulated its HALT
 
 
 def test_jumped_reports_do_not_share_the_memoized_final_state(monkeypatch):
