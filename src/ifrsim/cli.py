@@ -269,14 +269,14 @@ def cmd_formulas(args) -> int:
 
 
 # The builtin models as (rate, aux_ratio) -> model, each with the constant
-# its rate defines; only ifr-pipeline reads aux_ratio, for its switch and
-# controller rates.
+# its rate defines and whether it reads aux_ratio: ifr-pipeline alone does,
+# taking rate times aux_ratio as its switch and controller rates.
 _BUILTINS = {
-    "simplex": (lambda lam, aux_ratio: build_simplex_model(lam), "lambda"),
-    "tmr": (lambda lam, aux_ratio: build_tmr_model(lam), "lambda"),
-    "standby": (lambda lam, aux_ratio: build_standby_model(lam), "lambda"),
+    "simplex": (lambda lam, aux_ratio: build_simplex_model(lam), "lambda", False),
+    "tmr": (lambda lam, aux_ratio: build_tmr_model(lam), "lambda", False),
+    "standby": (lambda lam, aux_ratio: build_standby_model(lam), "lambda", False),
     "ifr-pipeline": (lambda lam, aux_ratio: build_ifr_pipeline_model(lam, aux_ratio, aux_ratio),
-                     "lambda_p"),
+                     "lambda_p", True),
 }
 
 
@@ -287,13 +287,13 @@ def _builtin(name: str, aux_ratio: float, rate_flag: str):
     rate constant changed, without parsing again."""
     if not (math.isfinite(aux_ratio) and aux_ratio > 0):
         raise CliError(f"--aux-ratio must be a positive finite ratio, got {aux_ratio:g}")
-    make, constant = _BUILTINS[name]
+    make, constant, scales_by_aux = _BUILTINS[name]
     model = None
 
     def build(lam):
         nonlocal model
         # The builder words its own refusal of a rate that is bad by itself.
-        if name == "ifr-pipeline" and 0 < lam < math.inf and not 0 < lam * aux_ratio < math.inf:
+        if scales_by_aux and 0 < lam < math.inf and not 0 < lam * aux_ratio < math.inf:
             raise CliError(f"{rate_flag} {lam:g} times --aux-ratio {aux_ratio:g} "
                            f"{'overflows' if lam * aux_ratio else 'underflows to 0'}")
         model = make(lam, aux_ratio) if model is None else model.with_constant(constant, lam)

@@ -619,9 +619,6 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
                     _, outcome, final = join
                     regs, pc, mem = final.regs, final.pc, dict(final.mem)
                     break
-                else:
-                    # The end lies past the budget from every later commit too.
-                    inert_at = never
         elif ctrl.remaining > 1 and not (rail_a or rail_b):
             # FLUSH and POWER_SWAP count down: until `remaining` is 1, a cycle
             # of a run without rail faults changes nothing else. Take those
