@@ -48,7 +48,8 @@ class CliError(Exception):
 def _parse_range(spec: str, *, integer: bool = False) -> list:
     """Parse 'lo..hi[:step]' or a single value. Default step spans the range
     in ten increments (or 1 for integer ranges). An integer value, or the
-    span of an integer range, must fit in a float."""
+    span of an integer range, must fit in a float. An integer range ends at
+    hi exactly, a float range within a rounding slack of 1e-12·|hi| past it."""
     try:
         if ".." not in spec:
             value = int(spec, 0) if integer else float(spec)
@@ -73,10 +74,12 @@ def _parse_range(spec: str, *, integer: bool = False) -> list:
         raise CliError(f"bad range {spec!r}; expected 'lo..hi[:step]' or a value") from None
     if not math.isfinite(spans) or round(spans) >= _MAX_RANGE_POINTS:
         raise CliError(f"bad range {spec!r}; more than {_MAX_RANGE_POINTS:,} points")
+    if integer:
+        return list(range(lo, hi + 1, step))
     values = []
     for i in range(round(spans) + 1):
         value = lo + i * step
-        if value > hi * (1 + 1e-12) + 1e-15:
+        if value > hi + abs(hi) * 1e-12 + 1e-15:
             break
         values.append(value)
     return values

@@ -253,19 +253,17 @@ def _program_memo(program: Program) -> dict:
     word -> `_decoded` table; `records`, where `records[c]` is the fault-free
     run at cycle c, as (bus words, regs, mem, pc, fetch_pc, fetch_wait, pd,
     de, commits) before its commit, a record sharing its regs tuple and mem
-    dict with the one before unless a commit wrote them in between; and
-    `join`, None until a settled run has reached the program's end, then
-    (tails, outcome, final state) of that end. `tails` maps the state a
-    settled run is in after commit number n, packed into one int as
-    `(n << 32 | fetch_pc & WORD_MASK) << 3 | fetch_wait << 2 | (pd is not
-    None) << 1 | (de is not None)`, to the number of cycles the run takes
-    from there to that end. A fresh `Program` has no records and no join
-    table, so its runs simulate every cycle from cycle 0."""
+    dict with the one before unless a commit wrote them in between; `end`,
+    None until a settled run has reached the program's end, then (outcome,
+    final state) of that end; and `tails`, where `tails[n]` is the number of
+    cycles a settled run takes from its commit number n to that end, or None
+    where no run has told. A fresh `Program` has no records and no end, so
+    its runs simulate every cycle from cycle 0."""
     memo = program.core_memo
     if not memo:
         memo.update(slots=[(encode_instruction(instr), instr.opcode in _CONTROL_OPS)
                            for instr in program.instructions],
-                    decoded={}, records=[], join=None)
+                    decoded={}, records=[], tails=[], end=None)
     return memo
 
 
@@ -293,18 +291,19 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
     MONITOR with no event open, and no faulted bus has passed parity with a
     corrupted data word. Then no error can arise, so no swap can select a
     faulty copy again, and the run has latched no corrupted word: after n
-    commits its regs, mem and pc are the fault-free run's after n commits,
-    `pd` holds `slots[fetch_pc - 1]` if it holds a word, and `de` holds the
-    instruction at pc with its operands read from those regs if it holds
-    one. So n and (fetch_pc, fetch_wait, whether pd and de are full) fix
-    every cycle that follows; they are packed into one int key. Each settled
-    run that reaches the program's end records, per settled commit whose key
-    the table lacks, the cycles left after it, and that end's outcome and
-    final state. A later settled run that finds its key there, with the
-    cycles left fitting `max_cycles`, ends at once with that outcome and a
-    copy of that state; its stress spans close at the new end, and no event
-    is added. A run with no faults is settled from cycle 0: it fills the
-    table while the program has none, and never ends early.
+    commits its regs, mem and pc are the fault-free run's after n commits.
+    So are its latches: both runs have just committed the same instruction,
+    and it and the two after it in program order alone decide the stall,
+    the fetch wait and the bounds checks that fill `pd` and `de` (an error
+    only freezes the pipeline, and a swap refills it from pc). So n fixes
+    every cycle that follows. A settled run that reaches the program's end
+    records `tails[n]`, the cycles left after each of its settled commits n;
+    the first also records that end's outcome and final state. A later run
+    settled at commit n that finds `tails[n]`, with the cycles left fitting
+    `max_cycles`, ends at once with that outcome and a copy of that state;
+    its stress spans close at the new end, and no event is added. A run with
+    no faults is settled from cycle 0: it fills the table while the program
+    has no end, and never ends early.
 
     Bus words and parity masks are plain ints. The bus fabric (parity
     encode, fault application, parity check) is evaluated only at sites with
@@ -452,15 +451,14 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
     open_events: list[RecoveryEvent] = []
     outcome: Outcome | None = None
     total_cycles = resume
-    join = memo["join"]
-    tails = join[0] if join else {}
-    # Key -> cycles so far, at each settled commit whose key the join table
-    # lacks. Every commit leaves the controller in MONITOR with no event
-    # open, so a commit is settled once the cycle count reaches `inert_at`,
-    # unless the run has diverged. A run with no faults fills the table only
-    # while the program has none, so it never finds a key there.
-    new_keys: dict = {}
-    inert_at = inert_from() if scenario.faults or join is None else never
+    tails, end = memo["tails"], memo["end"]
+    # Commit count -> cycles so far, at each settled commit that has no tail
+    # yet. Every commit leaves the controller in MONITOR with no event open,
+    # so a commit is settled once the cycle count reaches `inert_at`, unless
+    # the run has diverged. A run with no faults fills the table only while
+    # the program has no end, so it never finds a tail there.
+    settled_at: dict = {}
+    inert_at = inert_from() if scenario.faults or end is None else never
 
     cycles = iter(range(resume, max_cycles))
     for cycle in cycles:
@@ -609,14 +607,12 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
                 outcome = Outcome.EXHAUSTED
                 break
             if committed and total_cycles >= inert_at and not diverged:
-                key = ((commits << 32 | fetch_pc & WORD_MASK) << 3 | fetch_wait << 2
-                       | (pd is not None) << 1 | (de is not None))
-                tail = tails.get(key)
+                tail = tails[commits] if commits < len(tails) else None
                 if tail is None:
-                    new_keys[key] = total_cycles
+                    settled_at[commits] = total_cycles
                 elif total_cycles + tail <= max_cycles:
                     total_cycles += tail
-                    _, outcome, final = join
+                    outcome, final = end
                     regs, pc, mem = final.regs, final.pc, dict(final.mem)
                     break
         elif ctrl.remaining > 1 and not (rail_a or rail_b):
@@ -631,15 +627,14 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
 
     if outcome is None:
         outcome = Outcome.EXHAUSTED
-    elif new_keys:
+    elif settled_at:
         # The run halted or ran off the end: a settled run cannot die.
-        for key, so_far in new_keys.items():
-            new_keys[key] = total_cycles - so_far
-        if join is None:
-            memo["join"] = (new_keys, outcome, ArchState(
+        if end is None:
+            memo["end"] = (outcome, ArchState(
                 tuple(regs), pc, dict(mem), outcome is Outcome.COMPLETED))
-        else:
-            tails.update(new_keys)
+            tails.extend([None] * commits)
+        for n, so_far in settled_at.items():
+            tails[n] = total_cycles - so_far
 
     for stage in range(len(PIPELINE_ORDER)):
         for copy in range(len(_COPIES)):

@@ -73,15 +73,16 @@ def fault_free_records(program: Program, config: CoreConfig) -> list:
     in `core_memo["records"]`. A run whose only fault sits on a spare copy
     that is never selected, and starts at the cycle budget, records every
     cycle it simulates. It runs on a fresh copy of `program`, which has no
-    join table to end it early, so the result does not depend on the runs
-    `program` has seen, and `program` itself is left as it was."""
+    cycles left recorded for any commit count to end it early, so the result
+    does not depend on the runs `program` has seen, and `program` itself is
+    left as it was."""
     fresh = Program(program.instructions)
     idle = TimedFault(StuckAt(0, 0), FaultSite(FaultUnit.PREDECODE, Copy.SPARE),
                       DEFAULT_MAX_CYCLES, PERMANENT)
     run_core(fresh, config, FaultScenario((idle,)))
     records = fresh.core_memo["records"]
     # A run with no faults simulates every cycle, and runs after the idle
-    # run so that the idle run finds no join table.
+    # run so that the idle run finds no cycles left to jump by.
     assert len(records) == run_core(fresh, config, FaultScenario()).total_cycles
     return records
 

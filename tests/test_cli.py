@@ -193,12 +193,33 @@ def test_formulas_refuses_flags_of_another_group(args, flag, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("spec, integer, values", [
+    ("0..1:0.25", False, [0.0, 0.25, 0.5, 0.75, 1.0]),
+    ("0.5..1:0.1", False, [0.5, 0.6, 0.7, 0.8, 0.9, 1.0]),
+    ("-1..-0.5:0.25", False, [-1.0, -0.75, -0.5]),
+    ("-2..-1:0.5", False, [-2.0, -1.5, -1.0]),
+    ("-0.3..0:0.1", False, [-0.3, -0.2, -0.1, 0.0]),
+    ("-3..-1", True, [-3, -2, -1]),
+    ("-1..-1", True, [-1]),
+    ("0..3", True, [0, 1, 2, 3]),
+    # An integer range ends at hi, however large hi is.
+    ("0..2999999999999:1000000000000", True, [0, 10**12, 2 * 10**12]),
+])
+def test_a_range_ends_at_its_last_point(spec, integer, values):
+    points = cli._parse_range(spec, integer=integer)
+    assert points == (values if integer else pytest.approx(values, rel=1e-12))
+
+
 @pytest.mark.parametrize("args, good_points, errors", [
     (["--tmr", "--standby", "-R", "0..2:0.5"],
      ["0.00000000e+00", "5.00000000e-01", "1.00000000e+00"],
      ["R=1.5: R=1.5 outside [0, 1]", "R=2.0: R=2.0 outside [0, 1]"]),
     (["--ifr", "--rb", "2", "-s", "0..1"], [],
      ["s=0: Rb=2.0 outside [0, 1]", "s=1: Rb=2.0 outside [0, 1]"]),
+    # A negative range keeps its last point, as a single negative value does.
+    (["--ifr", "-s=-1..-1"], [], ["s=-1: spare count must be a non-negative integer"]),
+    (["--ifr", "-s=-3..-2"], [], ["s=-3: spare count must be a non-negative integer",
+                                  "s=-2: spare count must be a non-negative integer"]),
     (["--ifr-pipeline", "--rp", "0.5..1.5:0.5"], ["5.00000000e-01", "1.00000000e+00"],
      ["Rp=1.5: Rp=1.5 outside [0, 1]"]),
     (["--availability", "--mttf", "-1"], [], ["mttf must be positive"]),

@@ -10,7 +10,8 @@ from ifrsim.faults import (Delay, FaultScenario, FaultSite, FaultUnit, PERMANENT
                            StuckAt, TimedFault, TransientFlip, parse_scenario)
 from ifrsim import pipeline
 from ifrsim.hw import Copy, PIPELINE_ORDER, PowerState, StageKind, encode_bus
-from ifrsim.isa import Opcode, Program, assemble, encode_instruction
+from ifrsim.isa import (Opcode, Program, assemble, decode_word, encode_instruction,
+                        src_regs)
 from ifrsim.pipeline import (ControllerActions, ControllerMode, ControllerState,
                              CoreConfig, Outcome, controller_step,
                              controller_output_vector, matches_reference,
@@ -1101,4 +1102,48 @@ def test_jumped_reports_do_not_share_the_memoized_final_state(monkeypatch):
         assert report.outcome is Outcome.COMPLETED and not counts[1]  # it jumped
         assert report.final_state.mem == expected
         report.final_state.mem[0xBAD] = 1
-    assert program.core_memo["join"][2].mem == expected
+    assert program.core_memo["end"][1].mem == expected
+
+
+def test_the_join_table_holds_the_fault_free_cycles_left_after_each_commit():
+    # A settled run after n commits is in the fault-free run's state after n
+    # commits, latches included, so `tails[n]` is the fault-free run's cycles
+    # left after its n-th commit, whichever runs filled it. One copy of each
+    # program is filled by faulted runs alone (a swapped stuck-at, a delay
+    # window, and two faults at once), another by a run with no faults. The
+    # programs are loop kernels and `samples/workload.asm`, with RAW stalls.
+    rng = random.Random(0x7A11)
+    seen = set()
+    programs = [gen_loop_program(rng, rng.randrange(3, 8)) for _ in range(16)]
+    for program in programs + [assemble(WORKLOAD)]:
+        records = fault_free_records(program, CFG)
+        # The cycle after the n-th commit is the first with n commits before it.
+        after = {}
+        for cycle, record in enumerate(records):
+            after.setdefault(record[-1], cycle)
+        expected = [None] + [len(records) - after[n] for n in range(1, len(after))]
+        if any(pd is not None and de is not None and de[1]
+               and de[1] in src_regs(decode_word(pd)) for *_, pd, de, _ in records):
+            seen.add("stall")
+
+        def check(tails):
+            assert len(tails) in (0, len(expected))
+            assert all(tail in (None, want) for tail, want in zip(tails, expected))
+            return sum(tail is not None for tail in tails)
+
+        warm = Program(program.instructions)
+        words = [record[0] for record in records]
+        stuck, other = (gen_permanent_stuckat_scenario(rng, words).faults[0] for _ in range(2))
+        delay = TimedFault(Delay(rng.randrange(1, 4)), _site(rng.choice(PIPELINE_ORDER)),
+                           rng.randrange(len(words)), rng.randrange(1, 41))
+        for name, faults in (("swap", (stuck,)), ("delay", (delay,)),
+                             ("two faults", (stuck, delay)), ("two faults", (stuck, other))):
+            before = check(warm.core_memo.get("tails", []))
+            run_core(warm, CFG, FaultScenario(faults))
+            if check(warm.core_memo["tails"]) > before:
+                seen.add(name)
+
+        fresh = Program(program.instructions)
+        run_core(fresh, CFG, FaultScenario())
+        assert fresh.core_memo["tails"] == expected
+    assert seen >= {"stall", "swap", "delay", "two faults"}
