@@ -139,7 +139,10 @@ def _load_config(args) -> CoreConfig:
 
 
 def _emit(report: CsvReport, args) -> None:
-    text = report.render()
+    try:
+        text = report.render()
+    except ValueError as exc:
+        raise CliError(f"cannot write the report: {exc}") from None
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8", newline="") as handle:

@@ -12,7 +12,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 
-from .hw import BUS_BITS, BUS_DATA_BITS, Copy, PowerState, StageKind
+from .hw import BUS_BITS, BUS_DATA_BITS, Copy, OFF, ON, PowerState, StageKind
 
 CONTROLLER_VEC_BITS = 16
 _DATA_LINES = (1 << BUS_DATA_BITS) - 1
@@ -226,12 +226,17 @@ class BlockStress:
 
     def add(self, state: PowerState, cycles: int) -> None:
         """Count `cycles` spent in power state `state`."""
-        if state is PowerState.ON:
+        if state is ON:
             self.on_cycles += cycles
-        elif state is PowerState.OFF:
+        elif state is OFF:
             self.off_cycles += cycles
         else:
             self.powering_cycles += cycles
+
+
+# The ledger's blocks in the order it keeps them, stage kind then copy; `sim`
+# writes its stress metadata rows in this order.
+_BLOCK_KEYS = tuple((kind, copy) for kind in StageKind for copy in Copy)
 
 
 @dataclass
@@ -240,7 +245,7 @@ class StressLedger:
     while a block is electrically stressed, so cold spares age only after
     they are switched in."""
     blocks: dict = field(default_factory=lambda: {
-        (kind, copy): BlockStress() for kind in StageKind for copy in Copy})
+        key: BlockStress() for key in _BLOCK_KEYS})
 
     def assert_conserved(self, elapsed: int) -> None:
         for key, stress in self.blocks.items():

@@ -33,6 +33,12 @@ class PowerState(enum.Enum):
     POWERING = "powering"
 
 
+# The members bound once as module globals for the per-cycle code: on
+# Python 3.10 and 3.11 the enum metaclass routes every `PowerState.X` load
+# through a Python-level hook.
+ON, OFF, POWERING = PowerState
+
+
 def parity_encode(word: int) -> int:
     """Even parity per byte: bit i of the result covers byte i of the word."""
     if not 0 <= word <= 0xFFFFFFFF:

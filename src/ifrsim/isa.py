@@ -45,6 +45,11 @@ class Opcode(enum.IntEnum):
     JMP = 12
 
 
+# The members bound once as module globals. On Python 3.10 and 3.11 the enum
+# metaclass routes every `Opcode.X` load through a Python-level hook, so the
+# per-cycle code compares against these names instead.
+NOP, HALT, LDI, MOV, ADD, SUB, AND, OR, XOR, LD, ST, BEQ, JMP = Opcode
+
 # Operand layout per opcode. Register operands occupy the rd/rs1/rs2 fields
 # in listing order; no opcode uses both rs2 and an immediate.
 #   NOP/HALT                 -- no operands
@@ -71,7 +76,7 @@ _FORMATS = {
     Opcode.JMP: "i",
 }
 
-_ALU_OPS = (Opcode.ADD, Opcode.SUB, Opcode.AND, Opcode.OR, Opcode.XOR)
+_ALU_OPS = (ADD, SUB, AND, OR, XOR)
 
 
 @dataclass(frozen=True)
@@ -235,25 +240,25 @@ def execute_result(instr: Instruction, op_a: int, op_b: int, mem: dict) -> int:
     decision (0/1) for BEQ, or the target address for JMP.
     """
     op = instr.opcode
-    if op in (Opcode.NOP, Opcode.HALT):
+    if op in (NOP, HALT):
         return 0
-    if op in (Opcode.LDI, Opcode.MOV, Opcode.ST):
+    if op in (LDI, MOV, ST):
         return op_a & WORD_MASK
-    if op is Opcode.ADD:
+    if op is ADD:
         return (op_a + op_b) & WORD_MASK
-    if op is Opcode.SUB:
+    if op is SUB:
         return (op_a - op_b) & WORD_MASK
-    if op is Opcode.AND:
+    if op is AND:
         return op_a & op_b
-    if op is Opcode.OR:
+    if op is OR:
         return op_a | op_b
-    if op is Opcode.XOR:
+    if op is XOR:
         return op_a ^ op_b
-    if op is Opcode.LD:
+    if op is LD:
         return mem.get((op_a + instr.imm) & WORD_MASK, 0)
-    if op is Opcode.BEQ:
+    if op is BEQ:
         return 1 if op_a == op_b else 0
-    if op is Opcode.JMP:
+    if op is JMP:
         return op_a & WORD_MASK
     raise AssertionError(op)
 
@@ -264,22 +269,22 @@ def _step(regs: list, mem: dict, pc: int, instr: Instruction) -> int | None:
     op = instr.opcode
     if op in _ALU_OPS:
         value = execute_result(instr, regs[instr.rs1], regs[instr.rs2], mem)
-    elif op is Opcode.LDI:
+    elif op is LDI:
         value = instr.imm
-    elif op is Opcode.LD:
+    elif op is LD:
         value = mem.get((regs[instr.rs1] + instr.imm) & WORD_MASK, 0)
-    elif op is Opcode.MOV:
+    elif op is MOV:
         value = regs[instr.rs1]
-    elif op is Opcode.ST:
+    elif op is ST:
         mem[(regs[instr.rs1] + instr.imm) & WORD_MASK] = regs[instr.rd]
         return pc + 1
-    elif op is Opcode.BEQ:
+    elif op is BEQ:
         return pc + instr.imm if regs[instr.rd] == regs[instr.rs1] else pc + 1
-    elif op is Opcode.JMP:
+    elif op is JMP:
         return instr.imm
-    elif op is Opcode.NOP:
+    elif op is NOP:
         return pc + 1
-    elif op is Opcode.HALT:
+    elif op is HALT:
         return None
     else:
         raise AssertionError(op)

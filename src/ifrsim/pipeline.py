@@ -29,14 +29,14 @@ from itertools import islice
 
 from .faults import (CONTROLLER_VEC_BITS, Delay, FaultScenario, FaultUnit,
                      StressLedger, apply_faults, apply_vector_faults)
-from .hw import (Copy, PIPELINE_ORDER, PowerState, StageKind,
-                 encode_bus, parity_check, trc_compare)
-from .isa import (ArchState, ExecutionError, Instruction, Opcode, Program,
-                  WORD_MASK, decode_word, dst_reg, encode_instruction,
-                  execute_result, run_reference, src_regs)
+from .hw import (OFF, ON, POWERING, Copy, PIPELINE_ORDER, PowerState,
+                 StageKind, encode_bus, parity_check, trc_compare)
+from .isa import (BEQ, HALT, JMP, LDI, ST, ArchState, ExecutionError,
+                  Instruction, Program, WORD_MASK, decode_word, dst_reg,
+                  encode_instruction, execute_result, run_reference, src_regs)
 
 DEFAULT_MAX_CYCLES = 100_000
-_CONTROL_OPS = (Opcode.BEQ, Opcode.JMP, Opcode.HALT)
+_CONTROL_OPS = (BEQ, JMP, HALT)
 
 
 @dataclass(frozen=True)
@@ -66,13 +66,18 @@ class ControllerMode(enum.Enum):
     DEAD = 5
 
 
+# Enum members are bound once as module globals, as in `isa` and `hw`: on
+# Python 3.10 and 3.11 every `ControllerMode.X` load runs a metaclass hook.
+MONITOR, SUSPECT, FLUSH, POWER_SWAP, RESUME, DEAD = ControllerMode
+
+
 @dataclass
 class ControllerState:
     """The controller's registers, which `controller_step` updates in place
     on every clock. Stages are pipeline positions 0..2 (predecode, decode,
     execute), the indices `run_core` uses. A step reassigns
     `error_counters` and `on_spare` rather than mutating them."""
-    mode: ControllerMode = ControllerMode.MONITOR
+    mode: ControllerMode = MONITOR
     suspect_stage: int | None = None
     swap_stage: int | None = None
     remaining: int = 0
@@ -96,7 +101,7 @@ class ControllerActions:
 
 
 _NO_ACTIONS = ControllerActions()
-_DEAD = ControllerActions(dead=True)
+_DEAD_ACTIONS = ControllerActions(dead=True)
 
 
 def controller_step(state: ControllerState, masks, trc_error: bool,
@@ -110,34 +115,34 @@ def controller_step(state: ControllerState, masks, trc_error: bool,
     stepping a DEAD controller raises.
     """
     if trc_error:
-        state.mode = ControllerMode.DEAD
-        return _DEAD
+        state.mode = DEAD
+        return _DEAD_ACTIONS
     mode = state.mode
-    if mode is ControllerMode.DEAD:
+    if mode is DEAD:
         raise ValueError("controller is dead; Dead is absorbing")
 
-    if mode is ControllerMode.FLUSH or mode is ControllerMode.POWER_SWAP:
+    if mode is FLUSH or mode is POWER_SWAP:
         state.remaining -= 1
         if state.remaining > 0:
             return _NO_ACTIONS
         stage = state.swap_stage
-        if mode is ControllerMode.FLUSH:
-            state.mode = ControllerMode.POWER_SWAP
+        if mode is FLUSH:
+            state.mode = POWER_SWAP
             state.remaining = config.powerup_cycles_per_block
             return ControllerActions(power_on=stage)
-        state.mode = ControllerMode.RESUME
+        state.mode = RESUME
         state.on_spare = state.on_spare | {stage}
         return ControllerActions(swap=stage)
 
     # MONITOR / SUSPECT / RESUME watch the parity masks.
     if not any(masks):
         actions = _NO_ACTIONS
-        if mode is ControllerMode.SUSPECT:
+        if mode is SUSPECT:
             stage = state.suspect_stage
             actions = ControllerActions(transient_clear=(stage, state.error_counters[stage]))
             state.suspect_stage = None
             state.error_counters = (0, 0, 0)
-        state.mode = ControllerMode.MONITOR
+        state.mode = MONITOR
         return actions
 
     counters = tuple(count + 1 if mask else 0
@@ -147,15 +152,15 @@ def controller_step(state: ControllerState, masks, trc_error: bool,
     peak = max(counters)
     stage = counters.index(peak)
     if peak < config.permanent_threshold:
-        state.mode = ControllerMode.SUSPECT
+        state.mode = SUSPECT
         state.suspect_stage = stage
         state.error_counters = counters
         return _NO_ACTIONS
     if stage in state.on_spare:
         # The spare itself has failed permanently: nothing left to swap in.
-        state.mode = ControllerMode.DEAD
-        return _DEAD
-    state.mode = ControllerMode.FLUSH
+        state.mode = DEAD
+        return _DEAD_ACTIONS
+    state.mode = FLUSH
     state.suspect_stage = None
     state.swap_stage = stage
     state.remaining = config.flush_cycles
@@ -188,6 +193,10 @@ class Outcome(enum.Enum):
     COMPLETED = "completed"
     DEAD = "dead"
     EXHAUSTED = "exhausted"
+
+
+# Prefixed, since a controller mode is also named DEAD.
+RUN_COMPLETED, RUN_DEAD, RUN_EXHAUSTED = Outcome
 
 
 @dataclass
@@ -227,12 +236,14 @@ class SimReport:
         return [e for e in self.events if e.classified == "permanent"]
 
 
-_LIVE_MODES = (ControllerMode.MONITOR, ControllerMode.SUSPECT, ControllerMode.RESUME)
+_LIVE_MODES = (MONITOR, SUSPECT, RESUME)
 _NO_MASKS = (0, 0, 0)
 # run_core indexes its state by integers: stages 0..2 in pipeline order, the
 # controller as unit 3, and copy 0 = main (rail a), copy 1 = spare (rail b).
 _COPIES = (Copy.MAIN, Copy.SPARE)
 _COPY_INDEX = {copy: i for i, copy in enumerate(_COPIES)}
+# The (stage kind, copy) keys of `SimReport.final_power`, in index order.
+_BLOCK_KEYS = tuple((kind, copy) for kind in PIPELINE_ORDER for copy in _COPIES)
 _UNIT_INDEX = {FaultUnit(kind.value): i for i, kind in enumerate(PIPELINE_ORDER)}
 _UNIT_INDEX[FaultUnit.CONTROLLER] = len(PIPELINE_ORDER)
 _RAIL_MASK = (1 << CONTROLLER_VEC_BITS) - 1
@@ -243,7 +254,7 @@ def _decoded(word: int) -> tuple[Instruction, tuple[int, ...], int, int]:
     imm). Decode drives its sources' values as (op_a, op_b), or imm as op_a
     if it reads no register; imm is 0 but for LDI and JMP."""
     instr = decode_word(word)
-    imm = instr.imm & WORD_MASK if instr.opcode in (Opcode.LDI, Opcode.JMP) else 0
+    imm = instr.imm & WORD_MASK if instr.opcode in (LDI, JMP) else 0
     return instr, src_regs(instr), dst_reg(instr), imm
 
 
@@ -331,15 +342,15 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
     stage_end = max((f.end for copies in stage_faults for faults in copies
                      for _, f in faults), default=0)
 
-    power = [[PowerState.ON, PowerState.OFF] for _ in PIPELINE_ORDER]
+    power = [[ON, OFF] for _ in PIPELINE_ORDER]
     since = [[0, 0] for _ in PIPELINE_ORDER]  # first cycle of each block's power span
     ledger = StressLedger()
+    stress_of = [[ledger.blocks[kind, copy] for copy in _COPIES] for kind in PIPELINE_ORDER]
     # A stage's switch selects its spare (copy 1) iff it is in ctrl.on_spare.
     ctrl = ControllerState()
 
     def close_span(stage: int, copy: int, end: int) -> None:
-        stress = ledger.blocks[(PIPELINE_ORDER[stage], _COPIES[copy])]
-        stress.add(power[stage][copy], end - since[stage][copy])
+        stress_of[stage][copy].add(power[stage][copy], end - since[stage][copy])
         since[stage][copy] = end
 
     def set_power(stage: int, copy: int, state: PowerState, cycle: int) -> None:
@@ -349,9 +360,9 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
         # Power changes only here, so the invariants are checked here.
         live_next = ctrl.mode in _LIVE_MODES
         for position, copies in enumerate(power):
-            assert copies.count(PowerState.ON) <= 1, \
+            assert copies.count(ON) <= 1, \
                 "at most one copy of a stage may be powered"
-            assert not live_next or copies[position in ctrl.on_spare] is PowerState.ON, \
+            assert not live_next or copies[position in ctrl.on_spare] is ON, \
                 "selected copy must be powered"
 
     # Each site with a delay fault keeps the true data words of its last
@@ -514,7 +525,7 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
 
         # Controller. Idle monitoring is the identity step.
         actions = _NO_ACTIONS
-        if ctrl.mode is not ControllerMode.MONITOR or error:
+        if ctrl.mode is not MONITOR or error:
             actions = controller_step(ctrl, masks, False, config)
         if rail_a or rail_b:
             # Both controller copies compute the same transition; copy B's
@@ -530,7 +541,7 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
 
         if actions is not _NO_ACTIONS:
             if actions.dead:
-                outcome = Outcome.DEAD
+                outcome = RUN_DEAD
                 break
             if actions.classified is not None:
                 stage = actions.classified
@@ -542,11 +553,11 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
                 events.append(event)
                 open_events.append(event)
                 pd = de = None
-                set_power(stage, 0, PowerState.OFF, cycle)
+                set_power(stage, 0, OFF, cycle)
             if actions.power_on is not None:
-                set_power(actions.power_on, 1, PowerState.POWERING, cycle)
+                set_power(actions.power_on, 1, POWERING, cycle)
             if actions.swap is not None:
-                set_power(actions.swap, 1, PowerState.ON, cycle)
+                set_power(actions.swap, 1, ON, cycle)
                 inert_at = inert_from()
                 fetch_pc = pc
                 fetch_wait = False
@@ -569,14 +580,14 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
                 result = words[2]
                 instr = de[0]
                 op = instr.opcode
-                if op is Opcode.HALT:
-                    outcome = Outcome.COMPLETED
-                elif op is Opcode.BEQ or op is Opcode.JMP:
-                    pc = result if op is Opcode.JMP else pc + (instr.imm if result else 1)
+                if op is HALT:
+                    outcome = RUN_COMPLETED
+                elif op is BEQ or op is JMP:
+                    pc = result if op is JMP else pc + (instr.imm if result else 1)
                     fetch_pc = pc
                     fetch_wait = False
                 else:
-                    if op is Opcode.ST:
+                    if op is ST:
                         mem[(de[3] + instr.imm) & WORD_MASK] = result
                         saved_mem = None
                     elif de[1]:
@@ -604,7 +615,7 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
             if pd is None and de is None and not fetch_wait \
                     and not program.in_bounds(fetch_pc):
                 # Ran past the end of the program without a HALT.
-                outcome = Outcome.EXHAUSTED
+                outcome = RUN_EXHAUSTED
                 break
             if committed and total_cycles >= inert_at and not diverged:
                 tail = tails[commits] if commits < len(tails) else None
@@ -626,12 +637,12 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
                 ctrl.remaining -= skip
 
     if outcome is None:
-        outcome = Outcome.EXHAUSTED
+        outcome = RUN_EXHAUSTED
     elif settled_at:
         # The run halted or ran off the end: a settled run cannot die.
         if end is None:
             memo["end"] = (outcome, ArchState(
-                tuple(regs), pc, dict(mem), outcome is Outcome.COMPLETED))
+                tuple(regs), pc, dict(mem), outcome is RUN_COMPLETED))
             tails.extend([None] * commits)
         for n, so_far in settled_at.items():
             tails[n] = total_cycles - so_far
@@ -640,9 +651,8 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
         for copy in range(len(_COPIES)):
             close_span(stage, copy, total_cycles)
     ledger.assert_conserved(total_cycles)
-    final_state = ArchState(tuple(regs), pc, mem, outcome is Outcome.COMPLETED)
-    final_power = {(kind, _COPIES[copy]): power[stage][copy]
-                   for stage, kind in enumerate(PIPELINE_ORDER) for copy in range(len(_COPIES))}
+    final_state = ArchState(tuple(regs), pc, mem, outcome is RUN_COMPLETED)
+    final_power = dict(zip(_BLOCK_KEYS, (state for copies in power for state in copies)))
     return SimReport(outcome=outcome, final_state=final_state,
                      total_cycles=total_cycles, events=events, stress=ledger,
                      final_power=final_power)
@@ -655,7 +665,7 @@ def matches_reference(report: SimReport, program: Program) -> bool:
     `total_cycles` steps; a reference run that needs more, or falls off the
     end of the program, is a mismatch.
     """
-    if report.outcome is not Outcome.COMPLETED:
+    if report.outcome is not RUN_COMPLETED:
         return False
     try:
         ref_state, _ = run_reference(program, report.total_cycles)

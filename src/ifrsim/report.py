@@ -41,7 +41,11 @@ class CsvReport:
         self.rows.append([fmt_value(v) for v in values])
 
     def render(self) -> str:
-        lines = [f"# {key}={value}" for key, value in self.metadata]
+        lines = []
+        for key, value in self.metadata:
+            if "\n" in value or "\r" in value:
+                raise ValueError(f"metadata {key}={value!r} would break the CSV layout")
+            lines.append(f"# {key}={value}")
         lines.append(",".join(self.columns))
         for row in self.rows:
             for cell in row:

@@ -110,6 +110,20 @@ def test_sim_transient_row_has_no_swap_or_recovery(tmp_path):
                                      "recovery_us")] == [""] * 3
 
 
+@pytest.mark.parametrize("name", ["work\nload.asm", "work\rload.asm"])
+def test_line_break_in_a_metadata_value_is_a_usage_error(name, tmp_path, capsys):
+    # The program path is written as metadata; a line break in it would
+    # start a bare line that a reader skipping `#` lines takes as the header.
+    program = tmp_path / name
+    program.write_bytes(Path(WORKLOAD).read_bytes())
+    out = tmp_path / "x.csv"
+    code = main(["sim", str(program), str(SAMPLES / "decode_stuckat.flt"), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "metadata program=" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("what", ["program", "scenario", "config", "model"])
 def test_input_file_that_is_not_utf8_is_a_usage_error(what, tmp_path, capsys):
     bad = tmp_path / "bad.txt"

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from corpus import gen_loop_program, gen_program
 from ifrsim.isa import (NUM_REGS, ArchState, AssemblyError, ExecutionError,
                         Instruction, Opcode, _step, assemble, decode_word,
-                        encode_instruction, run_reference)
+                        encode_instruction, execute_result, run_reference)
 
 
 def test_assemble_nop():
@@ -92,6 +92,28 @@ def test_memory_reads_default_zero():
     regs = _regs()
     _step(regs, {}, 0, Instruction(Opcode.LD, rd=2, rs1=0, imm=100))
     assert regs[2] == 0
+
+
+@pytest.mark.parametrize("opcode, imm, op_a, op_b, mem, expected", [
+    (Opcode.NOP, 0, 5, 7, {}, 0),
+    (Opcode.HALT, 0, 5, 7, {}, 0),
+    (Opcode.LDI, -3, -3, 0, {}, 0xFFFFFFFD),
+    (Opcode.MOV, 0, 0x1_2345_6789, 0, {}, 0x2345_6789),
+    (Opcode.ADD, 0, 0xFFFFFFFF, 2, {}, 1),
+    (Opcode.SUB, 0, 1, 2, {}, 0xFFFFFFFF),
+    (Opcode.AND, 0, 0b1100, 0b1010, {}, 0b1000),
+    (Opcode.OR, 0, 0b1100, 0b1010, {}, 0b1110),
+    (Opcode.XOR, 0, 0b1100, 0b1010, {}, 0b0110),
+    (Opcode.LD, 4, 8, 0, {}, 0),
+    (Opcode.LD, 1, 0xFFFFFFFF, 0, {0: 42}, 42),
+    (Opcode.ST, 4, 42, 8, {}, 42),
+    (Opcode.BEQ, 3, 9, 9, {}, 1),
+    (Opcode.BEQ, 3, 9, 8, {}, 0),
+    (Opcode.JMP, -1, -1, 0, {}, 0xFFFFFFFF),
+    (Opcode.JMP, 7, 7, 0, {}, 7),
+], ids=lambda v: v.name if isinstance(v, Opcode) else None)
+def test_execute_result_of_every_opcode(opcode, imm, op_a, op_b, mem, expected):
+    assert execute_result(Instruction(opcode, imm=imm), op_a, op_b, mem) == expected
 
 
 def test_store_then_load():
