@@ -126,6 +126,8 @@ def _load_config(args) -> CoreConfig:
             if not sep or key not in _CONFIG_KEYS:
                 raise CliError(f"config line {lineno}: expected '<key>=<value>' with key "
                                f"in {', '.join(_CONFIG_KEYS)}")
+            if key in overrides:
+                raise CliError(f"config line {lineno}: duplicate key {key!r}")
             overrides[key] = value.strip()
     for key in _CONFIG_KEYS:
         flag = getattr(args, key, None)
@@ -430,10 +432,11 @@ def cmd_compare(args) -> int:
     status = EXIT_OK
     for row in zip(*curves):
         cells = [row[0].lam]
-        for point in row:
+        for name, point in zip(_BUILTINS, row):
             if point.error:
                 status = EXIT_SOLVER
                 cells.extend([None, None])
+                print(f"{name} lambda={point.lam}: {point.error}", file=sys.stderr)
             else:
                 cells.extend([point.lower, point.upper])
         report.add_row(*cells)

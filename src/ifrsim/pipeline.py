@@ -23,9 +23,11 @@ from __future__ import annotations
 
 import enum
 import math
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from itertools import islice
+from operator import itemgetter
 
 from .faults import (CONTROLLER_VEC_BITS, Delay, FaultScenario, FaultUnit,
                      StressLedger, apply_faults, apply_vector_faults)
@@ -261,20 +263,20 @@ def _decoded(word: int) -> tuple[Instruction, tuple[int, ...], int, int]:
 def _program_memo(program: Program) -> dict:
     """`program.core_memo`, filled on the program's first run: `slots`, the
     (word, control-flow?) fetch slot of each instruction; `decoded`, the
-    word -> `_decoded` table; `records`, where `records[c]` is the fault-free
-    run at cycle c, as (bus words, regs, mem, pc, fetch_pc, fetch_wait, pd,
-    de, commits) before its commit, a record sharing its regs tuple and mem
-    dict with the one before unless a commit wrote them in between; `end`,
-    None until a settled run has reached the program's end, then (outcome,
-    final state) of that end; and `tails`, where `tails[n]` is the number of
-    cycles a settled run takes from its commit number n to that end, or None
-    where no run has told. A fresh `Program` has no records and no end, so
-    its runs simulate every cycle from cycle 0."""
+    word -> `_decoded` table; `records`, where `records[n]` is the fault-free
+    run on the first cycle after commit n, as (cycle, regs, mem, pc,
+    fetch_pc, fetch_wait, pd, de), sharing the regs tuple and mem dict of
+    `records[n - 1]` unless commit n wrote them; `end`, None until a settled
+    run has reached the program's end, then (outcome, final state) of that
+    end; and `tails`, where `tails[n]` is the number of cycles a settled run
+    takes from its commit number n to that end, or None where no run has
+    told. A fresh `Program` has only `records[0]`, its start at cycle 0."""
     memo = program.core_memo
     if not memo:
         memo.update(slots=[(encode_instruction(instr), instr.opcode in _CONTROL_OPS)
                            for instr in program.instructions],
-                    decoded={}, records=[], tails=[], end=None)
+                    decoded={}, records=[(0, (0,) * 16, {}, 0, 0, False, None, None)],
+                    tails=[], end=None)
     return memo
 
 
@@ -288,12 +290,12 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
     reference interpreter.
 
     A run with faults equals the program's fault-free run until its earliest
-    fault starts, so it resumes from that run's recorded state at the first
-    of: that start, `max_cycles - 1` and the last recorded cycle. Each
-    main-copy delay history starts with the fault-free bus words before it.
-    The fault-free states are recorded once per `Program`, by the runs with
-    faults that pass through them, each through its earliest fault's start;
-    a run on a fresh `Program` starts at cycle 0.
+    fault starts, and that run's state after n commits fixes every later
+    cycle. So a run with faults starts from the last fault-free commit record
+    whose cycle is at most min(earliest start - margin, `max_cycles` - 1),
+    where the margin, the largest delay `extra` + 1 or 0, lets the replayed
+    cycles fill each delay history. It records the fault-free commits up to
+    there, once per `Program`; a run with no faults starts from `records[0]`.
 
     A run with faults also ends early once it has rejoined the fault-free
     run. It is *settled* at a commit when every fault is inert (past its
@@ -331,11 +333,17 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
     memo = _program_memo(program)
     slots, decoded, records = memo["slots"], memo["decoded"], memo["records"]
 
-    # site_faults[unit][copy]: the (scenario index, fault) pairs at that site.
+    # A cycle count past the budget, which no commit reaches: a permanent
+    # fault ends here, and a run settled only from here never settles.
+    never = max_cycles + 1
+    # site_faults[unit][copy]: the (scenario index, fault) pairs at that site;
+    # inert_when: the (end, unit, copy) of each fault.
     site_faults = [([], []) for _ in range(len(PIPELINE_ORDER) + 1)]
+    inert_when = []
     for index, fault in enumerate(scenario.faults):
-        unit = _UNIT_INDEX[fault.site.unit]
-        site_faults[unit][_COPY_INDEX[fault.site.copy]].append((index, fault))
+        unit, copy = _UNIT_INDEX[fault.site.unit], _COPY_INDEX[fault.site.copy]
+        site_faults[unit][copy].append((index, fault))
+        inert_when.append((min(fault.end, never), unit, copy))
     stage_faults = site_faults[:-1]
     rail_a, rail_b = site_faults[-1]
     # A stage fault can be active before `stage_end`.
@@ -415,13 +423,6 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
                 active[0][0])
         return bus & WORD_MASK, mask
 
-    # A cycle count past the budget, which no commit reaches: a permanent
-    # fault ends here, and a run settled only from here never settles.
-    never = max_cycles + 1
-    # (end, unit, copy) of each fault, indexed as in `site_faults`.
-    inert_when = [(min(f.end, never), _UNIT_INDEX[f.site.unit], _COPY_INDEX[f.site.copy])
-                  for f in scenario.faults]
-
     def inert_from() -> int:
         """The cycle from which every fault is inert while the switches stay
         as they are: a rail fault or a fault on a selected copy is inert
@@ -430,30 +431,17 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
                     if unit == len(PIPELINE_ORDER) or copy == (unit in ctrl.on_spare)),
                    default=0)
 
-    regs = [0] * 16
-    mem: dict = {}
-    pc = fetch_pc = 0
-    fetch_wait = False
-    pd: int | None = None  # predecode latch: the fetched word
-    de: tuple | None = None  # decode latch: (instr, dest, op_a, op_b)
-    commits = 0
-    # This run appends the fault-free records up to its earliest fault's
-    # start; a run with no faults appends none.
-    first_start = min((f.start for f in scenario.faults), default=-1)
-    resume = 0
-    # The last record's regs tuple and mem dict, None once a commit has
-    # written that field since: a record shares what has not changed.
-    saved_regs = saved_mem = None
-    if scenario.faults:
-        if records:
-            resume = min(first_start, max_cycles - 1, len(records) - 1)
-            _, saved_regs, saved_mem, pc, fetch_pc, fetch_wait, pd, de, commits = \
-                records[resume]
-            regs, mem = list(saved_regs), dict(saved_mem)
-        for (stage, copy), hist in delay_hist.items():
-            if copy == 0:  # a spare copy is not observed before a swap
-                hist.extend(record[0][stage]
-                            for record in records[max(resume - hist.maxlen, 0):resume])
+    # The start record and the records this run makes are at or before
+    # `bound`; a run with no faults starts at cycle 0 and records none.
+    margin = max((hist.maxlen for hist in delay_hist.values()), default=0)
+    earliest = min((f.start for f in scenario.faults), default=0)
+    bound = max(min(earliest - margin, max_cycles - 1), 0)
+    commits = bisect_right(records, bound, key=itemgetter(0)) - 1
+    # `pd` and `de` are the predecode and decode latches: the fetched word and
+    # (instr, dest, op_a, op_b). `saved_regs` and `saved_mem` are the last
+    # record's regs and mem, None once a commit has written that field since.
+    resume, saved_regs, saved_mem, pc, fetch_pc, fetch_wait, pd, de = records[commits]
+    regs, mem = list(saved_regs), dict(saved_mem)
 
     events: list[RecoveryEvent] = []
     # Permanent events stay open until the first post-resume commit; a second
@@ -507,14 +495,6 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
             e_word = execute_result(de[0], de[2], de[3], mem) if de is not None else 0
 
             words = [p_word, d_word, e_word]
-            if cycle <= first_start and cycle == len(records):
-                # No fault has started yet: this is the fault-free run.
-                if saved_regs is None:
-                    saved_regs = tuple(regs)
-                if saved_mem is None:
-                    saved_mem = dict(mem)
-                records.append((tuple(words), saved_regs, saved_mem, pc, fetch_pc,
-                                fetch_wait, pd, de, commits))
             if cycle < stage_end:
                 masks = [0, 0, 0]
                 for stage in range(len(PIPELINE_ORDER)):
@@ -617,6 +597,14 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
                 # Ran past the end of the program without a HALT.
                 outcome = RUN_EXHAUSTED
                 break
+            if committed and total_cycles <= bound and commits == len(records):
+                # No fault has started yet: this is the fault-free run.
+                if saved_regs is None:
+                    saved_regs = tuple(regs)
+                if saved_mem is None:
+                    saved_mem = dict(mem)
+                records.append((total_cycles, saved_regs, saved_mem, pc, fetch_pc,
+                                fetch_wait, pd, de))
             if committed and total_cycles >= inert_at and not diverged:
                 tail = tails[commits] if commits < len(tails) else None
                 if tail is None:

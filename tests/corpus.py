@@ -7,11 +7,13 @@ run's bus words so stuck-at exposures are guaranteed by construction.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
+from ifrsim import pipeline
 from ifrsim.faults import (FaultScenario, FaultSite, FaultUnit, StuckAt,
                            TimedFault, TransientFlip, PERMANENT)
 from ifrsim.hw import Copy, PIPELINE_ORDER, encode_bus
-from ifrsim.isa import Program, assemble
+from ifrsim.isa import WORD_MASK, Program, assemble
 from ifrsim.pipeline import DEFAULT_MAX_CYCLES, CoreConfig, run_core
 
 _ALU = ("ADD", "SUB", "AND", "OR", "XOR")
@@ -69,28 +71,53 @@ def gen_loop_program(rng: random.Random, body_length: int = 5) -> Program:
 
 
 def fault_free_records(program: Program, config: CoreConfig) -> list:
-    """The fault-free run's record of every cycle, as `run_core` keeps them
-    in `core_memo["records"]`. A run whose only fault sits on a spare copy
-    that is never selected, and starts at the cycle budget, records every
-    cycle it simulates. It runs on a fresh copy of `program`, which has no
-    cycles left recorded for any commit count to end it early, so the result
-    does not depend on the runs `program` has seen, and `program` itself is
-    left as it was."""
+    """The fault-free run's record of every commit, as `run_core` keeps them
+    in `core_memo["records"]`: `records[n]` is the state on the first cycle
+    after commit n, and `records[0]` the state at cycle 0. A run whose only
+    fault sits on a spare copy that is never selected, and starts at the
+    cycle budget, records every commit it makes but the last. It runs on a
+    fresh copy of `program`, which has no cycles left recorded for any
+    commit count to end it early, so the result does not depend on the runs
+    `program` has seen, and `program` itself is left as it was."""
     fresh = Program(program.instructions)
     idle = TimedFault(StuckAt(0, 0), FaultSite(FaultUnit.PREDECODE, Copy.SPARE),
                       DEFAULT_MAX_CYCLES, PERMANENT)
     run_core(fresh, config, FaultScenario((idle,)))
     records = fresh.core_memo["records"]
-    # A run with no faults simulates every cycle, and runs after the idle
-    # run so that the idle run finds no cycles left to jump by.
-    assert len(records) == run_core(fresh, config, FaultScenario()).total_cycles
+    # The idle run is settled from cycle 0, so on reaching the program's end
+    # it left a tail for each of its commit counts, the last one included.
+    assert len(records) == len(fresh.core_memo["tails"])
     return records
 
 
 def fault_free_words(program: Program, config: CoreConfig) -> list:
     """The (predecode, decode, execute) bus words of each cycle of the
-    fault-free run."""
-    return [record[0] for record in fault_free_records(program, config)]
+    fault-free run. They are observed at `pipeline.apply_faults` in a run on
+    a fresh copy of `program` whose only faults are two flips of bit 0 on
+    each main stage, active for the whole run: each pair cancels, so every
+    stage's bus is evaluated on every cycle and carries its true word. Its
+    threshold lies above the flips' duration, so they are not classified
+    permanent, and the run must equal the fault-free run."""
+    flips = tuple(TimedFault(TransientFlip(0), FaultSite(FaultUnit(stage.value), Copy.MAIN),
+                             0, DEFAULT_MAX_CYCLES)
+                  for stage in PIPELINE_ORDER for _ in range(2))
+    seen = []
+    apply_faults = pipeline.apply_faults
+
+    def observe(bus, faults, stale):
+        seen.append(bus & WORD_MASK)
+        return apply_faults(bus, faults, stale)
+
+    fresh = Program(program.instructions)
+    pipeline.apply_faults = observe
+    try:
+        observed = run_core(fresh, replace(config, permanent_threshold=DEFAULT_MAX_CYCLES + 1),
+                            FaultScenario(flips))
+    finally:
+        pipeline.apply_faults = apply_faults
+    assert observed == run_core(fresh, config, FaultScenario())
+    assert len(seen) == len(PIPELINE_ORDER) * observed.total_cycles
+    return list(zip(*[iter(seen)] * len(PIPELINE_ORDER)))
 
 
 def _bus_bit(data_word: int, bit: int) -> int:

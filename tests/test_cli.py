@@ -496,11 +496,14 @@ def test_sim_rejects_unknown_config_key(tmp_path):
     # Integer keys are whole numbers, not truncated or overflowed.
     ([], "permanent_threshold=2.5\n"),
     ([], "flush_cycles=1e400\n"),
+    # A key set twice is refused, not overridden by its last line.
+    ([], "permanent_threshold=16\npermanent_threshold=2\n"),
     (["--max-cycles", "0"], None),
     (["--max-cycles", "-5"], None),
     (["--flush-cycles", "0"], None),
 ], ids=["clock-hz-nan", "clock-hz-inf", "config-clock-hz-nan", "config-threshold-2.5",
-        "config-flush-1e400", "max-cycles-0", "max-cycles-negative", "flush-cycles-0"])
+        "config-flush-1e400", "config-duplicate-key", "max-cycles-0", "max-cycles-negative",
+        "flush-cycles-0"])
 def test_sim_bad_config_is_a_usage_error(flags, config, tmp_path, capsys):
     if config is not None:
         path = tmp_path / "core.cfg"
@@ -608,15 +611,20 @@ def test_compare_scales_and_identity(tmp_path):
         assert float(row["tmr_lower"]) <= 3 * float(row["standby_upper"]) * (1 + 1e-12)
 
 
-def test_compare_solver_failure_leaves_blank_cells(monkeypatch, tmp_path):
+def test_compare_solver_failure_leaves_blank_cells(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(markov, "MAX_SERIES_TERMS", 3)
     code, text = run_cli(["compare", "--sweep", "1e-6", "1e-2", "3"], tmp_path)
     _, columns, rows = parse_csv(text)
     assert code == 3
     # At 1e-2/h over 1000 h the TMR and standby series miss tol in 3 terms;
-    # their cells are blank and the row keeps the other bounds.
+    # their cells are blank and the row keeps the other bounds. Each blank
+    # pair prints its model, point and reason to stderr.
     blank = [[column for column in columns if row[column] == ""] for row in rows]
     assert blank == [[], [], ["tmr_lower", "tmr_upper", "standby_lower", "standby_upper"]]
+    lines = capsys.readouterr().err.splitlines()
+    assert [line.partition(": ")[0] for line in lines] == ["tmr lambda=0.01",
+                                                           "standby lambda=0.01"]
+    assert all(line.partition(": ")[2] for line in lines)
 
 
 # ---------------------------------------------------------------------------

@@ -840,7 +840,7 @@ def test_resumed_runs_equal_runs_from_cycle_zero():
 
 def test_fault_free_records_stop_where_runs_asked():
     # A 20,000-cycle fault-free run is recorded only up to the cycle a run
-    # resumed from, not to its end.
+    # resumed from, not to its end: one record per commit made by then.
     program = assemble("""
     LDI r1, 2600
     LDI r2, 1
@@ -849,20 +849,29 @@ def test_fault_free_records_stop_where_runs_asked():
     JMP 2
     HALT
     """)
+    every = fault_free_records(program, CFG)
+
+    def recorded_through(cycle):
+        return program.core_memo["records"] == [r for r in every if r[0] <= cycle]
+
     fault_free = run_core(program, CFG, FaultScenario())
     assert fault_free.total_cycles >= 20_000
-    assert program.core_memo["records"] == []  # a fault-free run records nothing
+    assert recorded_through(0)  # a fault-free run records nothing but the start
     report = run_core(program, CFG, parse_scenario("@5 PERM decode.main stuckat 0 1"))
     assert report.outcome is Outcome.COMPLETED
     assert matches_reference(report, program)
-    assert len(program.core_memo["records"]) == 6  # cycles 0..5
+    assert recorded_through(5)
     run_core(program, CFG, parse_scenario("@3 T:2 execute.main flip 7"))
-    assert len(program.core_memo["records"]) == 6
-    # A run that a rail fault kills on its first cycle still records that
-    # cycle's fault-free state.
+    assert recorded_through(5)
+    # A run that a rail fault kills on its first cycle still records the
+    # commits before it.
     dead = run_core(program, CFG, parse_scenario("@6 PERM controller.a stuckat 0 1"))
     assert (dead.outcome, dead.total_cycles) == (Outcome.DEAD, 7)
-    assert len(program.core_memo["records"]) == 7
+    assert recorded_through(6) and not recorded_through(5)
+    # A delay's run stops its records short of its start by the length of
+    # its delay history, the cycles it replays to fill that history.
+    run_core(program, CFG, parse_scenario("@30 T:4 execute.main delay 3"))
+    assert recorded_through(26) and not recorded_through(30)
 
 
 def test_fault_free_end_is_learned_from_a_run_that_reaches_it():
@@ -872,7 +881,7 @@ def test_fault_free_end_is_learned_from_a_run_that_reaches_it():
     for _ in range(2):
         report = run_core(program, CFG, late)
         assert report == fault_free
-        assert len(program.core_memo["records"]) == fault_free.total_cycles
+        assert program.core_memo["records"] == fault_free_records(program, CFG)
 
 
 def test_fault_free_records_share_unchanged_registers_and_memory():
@@ -1117,13 +1126,11 @@ def test_the_join_table_holds_the_fault_free_cycles_left_after_each_commit():
     programs = [gen_loop_program(rng, rng.randrange(3, 8)) for _ in range(16)]
     for program in programs + [assemble(WORKLOAD)]:
         records = fault_free_records(program, CFG)
-        # The cycle after the n-th commit is the first with n commits before it.
-        after = {}
-        for cycle, record in enumerate(records):
-            after.setdefault(record[-1], cycle)
-        expected = [None] + [len(records) - after[n] for n in range(1, len(after))]
+        total = run_core(Program(program.instructions), CFG, FaultScenario()).total_cycles
+        # records[n] is the fault-free state on the first cycle after commit n.
+        expected = [None] + [total - record[0] for record in records[1:]]
         if any(pd is not None and de is not None and de[1]
-               and de[1] in src_regs(decode_word(pd)) for *_, pd, de, _ in records):
+               and de[1] in src_regs(decode_word(pd)) for *_, pd, de in records):
             seen.add("stall")
 
         def check(tails):
@@ -1132,7 +1139,7 @@ def test_the_join_table_holds_the_fault_free_cycles_left_after_each_commit():
             return sum(tail is not None for tail in tails)
 
         warm = Program(program.instructions)
-        words = [record[0] for record in records]
+        words = fault_free_words(program, CFG)
         stuck, other = (gen_permanent_stuckat_scenario(rng, words).faults[0] for _ in range(2))
         delay = TimedFault(Delay(rng.randrange(1, 4)), _site(rng.choice(PIPELINE_ORDER)),
                            rng.randrange(len(words)), rng.randrange(1, 41))
