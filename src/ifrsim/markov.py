@@ -32,6 +32,7 @@ for the solver.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass, field
@@ -44,14 +45,8 @@ WIDTH_FLOOR = 1e-12
 # squares. It is the measured cost crossover of the two methods on a 3-state
 # chain: the series' O(q) terms cost about as much as squaring's O(log q)
 # products between q = 64 and q = 128, and 2^7 puts the squaring step's
-# q/2^s at exactly _STEP_Q/2 there. It is fixed, not derived from
-# MAX_SERIES_TERMS, so a model's method never depends on the series budget.
+# q/2^s at exactly _STEP_Q/2 there.
 SERIES_Q_MAX = 128.0
-# The series budget. At q <= SERIES_Q_MAX the Poisson(q) mass beyond term
-# k, at most w_(k+1) / (1 - q/(k+2)), is below 2^-76 from k = 256 and below
-# 2^-14,000 from k = 4,096: the series has spent its mass long before the
-# budget, which only bounds the cost of a refusal.
-MAX_SERIES_TERMS = 4_096
 # Scaling and squaring: each step spans at most _STEP_Q expected jumps, and
 # its series is cut where the Poisson tail mass beyond it is below _TAIL;
 # a computed entry below _TINY may have underflowed.
@@ -80,7 +75,7 @@ class ModelError(ValueError):
 
 
 class SolverError(RuntimeError):
-    """Raised when the bound width target cannot be met within the budget."""
+    """Raised when the bound width target cannot be met, or q = Λ·T overflows."""
 
 
 @dataclass(frozen=True)
@@ -463,8 +458,13 @@ def death_probability(model: MarkovModel, mission_time: float,
     Deterministic: no sampling is involved. Raises SolverError if the
     uniformization rate times the mission time, q, overflows, and otherwise
     whenever the requested width cannot be met (the answer is never silently
-    loosened). Up to SERIES_Q_MAX that is within MAX_SERIES_TERMS series
-    terms, or by the outwardly rounded bracket at all.
+    loosened). Up to SERIES_Q_MAX the series has no term budget: from the
+    first k with k + 2 > q the Poisson mass beyond term k is also at most
+    w_(k+1) / (1 - q/(k+2)) (Fox & Glynn, CACM 1988), which underflows to 0
+    within 770 terms, where 1 - cum_w stops at the weights' rounding residue.
+    The bracket is then one point, so the series refuses only when its
+    outward nudge alone is wider than tol. Its lower bound overshoots by
+    less than with the residue as the tail, and _FP_ABS covers both.
 
     Above SERIES_Q_MAX = 128 the bracket comes from scaling and squaring,
     with the series' width target and no outward nudge. Squaring has no
@@ -508,14 +508,15 @@ def death_probability(model: MarkovModel, mission_time: float,
     w = math.exp(-q)  # at least exp(-SERIES_Q_MAX), far from underflow
     cum_w = w
     partial = 0.0  # sum of w_k * d_k; d_0 = 0 since initial is never a death state
-    met = None  # the last bracket that met tol before the outward rounding
-    for k in range(1, MAX_SERIES_TERMS + 1):
+    for k in itertools.count(1):
         vec = vec @ jump
         d_k = float(vec @ death)
         w = w * q / k
         cum_w += w
         partial += w * d_k
         tail = max(0.0, 1.0 - cum_w)
+        if k + 2 > q:
+            tail = min(tail, w * q / (k + 1) / (1.0 - q / (k + 2)))
         lower = partial + tail * d_k  # jump-chain death mass only grows
         upper = min(1.0, partial + tail)
         if _meets(lower, upper, tol):
@@ -524,15 +525,11 @@ def death_probability(model: MarkovModel, mission_time: float,
             out_upper = min(1.0, upper * (1.0 + _FP_REL) + _FP_ABS)
             if _meets(out_lower, out_upper, tol):
                 return BoundedProbability(out_lower, out_upper)
-            if met == (lower, upper):
-                # The series no longer moves the bracket: only rounding is left.
+            if tail == 0.0:
+                # The tail is spent, so the series no longer moves the bracket.
                 raise SolverError(
                     f"bound width target {tol} not reachable: the outward rounding "
                     f"of [{lower:.3g}, {upper:.3g}] alone is wider")
-            met = lower, upper
-    raise SolverError(
-        f"bound width target {tol} not reached within {MAX_SERIES_TERMS} series terms "
-        f"(uniformization rate*T = {q:.3g})")
 
 
 def _outward(x) -> tuple[float, float]:

@@ -93,12 +93,12 @@ class ControllerActions:
     are pipeline positions 0..2. `classified` flushes the pipeline and powers
     off that stage's main copy; `power_on` starts powering up its spare;
     `swap` flips its switch to the spare and replays; `transient_clear` is
-    (stage, consecutive error cycles); `dead` is fail-stop.
+    the stage whose error run cleared; `dead` is fail-stop.
     """
     classified: int | None = None
     power_on: int | None = None
     swap: int | None = None
-    transient_clear: tuple[int, int] | None = None
+    transient_clear: int | None = None
     dead: bool = False
 
 
@@ -140,8 +140,7 @@ def controller_step(state: ControllerState, masks, trc_error: bool,
     if not any(masks):
         actions = _NO_ACTIONS
         if mode is SUSPECT:
-            stage = state.suspect_stage
-            actions = ControllerActions(transient_clear=(stage, state.error_counters[stage]))
+            actions = ControllerActions(transient_clear=state.suspect_stage)
             state.suspect_stage = None
             state.error_counters = (0, 0, 0)
         state.mode = MONITOR
@@ -382,9 +381,9 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
             if extras:
                 delay_hist[stage, copy] = deque(maxlen=max(extras) + 1)
     held_delay: dict = {}  # fault index -> latched stale data word
-    # (stage, first cycle of a parity-error run) -> scenario index of the
-    # fault credited with it.
-    culprits: dict = {}
+    # Per stage, (first cycle, scenario index of the fault credited) of its
+    # latest parity-error run.
+    run_start: list = [None] * len(PIPELINE_ORDER)
 
     diverged = False  # a corrupted data word passed parity
 
@@ -417,7 +416,7 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
             # at this stage yet). Its culprit is the first active fault, in
             # scenario order, whose corruption alone breaks parity, else the
             # first active one.
-            culprits[stage, cycle] = active[0][0] if len(active) == 1 else next(
+            run_start[stage] = cycle, active[0][0] if len(active) == 1 else next(
                 (i for i, f in active
                  if parity_check(apply_faults(encode_bus(word), [f], held_delay.get(i, word)))),
                 active[0][0])
@@ -525,10 +524,9 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
                 break
             if actions.classified is not None:
                 stage = actions.classified
-                detect = cycle - (config.permanent_threshold - 1)
+                detect, culprit = run_start[stage]
                 event = RecoveryEvent(
-                    fault_id=culprits[stage, detect],
-                    stage=PIPELINE_ORDER[stage], classified="permanent",
+                    fault_id=culprit, stage=PIPELINE_ORDER[stage], classified="permanent",
                     detect_cycle=detect, end_cycle=cycle)
                 events.append(event)
                 open_events.append(event)
@@ -545,11 +543,10 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
                     if event.resume_cycle is None:
                         event.resume_cycle = cycle + 1
             if actions.transient_clear is not None:
-                stage, run_length = actions.transient_clear
-                detect = cycle - run_length
+                stage = actions.transient_clear
+                detect, culprit = run_start[stage]
                 events.append(RecoveryEvent(
-                    fault_id=culprits[stage, detect],
-                    stage=PIPELINE_ORDER[stage], classified="transient",
+                    fault_id=culprit, stage=PIPELINE_ORDER[stage], classified="transient",
                     detect_cycle=detect, end_cycle=cycle))
 
         # Advance the pipeline when nothing flagged an error this cycle.

@@ -308,10 +308,11 @@ def test_markov_malformed_model_is_parse_error(tmp_path):
     assert main(["markov", "--model", str(bad), "--out", str(tmp_path / "x.csv")]) == 2
 
 
-def test_markov_single_point_solver_failure_exits_3(monkeypatch, tmp_path, capsys):
-    monkeypatch.setattr(markov, "MAX_SERIES_TERMS", 3)
+def test_markov_single_point_solver_failure_exits_3(tmp_path, capsys):
+    # At p = 3e-6 the outward nudge's 1e-15 alone is about 7e-10 relative.
     out = tmp_path / "x.csv"
-    assert main(["markov", "--builtin", "tmr", "--lam", "1e-2", "--out", str(out)]) == 3
+    assert main(["markov", "--builtin", "tmr", "--lam", "1e-6", "--tol", "1e-11",
+                 "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("solver error: ") and err.count("\n") == 1
     assert not out.exists()
@@ -523,23 +524,22 @@ _REPAIR_MODEL = ("CONST lambda = 1e-3;\nCONST mu = 1;\n"
                  "degraded -> dead : lambda;\n")
 
 
-def test_markov_sweep_const_solver_failure_row(monkeypatch, tmp_path, capsys):
-    # A 3-term series budget refuses mu=0.1 (q = 101), which takes the
-    # series; mu=1e3 is past SERIES_Q_MAX and is squared.
-    monkeypatch.setattr(markov, "MAX_SERIES_TERMS", 3)
+def test_markov_sweep_const_solver_failure_row(tmp_path, capsys):
+    # At --tol 1e-11 the series meets tol at mu=0.1 (q = 101), but the
+    # rounding of mu=1e3's 2^18 squaring steps alone is wider.
     model = tmp_path / "repair.model"
     model.write_text(_REPAIR_MODEL)
     code, text = run_cli(["markov", "--model", str(model), "--sweep-const", "mu", "0.1", "1e3",
-                          "2", "--mc", "500", "--seed", "1"], tmp_path)
+                          "2", "--tol", "1e-11", "--mc", "500", "--seed", "1"], tmp_path)
     _, columns, rows = parse_csv(text)
     assert code == 3
     assert columns == ["mu", "lower", "upper", "width_rel", "error", "mc_estimate", "mc_ci99"]
-    assert rows[1]["error"] == "" and rows[1]["mc_estimate"] != ""
-    assert rows[0]["error"] == "solver_failure"
-    assert [rows[0][key] for key in ("lower", "upper", "width_rel", "mc_estimate",
+    assert rows[0]["error"] == "" and rows[0]["mc_estimate"] != ""
+    assert rows[1]["error"] == "solver_failure"
+    assert [rows[1][key] for key in ("lower", "upper", "width_rel", "mc_estimate",
                                      "mc_ci99")] == [""] * 5
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("mu=0.1: ")
+    assert len(err) == 1 and err[0].startswith("mu=1000.0: ")
 
 
 def test_markov_sweep_const_brackets_stiff_repair(tmp_path, capsys):
@@ -611,19 +611,22 @@ def test_compare_scales_and_identity(tmp_path):
         assert float(row["tmr_lower"]) <= 3 * float(row["standby_upper"]) * (1 + 1e-12)
 
 
-def test_compare_solver_failure_leaves_blank_cells(monkeypatch, tmp_path, capsys):
-    monkeypatch.setattr(markov, "MAX_SERIES_TERMS", 3)
-    code, text = run_cli(["compare", "--sweep", "1e-6", "1e-2", "3"], tmp_path)
+def test_compare_solver_failure_leaves_blank_cells(tmp_path, capsys):
+    code, text = run_cli(["compare", "--sweep", "1e-6", "1e-2", "3", "--tol", "1e-11"],
+                         tmp_path)
     _, columns, rows = parse_csv(text)
     assert code == 3
-    # At 1e-2/h over 1000 h the TMR and standby series miss tol in 3 terms;
-    # their cells are blank and the row keeps the other bounds. Each blank
-    # pair prints its model, point and reason to stderr.
+    # At 1e-6/h the TMR, standby and IFR bounds are near 1e-6, where the
+    # outward nudge's 1e-15 alone is wider than 1e-11 relative; their cells
+    # are blank and the row keeps the simplex bounds. Each blank pair prints
+    # its model, point and reason to stderr.
     blank = [[column for column in columns if row[column] == ""] for row in rows]
-    assert blank == [[], [], ["tmr_lower", "tmr_upper", "standby_lower", "standby_upper"]]
+    assert blank == [["tmr_lower", "tmr_upper", "standby_lower", "standby_upper",
+                      "ifr_lower", "ifr_upper"], [], []]
     lines = capsys.readouterr().err.splitlines()
-    assert [line.partition(": ")[0] for line in lines] == ["tmr lambda=0.01",
-                                                           "standby lambda=0.01"]
+    assert [line.partition(": ")[0] for line in lines] == ["tmr lambda=1e-06",
+                                                           "standby lambda=1e-06",
+                                                           "ifr-pipeline lambda=1e-06"]
     assert all(line.partition(": ")[2] for line in lines)
 
 

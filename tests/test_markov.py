@@ -293,12 +293,6 @@ def test_bounds_are_deterministic():
     assert (a.lower, a.upper) == (b.lower, b.upper)
 
 
-def test_solver_budget_failure_is_explicit(monkeypatch):
-    monkeypatch.setattr(markov, "MAX_SERIES_TERMS", 3)
-    with pytest.raises(SolverError, match="bound width"):
-        death_probability(build_tmr_model(1e-2), T, tol=1e-9)
-
-
 def test_tol_validation():
     with pytest.raises(ValueError):
         death_probability(build_simplex_model(1e-3), T, tol=0.0)
@@ -323,8 +317,8 @@ def test_tol_the_outward_rounding_cannot_meet_is_refused(lam, tol):
 
 @pytest.mark.parametrize("lam, mission_time", [(1e308, T), (1e300, 1e10)])
 def test_overflowing_uniformization_rate_is_refused_before_the_series(lam, mission_time):
-    # Uniformization needs q = rate*T finite; an infinite q would spend the
-    # whole series budget on NaN terms.
+    # Uniformization needs q = rate*T finite; an infinite q would make every
+    # series term NaN.
     with pytest.raises(SolverError, match="not finite"):
         death_probability(build_simplex_model(lam), mission_time)
 
@@ -388,19 +382,25 @@ def test_chain_near_the_old_series_limit_is_squared_not_refused():
     assert bracket.upper - bracket.lower <= DEFAULT_TOL * max(bracket.upper, WIDTH_FLOOR)
 
 
-def test_series_budget_covers_the_poisson_mass_at_the_threshold():
-    # Poisson(q) mass beyond the budget, at most w_(N+1) / (1 - q/(N+2)),
-    # at the largest q the series takes: below one unit roundoff.
-    q, n = markov.SERIES_Q_MAX, markov.MAX_SERIES_TERMS
-    log_tail = (n + 1) * math.log(q) - q - math.lgamma(n + 2) - math.log1p(-q / (n + 2))
-    assert log_tail < -53 * math.log(2)
-
-
-def test_series_refusal_below_the_threshold_stops_at_the_budget():
+def test_series_refusal_below_the_threshold_is_the_outward_rounding():
     # q = 100: the series spends its Poisson mass in about 200 terms, but a
-    # 1e-12 relative width is out of its reach; it refuses at the budget.
-    with pytest.raises(SolverError, match=f"within {markov.MAX_SERIES_TERMS} series terms"):
+    # 1e-12 relative width is narrower than the outward nudge alone.
+    with pytest.raises(SolverError, match="outward rounding"):
         death_probability(_repair_chain(1e-4, 0.1), T, tol=1e-12)
+
+
+def test_series_tail_spent_by_rounding_still_meets_tol():
+    # q = 2.03 and p = 1.01e-4: 1 - cum_w stops at a rounding residue of
+    # 3.3e-16, above the 3.9e-17 of tol·p that the outward nudge leaves, so
+    # only the last-weight bound on the tail, which falls to 0, meets tol.
+    model = parse_model("STATE s0;\nSTATE s1;\nSTATE s2;\nSTATE s3 DEATH;\nINIT s0;\n"
+                        "s0 -> s1 : 32.765549693817235;\n"
+                        "s1 -> s2 : 52.160258358854016;\n"
+                        "s2 -> s3 : 0.012792033400475104;\n")
+    t, tol = 0.038979645384223986, 2.2092940282536468e-11
+    bracket = death_probability(model, t, tol=tol)
+    assert _contains(bracket, _expm_death_probability(model, t))
+    assert bracket.upper - bracket.lower <= tol * max(bracket.upper, WIDTH_FLOOR)
 
 
 @st.composite
@@ -437,6 +437,25 @@ def test_chain_squared_below_the_old_series_limit_contains_the_mpmath_value(mode
     assume(rate * t > markov.SERIES_Q_MAX)
     tol = 10.0 ** log_tol
     bracket = death_probability(model, t, tol=tol)
+    assert _contains(bracket, _expm_death_probability(model, t))
+    assert bracket.upper - bracket.lower <= tol * max(bracket.upper, WIDTH_FLOOR)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_random_chains(), st.floats(math.log(1e-3), math.log(markov.SERIES_Q_MAX)),
+       st.floats(-11.0, math.log10(DEFAULT_TOL)))
+def test_chain_taken_by_the_series_contains_the_mpmath_value(model, log_q, log_tol):
+    # q in [1e-3, SERIES_Q_MAX]: the series either meets tol around the
+    # mpmath value or refuses because its outward nudge alone is wider.
+    rate = max(model.outgoing_rate(s) for s in model.states)
+    t = math.exp(log_q) / rate
+    assume(rate * t <= markov.SERIES_Q_MAX)
+    tol = 10.0 ** log_tol
+    try:
+        bracket = death_probability(model, t, tol=tol)
+    except SolverError as error:
+        assert "outward rounding" in str(error)
+        return
     assert _contains(bracket, _expm_death_probability(model, t))
     assert bracket.upper - bracket.lower <= tol * max(bracket.upper, WIDTH_FLOOR)
 

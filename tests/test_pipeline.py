@@ -96,7 +96,7 @@ def test_error_clearing_classifies_transient():
     actions = controller_step(state, _NO_ERRORS, False, CFG)
     assert state.mode is ControllerMode.MONITOR
     assert state.error_counters == (0, 0, 0)
-    assert actions.transient_clear == (EXECUTE, 5)
+    assert actions.transient_clear == EXECUTE
 
 
 def test_counters_never_exceed_threshold():
@@ -181,7 +181,7 @@ def test_output_vector_along_a_full_repair():
                 clears.append(actions.transient_clear)
     expected = [(mode, vec) for mode, vec, steps in _REPAIR_VECTORS for _ in range(steps)]
     assert seen == expected
-    assert clears == [(EXECUTE, 5)]
+    assert clears == [EXECUTE]
 
 
 # ---------------------------------------------------------------------------
