@@ -32,6 +32,8 @@ class FaultUnit(enum.Enum):
     EXECUTE = "execute"
     CONTROLLER = "controller"
 
+    __hash__ = object.__hash__  # as in `hw.StageKind`
+
 
 @dataclass(frozen=True)
 class StuckAt:

@@ -18,6 +18,10 @@ class StageKind(enum.Enum):
     DECODE = "decode"
     EXECUTE = "execute"
 
+    # `Enum.__hash__` is Python code, and each run keys a few dicts by these
+    # members. Members compare by identity, so the identity hash fits.
+    __hash__ = object.__hash__
+
 
 PIPELINE_ORDER = (StageKind.PREDECODE, StageKind.DECODE, StageKind.EXECUTE)
 
@@ -26,11 +30,15 @@ class Copy(enum.Enum):
     MAIN = "main"
     SPARE = "spare"
 
+    __hash__ = object.__hash__  # as in StageKind
+
 
 class PowerState(enum.Enum):
     ON = "on"
     OFF = "off"
     POWERING = "powering"
+
+    __hash__ = object.__hash__  # as in StageKind
 
 
 # The members bound once as module globals for the per-cycle code: on

@@ -322,9 +322,17 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
     an active fault, and only before the latest stage fault window ends: any
     other site drives its word with a zero error mask by construction.
     Likewise the controller rails are built and two-rail checked only in a
-    run with rail faults, a run without them takes the FLUSH and POWER_SWAP
-    countdowns in one step, and the stress ledger is kept as spans that close
+    run with rail faults, and the stress ledger is kept as spans that close
     when a block's power changes.
+
+    A run without rail faults takes in one step the cycles that change only
+    a count: the FLUSH and POWER_SWAP countdowns, and the frozen error
+    window. An error freezes the pipeline, so until a fault starts or ends,
+    each later SUSPECT cycle re-presents the same words and adds one to each
+    nonzero error counter; the skip stops short of the threshold, so the
+    next simulated cycle classifies or clears on the same cycle, and it
+    appends the re-presented word to each selected copy's delay history. A
+    run with rail faults takes neither skip.
     """
     if max_cycles < 1:
         raise ValueError(f"max_cycles must be >= 1, got {max_cycles}")
@@ -339,10 +347,15 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
     # inert_when: the (end, unit, copy) of each fault.
     site_faults = [([], []) for _ in range(len(PIPELINE_ORDER) + 1)]
     inert_when = []
+    # The cycles on which a fault starts or ends, and `never`: between two of
+    # them the same faults are active.
+    edges = {never}
     for index, fault in enumerate(scenario.faults):
         unit, copy = _UNIT_INDEX[fault.site.unit], _COPY_INDEX[fault.site.copy]
         site_faults[unit][copy].append((index, fault))
         inert_when.append((min(fault.end, never), unit, copy))
+        edges.update((fault.start, min(fault.end, never)))
+    edges = sorted(edges)
     stage_faults = site_faults[:-1]
     rail_a, rail_b = site_faults[-1]
     # A stage fault can be active before `stage_end`.
@@ -611,15 +624,35 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
                     outcome, final = end
                     regs, pc, mem = final.regs, final.pc, dict(final.mem)
                     break
-        elif ctrl.remaining > 1 and not (rail_a or rail_b):
-            # FLUSH and POWER_SWAP count down: until `remaining` is 1, a cycle
-            # of a run without rail faults changes nothing else. Take those
-            # cycles in one step.
-            skip = min(ctrl.remaining - 1, max_cycles - total_cycles)
+        elif not (rail_a or rail_b):
+            # In a run without rail faults, the cycles that change nothing but
+            # a count are taken in one step.
+            skip = 0
+            if ctrl.mode is SUSPECT:
+                # The frozen pipeline re-presents this cycle's words, so until
+                # a fault starts or ends, each cycle sees this cycle's masks
+                # and adds one to each nonzero counter. Stop short of the
+                # threshold, so the next simulated cycle classifies or clears.
+                counters = ctrl.error_counters
+                skip = min(config.permanent_threshold - 1 - max(counters),
+                           edges[bisect_right(edges, cycle)] - total_cycles,
+                           max_cycles - total_cycles)
+                if skip:
+                    ctrl.error_counters = tuple(count + skip if count else 0
+                                                for count in counters)
+                    # Each skipped cycle appends the same true word.
+                    for stage in range(len(PIPELINE_ORDER)):
+                        hist = delay_hist.get((stage, stage in ctrl.on_spare))
+                        if hist:
+                            hist.extend([hist[-1]] * min(skip, hist.maxlen))
+            elif ctrl.remaining > 1:
+                # FLUSH and POWER_SWAP count down: until `remaining` is 1, a
+                # cycle changes nothing else.
+                skip = min(ctrl.remaining - 1, max_cycles - total_cycles)
+                ctrl.remaining -= skip
             if skip:
                 next(islice(cycles, skip, skip), None)  # consumes `skip` cycles
                 total_cycles += skip
-                ctrl.remaining -= skip
 
     if outcome is None:
         outcome = RUN_EXHAUSTED

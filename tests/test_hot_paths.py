@@ -2,10 +2,13 @@
 module globals. On Python 3.10 and 3.11 a class attribute load such as
 `Opcode.ADD` runs the enum metaclass's Python-level `__getattr__`, over ten
 times the cost of a global load, so these tests keep such loads out of the
-hot functions and check that every alias is the member it is named for."""
+hot functions and check that every alias is the member it is named for. A
+run also makes no call to `Enum.__hash__`, which is Python code too."""
 import dis
 import enum
+import sys
 import types
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +17,7 @@ from ifrsim.hw import PowerState
 from ifrsim.isa import Opcode
 from ifrsim.pipeline import ControllerMode, Outcome
 
+_WORKLOAD = Path(__file__).resolve().parent.parent / "samples" / "workload.asm"
 HOT_PATHS = (isa.execute_result, isa._step, pipeline.controller_step,
              pipeline.run_core, faults.BlockStress.add)
 
@@ -61,3 +65,25 @@ _ALIASES = [(isa, Opcode, ""), (hw, PowerState, ""),
 def test_each_alias_is_the_member_of_its_own_name(module, cls, prefix):
     for member in cls:
         assert getattr(module, prefix + member.name) is member, f"{prefix}{member.name}"
+
+
+def test_a_warm_faulted_run_makes_no_python_level_enum_hash_call():
+    # The members that a run keys dicts by hash by identity.
+    program = isa.assemble(_WORKLOAD.read_text())
+    scenario = faults.parse_scenario("@125 PERM decode.main stuckat 0 1")
+    config = pipeline.CoreConfig()
+    pipeline.run_core(program, config, scenario)
+    called = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            code = frame.f_code
+            called.append((code.co_filename, code.co_name))
+
+    sys.setprofile(profile)
+    try:
+        pipeline.run_core(program, config, scenario)
+    finally:
+        sys.setprofile(None)
+    assert (pipeline.__file__, "run_core") in called
+    assert (enum.__file__, "__hash__") not in called

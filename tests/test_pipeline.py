@@ -1154,3 +1154,87 @@ def test_the_join_table_holds_the_fault_free_cycles_left_after_each_commit():
         run_core(fresh, CFG, FaultScenario())
         assert fresh.core_memo["tails"] == expected
     assert seen >= {"stall", "swap", "delay", "two faults"}
+
+
+# ---------------------------------------------------------------------------
+# The frozen error window: SUSPECT cycles change only the error counters
+# ---------------------------------------------------------------------------
+
+def _without_skips(text, max_cycles):
+    """`text` plus a rail fault that starts as the budget runs out: it changes
+    no result, but a run with rail faults takes no cycles in one step."""
+    return parse_scenario(f"{text}\n@{max_cycles} PERM controller.a stuckat 0 1")
+
+
+def _window_scenarios(threshold):
+    """Scenarios around the error window of each `threshold`."""
+    half = max(threshold // 2, 1)  # a fault this long ends inside the window
+
+    def delays(site, start, extra):
+        # A delay window that clears, then a deeper delay at the same site
+        # that reads the history its frozen cycles appended.
+        return (f"@{start} T:{threshold - 1} {site} delay 1\n"
+                f"@{start + threshold} PERM {site} delay {extra}")
+
+    return {
+        "predecode stuck-at": "@10 PERM predecode.main stuckat 3 1",
+        "decode stuck-at": _DECODE_SWAP,
+        "execute stuck-at": "@10 PERM execute.main stuckat 3 1",
+        "spare stuck-at after the swap": _DECODE_SWAP + "\n@120 PERM decode.spare stuckat 3 1",
+        "transient inside the window": f"@30 T:{half} decode.main flip 3",
+        "second fault inside the window":
+            f"@30 T:{half} decode.main flip 3\n@{30 + half // 2} PERM execute.main stuckat 3 1",
+        "second fault inside a permanent window":
+            _DECODE_SWAP + f"\n@{10 + half} PERM execute.main stuckat 3 1",
+        "two stages in error": _DECODE_SWAP + "\n@10 PERM execute.main stuckat 3 1",
+        "permanent delay": "@12 PERM execute.main delay 2",
+        "second delay after the window": delays("execute.main", 12, 3),
+        "deeper second delay after the window": delays("execute.main", 12, 5),
+        "second delay on the spare": _DECODE_SWAP + "\n" + delays("decode.spare", 120, 3),
+    }
+
+
+@pytest.mark.filterwarnings("ignore:fault .* transient flip")
+@pytest.mark.parametrize("threshold", (2, 4, 16))
+def test_skipped_error_windows_equal_windows_taken_cycle_by_cycle(threshold):
+    config = replace(CFG, permanent_threshold=threshold)
+    program = _alternating_program(80)
+    for name, text in _window_scenarios(threshold).items():
+        # Budgets that end inside the windows opening at cycles 10 and 12,
+        # and one that does not.
+        for max_cycles in (*range(11, 13 + threshold), pipeline.DEFAULT_MAX_CYCLES):
+            expected = run_core(program, config, _without_skips(text, max_cycles),
+                                max_cycles=max_cycles)
+            for target in (Program(program.instructions), program):
+                assert run_core(target, config, parse_scenario(text),
+                                max_cycles=max_cycles) == expected, (name, max_cycles)
+
+
+@pytest.mark.parametrize("text, steps", [
+    # A step on the window's first error cycle and one on the cycle that
+    # classifies; then the ends of the FLUSH and POWER_SWAP countdowns, and
+    # the RESUME cycle.
+    ("@125 PERM decode.main stuckat 0 1", 5),
+    ("@40 PERM execute.main delay 2", 5),
+    # The flip ends inside the window: its first error cycle, and the cycle
+    # that clears.
+    ("@60 T:10 predecode.main flip 3", 2),
+])
+def test_a_frozen_error_window_costs_two_controller_steps(monkeypatch, text, steps):
+    calls = [0]
+    step = pipeline.controller_step
+
+    def counted(*args):
+        calls[0] += 1
+        return step(*args)
+
+    monkeypatch.setattr(pipeline, "controller_step", counted)
+    program = assemble(WORKLOAD)
+    scenario = parse_scenario(text)
+    run_core(program, CFG, scenario)
+    for _ in range(2):
+        calls[0] = 0
+        report = run_core(program, CFG, scenario)
+        assert report.outcome is Outcome.COMPLETED and matches_reference(report, program)
+        assert len(report.events) == 1
+        assert calls[0] == steps
