@@ -7,7 +7,7 @@ Both of its methods uniformise the chain: with Λ at least every state's
 outgoing rate, P = I + Q/Λ is a non-negative stochastic jump matrix and
 exp(Q·T) = Σ_k Poisson(k; Λ·T) P^k.
 
-While q = Λ·T is at most SERIES_Q_MAX = 128 the solver truncates that
+While q = Λ·T is at most SERIES_Q_MAX = 16 the solver truncates that
 series for the initial state: every truncated term is non-negative and the
 death probability of the jump chain is non-decreasing, so the tail mass
 yields rigorous two-sided bounds which are tightened until the requested
@@ -18,14 +18,12 @@ between an entry-wise lower matrix L (the truncated series) and upper matrix
 U (the series plus its Poisson tail mass on every entry), and squares both
 s times, which keeps L <= exp(Q·T) <= U since all of them are non-negative.
 
-Squaring turns a relative rounding error per product into about 2^s times
-that error, so every rounding is accounted for: P is rounded outward from
-its exact rational value, and each computed product is deflated (L) or
-inflated (U) by a factor that covers all its roundings, as are the Poisson
-weights and the series sum. After each product L loses and U gains _TINY,
-far above anything that underflowed, and L is clipped at 0. When the
-squaring factors alone would widen the bracket past the tolerance the
-solver refuses before any product.
+Both methods keep one rounding account, so every bound holds exactly: P is
+enclosed entry-wise by one outward pair of float matrices, each computed
+product is deflated (L) or inflated (U) by a factor that covers all its
+roundings, after which L loses and U gains _TINY, far above anything that
+underflowed, and each scalar is rounded one float outward or covered by a
+factor.
 
 A trajectory-sampling Monte Carlo estimator serves as an independent oracle
 for the solver.
@@ -43,10 +41,10 @@ DEFAULT_TOL = 0.05
 WIDTH_FLOOR = 1e-12
 # Above this uniformization rate times mission time the solver scales and
 # squares. It is the measured cost crossover of the two methods on a 3-state
-# chain: the series' O(q) terms cost about as much as squaring's O(log q)
-# products between q = 64 and q = 128, and 2^7 puts the squaring step's
-# q/2^s at exactly _STEP_Q/2 there.
-SERIES_Q_MAX = 128.0
+# chain: the series' O(q) terms, each rounded outward, cost about as much as
+# squaring's O(log q) products between q = 16 and q = 20, and 2^4 puts the
+# squaring step's q/2^s at exactly _STEP_Q/2 there.
+SERIES_Q_MAX = 16.0
 # Scaling and squaring: each step spans at most _STEP_Q expected jumps, and
 # its series is cut where the Poisson tail mass beyond it is below _TAIL;
 # a computed entry below _TINY may have underflowed.
@@ -57,10 +55,6 @@ _U = 2.0 ** -53  # unit roundoff of a float
 # Monte Carlo trials per chunk, which bounds the oracle's memory. A run of at
 # most this many trials is one chunk; the pinned 20,000-trial draws need that.
 MC_CHUNK = 32_768
-# Bounds are nudged outward by a hair so that an analytic value computed with
-# a different floating-point evaluation order still falls inside the bracket.
-_FP_REL = 1e-12
-_FP_ABS = 1e-15
 
 
 class ModelError(ValueError):
@@ -458,86 +452,71 @@ def death_probability(model: MarkovModel, mission_time: float,
     Deterministic: no sampling is involved. Raises SolverError if the
     uniformization rate times the mission time, q, overflows, and otherwise
     whenever the requested width cannot be met (the answer is never silently
-    loosened). Up to SERIES_Q_MAX the series has no term budget: from the
-    first k with k + 2 > q the Poisson mass beyond term k is also at most
-    w_(k+1) / (1 - q/(k+2)) (Fox & Glynn, CACM 1988), which underflows to 0
-    within 770 terms, where 1 - cum_w stops at the weights' rounding residue.
-    The bracket is then one point, so the series refuses only when its
-    outward nudge alone is wider than tol. Its lower bound overshoots by
-    less than with the residue as the tail, and _FP_ABS covers both.
+    loosened). Both methods share one jump pair and one rounding account,
+    so every bound holds exactly, not just up to rounding.
 
-    Above SERIES_Q_MAX = 128 the bracket comes from scaling and squaring,
-    with the series' width target and no outward nudge. Squaring has no
-    stopping rule, so its bracket is only as wide as its rounding: about
-    3e-12 relative for the 3-state repair chain at q = 1e3, where the series
-    would stop at a width just below tol. Its bounds hold exactly, not
-    just up to rounding: every floating-point result is a bound for the real
-    value it stands for, because each product of non-negative factors is
-    deflated (lower) or inflated (upper) by a factor that covers its
-    roundings. Those factors compound over the 2^s steps, so the relative
-    width grows in proportion to q: 1.3% at q = 4.2e12 for 3 states. A chain
-    whose squaring factors alone exceed tol (the 3-state repair chain at
+    Up to SERIES_Q_MAX the series runs until the bracket meets tol. From the
+    first k with k + 1 > q the Poisson mass beyond term k is at most
+    w_(k+1) / (1 - q/(k+2)) (Fox & Glynn, CACM 1988); once that is below
+    _TINY more terms only add rounding, and the series refuses.
+
+    Above it, scaling and squaring has no stopping rule, so its bracket is
+    as wide as its rounding: about 4e-12 relative for the 3-state repair
+    chain at q = 1e3, growing in proportion to q to 1.5% at q = 4.2e12. A
+    chain whose squaring factors alone exceed tol (the same chain at
     q = 1e18) is refused before any product.
     """
     if mission_time < 0 or not math.isfinite(mission_time):
         raise ValueError("mission time must be non-negative and finite")
     if not 0 < tol < 1:
         raise ValueError("tol must be in (0, 1)")
-
-    index = {s: i for i, s in enumerate(model.states)}
-    n = len(model.states)
-    rates = np.zeros((n, n))
-    for tr in model.transitions:
-        rates[index[tr.source], index[tr.target]] += tr.rate
-    out = rates.sum(axis=1)
-    lam_max = float(out.max())
-    if mission_time == 0.0 or lam_max == 0.0 or not model.death_states:
+    if mission_time == 0.0 or not model.death_states:
         return BoundedProbability(0.0, 0.0)
-    death = np.array([s in model.death_states for s in model.states], dtype=float)
+    jump, q = _jump_pair(model, mission_time)
+    if q > SERIES_Q_MAX:
+        return _squared_bracket(jump, q, tol)
+    return _series_bracket(jump, q, tol)
 
-    jump = rates / lam_max
-    np.fill_diagonal(jump, np.diagonal(jump) + 1.0 - out / lam_max)
 
-    q = lam_max * mission_time
+def _below(x: float) -> float:
+    return math.nextafter(x, -math.inf)
+
+
+def _above(x: float) -> float:
+    return math.nextafter(x, math.inf)
+
+
+def _jump_pair(model: MarkovModel, mission_time: float) -> tuple[np.ndarray, float]:
+    """The stacked outward (L, U) pair around the jump matrix P = I + Q/Λ,
+    and q = Λ·T rounded to nearest. State 0 is the initial state; the death
+    states, all absorbing, are lumped into the last. Λ is the largest
+    out-rate rounded up, so the exact P is non-negative. Each entry is an
+    exact sum (on the diagonal Λ minus the rates to other states) over Λ:
+    math.fsum rounds the sum correctly and numpy the division, and each
+    result is moved one float outward. L is clipped at 0."""
+    live = [model.initial] + [s for s in model.states
+                              if s != model.initial and s not in model.death_states]
+    index = dict.fromkeys(model.death_states, len(live)) | {s: i for i, s in enumerate(live)}
+    n = len(live) + 1
+    rates: list = [[[] for _ in range(n)] for _ in range(n)]
+    for tr in model.transitions:
+        rates[index[tr.source]][index[tr.target]].append(tr.rate)
+    try:
+        lam = _above(max(math.fsum(itertools.chain(*row)) for row in rates))
+    except OverflowError:  # an out-rate beyond the float range
+        lam = math.inf
+    q = lam * mission_time
     if not math.isfinite(q):
         raise SolverError(f"uniformization rate*T = {q:.3g} is not finite")
-    if q > SERIES_Q_MAX:
-        return _squared_bracket(model, mission_time, tol)
-
-    vec = np.eye(n)[index[model.initial]]
-    w = math.exp(-q)  # at least exp(-SERIES_Q_MAX), far from underflow
-    cum_w = w
-    partial = 0.0  # sum of w_k * d_k; d_0 = 0 since initial is never a death state
-    for k in itertools.count(1):
-        vec = vec @ jump
-        d_k = float(vec @ death)
-        w = w * q / k
-        cum_w += w
-        partial += w * d_k
-        tail = max(0.0, 1.0 - cum_w)
-        if k + 2 > q:
-            tail = min(tail, w * q / (k + 1) / (1.0 - q / (k + 2)))
-        lower = partial + tail * d_k  # jump-chain death mass only grows
-        upper = min(1.0, partial + tail)
-        if _meets(lower, upper, tol):
-            # The outward rounding widens the bracket, so it must meet tol too.
-            out_lower = max(0.0, lower * (1.0 - _FP_REL) - _FP_ABS)
-            out_upper = min(1.0, upper * (1.0 + _FP_REL) + _FP_ABS)
-            if _meets(out_lower, out_upper, tol):
-                return BoundedProbability(out_lower, out_upper)
-            if tail == 0.0:
-                # The tail is spent, so the series no longer moves the bracket.
-                raise SolverError(
-                    f"bound width target {tol} not reachable: the outward rounding "
-                    f"of [{lower:.3g}, {upper:.3g}] alone is wider")
-
-
-def _outward(x) -> tuple[float, float]:
-    """The nearest floats at or below and at or above the exact Fraction `x`."""
-    f = float(x)  # correctly rounded
-    if f == x:
-        return f, f
-    return (f, math.nextafter(f, math.inf)) if f < x else (math.nextafter(f, -math.inf), f)
+    exact = np.array([[math.fsum(cell) for cell in row] for row in rates])
+    for i, row in enumerate(rates):
+        exact[i, i] = math.fsum([lam, *(-rate for j, cell in enumerate(row) if j != i
+                                        for rate in cell)])
+    jump = np.stack([np.nextafter(np.nextafter(exact, -np.inf) / lam, -np.inf),
+                     np.nextafter(np.nextafter(exact, np.inf) / lam, np.inf)])
+    np.maximum(jump, 0.0, out=jump)
+    jump[:, exact == 0.0] = 0.0
+    return jump, q
 
 
 def _factors(rounds: int) -> np.ndarray:
@@ -553,26 +532,48 @@ def _factors(rounds: int) -> np.ndarray:
 _SHIFT = np.array([-_TINY, _TINY])[:, None, None]
 
 
-def _squared_bracket(model: MarkovModel, mission_time: float, tol: float) -> BoundedProbability:
+def _series_bracket(jump: np.ndarray, q: float, tol: float) -> BoundedProbability:
+    """The jump series for the initial state, cut once its bracket meets tol.
+    The initial row is a stacked (L, U) pair carried with squaring's
+    factors; the Poisson weights, their sum and the partial sums are lower
+    and upper floats, each rounded outward. Death mass only grows along the
+    jump chain, so the mass left adds at least tail_lo·d_lo, at most tail_hi."""
+    n = jump.shape[1]
+    step = jump * _factors(n)  # covers the n-term product and this scaling
+    vec = np.broadcast_to(np.eye(1, n), (2, 1, n))  # the initial state, 0
+    q_lo, q_hi = _below(q), _above(q)
+    # exp is within an ulp, so two floats outward cover it.
+    w_lo, w_hi = _below(_below(math.exp(-q_hi))), _above(_above(math.exp(-q_lo)))
+    cum_lo, cum_hi = w_lo, w_hi
+    part_lo = part_hi = 0.0  # sums of w_k * d_k; d_0 = 0 as state 0 is live
+    for k in itertools.count(1):
+        vec = np.maximum(vec @ step + _SHIFT, 0.0)
+        d_lo, d_hi = vec[:, 0, -1].tolist()
+        w_lo = _below(_below(w_lo * q_lo) / k)
+        w_hi = _above(_above(w_hi * q_hi) / k)
+        cum_lo, cum_hi = _below(cum_lo + w_lo), _above(cum_hi + w_hi)
+        part_lo = _below(part_lo + _below(w_lo * d_lo))
+        part_hi = _above(part_hi + _above(w_hi * min(d_hi, 1.0)))
+        tail_lo, tail_hi = max(0.0, _below(1.0 - cum_hi)), _above(1.0 - cum_lo)
+        if k + 1 > q_hi:
+            # Doubling the bound covers its own rounding.
+            w_next = _above(_above(w_hi * q_hi) / (k + 1))
+            tail_hi = min(tail_hi, 2.0 * w_next / (1.0 - q_hi / (k + 2)))
+        lower = max(0.0, _below(part_lo + _below(tail_lo * d_lo)))
+        upper = min(1.0, _above(part_hi + tail_hi))
+        if _meets(lower, upper, tol):
+            return BoundedProbability(lower, upper)
+        if tail_hi <= _TINY:
+            # More terms would move the bracket by less than their rounding.
+            raise SolverError(
+                f"bound width target {tol} not reachable: the Poisson tail is spent, and "
+                f"the outward rounding alone leaves [{lower!r}, {upper!r}]")
+
+
+def _squared_bracket(jump: np.ndarray, q: float, tol: float) -> BoundedProbability:
     """Scaling and squaring between an entry-wise lower and upper matrix,
     carried together as one stacked (L, U) pair."""
-    from fractions import Fraction  # here, as importing it takes 3 ms
-
-    n = len(model.states)
-    index = {s: i for i, s in enumerate(model.states)}
-    dead = [index[s] for s in model.death_states]
-    exact = [[Fraction(0)] * n for _ in range(n)]
-    for tr in model.transitions:
-        exact[index[tr.source]][index[tr.target]] += Fraction(tr.rate)
-    out = [sum(row) for row in exact]
-    lam = _outward(max(out))[1]  # so that the exact P is non-negative
-    exact_lam = Fraction(lam)
-    jump = np.empty((2, n, n))
-    for i, row in enumerate(exact):
-        for j, rate in enumerate(row):
-            jump[:, i, j] = _outward((rate + (exact_lam - out[i] if i == j else 0)) / exact_lam)
-
-    q = lam * mission_time
+    n = jump.shape[1]
     # r = q/2^s lies in [_STEP_Q/2, _STEP_Q); below that s is 0 and r = q.
     s = max(math.frexp(q / _STEP_Q)[1], 0)
     square = _factors(n)  # an n-term product
@@ -583,7 +584,7 @@ def _squared_bracket(model: MarkovModel, mission_time: float, tol: float) -> Bou
             f"bound width target {tol} not reachable: the rounding of 2^{s} squaring "
             f"steps alone widens the bracket by {rounding:.3g} (uniformization rate*T = {q:.3g})")
     r = math.ldexp(q, -s)  # one rounding off the exact Λ·T/2^s
-    r_lo, r_hi = math.nextafter(r, 0.0), math.nextafter(r, math.inf)
+    r_lo, r_hi = _below(r), _above(r)
 
     # Cut the step's series after `terms` terms, where the Poisson tail mass
     # beyond it, at most w_(terms+1) / (1 - r/(terms+2)), is below _TAIL.
@@ -622,9 +623,7 @@ def _squared_bracket(model: MarkovModel, mission_time: float, tol: float) -> Bou
         pair += _SHIFT
         np.maximum(pair, 0.0, out=pair)
 
-    i0 = index[model.initial]
-    lower = max(0.0, math.nextafter(math.fsum(pair[0, i0, dead]), -math.inf))
-    upper = min(1.0, math.nextafter(math.fsum(pair[1, i0, dead]), math.inf))
+    lower, upper = np.minimum(pair[:, 0, -1], 1.0).tolist()
     if not _meets(lower, upper, tol):
         raise SolverError(
             f"bound width target {tol} not reached by {s} squarings: "

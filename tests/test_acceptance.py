@@ -47,10 +47,11 @@ def test_criterion_1_formula_identities():
 def test_criterion_2_solver_vs_analytic():
     started = time.perf_counter()
     cases = [
-        (build_simplex_model, lambda lam: 1 - math.exp(-lam * T_MISSION)),
-        (build_tmr_model, lambda lam: 1 - (3 * math.exp(-2 * lam * T_MISSION)
-                                           - 2 * math.exp(-3 * lam * T_MISSION))),
-        (build_standby_model, lambda lam: (1 - math.exp(-lam * T_MISSION)) ** 2),
+        # expm1, so that no subtraction cancels.
+        (build_simplex_model, lambda lam: -math.expm1(-lam * T_MISSION)),
+        (build_tmr_model, lambda lam: math.expm1(-lam * T_MISSION) ** 2
+                                      * (1 + 2 * math.exp(-lam * T_MISSION))),
+        (build_standby_model, lambda lam: math.expm1(-lam * T_MISSION) ** 2),
     ]
     for builder, analytic in cases:
         for lam in (1e-6, 1e-5, 1e-4, 1e-3, 1e-2):

@@ -309,9 +309,9 @@ def test_markov_malformed_model_is_parse_error(tmp_path):
 
 
 def test_markov_single_point_solver_failure_exits_3(tmp_path, capsys):
-    # At p = 3e-6 the outward nudge's 1e-15 alone is about 7e-10 relative.
+    # At p = 3e-6 no two distinct floats lie within 1e-16 relative.
     out = tmp_path / "x.csv"
-    assert main(["markov", "--builtin", "tmr", "--lam", "1e-6", "--tol", "1e-11",
+    assert main(["markov", "--builtin", "tmr", "--lam", "1e-6", "--tol", "1e-16",
                  "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("solver error: ") and err.count("\n") == 1
@@ -319,8 +319,10 @@ def test_markov_single_point_solver_failure_exits_3(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, reason", [
-    (["--lam", "1e-18", "--tol", "1e-4"], "outward rounding"),
-    (["--lam", "1e-3", "--tol", "1e-12"], "outward rounding"),
+    # Both widths are below a float's spacing at p: 1e-32 absolute at
+    # p = 1e-15 (under WIDTH_FLOOR), 1e-16 relative at p = 0.63.
+    (["--lam", "1e-18", "--tol", "1e-20"], "outward rounding"),
+    (["--lam", "1e-3", "--tol", "1e-16"], "outward rounding"),
     (["--lam", "1e308", "--T", "1000"], "not finite"),
 ])
 def test_markov_unreachable_bracket_exits_3(tmp_path, capsys, argv, reason):
@@ -525,7 +527,7 @@ _REPAIR_MODEL = ("CONST lambda = 1e-3;\nCONST mu = 1;\n"
 
 
 def test_markov_sweep_const_solver_failure_row(tmp_path, capsys):
-    # At --tol 1e-11 the series meets tol at mu=0.1 (q = 101), but the
+    # At --tol 1e-11 squaring meets tol at mu=0.1 (q = 101), but the
     # rounding of mu=1e3's 2^18 squaring steps alone is wider.
     model = tmp_path / "repair.model"
     model.write_text(_REPAIR_MODEL)
@@ -567,7 +569,7 @@ def test_markov_sweep_const_re_evaluates_derived_constants(tmp_path):
     for row, lam in zip(rows, (1e-5, 1e-4, 1e-3)):
         assert float(row["lambda"]) == pytest.approx(lam, rel=1e-8)
         # The CSV rounds to 9 significant digits.
-        truth = 1 - math.exp(-2 * lam * 1000)
+        truth = -math.expm1(-2 * lam * 1000)
         assert float(row["lower"]) * (1 - 1e-8) <= truth <= float(row["upper"]) * (1 + 1e-8)
 
 
@@ -612,21 +614,19 @@ def test_compare_scales_and_identity(tmp_path):
 
 
 def test_compare_solver_failure_leaves_blank_cells(tmp_path, capsys):
-    code, text = run_cli(["compare", "--sweep", "1e-6", "1e-2", "3", "--tol", "1e-11"],
+    code, text = run_cli(["compare", "--sweep", "1e-6", "1e6", "3", "--tol", "2e-6"],
                          tmp_path)
     _, columns, rows = parse_csv(text)
     assert code == 3
-    # At 1e-6/h the TMR, standby and IFR bounds are near 1e-6, where the
-    # outward nudge's 1e-15 alone is wider than 1e-11 relative; their cells
-    # are blank and the row keeps the simplex bounds. Each blank pair prints
-    # its model, point and reason to stderr.
+    # At 1e6/h, q is 1e9 to 3e9, and the squaring factors leave simplex and
+    # IFR brackets about 1.6e-6 wide, TMR's 6e-6 and standby's 3.3e-6; the
+    # last two cells are blank and the row keeps the others. Each blank pair
+    # prints its model, point and reason to stderr.
     blank = [[column for column in columns if row[column] == ""] for row in rows]
-    assert blank == [["tmr_lower", "tmr_upper", "standby_lower", "standby_upper",
-                      "ifr_lower", "ifr_upper"], [], []]
+    assert blank == [[], [], ["tmr_lower", "tmr_upper", "standby_lower", "standby_upper"]]
     lines = capsys.readouterr().err.splitlines()
-    assert [line.partition(": ")[0] for line in lines] == ["tmr lambda=1e-06",
-                                                           "standby lambda=1e-06",
-                                                           "ifr-pipeline lambda=1e-06"]
+    assert [line.partition(": ")[0] for line in lines] == ["tmr lambda=1000000.0",
+                                                           "standby lambda=1000000.0"]
     assert all(line.partition(": ")[2] for line in lines)
 
 

@@ -8,7 +8,7 @@ from functools import partial
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from ifrsim import markov
 from ifrsim.markov import (DEFAULT_TOL, MC_CHUNK, WIDTH_FLOOR, BoundedProbability, MarkovModel, ModelError, SolverError,
@@ -20,16 +20,17 @@ from ifrsim.markov import (DEFAULT_TOL, MC_CHUNK, WIDTH_FLOOR, BoundedProbabilit
 T = 1000.0
 
 
+# The closed forms, written with expm1 so that no subtraction cancels.
 def analytic_simplex(lam, t):
-    return 1.0 - math.exp(-lam * t)
+    return -math.expm1(-lam * t)
 
 
 def analytic_tmr(lam, t):
-    return 1.0 - (3.0 * math.exp(-2.0 * lam * t) - 2.0 * math.exp(-3.0 * lam * t))
+    return math.expm1(-lam * t) ** 2 * (1.0 + 2.0 * math.exp(-lam * t))
 
 
 def analytic_standby(lam, t):
-    return (1.0 - math.exp(-lam * t)) ** 2
+    return math.expm1(-lam * t) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +186,7 @@ def test_live_trap_state_has_zero_death_probability():
     bracket = death_probability(model, T)
     # Only the direct path kills; trajectories absorbed in the live trap
     # never die. Analytic: (1/3) * (1 - exp(-1.5e-3 * T)).
-    truth = (0.5 / 1.5) * (1 - math.exp(-1.5e-3 * T))
+    truth = (0.5 / 1.5) * -math.expm1(-1.5e-3 * T)
     assert bracket.lower <= truth <= bracket.upper
     mc = monte_carlo_death_probability(model, T, 100_000, seed=2)
     assert abs(mc.estimate - truth) <= mc.ci99
@@ -307,11 +308,22 @@ def test_returned_bracket_meets_tol_after_outward_rounding(lam, tol):
 
 
 @pytest.mark.parametrize("lam, tol", [
-    # The outward nudge alone widens any bracket near 0.63 by 2.003e-12
-    # relative, and one of about 1e-15 to 2e-15 absolute.
+    # Targets that a fixed outward nudge of 1e-12 relative plus 1e-15
+    # absolute would miss on its own; the certified rounding is narrower.
     (1e-3, 1e-12), (1e-3, 2e-12), (1e-18, 1e-4)])
-def test_tol_the_outward_rounding_cannot_meet_is_refused(lam, tol):
-    with pytest.raises(SolverError, match="outward rounding"):
+def test_tol_below_a_fixed_nudge_is_met_and_holds_the_mpmath_value(lam, tol):
+    bracket = death_probability(build_simplex_model(lam), T, tol=tol)
+    with mpmath.workdps(50):
+        assert _contains(bracket, -mpmath.expm1(-mpmath.mpf(lam) * T))
+    assert bracket.upper - bracket.lower <= tol * max(bracket.upper, WIDTH_FLOOR)
+
+
+@pytest.mark.parametrize("lam, tol", [
+    # Below 2^-53 relative no two floats are close enough; below
+    # WIDTH_FLOOR, 1e-20 asks for 1e-32, under a float's spacing at 1e-15.
+    (1e-3, 1e-16), (1e-18, 1e-20)])
+def test_tol_below_the_certified_width_is_refused_once_the_tail_is_spent(lam, tol):
+    with pytest.raises(SolverError, match="Poisson tail is spent, and the outward rounding alone"):
         death_probability(build_simplex_model(lam), T, tol=tol)
 
 
@@ -382,17 +394,19 @@ def test_chain_near_the_old_series_limit_is_squared_not_refused():
     assert bracket.upper - bracket.lower <= DEFAULT_TOL * max(bracket.upper, WIDTH_FLOOR)
 
 
-def test_series_refusal_below_the_threshold_is_the_outward_rounding():
-    # q = 100: the series spends its Poisson mass in about 200 terms, but a
-    # 1e-12 relative width is narrower than the outward nudge alone.
-    with pytest.raises(SolverError, match="outward rounding"):
-        death_probability(_repair_chain(1e-4, 0.1), T, tol=1e-12)
+def test_repair_chain_at_q_100_meets_a_tol_of_1e_12():
+    # q = 100: a target that a fixed outward nudge of 1e-12 relative would
+    # miss on its own.
+    model = _repair_chain(1e-4, 0.1)
+    bracket = death_probability(model, T, tol=1e-12)
+    assert _contains(bracket, _expm_death_probability(model, T))
+    assert bracket.upper - bracket.lower <= 1e-12 * bracket.upper
 
 
 def test_series_tail_spent_by_rounding_still_meets_tol():
-    # q = 2.03 and p = 1.01e-4: 1 - cum_w stops at a rounding residue of
-    # 3.3e-16, above the 3.9e-17 of tol·p that the outward nudge leaves, so
-    # only the last-weight bound on the tail, which falls to 0, meets tol.
+    # q = 2.03 and p = 1.01e-4: 1 - cum_w stops at a rounding residue above
+    # the 2.2e-15 of tol·p, so only the last-weight bound on the tail meets
+    # tol.
     model = parse_model("STATE s0;\nSTATE s1;\nSTATE s2;\nSTATE s3 DEATH;\nINIT s0;\n"
                         "s0 -> s1 : 32.765549693817235;\n"
                         "s1 -> s2 : 52.160258358854016;\n"
@@ -443,18 +457,18 @@ def test_chain_squared_below_the_old_series_limit_contains_the_mpmath_value(mode
 
 @settings(max_examples=40, deadline=None)
 @given(_random_chains(), st.floats(math.log(1e-3), math.log(markov.SERIES_Q_MAX)),
-       st.floats(-11.0, math.log10(DEFAULT_TOL)))
+       st.floats(-13.0, math.log10(DEFAULT_TOL)))
 def test_chain_taken_by_the_series_contains_the_mpmath_value(model, log_q, log_tol):
     # q in [1e-3, SERIES_Q_MAX]: the series either meets tol around the
-    # mpmath value or refuses because its outward nudge alone is wider.
+    # mpmath value or refuses because its outward rounding alone is wider.
     rate = max(model.outgoing_rate(s) for s in model.states)
     t = math.exp(log_q) / rate
-    assume(rate * t <= markov.SERIES_Q_MAX)
+    assume(markov._jump_pair(model, t)[1] <= markov.SERIES_Q_MAX)  # the solver's own q
     tol = 10.0 ** log_tol
     try:
         bracket = death_probability(model, t, tol=tol)
     except SolverError as error:
-        assert "outward rounding" in str(error)
+        assert "the outward rounding alone leaves" in str(error)
         return
     assert _contains(bracket, _expm_death_probability(model, t))
     assert bracket.upper - bracket.lower <= tol * max(bracket.upper, WIDTH_FLOOR)
@@ -474,6 +488,67 @@ def test_squaring_step_bounds_hold_in_exact_arithmetic(n):
             assert pair[0, i, j] <= exact <= pair[1, i, j], (i, j)
 
 
+@st.composite
+def _chains_with_parallel_rates(draw):
+    """1 to 3 live states and 1 or 2 death states; up to two parallel
+    transitions between a pair of states, self-loops included, each at a
+    rate from 1e-300 to 1e300 per hour, and a path through every state."""
+    live, dead = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    rate = st.floats(-300.0, 300.0).map(lambda x: 10.0 ** x)
+    lines = [f"STATE s{i}{' DEATH' if i >= live else ''};" for i in range(live + dead)]
+    lines.append("INIT s0;")
+    for i in range(live):
+        for j in range(live + dead):
+            needed = j == i + 1 or (i == live - 1 and j > live)
+            lines += [f"s{i} -> s{j} : {draw(rate)!r};"
+                      for _ in range(draw(st.integers(int(needed), 2)))]
+    return parse_model("\n".join(lines))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_chains_with_parallel_rates())
+# Each of these leaves the pair if one of its four outward steps is dropped:
+# the lower bound's before or after the division, then the upper bound's.
+@example(parse_model("STATE s0; STATE s1; STATE s2 DEATH; STATE s3 DEATH; INIT s0;"
+                     "s0 -> s1 : 0.2510029584643848; s0 -> s2 : 1.0219765597645172;"
+                     "s1 -> s2 : 1.0219765597645172; s1 -> s2 : 0.5171064193027457;"
+                     "s1 -> s3 : 0.9329325040049943;"))
+@example(parse_model("STATE s0; STATE s1; STATE s2 DEATH; STATE s3 DEATH; INIT s0;"
+                     "s0 -> s1 : 0.2769139245945875; s0 -> s2 : 3.733137271468517;"
+                     "s1 -> s2 : 2.07734084455025; s1 -> s2 : 6.26000457777234;"
+                     "s1 -> s3 : 0.2769139245945875;"))
+@example(parse_model("STATE s0; STATE s1; STATE s2 DEATH; STATE s3 DEATH; INIT s0;"
+                     "s0 -> s1 : 3.465481869581064; s0 -> s2 : 0.47078447652081257;"
+                     "s1 -> s2 : 0.16065996048703376; s1 -> s2 : 1.8368388927234451;"
+                     "s1 -> s3 : 3.465481869581064;"))
+# A self-loop that sets Λ, and a jump probability of 1e-600, which underflows;
+# then a self-loop near the float range, which Λ plus it would overflow.
+@example(parse_model("STATE s0; STATE s1 DEATH; INIT s0; s0 -> s0 : 1e300; s0 -> s1 : 1e-300;"))
+@example(parse_model("STATE s0; STATE s1 DEATH; INIT s0; s0 -> s0 : 1e308; s0 -> s1 : 1e300;"))
+def test_jump_pair_encloses_the_exact_jump_matrix(model):
+    # The pair orders the states: the initial one first, the other live ones
+    # as declared, and every death state lumped into the last.
+    jump, lam = markov._jump_pair(model, 1.0)  # q = Λ·1 is Λ itself
+    live = [model.initial] + [s for s in model.states
+                              if s != model.initial and s not in model.death_states]
+    index = {s: live.index(s) if s in live else len(live) for s in model.states}
+    n = len(live) + 1
+    exact = [[Fraction(0)] * n for _ in range(n)]
+    for tr in model.transitions:
+        exact[index[tr.source]][index[tr.target]] += Fraction(tr.rate)
+    outs = [sum(row) for row in exact]
+    assert max(outs) <= Fraction(lam) <= max(outs) * (1 + Fraction(2) ** -51)
+    for i, row in enumerate(exact):
+        for j, rate in enumerate(row):
+            p = (rate + (Fraction(lam) - outs[i] if i == j else 0)) / Fraction(lam)
+            low, high = jump[:, i, j]
+            assert 0 <= low <= p <= high, (i, j)
+            # A few floats wide, or a few subnormals of the sum over Λ.
+            assert high - low <= 8 * math.ulp(high) + 4 * math.ulp(0.0) / lam, (i, j)
+            if p == 0:
+                assert high == 0, (i, j)
+
+
 def test_squared_bracket_below_the_width_floor_meets_tol_in_absolute_width():
     # q = 1e6, so the solver squares. The tail mass cut from each step's
     # series leaves the upper bound near 5e-56, far above the exact 2e-80 but
@@ -488,7 +563,7 @@ def test_squared_bracket_below_the_width_floor_meets_tol_in_absolute_width():
 def test_squared_bracket_below_one_step_brackets_the_exact_value(q):
     # Below _STEP_Q/2 the step's series alone gives the bracket, unsquared.
     lam = q / T
-    bracket = markov._squared_bracket(build_simplex_model(lam), T, DEFAULT_TOL)
+    bracket = markov._squared_bracket(*markov._jump_pair(build_simplex_model(lam), T), DEFAULT_TOL)
     with mpmath.workdps(50):
         assert _contains(bracket, -mpmath.expm1(-mpmath.mpf(lam) * T))
     assert bracket.upper - bracket.lower <= DEFAULT_TOL * max(bracket.upper, WIDTH_FLOOR)
