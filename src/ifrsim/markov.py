@@ -492,8 +492,8 @@ def _jump_pair(model: MarkovModel, mission_time: float) -> tuple[np.ndarray, flo
     states, all absorbing, are lumped into the last. Λ is the largest
     out-rate rounded up, so the exact P is non-negative. Each entry is an
     exact sum (on the diagonal Λ minus the rates to other states) over Λ:
-    math.fsum rounds the sum correctly and numpy the division, and each
-    result is moved one float outward. L is clipped at 0."""
+    `_sum_pair` encloses the sum, numpy rounds each division correctly, and
+    each quotient is moved one float outward. L is clipped at 0."""
     live = [model.initial] + [s for s in model.states
                               if s != model.initial and s not in model.death_states]
     index = dict.fromkeys(model.death_states, len(live)) | {s: i for i, s in enumerate(live)}
@@ -508,15 +508,29 @@ def _jump_pair(model: MarkovModel, mission_time: float) -> tuple[np.ndarray, flo
     q = lam * mission_time
     if not math.isfinite(q):
         raise SolverError(f"uniformization rate*T = {q:.3g} is not finite")
-    exact = np.array([[math.fsum(cell) for cell in row] for row in rates])
     for i, row in enumerate(rates):
-        exact[i, i] = math.fsum([lam, *(-rate for j, cell in enumerate(row) if j != i
-                                        for rate in cell)])
-    jump = np.stack([np.nextafter(np.nextafter(exact, -np.inf) / lam, -np.inf),
-                     np.nextafter(np.nextafter(exact, np.inf) / lam, np.inf)])
+        row[i] = [lam, *(-rate for j, cell in enumerate(row) if j != i for rate in cell)]
+    sums = np.array([[_sum_pair(cell) for cell in row] for row in rates]).transpose(2, 0, 1)
+    jump = np.nextafter(sums / lam, _OUTWARD)
     np.maximum(jump, 0.0, out=jump)
-    jump[:, exact == 0.0] = 0.0
+    jump[:, sums[1] == 0.0] = 0.0
     return jump, q
+
+
+_OUTWARD = np.array([-np.inf, np.inf])[:, None, None]
+
+
+def _sum_pair(terms: list) -> tuple[float, float]:
+    """Floats below and above the exact sum of `terms`: math.fsum's correctly
+    rounded sum, moved one float outward on the side it rounded toward. The
+    sign of the sum of `terms` less that result tells the side; a single
+    term is exact."""
+    total = math.fsum(terms)
+    if len(terms) < 2:
+        return total, total
+    error = math.fsum([*terms, -total])
+    return (math.nextafter(total, -math.inf) if error < 0 else total,
+            math.nextafter(total, math.inf) if error > 0 else total)
 
 
 def _factors(rounds: int) -> np.ndarray:

@@ -250,13 +250,18 @@ _UNIT_INDEX[FaultUnit.CONTROLLER] = len(PIPELINE_ORDER)
 _RAIL_MASK = (1 << CONTROLLER_VEC_BITS) - 1
 
 
-def _decoded(word: int) -> tuple[Instruction, tuple[int, ...], int, int]:
-    """What the decode stage needs of a word: (instruction, sources, dest,
-    imm). Decode drives its sources' values as (op_a, op_b), or imm as op_a
-    if it reads no register; imm is 0 but for LDI and JMP."""
+def _decoded(word: int) -> tuple[Instruction, tuple[int, ...], int | None, int | None,
+                                 int, int]:
+    """What the decode stage needs of a word: (instruction, sources, src_a,
+    src_b, dest, imm). `src_a` and `src_b` are the first and second source,
+    or None where it has fewer. Decode drives their values as (op_a, op_b),
+    with imm as op_a if it reads no register and 0 as a missing op_b; imm is
+    0 but for LDI and JMP."""
     instr = decode_word(word)
     imm = instr.imm & WORD_MASK if instr.opcode in (LDI, JMP) else 0
-    return instr, src_regs(instr), dst_reg(instr), imm
+    sources = src_regs(instr)
+    src_a, src_b = (*sources, None, None)[:2]
+    return instr, sources, src_a, src_b, dst_reg(instr), imm
 
 
 def _program_memo(program: Program) -> dict:
@@ -471,54 +476,60 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
     settled_at: dict = {}
     inert_at = inert_from() if scenario.faults or end is None else never
 
+    # The controller's mode, read afresh after each `controller_step`, its
+    # only writer.
+    mode = ctrl.mode
+    length = len(slots)
     cycles = iter(range(resume, max_cycles))
     for cycle in cycles:
         total_cycles = cycle + 1
-        live = ctrl.mode in _LIVE_MODES
+        live = mode in _LIVE_MODES
         masks = _NO_MASKS
         error = False
-        pending = None
-        d_instr = None
-        stall = False
 
         if live:
             # Decode: consumes the predecode latch, stalls on a read-after-write
             # hazard against the instruction currently in execute.
             d_word = 0
+            d_instr = None
+            stall = False
             if pd is not None:
                 entry = decoded.get(pd)
                 if entry is None:
                     entry = decoded[pd] = _decoded(pd)
-                instr, sources, dest, imm = entry
+                instr, sources, src_a, src_b, dest, imm = entry
                 if de is not None and de[1] and de[1] in sources:
                     stall = True
                 else:
-                    d_word = regs[sources[0]] if sources else imm
-                    d_op_b = regs[sources[1]] if len(sources) > 1 else 0
+                    d_word = imm if src_a is None else regs[src_a]
+                    d_op_b = 0 if src_b is None else regs[src_b]
                     d_instr, d_dest = instr, dest
 
             # Predecode: fetch only if the latch will be free this cycle.
             p_word = 0
-            if not stall and not fetch_wait and 0 <= fetch_pc < len(slots):
+            pending = None
+            if not stall and not fetch_wait and 0 <= fetch_pc < length:
                 pending = slots[fetch_pc]
                 p_word = pending[0]
 
             # Execute.
             e_word = execute_result(de[0], de[2], de[3], mem) if de is not None else 0
 
-            words = [p_word, d_word, e_word]
             if cycle < stage_end:
+                words = [p_word, d_word, e_word]
                 masks = [0, 0, 0]
                 for stage in range(len(PIPELINE_ORDER)):
                     copy = stage in ctrl.on_spare
                     if stage_faults[stage][copy]:
                         words[stage], masks[stage] = faulty_bus(stage, copy, words[stage], cycle)
+                p_word, d_word, e_word = words
                 error = any(masks)
 
         # Controller. Idle monitoring is the identity step.
         actions = _NO_ACTIONS
-        if ctrl.mode is not MONITOR or error:
+        if mode is not MONITOR or error:
             actions = controller_step(ctrl, masks, False, config)
+            mode = ctrl.mode
         if rail_a or rail_b:
             # Both controller copies compute the same transition; copy B's
             # outputs are complemented and the rails are compared. Without
@@ -530,6 +541,7 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
                                         [f for _, f in rail_b if f.active_at(cycle)])
             if not trc_compare(out_a, out_b, CONTROLLER_VEC_BITS):
                 actions = controller_step(ctrl, _NO_MASKS, True, config)
+                mode = ctrl.mode
 
         if actions is not _NO_ACTIONS:
             if actions.dead:
@@ -567,34 +579,34 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
             committed = de is not None
             if committed:
                 commits += 1
-                result = words[2]
                 instr = de[0]
                 op = instr.opcode
                 if op is HALT:
                     outcome = RUN_COMPLETED
                 elif op is BEQ or op is JMP:
-                    pc = result if op is JMP else pc + (instr.imm if result else 1)
+                    pc = e_word if op is JMP else pc + (instr.imm if e_word else 1)
                     fetch_pc = pc
                     fetch_wait = False
                 else:
                     if op is ST:
-                        mem[(de[3] + instr.imm) & WORD_MASK] = result
+                        mem[(de[3] + instr.imm) & WORD_MASK] = e_word
                         saved_mem = None
                     elif de[1]:
-                        regs[de[1]] = result
+                        regs[de[1]] = e_word
                         saved_regs = None
                     pc += 1
-                for event in open_events:
-                    event.swap_complete_cycle = cycle
-                open_events.clear()
+                if open_events:
+                    for event in open_events:
+                        event.swap_complete_cycle = cycle
+                    open_events.clear()
             # Latches capture the routed bus words, so a corruption that
             # evaded parity really does propagate downstream; sideband
             # metadata (decoded fields, op_b) is not fault-addressable.
-            de = None if d_instr is None else (d_instr, d_dest, words[1], d_op_b)
+            de = None if d_instr is None else (d_instr, d_dest, d_word, d_op_b)
             if stall:
                 pass  # pd holds; decode retries next cycle
             elif pending is not None:
-                pd = words[0]
+                pd = p_word
                 fetch_pc += 1
                 if pending[1]:
                     fetch_wait = True
@@ -602,33 +614,33 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
                 pd = None
             if outcome is not None:
                 break
-            if pd is None and de is None and not fetch_wait \
-                    and not program.in_bounds(fetch_pc):
+            if pd is None and de is None and not fetch_wait and not 0 <= fetch_pc < length:
                 # Ran past the end of the program without a HALT.
                 outcome = RUN_EXHAUSTED
                 break
-            if committed and total_cycles <= bound and commits == len(records):
-                # No fault has started yet: this is the fault-free run.
-                if saved_regs is None:
-                    saved_regs = tuple(regs)
-                if saved_mem is None:
-                    saved_mem = dict(mem)
-                records.append((total_cycles, saved_regs, saved_mem, pc, fetch_pc,
-                                fetch_wait, pd, de))
-            if committed and total_cycles >= inert_at and not diverged:
-                tail = tails[commits] if commits < len(tails) else None
-                if tail is None:
-                    settled_at[commits] = total_cycles
-                elif total_cycles + tail <= max_cycles:
-                    total_cycles += tail
-                    outcome, final = end
-                    regs, pc, mem = final.regs, final.pc, dict(final.mem)
-                    break
+            if committed:
+                if total_cycles <= bound and commits == len(records):
+                    # No fault has started yet: this is the fault-free run.
+                    if saved_regs is None:
+                        saved_regs = tuple(regs)
+                    if saved_mem is None:
+                        saved_mem = dict(mem)
+                    records.append((total_cycles, saved_regs, saved_mem, pc, fetch_pc,
+                                    fetch_wait, pd, de))
+                if total_cycles >= inert_at and not diverged:
+                    tail = tails[commits] if commits < len(tails) else None
+                    if tail is None:
+                        settled_at[commits] = total_cycles
+                    elif total_cycles + tail <= max_cycles:
+                        total_cycles += tail
+                        outcome, final = end
+                        regs, pc, mem = final.regs, final.pc, dict(final.mem)
+                        break
         elif not (rail_a or rail_b):
             # In a run without rail faults, the cycles that change nothing but
             # a count are taken in one step.
             skip = 0
-            if ctrl.mode is SUSPECT:
+            if mode is SUSPECT:
                 # The frozen pipeline re-presents this cycle's words, so until
                 # a fault starts or ends, each cycle sees this cycle's masks
                 # and adds one to each nonzero counter. Stop short of the

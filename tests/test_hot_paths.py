@@ -3,7 +3,9 @@ module globals. On Python 3.10 and 3.11 a class attribute load such as
 `Opcode.ADD` runs the enum metaclass's Python-level `__getattr__`, over ten
 times the cost of a global load, so these tests keep such loads out of the
 hot functions and check that every alias is the member it is named for. A
-run also makes no call to `Enum.__hash__`, which is Python code too."""
+run also makes no call to `Enum.__hash__`, which is Python code too. And only
+`controller_step` writes the controller's mode, which `run_core` keeps in a
+local."""
 import dis
 import enum
 import sys
@@ -22,14 +24,21 @@ HOT_PATHS = (isa.execute_result, isa._step, pipeline.controller_step,
              pipeline.run_core, faults.BlockStress.add)
 
 
+def _nested_codes(code):
+    """`code` and every code object nested in it (functions, closures,
+    classes, comprehensions)."""
+    codes = [code]
+    while codes:
+        code = codes.pop()
+        codes.extend(const for const in code.co_consts if isinstance(const, types.CodeType))
+        yield code
+
+
 def _enum_attribute_loads(fn) -> list:
     """Each `<global enum class>.<attribute>` load in `fn`'s bytecode, nested
     code objects (closures, comprehensions) included."""
     found = []
-    codes = [fn.__code__]
-    while codes:
-        code = codes.pop()
-        codes.extend(const for const in code.co_consts if isinstance(const, types.CodeType))
+    for code in _nested_codes(fn.__code__):
         instructions = list(dis.get_instructions(code))
         for load, attr in zip(instructions, instructions[1:]):
             if (load.opname == "LOAD_GLOBAL"
@@ -51,6 +60,32 @@ def test_the_guard_sees_an_enum_attribute_load_in_a_closure():
         return inner
 
     assert _enum_attribute_loads(outer) == ["inner: Opcode.ADD"]
+
+
+def _mode_stores(code) -> list:
+    """The name of each code object in `code`, nested ones included, once
+    for each store to a `mode` attribute."""
+    return [nested.co_name for nested in _nested_codes(code)
+            for instruction in dis.get_instructions(nested)
+            if instruction.opname == "STORE_ATTR" and instruction.argval == "mode"]
+
+
+def test_only_controller_step_stores_the_controller_mode():
+    # `run_core` keeps the controller's mode in a local that it reads afresh
+    # after each `controller_step` call, which is sound only while no other
+    # code in the module writes `ControllerState.mode`.
+    path = Path(pipeline.__file__)
+    code = compile(path.read_text(), str(path), "exec")
+    assert set(_mode_stores(code)) == {"controller_step"}
+
+
+def test_the_mode_guard_sees_a_store_in_a_closure():
+    def outer(state):
+        def inner():
+            state.mode = None
+        return inner
+
+    assert _mode_stores(outer.__code__) == ["inner"]
 
 
 # (module, enum, prefix): the module binds each member of the enum as a

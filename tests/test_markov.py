@@ -525,6 +525,10 @@ def _chains_with_parallel_rates(draw):
 # then a self-loop near the float range, which Λ plus it would overflow.
 @example(parse_model("STATE s0; STATE s1 DEATH; INIT s0; s0 -> s0 : 1e300; s0 -> s1 : 1e-300;"))
 @example(parse_model("STATE s0; STATE s1 DEATH; INIT s0; s0 -> s0 : 1e308; s0 -> s1 : 1e300;"))
+# Every sum exact: parallel rates, single rates and diagonals.
+@example(parse_model("STATE s0; STATE s1; STATE s2 DEATH; STATE s3 DEATH; INIT s0;"
+                     "s0 -> s1 : 0.25; s0 -> s1 : 0.25; s0 -> s2 : 0.125;"
+                     "s1 -> s0 : 0.75; s1 -> s3 : 1.5;"))
 def test_jump_pair_encloses_the_exact_jump_matrix(model):
     # The pair orders the states: the initial one first, the other live ones
     # as declared, and every death state lumped into the last.
@@ -547,6 +551,12 @@ def test_jump_pair_encloses_the_exact_jump_matrix(model):
             assert high - low <= 8 * math.ulp(high) + 4 * math.ulp(0.0) / lam, (i, j)
             if p == 0:
                 assert high == 0, (i, j)
+            total = p * Fraction(lam)
+            if total and Fraction(float(total)) == total:
+                # An exact sum steps one float outward only after the division.
+                quotient = float(total) / lam
+                assert low == max(math.nextafter(quotient, -math.inf), 0.0), (i, j)
+                assert high == math.nextafter(quotient, math.inf), (i, j)
 
 
 def test_squared_bracket_below_the_width_floor_meets_tol_in_absolute_width():

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from dataclasses import replace
 from pathlib import Path
@@ -1238,3 +1239,56 @@ def test_a_frozen_error_window_costs_two_controller_steps(monkeypatch, text, ste
         assert report.outcome is Outcome.COMPLETED and matches_reference(report, program)
         assert len(report.events) == 1
         assert calls[0] == steps
+
+
+# ---------------------------------------------------------------------------
+# Seeded runs, pinned
+# ---------------------------------------------------------------------------
+
+def _report_bytes(report) -> bytes:
+    """Every simulated number of a report, in a fixed order."""
+    state = report.final_state
+    return repr((_run_summary(report), state.regs, state.pc, sorted(state.mem.items()),
+                 state.halted)).encode()
+
+
+_PINNED_RUNS = "9bc156ef241f66805898aa38f327c159f435b5c138667474ad9ac408360ab3b5"
+
+
+@pytest.mark.filterwarnings("ignore:fault .* transient flip")
+def test_seeded_runs_are_pinned():
+    # 200 seeded cases: forward-branch and loop programs; stuck-ats, flips
+    # and delays on main and spare copies and on the controller rails, PERM
+    # and T:n; thresholds 2, 4 and 16; and budgets that end inside an error
+    # window or a countdown. Each case runs on a fresh `Program` and on one
+    # that earlier cases of the same program warmed. One digest over every
+    # report pins cycle counts, events, stress and power, which the golden
+    # checks cannot see.
+    rng = random.Random(0x9127)
+    digest = hashlib.sha256()
+    for index in range(25):
+        program = (gen_loop_program(rng, rng.randrange(3, 8)) if index % 2
+                   else gen_program(rng, rng.randrange(8, 24)))
+        fault_free = run_core(Program(program.instructions), CFG, FaultScenario()).total_cycles
+        if rng.random() < 0.5:
+            run_core(program, CFG, FaultScenario())
+        for _ in range(8):
+            config = replace(CFG, permanent_threshold=rng.choice((2, 4, 16)))
+            faults = [_random_fault(rng, fault_free + 20) for _ in range(rng.randrange(1, 4))]
+            if rng.random() < 0.3:
+                # A permanent stuck-at on a main copy, most likely exposed.
+                faults[0] = TimedFault(StuckAt(rng.randrange(36), rng.randrange(2)),
+                                       _site(rng.choice(PIPELINE_ORDER)),
+                                       rng.randrange(fault_free), PERMANENT)
+            scenario = FaultScenario(tuple(faults))
+            budget = 3 * fault_free + 300
+            probe = run_core(Program(program.instructions), config, scenario, max_cycles=budget)
+            # A budget that ends inside an error window or a countdown.
+            inside = [cycle for e in probe.events
+                      for cycle in range(e.detect_cycle + 1, (e.resume_cycle or e.end_cycle) + 1)]
+            if inside and rng.random() < 0.5:
+                budget = rng.choice(inside)
+            for target in (Program(program.instructions), program):
+                digest.update(_report_bytes(run_core(target, config, scenario,
+                                                     max_cycles=budget)))
+    assert digest.hexdigest() == _PINNED_RUNS
