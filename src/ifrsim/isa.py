@@ -112,14 +112,6 @@ class Program:
     def __len__(self) -> int:
         return len(self.instructions)
 
-    def fetch(self, pc: int) -> Instruction:
-        if not self.in_bounds(pc):
-            raise ExecutionError(f"pc {pc} outside program [0, {len(self.instructions)})")
-        return self.instructions[pc]
-
-    def in_bounds(self, pc: int) -> bool:
-        return 0 <= pc < len(self.instructions)
-
 
 @dataclass(frozen=True)
 class ArchState:
@@ -308,7 +300,7 @@ def run_reference(program: Program, max_steps: int) -> tuple[ArchState, int]:
     pc = 0
     for executed in range(1, max_steps + 1):
         if not 0 <= pc < len(instructions):
-            program.fetch(pc)  # raises ExecutionError
+            raise ExecutionError(f"pc {pc} outside program [0, {len(instructions)})")
         next_pc = _step(regs, mem, pc, instructions[pc])
         if next_pc is None:
             return ArchState(tuple(regs), pc, mem, halted=True), executed

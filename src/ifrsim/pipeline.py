@@ -243,8 +243,6 @@ _NO_MASKS = (0, 0, 0)
 # controller as unit 3, and copy 0 = main (rail a), copy 1 = spare (rail b).
 _COPIES = (Copy.MAIN, Copy.SPARE)
 _COPY_INDEX = {copy: i for i, copy in enumerate(_COPIES)}
-# The (stage kind, copy) keys of `SimReport.final_power`, in index order.
-_BLOCK_KEYS = tuple((kind, copy) for kind in PIPELINE_ORDER for copy in _COPIES)
 _UNIT_INDEX = {FaultUnit(kind.value): i for i, kind in enumerate(PIPELINE_ORDER)}
 _UNIT_INDEX[FaultUnit.CONTROLLER] = len(PIPELINE_ORDER)
 _RAIL_MASK = (1 << CONTROLLER_VEC_BITS) - 1
@@ -682,7 +680,8 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
             close_span(stage, copy, total_cycles)
     ledger.assert_conserved(total_cycles)
     final_state = ArchState(tuple(regs), pc, mem, outcome is RUN_COMPLETED)
-    final_power = dict(zip(_BLOCK_KEYS, (state for copies in power for state in copies)))
+    # The ledger keeps its blocks in stage then copy order, as `power` is.
+    final_power = dict(zip(ledger.blocks, (state for copies in power for state in copies)))
     return SimReport(outcome=outcome, final_state=final_state,
                      total_cycles=total_cycles, events=events, stress=ledger,
                      final_power=final_power)

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-TOOL_ID = "ifrsim 0.1.0"
+from . import __version__
+
+TOOL_ID = f"ifrsim {__version__}"
 
 
 def fmt_float(value: float) -> str:

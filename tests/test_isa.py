@@ -177,7 +177,7 @@ def _fold_steps(program, max_steps):
     """The reference run as a fold of `_step`, HALT counted."""
     regs, mem, pc = _regs(), {}, 0
     for steps in range(1, max_steps + 1):
-        next_pc = _step(regs, mem, pc, program.fetch(pc))
+        next_pc = _step(regs, mem, pc, program.instructions[pc])
         if next_pc is None:
             return ArchState(tuple(regs), pc, mem, halted=True), steps
         pc = next_pc
