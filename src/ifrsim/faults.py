@@ -151,6 +151,29 @@ def apply_vector_faults(vector: int, faults: list[TimedFault], width: int = CONT
     return vector & ((1 << width) - 1)
 
 
+def fold_faults(faults: list[TimedFault], stale: int | None = None) -> tuple[int, int, int]:
+    """Fold the active faults of one site into masks (flips, keep, ones), so
+    that `(vector ^ flips) & keep | ones` equals `apply_faults(vector,
+    faults, stale)` for a bus, and `apply_vector_faults(vector, faults)` for
+    a rail, in the same order: flips XOR, then stuck lines clear and the
+    lines stuck at 1 (at both values too) set. With `stale` given, for the
+    latched word of a delay among them, the data lines carry `stale`."""
+    flips = stuck = ones = 0
+    for fault in faults:
+        kind = fault.kind
+        if isinstance(kind, TransientFlip):
+            flips ^= 1 << kind.bit
+        elif isinstance(kind, StuckAt):
+            stuck |= 1 << kind.bit
+            ones |= kind.value << kind.bit
+    keep = ~stuck
+    if stale is not None:
+        # The data lines no longer depend on the bus.
+        ones |= (stale ^ flips) & keep & _DATA_LINES
+        keep &= ~_DATA_LINES
+    return flips, keep, ones
+
+
 _STAGE_TOKENS = {u.value: u for u in FaultUnit}
 _COPY_TOKENS = {"main": Copy.MAIN, "spare": Copy.SPARE, "a": Copy.MAIN, "b": Copy.SPARE}
 # Scenario keyword -> (fault kind, usage naming one integer per field).

@@ -30,7 +30,7 @@ from itertools import islice
 from operator import itemgetter
 
 from .faults import (CONTROLLER_VEC_BITS, Delay, FaultScenario, FaultUnit,
-                     StressLedger, apply_faults, apply_vector_faults)
+                     StressLedger, StuckAt, apply_faults, fold_faults)
 from .hw import (OFF, ON, POWERING, Copy, PIPELINE_ORDER, PowerState,
                  StageKind, encode_bus, parity_check, trc_compare)
 from .isa import (BEQ, HALT, JMP, LDI, ST, ArchState, ExecutionError,
@@ -244,7 +244,7 @@ _NO_MASKS = (0, 0, 0)
 _COPIES = (Copy.MAIN, Copy.SPARE)
 _COPY_INDEX = {copy: i for i, copy in enumerate(_COPIES)}
 _UNIT_INDEX = {FaultUnit(kind.value): i for i, kind in enumerate(PIPELINE_ORDER)}
-_UNIT_INDEX[FaultUnit.CONTROLLER] = len(PIPELINE_ORDER)
+_UNIT_INDEX[FaultUnit.CONTROLLER] = _RAIL = len(PIPELINE_ORDER)
 _RAIL_MASK = (1 << CONTROLLER_VEC_BITS) - 1
 
 
@@ -301,11 +301,13 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
 
     A run with faults also ends early once it has rejoined the fault-free
     run. It is *settled* at a commit when every fault is inert (past its
-    `end`, or on a stage copy that the switch does not select: the main once
-    the stage is on its spare, the spare before), the controller is in
-    MONITOR with no event open, and no faulted bus has passed parity with a
-    corrupted data word. Then no error can arise, so no swap can select a
-    faulty copy again, and the run has latched no corrupted word: after n
+    `end`, on a stage copy that the switch does not select: the main once
+    the stage is on its spare, the spare before, or a rail stuck-at at the
+    level its rail carries while the controller idles in MONITOR), the
+    controller is in MONITOR with no event open, and no faulted bus has
+    passed parity with a corrupted data word. Then no error can arise, so
+    no swap can select a faulty copy again and the controller idles for
+    good, and the run has latched no corrupted word: after n
     commits its regs, mem and pc are the fault-free run's after n commits.
     So are its latches: both runs have just committed the same instruction,
     and it and the two after it in program order alone decide the stall,
@@ -324,9 +326,14 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
     encode, fault application, parity check) is evaluated only at sites with
     an active fault, and only before the latest stage fault window ends: any
     other site drives its word with a zero error mask by construction.
-    Likewise the controller rails are built and two-rail checked only in a
-    run with rail faults, and the stress ledger is kept as spans that close
-    when a block's power changes.
+    Between two fault starts or ends a site's active faults stay the same,
+    so on its first evaluated cycle in such a window they are folded into
+    three masks (`faults.fold_faults`), and each cycle there applies them in
+    one step; a delay's stale word, latched on its first evaluated cycle,
+    is folded in too. Likewise the controller rails are built and two-rail
+    checked only in a run with rail faults, with masks folded the same way,
+    and the stress ledger is kept as spans that close when a block's power
+    changes.
 
     A run without rail faults takes in one step the cycles that change only
     a count: the FLUSH and POWER_SWAP countdowns, and the frozen error
@@ -347,7 +354,7 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
     # fault ends here, and a run settled only from here never settles.
     never = max_cycles + 1
     # site_faults[unit][copy]: the (scenario index, fault) pairs at that site;
-    # inert_when: the (end, unit, copy) of each fault.
+    # inert_when: the (end, unit, copy, kind) of each fault.
     site_faults = [([], []) for _ in range(len(PIPELINE_ORDER) + 1)]
     inert_when = []
     # The cycles on which a fault starts or ends, and `never`: between two of
@@ -356,7 +363,7 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
     for index, fault in enumerate(scenario.faults):
         unit, copy = _UNIT_INDEX[fault.site.unit], _COPY_INDEX[fault.site.copy]
         site_faults[unit][copy].append((index, fault))
-        inert_when.append((min(fault.end, never), unit, copy))
+        inert_when.append((min(fault.end, never), unit, copy, fault.kind))
         edges.update((fault.start, min(fault.end, never)))
     edges = sorted(edges)
     stage_faults = site_faults[:-1]
@@ -402,28 +409,40 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
     run_start: list = [None] * len(PIPELINE_ORDER)
 
     diverged = False  # a corrupted data word passed parity
+    # (unit, copy, window) -> (active, flips, keep, ones): the (scenario
+    # index, fault) pairs active at that site between edges[window - 1] and
+    # edges[window], and their corruption folded by `fold_faults`.
+    folds: dict = {}
+
+    def fold(unit: int, copy: int, cycle: int, word: int) -> tuple:
+        """The folded faults of a site for the window of `cycle`, its first
+        evaluated cycle there. A delay latches its stale word on its first
+        evaluated cycle; the last active one in scenario order drives the
+        data lines."""
+        active = [(i, f) for i, f in site_faults[unit][copy] if f.active_at(cycle)]
+        stale = None
+        for i, f in active:
+            if isinstance(f.kind, Delay):
+                if i not in held_delay:
+                    hist = delay_hist[unit, copy]
+                    held_delay[i] = hist[max(len(hist) - f.kind.extra, 0)] if hist else word
+                stale = held_delay[i]
+        folded = folds[unit, copy, bisect_right(edges, cycle)] = (
+            active, *fold_faults([f for _, f in active], stale))
+        return folded
 
     def faulty_bus(stage: int, copy: int, word: int, cycle: int) -> tuple[int, int]:
         """Drive `word` through a site that carries faults: (data, error mask).
         With none of them active the site drives `word` clean."""
         nonlocal diverged
+        active, flips, keep, ones = (folds.get((stage, copy, bisect_right(edges, cycle)))
+                                     or fold(stage, copy, cycle, word))
         hist = delay_hist.get((stage, copy))
-        active = []
-        stale = word
-        for i, f in stage_faults[stage][copy]:
-            if f.active_at(cycle):
-                active.append((i, f))
-                if isinstance(f.kind, Delay):
-                    # A delay latches its stale word when it activates; the
-                    # last active one in scenario order drives the data lines.
-                    if i not in held_delay:
-                        held_delay[i] = hist[max(len(hist) - f.kind.extra, 0)] if hist else word
-                    stale = held_delay[i]
         if hist is not None:
             hist.append(word)
         if not active:
             return word, 0
-        bus = apply_faults(encode_bus(word), [f for _, f in active], stale)
+        bus = (encode_bus(word) ^ flips) & keep | ones
         mask = parity_check(bus)
         if not mask and bus & WORD_MASK != word:
             diverged = True
@@ -440,10 +459,16 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
 
     def inert_from() -> int:
         """The cycle from which every fault is inert while the switches stay
-        as they are: a rail fault or a fault on a selected copy is inert
-        from its end, one on an unselected copy at once."""
-        return max((end for end, unit, copy in inert_when
-                    if unit == len(PIPELINE_ORDER) or copy == (unit in ctrl.on_spare)),
+        as they are: a fault on a selected copy is inert from its end, one
+        on an unselected copy at once. A rail fault is inert from its end,
+        or at once if it is a stuck-at at the level its rail carries while
+        the controller idles in MONITOR: once every stage fault is inert,
+        the controller idles for good."""
+        idle = controller_output_vector(ControllerState(swap_stage=ctrl.swap_stage), _NO_ACTIONS)
+        return max((end for end, unit, copy, kind in inert_when
+                    if (copy == (unit in ctrl.on_spare) if unit != _RAIL else
+                        not (isinstance(kind, StuckAt)
+                             and kind.value == (idle >> kind.bit & 1) ^ copy))),
                    default=0)
 
     # The start record and the records this run makes are at or before
@@ -534,9 +559,11 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
             # rail faults the rails agree by construction. A mismatch ends
             # the controller DEAD, even when this cycle's step already has.
             vec = controller_output_vector(ctrl, actions)
-            out_a = apply_vector_faults(vec, [f for _, f in rail_a if f.active_at(cycle)])
-            out_b = apply_vector_faults(~vec & _RAIL_MASK,
-                                        [f for _, f in rail_b if f.active_at(cycle)])
+            window = bisect_right(edges, cycle)
+            _, flips_a, keep_a, ones_a = folds.get((_RAIL, 0, window)) or fold(_RAIL, 0, cycle, 0)
+            _, flips_b, keep_b, ones_b = folds.get((_RAIL, 1, window)) or fold(_RAIL, 1, cycle, 0)
+            out_a = (vec ^ flips_a) & keep_a | ones_a
+            out_b = ((~vec & _RAIL_MASK) ^ flips_b) & keep_b | ones_b
             if not trc_compare(out_a, out_b, CONTROLLER_VEC_BITS):
                 actions = controller_step(ctrl, _NO_MASKS, True, config)
                 mode = ctrl.mode
@@ -626,7 +653,10 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
                     records.append((total_cycles, saved_regs, saved_mem, pc, fetch_pc,
                                     fetch_wait, pd, de))
                 if total_cycles >= inert_at and not diverged:
-                    tail = tails[commits] if commits < len(tails) else None
+                    # A settled run after n commits is the fault-free run, whose
+                    # last commit ends the loop above: n < len(tails) once the
+                    # table is filled.
+                    tail = tails[commits] if tails else None
                     if tail is None:
                         settled_at[commits] = total_cycles
                     elif total_cycles + tail <= max_cycles:

@@ -13,7 +13,7 @@ from ifrsim import pipeline
 from ifrsim.faults import (FaultScenario, FaultSite, FaultUnit, StuckAt,
                            TimedFault, TransientFlip, PERMANENT)
 from ifrsim.hw import Copy, PIPELINE_ORDER, encode_bus
-from ifrsim.isa import WORD_MASK, Program, assemble
+from ifrsim.isa import Program, assemble
 from ifrsim.pipeline import DEFAULT_MAX_CYCLES, CoreConfig, run_core
 
 _ALU = ("ADD", "SUB", "AND", "OR", "XOR")
@@ -92,29 +92,28 @@ def fault_free_records(program: Program, config: CoreConfig) -> list:
 
 def fault_free_words(program: Program, config: CoreConfig) -> list:
     """The (predecode, decode, execute) bus words of each cycle of the
-    fault-free run. They are observed at `pipeline.apply_faults` in a run on
+    fault-free run. They are observed at `pipeline.encode_bus` in a run on
     a fresh copy of `program` whose only faults are two flips of bit 0 on
     each main stage, active for the whole run: each pair cancels, so every
-    stage's bus is evaluated on every cycle and carries its true word. Its
-    threshold lies above the flips' duration, so they are not classified
+    stage's bus is encoded once on every cycle and carries its true word.
+    Its threshold lies above the flips' duration, so they are not classified
     permanent, and the run must equal the fault-free run."""
     flips = tuple(TimedFault(TransientFlip(0), FaultSite(FaultUnit(stage.value), Copy.MAIN),
                              0, DEFAULT_MAX_CYCLES)
                   for stage in PIPELINE_ORDER for _ in range(2))
     seen = []
-    apply_faults = pipeline.apply_faults
 
-    def observe(bus, faults, stale):
-        seen.append(bus & WORD_MASK)
-        return apply_faults(bus, faults, stale)
+    def observe(word):
+        seen.append(word)
+        return encode_bus(word)
 
     fresh = Program(program.instructions)
-    pipeline.apply_faults = observe
+    pipeline.encode_bus = observe
     try:
         observed = run_core(fresh, replace(config, permanent_threshold=DEFAULT_MAX_CYCLES + 1),
                             FaultScenario(flips))
     finally:
-        pipeline.apply_faults = apply_faults
+        pipeline.encode_bus = encode_bus
     assert observed == run_core(fresh, config, FaultScenario())
     assert len(seen) == len(PIPELINE_ORDER) * observed.total_cycles
     return list(zip(*[iter(seen)] * len(PIPELINE_ORDER)))

@@ -1,0 +1,35 @@
+"""The A/B runner's summary: medians, quartiles and pair wins per metric."""
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "ab.py"
+_SPEC = importlib.util.spec_from_file_location("_tools_ab", _PATH)
+ab = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(ab)
+
+_DECLARED = [{"name": "wall_s", "better": "lower"}, {"name": "ok_rate", "better": "higher"}]
+
+
+def _pairs(base_wall, change_wall, base_ok, change_ok):
+    return [{"first": "base", "base": {"wall_s": b, "ok_rate": bo},
+             "change": {"wall_s": c, "ok_rate": co}}
+            for b, c, bo, co in zip(base_wall, change_wall, base_ok, change_ok)]
+
+
+def test_wins_follow_each_metrics_better_direction():
+    pairs = _pairs([10, 12, 11, 13], [8, 9, 12, 13], [1, 1, 0.5, 1], [1, 0.5, 1, 1])
+    summary = ab.summarize(pairs, _DECLARED)
+    # Lower wall time wins; the fourth pair is a tie.
+    assert (summary["wall_s"]["change_wins"], summary["wall_s"]["base_wins"]) == (2, 1)
+    # Higher ok_rate wins.
+    assert (summary["ok_rate"]["change_wins"], summary["ok_rate"]["base_wins"]) == (1, 1)
+
+
+def test_medians_and_quartiles_of_each_side():
+    pairs = _pairs([4, 1, 3, 2, 5], [2, 2, 2, 2, 2], [1] * 5, [1] * 5)
+    wall = ab.summarize(pairs, _DECLARED)["wall_s"]
+    assert wall["base"] == {"median": 3, "q1": 2, "q3": 4}
+    assert wall["change"] == {"median": 2, "q1": 2, "q3": 2}
+    assert wall["relative"] == pytest.approx(2 / 3 - 1)

@@ -5,8 +5,7 @@ import pytest
 from ifrsim.faults import (Delay, FaultScenario, FaultSite, FaultUnit, PERMANENT,
                            ScenarioError, StressLedger, StuckAt, TimedFault,
                            TransientFlip, apply_faults, apply_vector_faults,
-                           parse_scenario,
-                           update_stress)
+                           fold_faults, parse_scenario, update_stress)
 from ifrsim.hw import Copy, PowerState, StageKind, encode_bus
 
 _SITE = FaultSite(FaultUnit.DECODE, Copy.MAIN)
@@ -111,6 +110,58 @@ def test_bus_and_rail_faults_share_one_order():
     assert apply_vector_faults(0, [low, high]) == apply_vector_faults(0, [high, low]) == 0b1000
     bus = encode_bus(0)
     assert apply_faults(bus, [_fault(StuckAt(3, 1)), _fault(StuckAt(3, 0))], bus) == 0b1000
+
+
+def _draw_active_set(rng: random.Random, site: FaultSite, width: int) -> tuple[list, set]:
+    """A random active fault set on one site, built from the cases the
+    order decides: a line stuck at both values, two flips on one line, a
+    flip under a stuck-at, and single faults. Returns it with the names of
+    the cases drawn."""
+    cases = {
+        "stuck at both": lambda bit: [StuckAt(bit, 0), StuckAt(bit, 1)],
+        "two flips": lambda bit: [TransientFlip(bit), TransientFlip(bit)],
+        "flip under a stuck-at": lambda bit: [TransientFlip(bit), StuckAt(bit, rng.randrange(2))],
+        "stuck-at": lambda bit: [StuckAt(bit, rng.randrange(2))],
+        "flip": lambda bit: [TransientFlip(bit)],
+    }
+    names = rng.sample(sorted(cases), rng.randrange(1, 4))
+    kinds = [kind for name in names for kind in cases[name](rng.randrange(width))]
+    rng.shuffle(kinds)
+    return [TimedFault(kind, site, 0, PERMANENT) for kind in kinds], set(names)
+
+
+def test_folded_masks_equal_the_fault_order_bit_for_bit():
+    # The simulator folds a site's active faults into (flips, keep, ones)
+    # once per fault window; `apply_faults` and `apply_vector_faults` are
+    # the reference for the order they apply in.
+    rng = random.Random(31)
+    seen = set()
+    rail = FaultSite(FaultUnit.CONTROLLER, Copy.SPARE)
+    for _ in range(400):
+        faults, names = _draw_active_set(rng, _SITE, 36)
+        # One or two delays, each with its own latched stale word: the last
+        # in scenario order drives the data lines.
+        delays = rng.randrange(3)
+        for _ in range(delays):
+            faults.insert(rng.randrange(len(faults) + 1),
+                          TimedFault(Delay(rng.randrange(1, 4)), _SITE, 0, PERMANENT))
+        stales = [rng.getrandbits(32) for _ in range(delays)]
+        stale = stales[-1] if delays else None
+        seen |= names | {f"{delays} delays"}
+        flips, keep, ones = fold_faults(faults, stale)
+        for _ in range(4):
+            bus = encode_bus(rng.getrandbits(32))
+            assert (bus ^ flips) & keep | ones == apply_faults(bus, faults, stale), faults
+
+        faults, names = _draw_active_set(rng, rail, 16)
+        seen |= {f"rail {name}" for name in names}
+        flips, keep, ones = fold_faults(faults)
+        for _ in range(4):
+            vector = rng.getrandbits(16)
+            assert (vector ^ flips) & keep | ones == apply_vector_faults(vector, faults), faults
+    assert seen >= {"stuck at both", "two flips", "flip under a stuck-at", "1 delays",
+                    "2 delays", "rail stuck at both", "rail two flips",
+                    "rail flip under a stuck-at"}
 
 
 def test_fault_validation():

@@ -412,6 +412,17 @@ def test_a_budget_below_one_cycle_is_refused():
         run_core(assemble("HALT"), CFG, FaultScenario(), max_cycles=0)
 
 
+def test_a_budget_of_one_cycle_runs_one_cycle():
+    # The smallest budget run_core accepts, with and without a fault that
+    # starts on that cycle.
+    program = assemble(WORKLOAD)
+    for text in ("", "@0 PERM decode.main stuckat 3 1"):
+        report = run_core(program, CFG, parse_scenario(text), max_cycles=1)
+        assert report.outcome is Outcome.EXHAUSTED and report.total_cycles == 1
+        assert report.events == [] and report.final_state.regs == (0,) * 16
+        report.stress.assert_conserved(1)
+
+
 def test_program_without_halt_exhausts():
     program = assemble("NOP\nNOP")
     report = run_core(program, CFG, FaultScenario(), max_cycles=500)
@@ -1074,28 +1085,74 @@ def test_a_swapped_run_on_straight_line_code_rejoins_the_fault_free_run(monkeypa
 
 
 def test_runs_that_can_never_settle_equal_runs_from_cycle_zero(monkeypatch):
-    # A permanent rail fault, or a permanent stuck-at on a selected main
-    # that never breaks parity, is never inert: such runs simulate to the
-    # HALT on a warm `Program` too, and equal their fresh runs.
+    # A permanent stuck-at on a selected main that never breaks parity is
+    # never inert: such a run simulates to the HALT on a warm `Program` too,
+    # and equals its fresh run.
     counts = _count_executes(monkeypatch)
     program = assemble(WORKLOAD)
     words = fault_free_words(program, CFG)
-    # A rail stuck at the value its bit always carries (power-off targets
-    # the spare: always 0 on rail a) is never seen by the two-rail check.
-    rail = "@5 PERM controller.a stuckat 10 0"
     stage, bit, value = next((stage, bit, value) for stage in range(3) for bit in range(36)
                              for value in (0, 1)
                              if all(encode_bus(w[stage]) >> bit & 1 == value for w in words))
     unexposed = f"@5 PERM {PIPELINE_ORDER[stage].value}.main stuckat {bit} {value}"
     run_core(program, CFG, FaultScenario())
-    run_core(program, CFG, parse_scenario("@10 PERM decode.main stuckat 3 1"))
-    for text in (rail, unexposed, rail + "\n@10 PERM decode.main stuckat 3 1"):
-        scenario = parse_scenario(text)
-        fresh = run_core(Program(program.instructions), CFG, scenario)
-        assert fresh.outcome is Outcome.COMPLETED and matches_reference(fresh, program)
-        counts[1] = 0
-        assert run_core(program, CFG, scenario) == fresh
-        assert counts[1], text  # it simulated its HALT
+    run_core(program, CFG, parse_scenario(_DECODE_SWAP))
+    scenario = parse_scenario(unexposed)
+    fresh = run_core(Program(program.instructions), CFG, scenario)
+    assert fresh.outcome is Outcome.COMPLETED and matches_reference(fresh, program)
+    counts[1] = 0
+    assert run_core(program, CFG, scenario) == fresh
+    assert counts[1]  # it simulated its HALT
+
+
+# Rail stuck-ats, against the idle vector: 0 before any swap, the swapped
+# stage's code (position + 1) in bits 3-4 after it. Rail b carries the
+# complement. Name -> (scenario, outcome).
+_IDLE_RAIL_CASES = {
+    # Power-off-targets-spare is always 0 on rail a.
+    "bit 10 always idle": ("@5 PERM controller.a stuckat 10 0", Outcome.COMPLETED),
+    "bit 10 always idle, decode swap":
+        ("@5 PERM controller.a stuckat 10 0\n" + _DECODE_SWAP, Outcome.COMPLETED),
+    "bit 3 idle before and after a decode swap":
+        ("@5 PERM controller.b stuckat 3 1\n" + _DECODE_SWAP, Outcome.COMPLETED),
+    "bit 4 never idle without a swap": ("@60 PERM controller.a stuckat 4 1", Outcome.DEAD),
+    # Idle-level only before the swap: the error run's focal code is seen at
+    # once, and the run dies.
+    "bit 4 idle before a decode swap":
+        ("@5 PERM controller.a stuckat 4 0\n" + _DECODE_SWAP, Outcome.DEAD),
+    "bit 3 idle before an execute swap":
+        ("@5 PERM controller.a stuckat 3 0\n@10 PERM execute.main stuckat 3 1", Outcome.DEAD),
+    # Idle-level only after the swap, which completes at cycle 95: the run
+    # settles once the swap has made the rail fault inert.
+    "rail a bit 4 idle after a decode swap":
+        ("@120 PERM controller.a stuckat 4 1\n" + _DECODE_SWAP, Outcome.COMPLETED),
+    "rail b bit 4 idle after a decode swap":
+        ("@120 PERM controller.b stuckat 4 0\n" + _DECODE_SWAP, Outcome.COMPLETED),
+}
+
+
+@pytest.mark.parametrize("name", _IDLE_RAIL_CASES)
+def test_a_rail_stuck_at_its_idle_level_is_inert(monkeypatch, name):
+    # Once every stage fault is inert, the controller idles in MONITOR with
+    # no strobe, so a rail stuck at the level it carries there is never
+    # seen: a run that completes rejoins the fault-free run before its HALT
+    # on a warm `Program`. Every run equals its fresh run, and its twin that
+    # takes no shortcut.
+    counts = _count_executes(monkeypatch)
+    program = assemble(WORKLOAD)
+    run_core(program, CFG, FaultScenario())
+    run_core(program, CFG, parse_scenario(_DECODE_SWAP))
+    text, outcome = _IDLE_RAIL_CASES[name]
+    scenario = parse_scenario(text)
+    fresh = run_core(Program(program.instructions), CFG, scenario)
+    assert fresh.outcome is outcome
+    assert fresh == run_core(Program(program.instructions), CFG,
+                             _without_skips(text, pipeline.DEFAULT_MAX_CYCLES))
+    counts[1] = 0
+    assert run_core(program, CFG, scenario) == fresh
+    if outcome is Outcome.COMPLETED:
+        assert matches_reference(fresh, program)
+        assert not counts[1]  # it rejoined before its HALT
 
 
 def test_jumped_reports_do_not_share_the_memoized_final_state(monkeypatch):
