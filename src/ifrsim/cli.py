@@ -21,7 +21,7 @@ from .markov import (DEFAULT_TOL, ModelError, SolverError, SweepSpec,
                      build_ifr_pipeline_model, build_simplex_model,
                      build_standby_model, build_tmr_model,
                      death_probability, monte_carlo_death_probability,
-                     parse_model, sweep)
+                     parse_model)
 from .pipeline import DEFAULT_MAX_CYCLES, CoreConfig, Outcome, matches_reference, run_core
 from .report import CsvReport, TOOL_ID, fmt_float
 
@@ -325,7 +325,7 @@ def _bad_numbers_are_usage_errors(command):
 def _markov_source(args, report: CsvReport):
     """Pick the model source and what it varies: returns a `build(value) ->
     model`, the swept column name (None for a model file's single point), and
-    either the point value or a `(lo, hi, points)` grid."""
+    the grid of values, one value for a single point."""
     if args.aux_ratio is not None and args.builtin != "ifr-pipeline":
         raise CliError("--aux-ratio applies to --builtin ifr-pipeline only")
     if args.builtin:
@@ -342,8 +342,9 @@ def _markov_source(args, report: CsvReport):
         build = _builtin(args.builtin, aux_ratio, "--sweep" if args.sweep else "--lam")
         if args.sweep:
             lo, hi, points = args.sweep
-            return build, "lambda", (lo, hi, _sweep_points(points))
-        return build, "lambda", args.lam
+            return build, "lambda", SweepSpec("lambda", lo, hi, _sweep_points(points),
+                                              args.T).grid()
+        return build, "lambda", [args.lam]
     if args.lam is not None or args.sweep:
         raise CliError("--lam and --sweep apply to --builtin only; --model takes "
                        "--sweep-const")
@@ -355,8 +356,33 @@ def _markov_source(args, report: CsvReport):
     if args.sweep_const:
         name, lo, hi, points = args.sweep_const
         return (functools.partial(model.with_constant, name), name,
-                (float(lo), float(hi), _sweep_points(points)))
-    return lambda _: model, None, None
+                SweepSpec(name, float(lo), float(hi), _sweep_points(points), args.T).grid())
+    return lambda _: model, None, [None]
+
+
+def _solve_grid(build, grid, args, trials=None) -> list:
+    """The point loop of `markov` and `compare`. At each grid value it builds
+    the model once and brackets its death probability; with `trials` it then
+    gives each solved point's model to the Monte Carlo oracle, once the whole
+    grid is solved, so a grid refused at a later point costs no trials.
+    Returns, per value, the cells lower, upper and width_rel, then
+    mc_estimate and mc_ci99 with `trials`; or, where the solver refuses the
+    point, its SolverError."""
+    points, sampled = [], []
+    for value in grid:
+        model = build(value)
+        try:
+            bracket = death_probability(model, args.T, args.tol)
+        except SolverError as exc:
+            points.append(exc)
+            continue
+        points.append([bracket.lower, bracket.upper, bracket.relative_width])
+        if trials:
+            sampled.append((points[-1], model))
+    for cells, model in sampled:
+        estimate = monte_carlo_death_probability(model, args.T, trials, args.seed)
+        cells += [estimate.estimate, estimate.ci99]
+    return points
 
 
 @_bad_numbers_are_usage_errors
@@ -375,41 +401,23 @@ def cmd_markov(args) -> int:
         report.add_meta("mc_trials", args.mc)
         report.add_meta("mc_seed", args.seed)
 
-    def mc_cells(model):
-        if not args.mc:
-            return []
-        estimate = monte_carlo_death_probability(model, args.T, args.mc, args.seed)
-        return [estimate.estimate, estimate.ci99]
-
-    build, column, where = _markov_source(args, report)
+    build, column, grid = _markov_source(args, report)
+    # A sweep has at least 2 points. Only a sweep has the error column; a
+    # single point's refusal goes to `main`, which writes no report.
+    swept = len(grid) > 1
+    head = [] if column is None else [column]
+    report.columns = head + ["lower", "upper", "width_rel"] + ["error"] * swept + mc_cols
     status = EXIT_OK
-    if isinstance(where, tuple):
-        report.columns = [column, "lower", "upper", "width_rel", "error"] + mc_cols
-        models = {}  # grid value -> the model the solver saw, kept for the oracle
-
-        def build_once(value):
-            model = build(value)
-            if args.mc:
-                models[value] = model
-            return model
-
-        for point in sweep(build_once, SweepSpec(column, *where, args.T, args.tol)):
-            if point.error:
-                status = EXIT_SOLVER
-                report.add_row(point.lam, None, None, None, "solver_failure",
-                               *[None] * len(mc_cols))
-                print(f"{column}={point.lam}: {point.error}", file=sys.stderr)
-            else:
-                width = (point.upper - point.lower) / point.upper if point.upper else 0.0
-                report.add_row(point.lam, point.lower, point.upper, width, None,
-                               *mc_cells(models.get(point.lam)))
-    else:
-        model = build(where)
-        bracket = death_probability(model, args.T, args.tol)
-        swept = [] if column is None else [column]
-        report.columns = swept + ["lower", "upper", "width_rel"] + mc_cols
-        report.add_row(*([] if column is None else [where]), bracket.lower, bracket.upper,
-                       bracket.relative_width, *mc_cells(model))
+    for value, cells in zip(grid, _solve_grid(build, grid, args, args.mc)):
+        lead = [] if column is None else [value]
+        if isinstance(cells, SolverError):
+            if not swept:
+                raise cells
+            status = EXIT_SOLVER
+            report.add_row(*lead, None, None, None, "solver_failure", *[None] * len(mc_cols))
+            print(f"{column}={value}: {cells}", file=sys.stderr)
+        else:
+            report.add_row(*lead, *cells[:3], *[None] * swept, *cells[3:])
     _emit(report, args)
     return status
 
@@ -417,8 +425,9 @@ def cmd_markov(args) -> int:
 @_bad_numbers_are_usage_errors
 def cmd_compare(args) -> int:
     lo, hi, points = args.sweep
-    spec = SweepSpec("lambda", lo, hi, _sweep_points(points), args.T, args.tol)
-    curves = [sweep(_builtin(name, args.aux_ratio, "--sweep"), spec) for name in _BUILTINS]
+    grid = SweepSpec("lambda", lo, hi, _sweep_points(points), args.T).grid()
+    curves = [_solve_grid(_builtin(name, args.aux_ratio, "--sweep"), grid, args)
+              for name in _BUILTINS]
 
     # Column prefixes: the builtin names up to the first '-' (ifr-pipeline -> ifr).
     report = CsvReport(columns=["lambda"] + [f"{name.partition('-')[0]}_{side}"
@@ -430,15 +439,15 @@ def cmd_compare(args) -> int:
     report.add_meta("tol", fmt_float(args.tol))
     report.add_meta("aux_ratio", fmt_float(args.aux_ratio))
     status = EXIT_OK
-    for row in zip(*curves):
-        cells = [row[0].lam]
+    for value, *row in zip(grid, *curves):
+        cells = [value]
         for name, point in zip(_BUILTINS, row):
-            if point.error:
+            if isinstance(point, SolverError):
                 status = EXIT_SOLVER
                 cells.extend([None, None])
-                print(f"{name} lambda={point.lam}: {point.error}", file=sys.stderr)
+                print(f"{name} lambda={value}: {point}", file=sys.stderr)
             else:
-                cells.extend([point.lower, point.upper])
+                cells.extend(point[:2])
         report.add_row(*cells)
     _emit(report, args)
     return status

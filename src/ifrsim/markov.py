@@ -158,6 +158,12 @@ class BoundedProbability:
         return (self.upper - self.lower) / self.upper
 
 
+def _check_mission_time(mission_time: float) -> None:
+    """The mission-time check of sweeps, the solver and the oracle."""
+    if mission_time < 0 or not math.isfinite(mission_time):
+        raise ValueError("mission time must be non-negative and finite")
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     constant: str
@@ -165,7 +171,6 @@ class SweepSpec:
     hi: float
     points: int
     mission_time: float
-    tol: float = DEFAULT_TOL
     _grid: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -174,8 +179,7 @@ class SweepSpec:
                              f"from {self.lo:g} to {self.hi:g}")
         if self.points < 2:
             raise ValueError("sweep needs at least 2 points")
-        if self.mission_time < 0:
-            raise ValueError("mission time must be non-negative")
+        _check_mission_time(self.mission_time)
         ratio = self.hi / self.lo  # infinite for an infinite hi, too
         if not math.isfinite(ratio):
             raise ValueError(f"sweep range must be finite, got {self.constant} from "
@@ -187,14 +191,6 @@ class SweepSpec:
 
     def grid(self) -> tuple[float, ...]:
         return self._grid
-
-
-@dataclass(frozen=True)
-class CurvePoint:
-    lam: float
-    lower: float
-    upper: float
-    error: str | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -462,12 +458,11 @@ def death_probability(model: MarkovModel, mission_time: float,
 
     Above it, scaling and squaring has no stopping rule, so its bracket is
     as wide as its rounding: about 4e-12 relative for the 3-state repair
-    chain at q = 1e3, growing in proportion to q to 1.5% at q = 4.2e12. A
+    chain at q = 1e3, growing in proportion to q to 1.4% at q = 4.2e12. A
     chain whose squaring factors alone exceed tol (the same chain at
     q = 1e18) is refused before any product.
     """
-    if mission_time < 0 or not math.isfinite(mission_time):
-        raise ValueError("mission time must be non-negative and finite")
+    _check_mission_time(mission_time)
     if not 0 < tol < 1:
         raise ValueError("tol must be in (0, 1)")
     if mission_time == 0.0 or not model.death_states:
@@ -641,7 +636,7 @@ def _squared_bracket(jump: np.ndarray, q: float, tol: float) -> BoundedProbabili
     if not _meets(lower, upper, tol):
         raise SolverError(
             f"bound width target {tol} not reached by {s} squarings: "
-            f"[{lower:.3g}, {upper:.3g}] (uniformization rate*T = {q:.3g})")
+            f"[{lower!r}, {upper!r}] (uniformization rate*T = {q:.3g})")
     return BoundedProbability(lower, upper)
 
 
@@ -676,8 +671,7 @@ def monte_carlo_death_probability(model: MarkovModel, mission_time: float,
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if mission_time < 0 or not math.isfinite(mission_time):
-        raise ValueError("mission time must be non-negative and finite")
+    _check_mission_time(mission_time)
     rng = np.random.default_rng(seed)
     index = {s: i for i, s in enumerate(model.states)}
     targets: list = [[] for _ in model.states]
@@ -752,21 +746,3 @@ def monte_carlo_death_probability(model: MarkovModel, mission_time: float,
     p = deaths / trials
     ci99 = 2.5758293035489004 * math.sqrt(max(p * (1.0 - p), 0.0) / trials)
     return MonteCarloEstimate(estimate=p, ci99=ci99, deaths=deaths)
-
-
-def sweep(builder, spec: SweepSpec) -> tuple[CurvePoint, ...]:
-    """Evaluate the death-probability bracket over a log-spaced rate grid.
-
-    `builder` maps a rate to a model (the prebuilt constructors fit directly).
-    Solver failures are annotated on their point rather than aborting the
-    remaining grid.
-    """
-    points = []
-    for lam in spec.grid():
-        try:
-            bracket = death_probability(builder(lam), spec.mission_time, spec.tol)
-            points.append(CurvePoint(lam, bracket.lower, bracket.upper))
-        except SolverError as exc:
-            points.append(CurvePoint(lam, 0.0, 1.0, error=str(exc)))
-    return tuple(points)
-

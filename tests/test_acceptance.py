@@ -16,7 +16,7 @@ from ifrsim.hw import encode_bus, parity_check, trc_compare
 from ifrsim.isa import assemble, run_reference
 from ifrsim.markov import (SweepSpec, build_ifr_pipeline_model, build_simplex_model,
                            build_standby_model, build_tmr_model,
-                           death_probability, monte_carlo_death_probability, sweep)
+                           death_probability, monte_carlo_death_probability)
 from ifrsim.pipeline import CoreConfig, Outcome, matches_reference, run_core
 from ifrsim.faults import FaultScenario, parse_scenario
 
@@ -81,32 +81,35 @@ def test_criterion_3_monte_carlo_oracle():
 
 def test_criterion_4_figure_anchors():
     started = time.perf_counter()
-    spec = SweepSpec("lambda", 1e-6, 1e-2, 25, T_MISSION)
+    grid = SweepSpec("lambda", 1e-6, 1e-2, 25, T_MISSION).grid()
+    assert grid[0] == 1e-6
 
-    simplex = sweep(build_simplex_model, spec)
+    def curve(builder):
+        return [death_probability(builder(lam), T_MISSION) for lam in grid]
+
+    simplex = curve(build_simplex_model)
     first = simplex[0]
-    assert first.lam == 1e-6
     assert abs(first.lower - 9.995e-4) <= 1e-6
     assert abs(first.upper - 9.995e-4) <= 1e-6
 
     # Switch/controller rates default to lambda_p/1000 for figure
     # reproduction; their series contribution (~2e-6 at the anchor) then
     # keeps the curve start on the 1e-6 scale.
-    ifr = sweep(lambda lam: build_ifr_pipeline_model(lam, 1e-3, 1e-3), spec)
+    ifr = curve(lambda lam: build_ifr_pipeline_model(lam, 1e-3, 1e-3))
     anchor = ifr[0]
     assert 1e-6 <= anchor.lower <= anchor.upper <= 3e-6
 
-    tmr = sweep(build_tmr_model, spec)
-    standby = sweep(build_standby_model, spec)
-    for tp, sp in zip(tmr, standby):
+    tmr = curve(build_tmr_model)
+    standby = curve(build_standby_model)
+    for lam, tp, sp in zip(grid, tmr, standby):
         tmr_mid = (tp.lower + tp.upper) / 2
         stb_mid = (sp.lower + sp.upper) / 2
-        assert tmr_mid <= 3 * stb_mid * (1 + 1e-9), tp.lam
-        assert tp.lower <= 3 * sp.upper * (1 + 1e-12), tp.lam
+        assert tmr_mid <= 3 * stb_mid * (1 + 1e-9), lam
+        assert tp.lower <= 3 * sp.upper * (1 + 1e-12), lam
 
-    for curve in (simplex, ifr, tmr, standby):
-        for point in curve:
-            assert point.error is None
+    # A refused point raises SolverError, which fails the test.
+    for points in (simplex, ifr, tmr, standby):
+        for point in points:
             assert (point.upper - point.lower) <= 0.05 * point.upper + 1e-15
     _report(4, "sweep anchors at lambda=1e-6 plus the 3x failure identity", started, 10.0)
 

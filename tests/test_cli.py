@@ -442,10 +442,19 @@ _REPAIR_MODEL = """
      "error: --sweep 1e+10 times --aux-ratio 1e+300 overflows"),
     (["markov", "--model", "REPAIR", "--sweep-const", "lambda", "1e300", "1e308", "3"],
      "error: transition up->degraded has non-finite rate inf"),
+    # Every mode refuses a mission time the solver refuses, in its words.
+    *[(mode + ["--T", mission_time], "error: mission time must be non-negative and finite")
+      for mission_time in ("-5", "inf")
+      for mode in (["markov", "--builtin", "simplex", "--lam", "1e-4"],
+                   ["markov", "--builtin", "simplex", "--sweep", "1e-4", "1e-3", "3"],
+                   ["markov", "--model", "REPAIR", "--sweep-const", "mu", "1e-2", "1", "3"],
+                   ["compare", "--sweep", "1e-4", "1e-3", "3"])],
 ], ids=["const-reversed", "const-not-increasing", "const-infinite", "ratio-overflows",
         "compare-infinite", "negative-seed", "compare-aux-ratio", "markov-aux-ratio",
         "lam-times-aux-ratio-overflows", "lam-times-aux-ratio-underflows",
-        "compare-times-aux-ratio-overflows", "const-rate-infinite"])
+        "compare-times-aux-ratio-overflows", "const-rate-infinite",
+        *[f"{mode}-T-{name}" for name in ("negative", "inf")
+          for mode in ("lam", "sweep", "sweep-const", "compare")]])
 def test_refusals_name_what_they_refuse(args, message, tmp_path, capsys):
     model = tmp_path / "repair.model"
     model.write_text(_REPAIR_MODEL)

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -15,7 +16,7 @@ from ifrsim.markov import (DEFAULT_TOL, MC_CHUNK, WIDTH_FLOOR, BoundedProbabilit
                            SweepSpec, Transition, build_ifr_pipeline_model,
                            build_simplex_model, build_standby_model, build_tmr_model,
                            death_probability, monte_carlo_death_probability,
-                           parse_model, sweep)
+                           parse_model)
 
 T = 1000.0
 
@@ -375,6 +376,21 @@ def test_repair_chain_bracket_contains_the_mpmath_value(mu):
     assert bracket.upper - bracket.lower <= DEFAULT_TOL * bracket.upper
 
 
+@pytest.mark.parametrize("lam", [1e-4, 1e-3])
+@pytest.mark.parametrize("mu", [1.0, 10.0, 1e2, 1e3, 4.2e9])
+def test_squared_bracket_is_as_wide_as_its_rounding(lam, mu):
+    # Above SERIES_Q_MAX the bracket is as wide as its rounding: about
+    # 4e-12 relative at q = 1e3 (3.4e-15·q to 4.1e-15·q on these chains),
+    # bounded here at twice that. The bound is relative even where the
+    # upper bound is below WIDTH_FLOOR (5e-15 and 5e-13 at mu = 4.2e9/h),
+    # where tol alone would let the bracket be tol·WIDTH_FLOOR wide.
+    model = _repair_chain(lam, mu)
+    q = markov._jump_pair(model, T)[1]
+    bracket = death_probability(model, T)
+    assert q > markov.SERIES_Q_MAX
+    assert bracket.relative_width <= 8e-15 * q
+
+
 @pytest.mark.parametrize("scale, squared", [(0.999, False), (1.001, True)])
 def test_both_sides_of_the_series_threshold_contain_the_mpmath_value(scale, squared):
     # q = (mu + lambda)·T lands just below or just above SERIES_Q_MAX.
@@ -580,10 +596,16 @@ def test_squared_bracket_below_one_step_brackets_the_exact_value(q):
 
 
 def test_squared_bracket_wider_than_tol_is_refused():
-    # The squaring factors alone stay below tol, but the bracket
-    # [6.4e-10, 7.0e-10] is about 9% wide.
-    with pytest.raises(SolverError, match=r"not reached by \d+ squarings"):
-        death_probability(_repair_chain(0.1, 3e10), T)
+    # The squaring factors alone stay below tol, but the bracket is wider:
+    # [6.4e-10, 7.0e-10] is about 9% wide, and at mu = 1 the bracket is
+    # 3.4e-12 wide around 0.00199. The refusal prints both bounds in full,
+    # so the width that caused it shows even where 3 digits would agree.
+    for lam, mu, tol in [(0.1, 3e10, DEFAULT_TOL), (1e-3, 1.0, 3e-12)]:
+        with pytest.raises(SolverError, match=r"not reached by \d+ squarings") as refusal:
+            death_probability(_repair_chain(lam, mu), T, tol)
+        bounds = re.search(r"\[(\S+), (\S+)\]", str(refusal.value)).groups()
+        lower, upper = map(float, bounds)
+        assert 0 < lower < upper and upper - lower > tol * upper
 
 
 def test_chain_too_stiff_for_the_rounding_is_refused_without_a_warning():
@@ -776,25 +798,25 @@ def test_sweep_rejects_degenerate_range():
 
 
 def test_simplex_sweep_starts_at_expected_value():
-    curve = sweep(build_simplex_model, SweepSpec("lambda", 1e-6, 1e-2, 25, T))
-    first = curve[0]
-    assert first.lam == 1e-6
-    assert first.lower <= analytic_simplex(1e-6, T) <= first.upper
+    first = SweepSpec("lambda", 1e-6, 1e-2, 25, T).grid()[0]
+    bracket = death_probability(build_simplex_model(first), T)
+    assert first == 1e-6
+    assert bracket.lower <= analytic_simplex(1e-6, T) <= bracket.upper
 
 
 def test_sweep_upper_bounds_monotone_for_builtins():
-    spec = SweepSpec("lambda", 1e-6, 1e-2, 25, T)
+    grid = SweepSpec("lambda", 1e-6, 1e-2, 25, T).grid()
     for builder in (build_simplex_model, build_tmr_model, build_standby_model):
-        curve = sweep(builder, spec)
-        uppers = [p.upper for p in curve]
+        uppers = [death_probability(builder(lam), T).upper for lam in grid]
         assert all(b >= a - 1e-15 for a, b in zip(uppers, uppers[1:])), builder
 
 
 def test_sweep_points_increasing_and_bounded():
-    curve = sweep(build_tmr_model, SweepSpec("lambda", 1e-6, 1e-2, 10, T))
-    for point in curve:
-        assert point.error is None
-        assert 0.0 <= point.lower <= point.upper <= 1.0
+    grid = SweepSpec("lambda", 1e-6, 1e-2, 10, T).grid()
+    assert all(b > a for a, b in zip(grid, grid[1:]))
+    for lam in grid:
+        bracket = death_probability(build_tmr_model(lam), T)
+        assert 0.0 <= bracket.lower <= bracket.upper <= 1.0
 
 
 def test_sweep_named_constant_of_parsed_model():
@@ -804,11 +826,11 @@ def test_sweep_named_constant_of_parsed_model():
         INIT up;
         up -> dead : lambda;
     """)
-    curve = sweep(partial(model.with_constant, "lambda"), SweepSpec("lambda", 1e-6, 1e-4, 5, T))
-    assert len(curve) == 5
-    for point in curve:
-        truth = analytic_simplex(point.lam, T)
-        assert point.lower <= truth <= point.upper
+    grid = SweepSpec("lambda", 1e-6, 1e-4, 5, T).grid()
+    assert len(grid) == 5
+    for lam in grid:
+        bracket = death_probability(model.with_constant("lambda", lam), T)
+        assert bracket.lower <= analytic_simplex(lam, T) <= bracket.upper
 
 
 DERIVED = """
