@@ -387,9 +387,14 @@ def _solve_grid(build, grid, args, trials=None) -> list:
 
 @_bad_numbers_are_usage_errors
 def cmd_markov(args) -> int:
-    if args.mc is not None and args.mc < 1:
+    if args.mc is None:
+        if args.seed is not None:
+            raise CliError("--seed applies to --mc only")
+    elif args.mc < 1:
         raise CliError(f"--mc needs at least 1 trial, got {args.mc}")
-    if args.seed < 0:
+    elif args.seed is None:
+        args.seed = 0
+    elif args.seed < 0:
         raise CliError(f"--seed must be a non-negative integer, got {args.seed}")
     report = CsvReport(columns=[])
     report.add_meta("tool", TOOL_ID)
@@ -514,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
                                f"{DEFAULT_AUX_RATIO:g})")
     p_markov.add_argument("--mc", type=int, help="append a Monte Carlo oracle column with "
                                                  "this many trials")
-    p_markov.add_argument("--seed", type=int, default=0,
+    p_markov.add_argument("--seed", type=int,
                           help="Monte Carlo seed for --mc (default 0)")
     common(p_markov)
     p_markov.set_defaults(func=cmd_markov)

@@ -668,6 +668,8 @@ def monte_carlo_death_probability(model: MarkovModel, mission_time: float,
     pick a target; no target is drawn for a state with one target or with
     only death targets. A trial that moves to a later state is visited again
     in the same round, one that moves to an earlier state in the next round.
+    Trials that reach a death state are counted where they are drawn; only
+    those that live on are kept in arrays.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -709,7 +711,9 @@ def monte_carlo_death_probability(model: MarkovModel, mission_time: float,
         waiting: list = [[] for _ in model.states]
         if movers:
             # Holding times given that they end by the mission time.
-            clock = np.log1p(-p_move * rng.random(movers))
+            clock = rng.random(movers)
+            clock *= -p_move
+            np.log1p(clock, out=clock)
             clock /= -totals[first]
             np.minimum(clock, mission_time, out=clock)
             at = 0
@@ -728,11 +732,12 @@ def monte_carlo_death_probability(model: MarkovModel, mission_time: float,
                 arrival = rng.standard_exponential(clock.size)
                 arrival /= total
                 arrival += clock
+                if bounds[s] is None and is_death[targets[s][0]]:
+                    deaths += int(np.count_nonzero(arrival <= mission_time))
+                    continue
                 arrival = arrival[arrival <= mission_time]
                 if bounds[s] is None:
-                    if is_death[targets[s][0]]:
-                        deaths += arrival.size
-                    elif arrival.size:
+                    if arrival.size:
                         waiting[targets[s][0]].append(arrival)
                     continue
                 pick = np.searchsorted(bounds[s], rng.random(arrival.size), side="right")

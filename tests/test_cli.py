@@ -429,6 +429,9 @@ _REPAIR_MODEL = """
      "error: sweep range must be finite, got lambda from 1e-06 to inf"),
     (["markov", "--builtin", "simplex", "--lam", "1e-6", "--mc", "10", "--seed", "-1"],
      "error: --seed must be a non-negative integer, got -1"),
+    # --seed changes nothing without --mc.
+    (["markov", "--builtin", "simplex", "--lam", "1e-3", "--seed", "5"],
+     "error: --seed applies to --mc only"),
     (["compare", "--sweep", "1e-6", "1e-2", "3", "--aux-ratio", "-1"],
      "error: --aux-ratio must be a positive finite ratio, got -1"),
     (["markov", "--builtin", "ifr-pipeline", "--lam", "1e-6", "--aux-ratio", "0"],
@@ -450,7 +453,8 @@ _REPAIR_MODEL = """
                    ["markov", "--model", "REPAIR", "--sweep-const", "mu", "1e-2", "1", "3"],
                    ["compare", "--sweep", "1e-4", "1e-3", "3"])],
 ], ids=["const-reversed", "const-not-increasing", "const-infinite", "ratio-overflows",
-        "compare-infinite", "negative-seed", "compare-aux-ratio", "markov-aux-ratio",
+        "compare-infinite", "negative-seed", "seed-without-mc",
+        "compare-aux-ratio", "markov-aux-ratio",
         "lam-times-aux-ratio-overflows", "lam-times-aux-ratio-underflows",
         "compare-times-aux-ratio-overflows", "const-rate-infinite",
         *[f"{mode}-T-{name}" for name in ("negative", "inf")

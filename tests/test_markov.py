@@ -676,19 +676,26 @@ _REPAIR_CHAIN = """
 """
 
 
-@pytest.mark.parametrize("make_model, estimate, ci99", [
+@pytest.mark.parametrize("make_model, trials, deaths, estimate, ci99", [
     # Trials sent by the first hop to a live state with no way out.
-    (lambda: parse_model(_TRAP_MODEL), 0.26115, 0.008000649330865247),
+    (lambda: parse_model(_TRAP_MODEL), 20_000, 5223, 0.26115, 0.008000649330865247),
     # Trials moving back to a lower-indexed state.
-    (lambda: parse_model(_REPAIR_CHAIN), 0.13065, 0.006138384916233164),
+    (lambda: parse_model(_REPAIR_CHAIN), 20_000, 2613, 0.13065, 0.006138384916233164),
     # Trials sent by the first hop to a state whose targets all kill.
-    (lambda: build_ifr_pipeline_model(1e-3, 0.1, 0.1), 0.39185, 0.008891342970457121),
-], ids=["trap", "repair", "ifr-pipeline"])
-def test_mc_exact_draws_are_pinned(make_model, estimate, ci99):
+    (lambda: build_ifr_pipeline_model(1e-3, 0.1, 0.1), 20_000, 7837, 0.39185,
+     0.008891342970457121),
+    # A live first hop, then a state with one target, a death state.
+    (lambda: build_tmr_model(1e-3), 20_000, 13782, 0.6891, 0.008430504561797413),
+    (lambda: build_standby_model(1e-3), 20_000, 7923, 0.39615, 0.00890833308792233),
+    # Four chunks on one stream, the last of 5 trials.
+    (lambda: build_ifr_pipeline_model(1e-3, 0.1, 0.1), 3 * MC_CHUNK + 5, 39001,
+     0.3967185100041705, 0.00401903392966089),
+], ids=["trap", "repair", "ifr-pipeline", "tmr", "standby", "ifr-pipeline-chunks"])
+def test_mc_exact_draws_are_pinned(make_model, trials, deaths, estimate, ci99):
     # Pins the oracle's draw order: any change to which trial consumes which
     # random number moves these exact values.
-    got = monte_carlo_death_probability(make_model(), T, 20_000, seed=7)
-    assert (got.estimate, got.ci99) == (estimate, ci99)
+    got = monte_carlo_death_probability(make_model(), T, trials, seed=7)
+    assert (got.deaths, got.estimate, got.ci99) == (deaths, estimate, ci99)
 
 
 def test_mc_memory_is_bounded_by_one_chunk():
@@ -699,16 +706,16 @@ def test_mc_memory_is_bounded_by_one_chunk():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # 16 chunks of MC_CHUNK trials peak near 1.3 MiB, since a chunk holds a
-    # clock only for its trials still alive; the same trials in one chunk
-    # peak near 7.5 MiB.
+    # 16 chunks of MC_CHUNK trials peak near 0.48 MiB (1.1 MiB as the first
+    # oracle call in a process), since a chunk holds a clock only for its
+    # trials still alive; the same trials in one chunk peak near 5.4 MiB.
     assert peak < 8 * 2 ** 20
 
 
 def test_mc_memory_holds_only_one_chunk_of_live_trials():
     # 32 chunks that hold clocks only for their live trials peak near
-    # 1.3 MiB; chunks that hold a state and a clock for every trial peak near
-    # 4.2 MiB, and all 2**20 trials in one chunk near 13 MiB.
+    # 0.48 MiB; chunks that held a state and a clock for every trial peaked
+    # near 4.2 MiB, and all 2**20 trials in one chunk peak near 10.7 MiB.
     model = build_ifr_pipeline_model(1e-3, 1e-3, 1e-3)
     tracemalloc.start()
     try:

@@ -27,6 +27,7 @@ EXIT_CODES = {"controller_stuck": 4}  # 0 for the others
 CLI_CASES = {
     "markov_builtin_point": "markov --builtin simplex --lam 1e-6",
     "markov_builtin_sweep": "markov --builtin ifr-pipeline --sweep 1e-6 1e-2 4 --mc 3000 --seed 3",
+    "markov_builtin_tmr_mc": "markov --builtin tmr --sweep 3e-5 3e-3 3 --mc 100000 --seed 4",
     "markov_model_point": "markov --model samples/twostate.model",
     "markov_model_sweep": "markov --model samples/twostate.model "
                           "--sweep-const lambda 1e-6 1e-3 3 --mc 1000 --seed 2",

@@ -3,11 +3,13 @@
 Run from the root of a source checkout:
 
     python3 tools/ab.py BASE_REF --workload fault-campaign --seed 1 --label my-change
+    python3 tools/ab.py BASE_REF --change CHANGE_REF --workload core-long --label old-pair
 
 The base is `BASE_REF` exported with `git archive` into a temporary
-directory; the change is a copy of this checkout as it stands, uncommitted
-edits and files git does not ignore included. The export leaves no worktree
-registered in the repository, even when a run is cut short. Both sides run
+directory. The change is `CHANGE_REF` exported the same way, or without
+`--change` a copy of this checkout as it stands, uncommitted edits and files
+git does not ignore included. An export leaves no worktree registered in the
+repository, even when a run is cut short. Both sides run
 from copies in one temporary directory: run from the checkout itself,
 unchanged code read 0.7-0.9% slower on markov-stiff over 10 pairs (2-CPU
 x86_64, Python 3.11). Both trees are byte-compiled first, since a missing
@@ -34,6 +36,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+RECORD_DIR = ROOT  # where BENCH_<label>.json is written
 RUN_TIMEOUT_S = 900
 PAIRS = 10
 
@@ -125,6 +128,9 @@ def _print_summary(workload: str, seed: int, summary: dict, pairs: int) -> None:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base", metavar="BASE_REF")
+    parser.add_argument("--change", metavar="CHANGE_REF",
+                        help="export the change side from this commit (default: this "
+                             "checkout as it stands)")
     parser.add_argument("--workload", action="append", required=True,
                         help="a workload of BENCHMARK.json; may be repeated")
     parser.add_argument("--seed", type=int, action="append",
@@ -138,14 +144,19 @@ def main(argv=None) -> int:
         parser.error(f"unknown workload; BENCHMARK.json names {sorted(known)}")
 
     base_commit = _git("rev-parse", f"{args.base}^{{commit}}")
-    change = {"ref": "checkout", "commit": _git("rev-parse", "HEAD"),
-              "uncommitted_changes": bool(_git("status", "--porcelain", "--untracked-files=no"))}
+    if args.change:
+        change = {"ref": args.change, "commit": _git("rev-parse", f"{args.change}^{{commit}}")}
+    else:
+        change = {"ref": "checkout", "commit": _git("rev-parse", "HEAD"),
+                  "uncommitted_changes": bool(_git("status", "--porcelain",
+                                                   "--untracked-files=no"))}
     record = {"label": args.label, "command": ["tools/ab.py", *(argv or sys.argv[1:])],
               "base": {"ref": args.base, "commit": base_commit}, "change": change,
               "workloads": {}}
     with tempfile.TemporaryDirectory(prefix="ifrsim-ab-") as scratch:
         trees = {"base": _export(base_commit, Path(scratch) / "base"),
-                 "change": _copy_checkout(Path(scratch) / "change")}
+                 "change": (_export(change["commit"], Path(scratch) / "change") if args.change
+                            else _copy_checkout(Path(scratch) / "change"))}
         for tree in trees.values():
             _compile(tree)
         for workload in args.workload:
@@ -167,7 +178,7 @@ def main(argv=None) -> int:
                     "src_sha256": {side: runs[side]["env"]["src_sha256"]
                                    for side in ("base", "change")},
                     "pairs": pairs, "summary": summary}
-    out = ROOT / f"BENCH_{args.label}.json"
+    out = RECORD_DIR / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     print(f"wrote {out.name}")
     return 0
