@@ -5,6 +5,9 @@ deterministic plot-ready CSV.
 Exit codes: 0 success, 2 input parse/usage error, 3 solver failure,
 4 simulation ended Dead, 5 golden-reference mismatch, 6 cycle budget
 exhausted.
+
+`markov`, and with it numpy, is imported only by the commands that solve
+models (`markov` and `compare`), so `sim` and `formulas` start without it.
 """
 from __future__ import annotations
 
@@ -17,11 +20,6 @@ import sys
 from . import formulas
 from .faults import ScenarioError, parse_scenario
 from .isa import AssemblyError, assemble
-from .markov import (DEFAULT_TOL, ModelError, SolverError, SweepSpec,
-                     build_ifr_pipeline_model, build_simplex_model,
-                     build_standby_model, build_tmr_model,
-                     death_probability, monte_carlo_death_probability,
-                     parse_model)
 from .pipeline import DEFAULT_MAX_CYCLES, CoreConfig, Outcome, matches_reference, run_core
 from .report import CsvReport, TOOL_ID, fmt_float
 
@@ -276,15 +274,14 @@ def cmd_formulas(args) -> int:
     return EXIT_PARSE if failures else EXIT_OK
 
 
-# The builtin models as (rate, aux_ratio) -> model, each with the constant
-# its rate defines and whether it reads aux_ratio: ifr-pipeline alone does,
-# taking rate times aux_ratio as its switch and controller rates.
+# The builtin models: each one's builder in `markov`, the constant its rate
+# defines and whether it reads aux_ratio: ifr-pipeline alone does, taking
+# rate times aux_ratio as its switch and controller rates.
 _BUILTINS = {
-    "simplex": (lambda lam, aux_ratio: build_simplex_model(lam), "lambda", False),
-    "tmr": (lambda lam, aux_ratio: build_tmr_model(lam), "lambda", False),
-    "standby": (lambda lam, aux_ratio: build_standby_model(lam), "lambda", False),
-    "ifr-pipeline": (lambda lam, aux_ratio: build_ifr_pipeline_model(lam, aux_ratio, aux_ratio),
-                     "lambda_p", True),
+    "simplex": ("build_simplex_model", "lambda", False),
+    "tmr": ("build_tmr_model", "lambda", False),
+    "standby": ("build_standby_model", "lambda", False),
+    "ifr-pipeline": ("build_ifr_pipeline_model", "lambda_p", True),
 }
 
 
@@ -293,9 +290,12 @@ def _builtin(name: str, aux_ratio: float, rate_flag: str):
     `rate_flag`. The first rate goes through the builder, which checks it
     and parses the chain; every later rate rebuilds the last model with its
     rate constant changed, without parsing again."""
+    from . import markov
     if not (math.isfinite(aux_ratio) and aux_ratio > 0):
         raise CliError(f"--aux-ratio must be a positive finite ratio, got {aux_ratio:g}")
-    make, constant, scales_by_aux = _BUILTINS[name]
+    builder, constant, scales_by_aux = _BUILTINS[name]
+    make = getattr(markov, builder)
+    aux = (aux_ratio, aux_ratio) if scales_by_aux else ()
     model = None
 
     def build(lam):
@@ -304,21 +304,30 @@ def _builtin(name: str, aux_ratio: float, rate_flag: str):
         if scales_by_aux and 0 < lam < math.inf and not 0 < lam * aux_ratio < math.inf:
             raise CliError(f"{rate_flag} {lam:g} times --aux-ratio {aux_ratio:g} "
                            f"{'overflows' if lam * aux_ratio else 'underflows to 0'}")
-        model = make(lam, aux_ratio) if model is None else model.with_constant(constant, lam)
+        model = make(lam, *aux) if model is None else model.with_constant(constant, lam)
         return model
     return build
 
 
-def _bad_numbers_are_usage_errors(command):
-    """The model builders, `SweepSpec` and the solver raise ValueError for
-    out-of-range numbers (a negative rate or mission time, tol outside
-    (0, 1), a reversed or one-point sweep); report those as usage errors."""
+def _markov_command(command):
+    """Run a command that solves models: import `markov` (and numpy), give
+    `--tol` its default, and report a solver refusal as `solver error: `
+    with exit 3. The model builders, `SweepSpec` and the solver raise
+    ValueError for out-of-range numbers (a negative rate or mission time,
+    tol outside (0, 1), a reversed or one-point sweep); report those as
+    usage errors."""
     @functools.wraps(command)
     def run(args) -> int:
+        from . import markov
+        if args.tol is None:
+            args.tol = markov.DEFAULT_TOL
         try:
             return command(args)
         except ValueError as exc:
             raise CliError(str(exc)) from None
+        except markov.SolverError as exc:
+            print(f"solver error: {exc}", file=sys.stderr)
+            return EXIT_SOLVER
     return run
 
 
@@ -326,6 +335,7 @@ def _markov_source(args, report: CsvReport):
     """Pick the model source and what it varies: returns a `build(value) ->
     model`, the swept column name (None for a model file's single point), and
     the grid of values, one value for a single point."""
+    from . import markov
     if args.aux_ratio is not None and args.builtin != "ifr-pipeline":
         raise CliError("--aux-ratio applies to --builtin ifr-pipeline only")
     if args.builtin:
@@ -342,21 +352,22 @@ def _markov_source(args, report: CsvReport):
         build = _builtin(args.builtin, aux_ratio, "--sweep" if args.sweep else "--lam")
         if args.sweep:
             lo, hi, points = args.sweep
-            return build, "lambda", SweepSpec("lambda", lo, hi, _sweep_points(points),
-                                              args.T).grid()
+            return build, "lambda", markov.SweepSpec("lambda", lo, hi, _sweep_points(points),
+                                                     args.T).grid()
         return build, "lambda", [args.lam]
     if args.lam is not None or args.sweep:
         raise CliError("--lam and --sweep apply to --builtin only; --model takes "
                        "--sweep-const")
     try:
-        model = parse_model(_read(args.model, "model"))
-    except ModelError as exc:
+        model = markov.parse_model(_read(args.model, "model"))
+    except markov.ModelError as exc:
         raise CliError(f"model: {exc}") from None
     report.add_meta("model", args.model)
     if args.sweep_const:
         name, lo, hi, points = args.sweep_const
         return (functools.partial(model.with_constant, name), name,
-                SweepSpec(name, float(lo), float(hi), _sweep_points(points), args.T).grid())
+                markov.SweepSpec(name, float(lo), float(hi), _sweep_points(points),
+                                 args.T).grid())
     return lambda _: model, None, [None]
 
 
@@ -368,25 +379,27 @@ def _solve_grid(build, grid, args, trials=None) -> list:
     Returns, per value, the cells lower, upper and width_rel, then
     mc_estimate and mc_ci99 with `trials`; or, where the solver refuses the
     point, its SolverError."""
+    from . import markov
     points, sampled = [], []
     for value in grid:
         model = build(value)
         try:
-            bracket = death_probability(model, args.T, args.tol)
-        except SolverError as exc:
+            bracket = markov.death_probability(model, args.T, args.tol)
+        except markov.SolverError as exc:
             points.append(exc)
             continue
         points.append([bracket.lower, bracket.upper, bracket.relative_width])
         if trials:
             sampled.append((points[-1], model))
     for cells, model in sampled:
-        estimate = monte_carlo_death_probability(model, args.T, trials, args.seed)
+        estimate = markov.monte_carlo_death_probability(model, args.T, trials, args.seed)
         cells += [estimate.estimate, estimate.ci99]
     return points
 
 
-@_bad_numbers_are_usage_errors
+@_markov_command
 def cmd_markov(args) -> int:
+    from . import markov
     if args.mc is None:
         if args.seed is not None:
             raise CliError("--seed applies to --mc only")
@@ -415,7 +428,7 @@ def cmd_markov(args) -> int:
     status = EXIT_OK
     for value, cells in zip(grid, _solve_grid(build, grid, args, args.mc)):
         lead = [] if column is None else [value]
-        if isinstance(cells, SolverError):
+        if isinstance(cells, markov.SolverError):
             if not swept:
                 raise cells
             status = EXIT_SOLVER
@@ -427,10 +440,11 @@ def cmd_markov(args) -> int:
     return status
 
 
-@_bad_numbers_are_usage_errors
+@_markov_command
 def cmd_compare(args) -> int:
+    from . import markov
     lo, hi, points = args.sweep
-    grid = SweepSpec("lambda", lo, hi, _sweep_points(points), args.T).grid()
+    grid = markov.SweepSpec("lambda", lo, hi, _sweep_points(points), args.T).grid()
     curves = [_solve_grid(_builtin(name, args.aux_ratio, "--sweep"), grid, args)
               for name in _BUILTINS]
 
@@ -447,7 +461,7 @@ def cmd_compare(args) -> int:
     for value, *row in zip(grid, *curves):
         cells = [value]
         for name, point in zip(_BUILTINS, row):
-            if isinstance(point, SolverError):
+            if isinstance(point, markov.SolverError):
                 status = EXIT_SOLVER
                 cells.extend([None, None])
                 print(f"{name} lambda={value}: {point}", file=sys.stderr)
@@ -458,7 +472,10 @@ def cmd_compare(args) -> int:
     return status
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process. Its defaults
+    are immutable, since every `Namespace` it returns shares them."""
     parser = argparse.ArgumentParser(
         prog="ifrsim",
         description="Fault-injectable repairable-core simulator and "
@@ -511,7 +528,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_markov.add_argument("--sweep-const", nargs=4, metavar=("NAME", "LO", "HI", "POINTS"),
                           help="sweep a named constant of a model file")
     p_markov.add_argument("--T", type=float, default=1000.0, help="mission time in hours")
-    p_markov.add_argument("--tol", type=float, default=DEFAULT_TOL,
+    # --tol's default, markov.DEFAULT_TOL, is set when the command runs.
+    p_markov.add_argument("--tol", type=float,
                           help="relative bound width target (default 0.05)")
     p_markov.add_argument("--aux-ratio", dest="aux_ratio", type=float,
                           help="switch/controller failure rate as a fraction of the stage "
@@ -527,9 +545,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp = sub.add_parser("compare", help="side-by-side failure-probability bounds for "
                                            "simplex, TMR, standby, and the repairable pipeline")
     p_cmp.add_argument("--sweep", nargs=3, type=float, metavar=("LO", "HI", "POINTS"),
-                       default=[1e-6, 1e-2, 25])
+                       default=(1e-6, 1e-2, 25))
     p_cmp.add_argument("--T", type=float, default=1000.0)
-    p_cmp.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p_cmp.add_argument("--tol", type=float)
     p_cmp.add_argument("--aux-ratio", dest="aux_ratio", type=float, default=DEFAULT_AUX_RATIO)
     common(p_cmp)
     p_cmp.set_defaults(func=cmd_compare)
@@ -538,16 +556,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except SolverError as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
 
 
 if __name__ == "__main__":

@@ -54,6 +54,7 @@ def test_change_ref_is_exported_from_its_commit(tmp_path, monkeypatch):
                 "metrics": {metric["name"]: 1.0 for metric in declared}}
 
     monkeypatch.setattr(ab, "run_benchmark", run_benchmark)
+    monkeypatch.setattr(ab, "run_cli", lambda tree, argv: 1.0)
     monkeypatch.setattr(ab, "_compile", lambda tree: None)
     monkeypatch.setattr(ab, "PAIRS", 2)
     monkeypatch.setattr(ab, "RECORD_DIR", tmp_path)
@@ -63,7 +64,34 @@ def test_change_ref_is_exported_from_its_commit(tmp_path, monkeypatch):
     record = json.loads((tmp_path / "BENCH_change-ref.json").read_text())
     assert record["change"] == {"ref": "HEAD", "commit": head}
     assert record["base"] == {"ref": "HEAD", "commit": head}
+    assert len(record["startup"]) == len(ab.readme_commands())
     # Both sides are the committed tree, not this checkout's files.
     assert sorted(name for name, _, _ in runs) == ["base", "base", "change", "change"]
     assert all(files == tracked and source == committed for _, files, source in runs)
     assert ab._git("status", "--porcelain", "--untracked-files=all", "--ignored") == status
+
+
+def test_startup_is_each_sides_minimum_over_fresh_runs(monkeypatch):
+    commands = ab.readme_commands()
+    assert commands and ["sim", "samples/workload.asm", "samples/decode_stuckat.flt"] in commands
+    trees = {"base": Path("base"), "change": Path("change")}
+    calls = []
+
+    def run_cli(tree, argv):
+        calls.append((tree.name, argv))
+        # The change side is 0.01 s faster; each tree's later runs are faster.
+        runs = sum(name == tree.name and args == argv for name, args in calls)
+        return 1.0 - 0.01 * runs - 0.01 * (tree.name == "change")
+
+    monkeypatch.setattr(ab, "run_cli", run_cli)
+    times = ab.startup_times(trees)
+    assert list(times) == [" ".join(["ifrsim", *argv]) for argv in commands]
+    runs = ab.STARTUP_RUNS
+    assert len(calls) == 2 * runs * len(commands)
+    # The sides take turns to run first.
+    first = [calls[i][0] for i in range(0, 2 * runs, 2)]
+    assert first == ["base", "change"] * (runs // 2) + ["base"] * (runs % 2)
+    for entry in times.values():
+        assert entry["base"] == pytest.approx(1.0 - 0.01 * runs)
+        assert entry["change"] == pytest.approx(0.99 - 0.01 * runs)
+        assert entry["relative"] == pytest.approx(entry["change"] / entry["base"] - 1)

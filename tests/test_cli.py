@@ -1,4 +1,8 @@
+import argparse
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -6,7 +10,8 @@ import pytest
 from ifrsim import cli, markov
 from ifrsim.cli import main
 
-SAMPLES = Path(__file__).resolve().parent.parent / "samples"
+ROOT = Path(__file__).resolve().parent.parent
+SAMPLES = ROOT / "samples"
 WORKLOAD = str(SAMPLES / "workload.asm")
 
 
@@ -660,3 +665,54 @@ def test_reports_are_byte_identical_across_runs(args, tmp_path):
     assert code1 == code2 == 0
     assert first == second
     assert first.encode() == second.encode()
+
+
+# ---------------------------------------------------------------------------
+# startup: one parser per process, numpy only where a model is solved
+# ---------------------------------------------------------------------------
+
+# Runs `python -m ifrsim.cli ARGV...` and reports whether numpy was loaded.
+_RUN_CLI_MODULE = """
+import runpy, sys
+try:
+    runpy.run_module("ifrsim.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+print("numpy" in sys.modules, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("args, loads_numpy", [
+    (["sim", "samples/workload.asm", "samples/decode_stuckat.flt"], False),
+    (["formulas", "--tmr"], False),
+    (["markov", "--builtin", "simplex", "--lam", "1e-6"], True),
+], ids=["sim", "formulas", "markov"])
+def test_only_the_model_commands_load_numpy(args, loads_numpy):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run([sys.executable, "-c", _RUN_CLI_MODULE, *args], cwd=ROOT, env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stderr.splitlines()[-1] == str(loads_numpy)
+
+
+def test_main_builds_the_parser_once(monkeypatch, tmp_path):
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **kw: built.append(self) or init(self, *a, **kw))
+    cli.build_parser.cache_clear()
+    run_cli(["formulas", "--exp"], tmp_path, "a.csv")
+    first = len(built)
+    run_cli(["formulas", "--availability"], tmp_path, "b.csv")
+    assert first > 0 and len(built) == first
+
+
+def test_a_usage_error_leaves_the_shared_parser_as_it_was(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "--sweep", "1e-6", "1e-2"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    out = tmp_path / "compare.csv"
+    assert main(["compare", "--sweep", "1e-6", "1e-2", "7", "--out", str(out)]) == 0
+    assert out.read_bytes() == (ROOT / "tests" / "golden" / "cli" / "compare.csv").read_bytes()

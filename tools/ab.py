@@ -20,25 +20,32 @@ a time.
 
 For each end-to-end metric of BENCHMARK.json it prints, per workload and
 seed, the median and quartiles of each side and how many pairs each side
-won, and it writes the per-pair numbers with both commits and the
-environment line to `BENCH_<label>.json` at the root of the checkout.
-Exits 1 if a benchmark run fails or reports a wrong output.
+won. It also times each `ifrsim` line of README.md's command block as
+`python -m ifrsim.cli ...` in fresh interpreters, alternating the trees one
+process at a time, and keeps each side's minimum of 7 runs: the CLI's
+startup time. It writes the per-pair numbers and the startup times with
+both commits and the environment line to `BENCH_<label>.json` at the root
+of the checkout. Exits 1 if a benchmark run or a README command fails, or a
+benchmark reports a wrong output.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import shutil
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 RECORD_DIR = ROOT  # where BENCH_<label>.json is written
 RUN_TIMEOUT_S = 900
 PAIRS = 10
+STARTUP_RUNS = 7  # fresh-interpreter runs per README command and tree
 
 
 def _git(*args: str) -> str:
@@ -89,6 +96,43 @@ def run_benchmark(tree: Path, workload: str, seed: int) -> dict:
             "metrics": {name: m["value"] for name, m in result["metrics"].items()}}
 
 
+def readme_commands() -> list[list[str]]:
+    """The arguments of each `ifrsim` line in README.md's command block."""
+    lines = (ROOT / "README.md").read_text().splitlines()
+    return [line.split()[1:] for line in lines if line.startswith("ifrsim ")]
+
+
+def run_cli(tree: Path, argv: list[str]) -> float:
+    """Wall seconds of one `python -m ifrsim.cli ARGV` run from `tree`, in a
+    fresh interpreter that imports the package from `tree/src`."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "ifrsim.cli", *argv], cwd=tree, env=env,
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+                          timeout=RUN_TIMEOUT_S)
+    elapsed = time.perf_counter() - start
+    if proc.returncode != 0:
+        raise RuntimeError(f"{tree}: ifrsim {' '.join(argv)} exited {proc.returncode}: "
+                           f"{proc.stderr.strip()[-500:]}")
+    return elapsed
+
+
+def startup_times(trees: dict[str, Path]) -> dict:
+    """Per README command, each side's minimum wall time over STARTUP_RUNS
+    runs, the sides alternating which runs first, and the change's minimum
+    relative to the base's."""
+    times = {}
+    for argv in readme_commands():
+        runs = {side: [] for side in trees}
+        for index in range(STARTUP_RUNS):
+            for side in (trees if index % 2 == 0 else reversed(trees)):
+                runs[side].append(run_cli(trees[side], argv))
+        best = {side: min(values) for side, values in runs.items()}
+        times[" ".join(["ifrsim", *argv])] = {**best,
+                                             "relative": best["change"] / best["base"] - 1}
+    return times
+
+
 def _spread(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3}
@@ -125,6 +169,13 @@ def _print_summary(workload: str, seed: int, summary: dict, pairs: int) -> None:
               f" {entry['change_wins']:>4d}/{entry['base_wins']:<4d}")
 
 
+def _print_startup(times: dict) -> None:
+    print(f"startup, minimum of {STARTUP_RUNS} fresh runs:")
+    print(f"  {'base s':>8s} {'change s':>8s} {'rel':>7s}  command")
+    for command, entry in times.items():
+        print(f"  {entry['base']:8.4f} {entry['change']:8.4f} {entry['relative']:+7.1%}  {command}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base", metavar="BASE_REF")
@@ -159,6 +210,8 @@ def main(argv=None) -> int:
                             else _copy_checkout(Path(scratch) / "change"))}
         for tree in trees.values():
             _compile(tree)
+        record["startup"] = startup_times(trees)
+        _print_startup(record["startup"])
         for workload in args.workload:
             for seed in seeds:
                 pairs = []
