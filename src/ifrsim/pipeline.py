@@ -25,7 +25,7 @@ import enum
 import math
 from bisect import bisect_right
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import islice
 from operator import itemgetter
 
@@ -33,9 +33,9 @@ from .faults import (CONTROLLER_VEC_BITS, Delay, FaultScenario, FaultUnit,
                      StressLedger, StuckAt, apply_faults, fold_faults)
 from .hw import (OFF, ON, POWERING, Copy, PIPELINE_ORDER, PowerState,
                  StageKind, encode_bus, parity_check, trc_compare)
-from .isa import (BEQ, HALT, JMP, LDI, ST, ArchState, ExecutionError,
-                  Instruction, Program, WORD_MASK, decode_word, dst_reg,
-                  encode_instruction, execute_result, run_reference, src_regs)
+from .isa import (ADD, AND, BEQ, HALT, JMP, LD, LDI, MOV, NOP, OR, ST, SUB, XOR,
+                  ArchState, ExecutionError, Instruction, Opcode, Program, WORD_MASK,
+                  decode_word, dst_reg, encode_instruction, run_reference, src_regs)
 
 DEFAULT_MAX_CYCLES = 100_000
 _CONTROL_OPS = (BEQ, JMP, HALT)
@@ -231,6 +231,13 @@ class SimReport:
     events: list
     stress: StressLedger
     final_power: dict
+    # How the run was simulated, which is not part of its result: the cycles
+    # the loop ran, not those it resumed past, took in one step or jumped
+    # over; the commit record it resumed from; and the commit count at which
+    # it rejoined the fault-free run and jumped to its end, or None.
+    simulated_cycles: int = field(compare=False)
+    resumed_from: int = field(compare=False)
+    joined_at: int | None = field(compare=False)
 
     @property
     def permanent_events(self) -> list:
@@ -247,32 +254,43 @@ _UNIT_INDEX = {FaultUnit(kind.value): i for i, kind in enumerate(PIPELINE_ORDER)
 _UNIT_INDEX[FaultUnit.CONTROLLER] = _RAIL = len(PIPELINE_ORDER)
 _RAIL_MASK = (1 << CONTROLLER_VEC_BITS) - 1
 
+# Execute kinds: what the execute stage and the commit do with an
+# instruction. The kinds up to _NOP write their destination register, if
+# any, and step the pc. `_EXECUTE_KIND` is indexed by `int(opcode)`, since
+# an enum key would hash through Python code.
+_MOVE, _ADD, _SUB, _AND, _OR, _XOR, _LD, _NOP, _ST, _BEQ, _JMP, _HALT = range(12)
+_EXECUTE_KIND = tuple({NOP: _NOP, HALT: _HALT, LDI: _MOVE, MOV: _MOVE, ADD: _ADD, SUB: _SUB,
+                       AND: _AND, OR: _OR, XOR: _XOR, LD: _LD, ST: _ST, BEQ: _BEQ,
+                       JMP: _JMP}[op] for op in Opcode)
+
 
 def _decoded(word: int) -> tuple[Instruction, tuple[int, ...], int | None, int | None,
-                                 int, int]:
+                                 int, int, int]:
     """What the decode stage needs of a word: (instruction, sources, src_a,
-    src_b, dest, imm). `src_a` and `src_b` are the first and second source,
-    or None where it has fewer. Decode drives their values as (op_a, op_b),
-    with imm as op_a if it reads no register and 0 as a missing op_b; imm is
-    0 but for LDI and JMP."""
+    src_b, dest, imm, kind). `src_a` and `src_b` are the first and second
+    source, or None where it has fewer. Decode drives their values as
+    (op_a, op_b), with imm as op_a if it reads no register and 0 as a
+    missing op_b; imm is 0 but for LDI and JMP. `kind` is the execute kind."""
     instr = decode_word(word)
     imm = instr.imm & WORD_MASK if instr.opcode in (LDI, JMP) else 0
     sources = src_regs(instr)
     src_a, src_b = (*sources, None, None)[:2]
-    return instr, sources, src_a, src_b, dst_reg(instr), imm
+    return (instr, sources, src_a, src_b, dst_reg(instr), imm,
+            _EXECUTE_KIND[int(instr.opcode)])
 
 
 def _program_memo(program: Program) -> dict:
     """`program.core_memo`, filled on the program's first run: `slots`, the
-    (word, control-flow?) fetch slot of each instruction; `decoded`, the
-    word -> `_decoded` table; `records`, where `records[n]` is the fault-free
-    run on the first cycle after commit n, as (cycle, regs, mem, pc,
-    fetch_pc, fetch_wait, pd, de), sharing the regs tuple and mem dict of
+    (word, control-flow?) fetch slot of each instruction; `decoded`, the word
+    -> `_decoded` table; `records`, where `records[n]` is the fault-free run
+    on the first cycle after commit n, as (cycle, regs, mem, pc, fetch_pc,
+    fetch_wait, pd, de), with `de` the decode latch (instruction, dest, op_a,
+    op_b, execute kind) or None, sharing the regs tuple and mem dict of
     `records[n - 1]` unless commit n wrote them; `end`, None until a settled
     run has reached the program's end, then (outcome, final state) of that
     end; and `tails`, where `tails[n]` is the number of cycles a settled run
-    takes from its commit number n to that end, or None where no run has
-    told. A fresh `Program` has only `records[0]`, its start at cycle 0."""
+    takes from its commit number n to that end, or None where no run has told.
+    A fresh `Program` has only `records[0]`, its start at cycle 0."""
     memo = program.core_memo
     if not memo:
         memo.update(slots=[(encode_instruction(instr), instr.opcode in _CONTROL_OPS)
@@ -343,6 +361,12 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
     next simulated cycle classifies or clears on the same cycle, and it
     appends the re-presented word to each selected copy's delay history. A
     run with rail faults takes neither skip.
+
+    The execute stage does not call `isa.execute_result`: the decode table
+    names each word's execute kind, the decode latch carries it, and the
+    execute stage and the commit branch on it inline. The report's
+    `simulated_cycles`, `resumed_from` and `joined_at` say which cycles the
+    loop ran; they are derived when it exits.
     """
     if max_cycles < 1:
         raise ValueError(f"max_cycles must be >= 1, got {max_cycles}")
@@ -478,8 +502,9 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
     bound = max(min(earliest - margin, max_cycles - 1), 0)
     commits = bisect_right(records, bound, key=itemgetter(0)) - 1
     # `pd` and `de` are the predecode and decode latches: the fetched word and
-    # (instr, dest, op_a, op_b). `saved_regs` and `saved_mem` are the last
-    # record's regs and mem, None once a commit has written that field since.
+    # (instr, dest, op_a, op_b, execute kind). `saved_regs` and `saved_mem`
+    # are the last record's regs and mem, None once a commit has written
+    # that field since.
     resume, saved_regs, saved_mem, pc, fetch_pc, fetch_wait, pd, de = records[commits]
     regs, mem = list(saved_regs), dict(saved_mem)
 
@@ -500,15 +525,21 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
     inert_at = inert_from() if scenario.faults or end is None else never
 
     # The controller's mode, read afresh after each `controller_step`, its
-    # only writer.
+    # only writer, and whether the pipeline runs in that mode.
     mode = ctrl.mode
+    live = mode in _LIVE_MODES
+    rails = bool(rail_a or rail_b)
+    resumed_from = commits
+    skipped = 0  # cycles taken in one step
+    joined = None
     length = len(slots)
     cycles = iter(range(resume, max_cycles))
     for cycle in cycles:
         total_cycles = cycle + 1
-        live = mode in _LIVE_MODES
         masks = _NO_MASKS
-        error = False
+        # The pipeline holds this cycle: the controller is not live, or a
+        # parity error flags a stage.
+        frozen = not live
 
         if live:
             # Decode: consumes the predecode latch, stalls on a read-after-write
@@ -520,13 +551,13 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
                 entry = decoded.get(pd)
                 if entry is None:
                     entry = decoded[pd] = _decoded(pd)
-                instr, sources, src_a, src_b, dest, imm = entry
+                instr, sources, src_a, src_b, dest, imm, kind = entry
                 if de is not None and de[1] and de[1] in sources:
                     stall = True
                 else:
                     d_word = imm if src_a is None else regs[src_a]
                     d_op_b = 0 if src_b is None else regs[src_b]
-                    d_instr, d_dest = instr, dest
+                    d_instr, d_dest, d_kind = instr, dest, kind
 
             # Predecode: fetch only if the latch will be free this cycle.
             p_word = 0
@@ -535,8 +566,33 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
                 pending = slots[fetch_pc]
                 p_word = pending[0]
 
-            # Execute.
-            e_word = execute_result(de[0], de[2], de[3], mem) if de is not None else 0
+            # Execute: the word the latched instruction's kind drives. Its
+            # operands are words already: registers, masked immediates or
+            # routed bus words.
+            if de is None:
+                e_word = 0
+            else:
+                e_instr, e_dest, op_a, op_b, e_kind = de
+                if e_kind == _MOVE:
+                    e_word = op_a
+                elif e_kind == _ADD:
+                    e_word = (op_a + op_b) & WORD_MASK
+                elif e_kind == _SUB:
+                    e_word = (op_a - op_b) & WORD_MASK
+                elif e_kind == _AND:
+                    e_word = op_a & op_b
+                elif e_kind == _OR:
+                    e_word = op_a | op_b
+                elif e_kind == _XOR:
+                    e_word = op_a ^ op_b
+                elif e_kind == _LD:
+                    e_word = mem.get((op_a + e_instr.imm) & WORD_MASK, 0)
+                elif e_kind == _BEQ:
+                    e_word = 1 if op_a == op_b else 0
+                elif e_kind == _NOP or e_kind == _HALT:
+                    e_word = 0
+                else:  # _ST drives the stored value, _JMP its target
+                    e_word = op_a
 
             if cycle < stage_end:
                 words = [p_word, d_word, e_word]
@@ -546,14 +602,15 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
                     if stage_faults[stage][copy]:
                         words[stage], masks[stage] = faulty_bus(stage, copy, words[stage], cycle)
                 p_word, d_word, e_word = words
-                error = any(masks)
+                frozen = any(masks)
 
         # Controller. Idle monitoring is the identity step.
         actions = _NO_ACTIONS
-        if mode is not MONITOR or error:
+        if mode is not MONITOR or frozen:
             actions = controller_step(ctrl, masks, False, config)
             mode = ctrl.mode
-        if rail_a or rail_b:
+            live = mode in _LIVE_MODES
+        if rails:
             # Both controller copies compute the same transition; copy B's
             # outputs are complemented and the rails are compared. Without
             # rail faults the rails agree by construction. A mismatch ends
@@ -599,27 +656,26 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
                     fault_id=culprit, stage=PIPELINE_ORDER[stage], classified="transient",
                     detect_cycle=detect, end_cycle=cycle))
 
-        # Advance the pipeline when nothing flagged an error this cycle.
-        if live and not error:
+        # Advance the pipeline unless it was frozen this cycle.
+        if not frozen:
             committed = de is not None
             if committed:
                 commits += 1
-                instr = de[0]
-                op = instr.opcode
-                if op is HALT:
-                    outcome = RUN_COMPLETED
-                elif op is BEQ or op is JMP:
-                    pc = e_word if op is JMP else pc + (instr.imm if e_word else 1)
-                    fetch_pc = pc
-                    fetch_wait = False
-                else:
-                    if op is ST:
-                        mem[(de[3] + instr.imm) & WORD_MASK] = e_word
-                        saved_mem = None
-                    elif de[1]:
-                        regs[de[1]] = e_word
+                if e_kind <= _NOP:
+                    if e_dest:
+                        regs[e_dest] = e_word
                         saved_regs = None
                     pc += 1
+                elif e_kind == _ST:
+                    mem[(op_b + e_instr.imm) & WORD_MASK] = e_word
+                    saved_mem = None
+                    pc += 1
+                elif e_kind == _HALT:
+                    outcome = RUN_COMPLETED
+                else:  # _BEQ or _JMP
+                    pc = e_word if e_kind == _JMP else pc + (e_instr.imm if e_word else 1)
+                    fetch_pc = pc
+                    fetch_wait = False
                 if open_events:
                     for event in open_events:
                         event.swap_complete_cycle = cycle
@@ -627,7 +683,7 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
             # Latches capture the routed bus words, so a corruption that
             # evaded parity really does propagate downstream; sideband
             # metadata (decoded fields, op_b) is not fault-addressable.
-            de = None if d_instr is None else (d_instr, d_dest, d_word, d_op_b)
+            de = None if d_instr is None else (d_instr, d_dest, d_word, d_op_b, d_kind)
             if stall:
                 pass  # pd holds; decode retries next cycle
             elif pending is not None:
@@ -661,10 +717,11 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
                         settled_at[commits] = total_cycles
                     elif total_cycles + tail <= max_cycles:
                         total_cycles += tail
+                        joined = commits
                         outcome, final = end
                         regs, pc, mem = final.regs, final.pc, dict(final.mem)
                         break
-        elif not (rail_a or rail_b):
+        elif not rails:
             # In a run without rail faults, the cycles that change nothing but
             # a count are taken in one step.
             skip = 0
@@ -693,6 +750,7 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
             if skip:
                 next(islice(cycles, skip, skip), None)  # consumes `skip` cycles
                 total_cycles += skip
+                skipped += skip
 
     if outcome is None:
         outcome = RUN_EXHAUSTED
@@ -712,9 +770,11 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
     final_state = ArchState(tuple(regs), pc, mem, outcome is RUN_COMPLETED)
     # The ledger keeps its blocks in stage then copy order, as `power` is.
     final_power = dict(zip(ledger.blocks, (state for copies in power for state in copies)))
+    simulated = total_cycles - resume - skipped - (0 if joined is None else tails[joined])
     return SimReport(outcome=outcome, final_state=final_state,
                      total_cycles=total_cycles, events=events, stress=ledger,
-                     final_power=final_power)
+                     final_power=final_power, simulated_cycles=simulated,
+                     resumed_from=resumed_from, joined_at=joined)
 
 
 def matches_reference(report: SimReport, program: Program) -> bool:

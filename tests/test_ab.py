@@ -50,7 +50,7 @@ def test_change_ref_is_exported_from_its_commit(tmp_path, monkeypatch):
     def run_benchmark(tree, workload, seed):
         files = sorted(str(path.relative_to(tree)) for path in tree.rglob("*") if path.is_file())
         runs.append((tree.name, files, (tree / "src/ifrsim/markov.py").read_bytes()))
-        return {"env": {"src_sha256": "-"}, "digest": "-",
+        return {"env": {"src_sha256": "-"}, "digest": "-", "passes": 1,
                 "metrics": {metric["name"]: 1.0 for metric in declared}}
 
     monkeypatch.setattr(ab, "run_benchmark", run_benchmark)
@@ -95,3 +95,43 @@ def test_startup_is_each_sides_minimum_over_fresh_runs(monkeypatch):
         assert entry["base"] == pytest.approx(1.0 - 0.01 * runs)
         assert entry["change"] == pytest.approx(0.99 - 0.01 * runs)
         assert entry["relative"] == pytest.approx(entry["change"] / entry["base"] - 1)
+
+
+def test_run_benchmark_reads_the_timed_pass_count(tmp_path):
+    # A stand-in for perfbench/run.py that prints the lines the runner reads.
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "import json\n"
+        "print('env ' + json.dumps({'src_sha256': 'abc'}))\n"
+        "print('digest core-long 0123')\n"
+        "print('samples 6 operations x 963 timed passes')\n"
+        "print('wall_s   0.005 s')\n"
+        "print(json.dumps({'correct': True, 'metrics': {'wall_s': {'value': 0.005}}}))\n")
+    run = ab.run_benchmark(tmp_path, "core-long", 1)
+    assert run == {"env": {"src_sha256": "abc"}, "digest": "0123", "passes": 963,
+                   "metrics": {"wall_s": 0.005}}
+
+
+def test_each_pair_records_the_timed_passes_of_both_sides(tmp_path, monkeypatch, capsys):
+    declared = json.loads((ab.ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    runs = {"base": 0, "change": 0}
+
+    def run_benchmark(tree, workload, seed):
+        # The change side runs more passes; each side's count grows by run.
+        runs[tree.name] += 1
+        passes = (700 if tree.name == "base" else 950) + runs[tree.name]
+        return {"env": {"src_sha256": "-"}, "digest": "-", "passes": passes,
+                "metrics": {metric["name"]: 1.0 for metric in declared}}
+
+    monkeypatch.setattr(ab, "run_benchmark", run_benchmark)
+    monkeypatch.setattr(ab, "run_cli", lambda tree, argv: 1.0)
+    monkeypatch.setattr(ab, "_compile", lambda tree: None)
+    monkeypatch.setattr(ab, "PAIRS", 3)
+    monkeypatch.setattr(ab, "RECORD_DIR", tmp_path)
+    assert ab.main(["HEAD", "--change", "HEAD", "--workload", "core-long",
+                    "--label", "passes"]) == 0
+    pairs = json.loads((tmp_path / "BENCH_passes.json").read_text())[
+        "workloads"]["core-long"]["1"]["pairs"]
+    assert [pair["passes"] for pair in pairs] == [
+        {"base": 700 + n, "change": 950 + n} for n in (1, 2, 3)]
+    assert "median timed passes 702 base, 952 change" in capsys.readouterr().out

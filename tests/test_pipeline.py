@@ -1,5 +1,7 @@
 import hashlib
+import inspect
 import random
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -11,8 +13,8 @@ from ifrsim.faults import (Delay, FaultScenario, FaultSite, FaultUnit, PERMANENT
                            StuckAt, TimedFault, TransientFlip, parse_scenario)
 from ifrsim import pipeline
 from ifrsim.hw import Copy, PIPELINE_ORDER, PowerState, StageKind, encode_bus
-from ifrsim.isa import (Opcode, Program, assemble, decode_word, encode_instruction,
-                        src_regs)
+from ifrsim.isa import (WORD_MASK, Opcode, Program, assemble, decode_word, dst_reg,
+                        encode_instruction, execute_result, run_reference, src_regs)
 from ifrsim.pipeline import (ControllerActions, ControllerMode, ControllerState,
                              CoreConfig, Outcome, controller_step,
                              controller_output_vector, matches_reference,
@@ -464,6 +466,74 @@ def test_branches_and_memory_against_reference():
     assert report.final_state.regs[3] == 0
     assert report.final_state.regs[5] == 5
     assert report.final_state.regs[7] == 0
+
+
+# Each opcode through the pipeline's own execute stage: name -> (a, b, lines,
+# want). The program sets r1 <- a and r2 <- b, runs `lines`, the last of
+# which is under test, then sets r4 <- 7 unless a branch skips it, and
+# halts. `want` is the word execute drives: the value for rd, the stored
+# value, the branch decision or the jump target.
+_EXECUTE_CASES = {
+    "NOP": (0, 0, "NOP", 0),
+    "HALT": (0, 0, "HALT", 0),
+    "LDI sign-extends": (0, 0, "LDI r3, -5", 0xFFFFFFFB),
+    "MOV": (-7, 0, "MOV r3, r1", 0xFFFFFFF9),
+    "ADD wraps past 0xFFFFFFFF": (-1, 2, "ADD r3, r1, r2", 1),
+    "SUB below 0": (1, 3, "SUB r3, r1, r2", 0xFFFFFFFE),
+    "AND": (-1, 0x1234, "AND r3, r1, r2", 0x1234),
+    "OR": (0x0F0F, 0x7070, "OR r3, r1, r2", 0x7F7F),
+    "XOR": (-1, 0x1234, "XOR r3, r1, r2", 0xFFFFEDCB),
+    "LD of an unwritten address": (-1, 0, "LD r3, r1, 5", 0),
+    "LD of a stored word": (-1, 0x55, "ST r2, r1, 5\nLD r3, r1, 5", 0x55),
+    "ST at a wrapped address": (-1, 0x4321, "ST r2, r1, -2", 0x4321),
+    "BEQ equal": (9, 9, "BEQ r1, r2, 2", 1),
+    "BEQ unequal": (9, 8, "BEQ r1, r2, 2", 0),
+    "JMP": (0, 0, "JMP 4", 4),
+}
+
+
+def test_the_execute_cases_cover_every_opcode():
+    assert {Opcode[lines.split("\n")[-1].split()[0]]
+            for _, _, lines, _ in _EXECUTE_CASES.values()} == set(Opcode)
+
+
+@pytest.mark.parametrize("name", _EXECUTE_CASES)
+def test_the_execute_stage_of_every_opcode(name):
+    # `run_core` executes inline, apart from `isa.execute_result`, the
+    # reference's ALU: both must drive `want`, and the run must commit it.
+    a, b, lines, want = _EXECUTE_CASES[name]
+    lines = lines.split("\n")
+    program = assemble("\n".join([f"LDI r1, {a}", f"LDI r2, {b}", *lines, "LDI r4, 7", "HALT"]))
+    at = 1 + len(lines)  # the index of the instruction under test
+    instr = program.instructions[at]
+    # Its operands as decode drives them, from the state before it.
+    before, _ = run_reference(program, at)
+    sources = src_regs(instr)
+    op_a = before.regs[sources[0]] if sources else instr.imm & WORD_MASK
+    op_b = before.regs[sources[1]] if len(sources) > 1 else 0
+    assert execute_result(instr, op_a, op_b, dict(before.mem)) == want
+
+    report = run_core(program, CFG, FaultScenario())
+    assert report.outcome is Outcome.COMPLETED and matches_reference(report, program)
+    # Straight-line code before it: it is commit at + 1, and the execute bus
+    # carries its word on the cycle before record at + 1, or on the last
+    # cycle if it is the last commit.
+    records = fault_free_records(program, CFG)
+    commit_cycle = records[at + 1][0] - 1 if at + 1 < len(records) else report.total_cycles - 1
+    assert fault_free_words(program, CFG)[commit_cycle][2] == want
+    final = report.final_state
+    op = instr.opcode
+    if op is Opcode.ST:
+        assert final.mem[(op_b + instr.imm) & WORD_MASK] == want
+    elif op is Opcode.BEQ:
+        assert final.regs[4] == (0 if want else 7)
+    elif op is Opcode.JMP:
+        assert (want, final.regs[4]) == (len(program) - 1, 0)
+    elif op is Opcode.HALT:
+        assert (final.pc, final.regs[4]) == (at, 0)
+    else:
+        assert final.regs[3] == (want if dst_reg(instr) else 0)
+        assert final.regs[4] == 7
 
 
 def _mov_program(rounds=30):
@@ -924,22 +994,11 @@ def test_program_tables_are_built_once(monkeypatch):
 # Ending a run once it rejoins the fault-free run
 # ---------------------------------------------------------------------------
 
-def _count_executes(monkeypatch) -> list:
-    """Wrap `pipeline.execute_result`; the returned list counts its calls and
-    the calls on a HALT, and holds the opcode of the last call. A completed
-    run that never executed its HALT ended by rejoining the fault-free run,
-    at the commit of that last opcode."""
-    counts = [0, 0, None]
-    execute = pipeline.execute_result
-
-    def counted(instr, *args):
-        counts[0] += 1
-        counts[1] += instr.opcode is Opcode.HALT
-        counts[2] = instr.opcode
-        return execute(instr, *args)
-
-    monkeypatch.setattr(pipeline, "execute_result", counted)
-    return counts
+def _committed_opcode(program, n):
+    """The opcode of the fault-free run's commit number n >= 1: the n-th
+    instruction the reference interpreter steps."""
+    pc = run_reference(program, n - 1)[0].pc if n > 1 else 0
+    return program.instructions[pc].opcode
 
 
 def _main_fault(rng, words):
@@ -957,23 +1016,23 @@ def _main_fault(rng, words):
 
 
 @pytest.mark.filterwarnings("ignore:fault .* transient flip")
-def test_runs_that_rejoin_the_fault_free_run_equal_runs_from_cycle_zero(monkeypatch):
+def test_runs_that_rejoin_the_fault_free_run_equal_runs_from_cycle_zero():
     # A run on a warm `Program`, which may end early from its join table,
     # equals the same run on a fresh `Program`, which simulates every cycle,
     # in every report field. Half the programs see a run with no faults
     # first; on the others only faulted runs fill the table. Besides loop
     # kernels, the programs include straight-line code: the forward-branch
     # corpus and `samples/workload.asm`.
-    counts = _count_executes(monkeypatch)
     rng = random.Random(0x7017)
     seen = set()
 
     def check(program, config, scenario, budget):
         fresh = run_core(Program(program.instructions), config, scenario, max_cycles=budget)
-        counts[1] = 0
         warm = run_core(program, config, scenario, max_cycles=budget)
         assert warm == fresh, (program, config, scenario, budget)
-        return fresh, warm.outcome is Outcome.COMPLETED and not counts[1]
+        assert fresh.joined_at is None
+        joined = warm.joined_at if warm.outcome is Outcome.COMPLETED else None
+        return fresh, joined
 
     sources = ([lambda: gen_loop_program(rng, rng.randrange(3, 8))] * 30
                + [lambda: gen_program(rng, rng.randrange(8, 30))] * 12
@@ -1014,10 +1073,10 @@ def test_runs_that_rejoin_the_fault_free_run_equal_runs_from_cycle_zero(monkeypa
             else:
                 faults = (first,)
             scenario = FaultScenario(faults)
-            fresh, jumped = check(program, config, scenario, budget)
-            if jumped:
+            fresh, joined = check(program, config, scenario, budget)
+            if joined is not None:
                 seen.add("jump")
-                if counts[2] is not Opcode.BEQ and counts[2] is not Opcode.JMP:
+                if _committed_opcode(program, joined) not in (Opcode.BEQ, Opcode.JMP):
                     seen.add("jump at a non-branch commit")
                 seen.add("swap" if any(f.duration is None for f in faults) else "window")
                 if any(f.site.unit is FaultUnit.CONTROLLER for f in faults):
@@ -1044,51 +1103,48 @@ def test_runs_that_rejoin_the_fault_free_run_equal_runs_from_cycle_zero(monkeypa
                     "budget -1", "budget +0", "budget +1"}
 
 
-def test_a_run_that_rejoins_the_fault_free_run_executes_far_fewer_instructions(monkeypatch):
-    counts = _count_executes(monkeypatch)
+def test_a_run_that_rejoins_the_fault_free_run_executes_far_fewer_instructions():
     program = _loop_program(200)
     scenario = parse_scenario("@20 PERM decode.main stuckat 0 1")
 
-    def executes(target, scenario):
-        counts[0] = 0
+    def run(target, scenario):
         report = run_core(target, CFG, scenario)
         assert report.outcome is Outcome.COMPLETED and matches_reference(report, program)
-        return report, counts[0]
+        return report
 
-    fresh, from_zero = executes(Program(program.instructions), scenario)
+    fresh = run(Program(program.instructions), scenario)
+    assert (fresh.resumed_from, fresh.joined_at) == (0, None)
     # A run with no faults simulates every cycle, every time.
-    fault_free = {executes(target, FaultScenario())[1]
-                  for target in (program, program, Program(program.instructions))}
-    assert len(fault_free) == 1
+    for target in (program, program, Program(program.instructions)):
+        report = run(target, FaultScenario())
+        assert (report.simulated_cycles, report.resumed_from, report.joined_at) == (
+            report.total_cycles, 0, None)
     for _ in range(2):
-        warm, calls = executes(program, scenario)
-        assert warm == fresh
-        assert 20 * calls < from_zero
+        warm = run(program, scenario)
+        assert warm == fresh and warm.joined_at is not None
+        assert 20 * warm.simulated_cycles < fresh.simulated_cycles
 
 
-def test_a_swapped_run_on_straight_line_code_rejoins_the_fault_free_run(monkeypatch):
+def test_a_swapped_run_on_straight_line_code_rejoins_the_fault_free_run():
     # `workload.asm` has one branch, near its end: a run that swaps its
     # decode stage rejoins the fault-free run within a few commits of the
     # refill, not at that branch.
-    counts = _count_executes(monkeypatch)
     program = assemble(WORKLOAD)
     scenario = parse_scenario("@10 PERM decode.main stuckat 3 1")
     fresh = run_core(Program(program.instructions), CFG, scenario)
-    from_zero = counts[0]
     assert fresh.outcome is Outcome.COMPLETED and matches_reference(fresh, program)
     assert len(fresh.permanent_events) == 1
     run_core(program, CFG, FaultScenario())
     for _ in range(2):
-        counts[0] = 0
-        assert run_core(program, CFG, scenario) == fresh
-        assert 5 * counts[0] <= from_zero
+        warm = run_core(program, CFG, scenario)
+        assert warm == fresh and warm.joined_at is not None
+        assert 5 * warm.simulated_cycles <= fresh.simulated_cycles
 
 
-def test_runs_that_can_never_settle_equal_runs_from_cycle_zero(monkeypatch):
+def test_runs_that_can_never_settle_equal_runs_from_cycle_zero():
     # A permanent stuck-at on a selected main that never breaks parity is
     # never inert: such a run simulates to the HALT on a warm `Program` too,
     # and equals its fresh run.
-    counts = _count_executes(monkeypatch)
     program = assemble(WORKLOAD)
     words = fault_free_words(program, CFG)
     stage, bit, value = next((stage, bit, value) for stage in range(3) for bit in range(36)
@@ -1100,9 +1156,9 @@ def test_runs_that_can_never_settle_equal_runs_from_cycle_zero(monkeypatch):
     scenario = parse_scenario(unexposed)
     fresh = run_core(Program(program.instructions), CFG, scenario)
     assert fresh.outcome is Outcome.COMPLETED and matches_reference(fresh, program)
-    counts[1] = 0
-    assert run_core(program, CFG, scenario) == fresh
-    assert counts[1]  # it simulated its HALT
+    warm = run_core(program, CFG, scenario)
+    assert warm == fresh
+    assert warm.joined_at is None  # it simulated its HALT
 
 
 # Rail stuck-ats, against the idle vector: 0 before any swap, the swapped
@@ -1132,13 +1188,12 @@ _IDLE_RAIL_CASES = {
 
 
 @pytest.mark.parametrize("name", _IDLE_RAIL_CASES)
-def test_a_rail_stuck_at_its_idle_level_is_inert(monkeypatch, name):
+def test_a_rail_stuck_at_its_idle_level_is_inert(name):
     # Once every stage fault is inert, the controller idles in MONITOR with
     # no strobe, so a rail stuck at the level it carries there is never
     # seen: a run that completes rejoins the fault-free run before its HALT
     # on a warm `Program`. Every run equals its fresh run, and its twin that
     # takes no shortcut.
-    counts = _count_executes(monkeypatch)
     program = assemble(WORKLOAD)
     run_core(program, CFG, FaultScenario())
     run_core(program, CFG, parse_scenario(_DECODE_SWAP))
@@ -1148,15 +1203,14 @@ def test_a_rail_stuck_at_its_idle_level_is_inert(monkeypatch, name):
     assert fresh.outcome is outcome
     assert fresh == run_core(Program(program.instructions), CFG,
                              _without_skips(text, pipeline.DEFAULT_MAX_CYCLES))
-    counts[1] = 0
-    assert run_core(program, CFG, scenario) == fresh
+    warm = run_core(program, CFG, scenario)
+    assert warm == fresh
     if outcome is Outcome.COMPLETED:
         assert matches_reference(fresh, program)
-        assert not counts[1]  # it rejoined before its HALT
+        assert warm.joined_at is not None  # it rejoined before its HALT
 
 
-def test_jumped_reports_do_not_share_the_memoized_final_state(monkeypatch):
-    counts = _count_executes(monkeypatch)
+def test_jumped_reports_do_not_share_the_memoized_final_state():
     program = _loop_program(30)
     scenario = parse_scenario("@20 PERM execute.main stuckat 0 1")
     fault_free = run_core(program, CFG, FaultScenario())
@@ -1164,12 +1218,62 @@ def test_jumped_reports_do_not_share_the_memoized_final_state(monkeypatch):
     assert expected
     fault_free.final_state.mem[0xBAD] = 1
     for _ in range(2):
-        counts[1] = 0
         report = run_core(program, CFG, scenario)
-        assert report.outcome is Outcome.COMPLETED and not counts[1]  # it jumped
+        assert report.outcome is Outcome.COMPLETED and report.joined_at is not None
         assert report.final_state.mem == expected
         report.final_state.mem[0xBAD] = 1
     assert program.core_memo["end"][1].mem == expected
+
+
+def _loop_iterations(run):
+    """`run()` and the number of iterations of `run_core`'s cycle loop it
+    made, counted by a line tracer on the loop's first statement."""
+    code = pipeline.run_core.__code__
+    source, first = inspect.getsourcelines(pipeline.run_core)
+    line = first + next(i for i, text in enumerate(source)
+                        if text.strip() == "total_cycles = cycle + 1")
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        count += event == "line" and frame.f_lineno == line
+        return local
+
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    try:
+        result = run()
+    finally:
+        sys.settrace(None)
+    return result, count
+
+
+def test_a_report_counts_the_cycles_its_loop_simulated():
+    # `simulated_cycles` is worked out at the end of a run from where it
+    # resumed, what it skipped and where it joined; it must be the number of
+    # cycles the loop ran. `resumed_from` is the last commit record at or
+    # before the run's start bound (no delay here, so no margin).
+    program = assemble(WORKLOAD)
+    seen = set()
+    cases = [("", None), (_DECODE_SWAP, None), ("@30 T:5 decode.main flip 3", None),
+             ("@40 PERM controller.a stuckat 4 1", None), (_DECODE_SWAP, 60),
+             ("@125 PERM decode.main stuckat 0 1", None), (_DECODE_SWAP, None)]
+    for text, budget in cases:
+        scenario = parse_scenario(text)
+        budget = budget or pipeline.DEFAULT_MAX_CYCLES
+        bound = min(min((f.start for f in scenario.faults), default=0), budget - 1)
+        for target in (Program(program.instructions), program):
+            before = list(target.core_memo.get("records", [(0,)]))
+            report, loops = _loop_iterations(
+                lambda: run_core(target, CFG, scenario, max_cycles=budget))
+            assert report.simulated_cycles == loops, (text, budget)
+            assert report.resumed_from == max(n for n, record in enumerate(before)
+                                              if record[0] <= bound)
+            tail = 0 if report.joined_at is None else target.core_memo["tails"][report.joined_at]
+            resumed = before[report.resumed_from][0]
+            seen.add("every cycle" if report.total_cycles == resumed + loops + tail else "skips")
+            seen.update(("resumed",) * (report.resumed_from > 0)
+                        + ("joined",) * (report.joined_at is not None))
+    assert seen == {"skips", "every cycle", "resumed", "joined"}
 
 
 def test_the_join_table_holds_the_fault_free_cycles_left_after_each_commit():

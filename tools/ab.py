@@ -20,13 +20,15 @@ a time.
 
 For each end-to-end metric of BENCHMARK.json it prints, per workload and
 seed, the median and quartiles of each side and how many pairs each side
-won. It also times each `ifrsim` line of README.md's command block as
-`python -m ifrsim.cli ...` in fresh interpreters, alternating the trees one
-process at a time, and keeps each side's minimum of 7 runs: the CLI's
-startup time. It writes the per-pair numbers and the startup times with
-both commits and the environment line to `BENCH_<label>.json` at the root
-of the checkout. Exits 1 if a benchmark run or a README command fails, or a
-benchmark reports a wrong output.
+won, and each side's median count of timed passes: a faster side runs more
+passes in the same time, and `peak_rss_mb` can follow that count. It also
+times each `ifrsim` line of README.md's command block as `python -m
+ifrsim.cli ...` in fresh interpreters, alternating the trees one process at
+a time, and keeps each side's minimum of 7 runs: the CLI's startup time. It
+writes the per-pair numbers, pass counts included, and the startup times
+with both commits and the environment line to `BENCH_<label>.json` at the
+root of the checkout. Exits 1 if a benchmark run or a README command fails,
+or a benchmark reports a wrong output.
 """
 from __future__ import annotations
 
@@ -81,8 +83,8 @@ def _compile(tree: Path) -> None:
 
 
 def run_benchmark(tree: Path, workload: str, seed: int) -> dict:
-    """One `perfbench/run.py` run on `tree`: its environment line, digest
-    and end-to-end metrics."""
+    """One `perfbench/run.py` run on `tree`: its environment line, digest,
+    timed-pass count and end-to-end metrics."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
     proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True,
                           timeout=RUN_TIMEOUT_S)
@@ -91,8 +93,11 @@ def run_benchmark(tree: Path, workload: str, seed: int) -> dict:
     if proc.returncode != 0 or not result.get("correct"):
         raise RuntimeError(f"{tree}: {workload} seed {seed} exited {proc.returncode}: "
                            f"{proc.stderr.strip()[-500:]}")
-    fields = dict(line.split(" ", 1) for line in lines[:-1] if line.startswith(("env ", "digest ")))
+    fields = dict(line.split(" ", 1) for line in lines[:-1]
+                  if line.startswith(("env ", "digest ", "samples ")))
+    # "samples N operations x P timed passes"
     return {"env": json.loads(fields["env"]), "digest": fields["digest"].split()[-1],
+            "passes": int(fields["samples"].split()[3]),
             "metrics": {name: m["value"] for name, m in result["metrics"].items()}}
 
 
@@ -157,8 +162,11 @@ def summarize(pairs: list[dict], declared: list[dict]) -> dict:
     return summary
 
 
-def _print_summary(workload: str, seed: int, summary: dict, pairs: int) -> None:
-    print(f"{workload} seed {seed}, {pairs} pairs:")
+def _print_summary(workload: str, seed: int, summary: dict, pairs: list[dict]) -> None:
+    passes = {side: statistics.median(pair["passes"][side] for pair in pairs)
+              for side in ("base", "change")}
+    print(f"{workload} seed {seed}, {len(pairs)} pairs; median timed passes "
+          f"{passes['base']:g} base, {passes['change']:g} change:")
     print(f"  {'metric':12s} {'base median [q1, q3]':>32s} {'change median [q1, q3]':>32s}"
           f" {'rel':>8s} {'wins c/b':>9s}")
     for name, entry in summary.items():
@@ -219,12 +227,14 @@ def main(argv=None) -> int:
                     order = ("base", "change") if index % 2 == 0 else ("change", "base")
                     runs = {side: run_benchmark(trees[side], workload, seed)
                             for side in order}
-                    pairs.append({"first": order[0], **{side: runs[side]["metrics"]
-                                                        for side in ("base", "change")}})
+                    pairs.append({"first": order[0],
+                                  "passes": {side: runs[side]["passes"] for side in runs},
+                                  **{side: runs[side]["metrics"]
+                                     for side in ("base", "change")}})
                     print(f"{workload} seed {seed} pair {index + 1}/{PAIRS} done",
                           flush=True)
                 summary = summarize(pairs, spec["end_to_end"])
-                _print_summary(workload, seed, summary, len(pairs))
+                _print_summary(workload, seed, summary, pairs)
                 record["environment"] = runs["change"]["env"]
                 record["workloads"].setdefault(workload, {})[str(seed)] = {
                     "digests": {side: runs[side]["digest"] for side in ("base", "change")},
