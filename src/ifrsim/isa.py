@@ -194,6 +194,8 @@ def assemble(source: str) -> Program:
         if not text:
             continue
         parts = text.replace(",", " ").split()
+        if not parts:
+            raise AssemblyError(lineno, f"expected a mnemonic, got {text!r}")
         mnemonic = parts[0].upper()
         try:
             opcode = Opcode[mnemonic]

@@ -17,6 +17,8 @@ O(log q) matrix products: it bounds exp(Q·T/2^s), with q/2^s a few units,
 between an entry-wise lower matrix L (the truncated series) and upper matrix
 U (the series plus its Poisson tail mass on every entry), and squares both
 s times, which keeps L <= exp(Q·T) <= U since all of them are non-negative.
+That step's series is a polynomial in P, summed by Paterson & Stockmeyer
+(SIAM J. Computing 1973) in about 2√d products for d terms.
 
 Both methods keep one rounding account, so every bound holds exactly: P is
 enclosed entry-wise by one outward pair of float matrices, each computed
@@ -40,10 +42,14 @@ import numpy as np
 DEFAULT_TOL = 0.05
 WIDTH_FLOOR = 1e-12
 # Above this uniformization rate times mission time the solver scales and
-# squares. It is the measured cost crossover of the two methods on a 3-state
-# chain: the series' O(q) terms, each rounded outward, cost about as much as
-# squaring's O(log q) products between q = 16 and q = 20, and 2^4 puts the
-# squaring step's q/2^s at exactly _STEP_Q/2 there.
+# squares, and 2^4 puts the squaring step's q/2^s at exactly _STEP_Q/2 here.
+# It was the cost crossover of the two methods on the 3-state repair chain
+# while the step series took one product per term. Summed by Paterson &
+# Stockmeyer, squaring costs about 80-90 µs per bracket at any q up to 32,
+# as much as the series near q = 12 (84 against 87 µs), so the crossover has
+# moved below 16. The constant stays: down to 12 it would save a few µs on
+# few points, and at 8 it would change the markov_builtin_sweep golden's
+# bracket cells and square the markov-oracle benchmark's q = 8.9 point.
 SERIES_Q_MAX = 16.0
 # Scaling and squaring: each step spans at most _STEP_Q expected jumps, and
 # its series is cut where the Poisson tail mass beyond it is below _TAIL;
@@ -457,8 +463,8 @@ def death_probability(model: MarkovModel, mission_time: float,
     _TINY more terms only add rounding, and the series refuses.
 
     Above it, scaling and squaring has no stopping rule, so its bracket is
-    as wide as its rounding: about 4e-12 relative for the 3-state repair
-    chain at q = 1e3, growing in proportion to q to 1.4% at q = 4.2e12. A
+    as wide as its rounding: about 3.6e-12 relative for the 3-state repair
+    chain at q = 1e3, growing in proportion to q to 1.5% at q = 4.2e12. A
     chain whose squaring factors alone exceed tol (the same chain at
     q = 1e18) is refused before any product.
     """
@@ -528,10 +534,11 @@ def _sum_pair(terms: list) -> tuple[float, float]:
             math.nextafter(total, math.inf) if error > 0 else total)
 
 
-def _factors(rounds: int) -> np.ndarray:
+def _factors(rounds: int | np.ndarray) -> np.ndarray:
     """Factors for a stacked (L, U) pair that cover `rounds` roundings of a
     non-negative value, one more for the _SHIFT that follows, and the
-    multiplication by the factor itself. Both are exact floats."""
+    multiplication by the factor itself. Both are exact floats. An array of
+    counts gives one pair per count, on the last axis."""
     k = rounds + 3
     return np.array([1.0 - k * _U, 1.0 + (k + k % 2) * _U])[:, None, None]
 
@@ -608,18 +615,7 @@ def _squared_bracket(jump: np.ndarray, q: float, tol: float) -> BoundedProbabili
                 break
     terms = k - 1
 
-    # Horner: S <- I + (r/j)·P·S for j = terms..1 makes S = Σ_(k<=terms) r^k/k! P^k.
-    # The factor covers the division r/j, the scaling of P and the n-term
-    # product. The identity is rounded outward to [1 - u, 1 + 2u], which
-    # also covers, on the diagonal, what _SHIFT covers elsewhere.
-    scale = np.array([r_lo, r_hi])[:, None, None] * _factors(n + 2)
-    steps = jump * (scale / np.arange(terms, 0, -1.0)[:, None, None, None])
-    shift = np.eye(n) * np.array([1.0 - _U, 1.0 + 2 * _U])[:, None, None] + _SHIFT
-    pair = np.broadcast_to(np.eye(n), (2, n, n)).copy()
-    for step in steps:
-        pair = step @ pair
-        pair += shift
-        np.maximum(pair, 0.0, out=pair)
+    pair = _step_series(jump, r_lo, r_hi, terms)
     # exp(-r) is within an ulp, two roundings. U gains the tail mass on every
     # entry, which also covers what _SHIFT would.
     pair *= np.array([math.exp(-r_hi), math.exp(-r_lo)])[:, None, None] * _factors(3)
@@ -638,6 +634,60 @@ def _squared_bracket(jump: np.ndarray, q: float, tol: float) -> BoundedProbabili
             f"bound width target {tol} not reached by {s} squarings: "
             f"[{lower!r}, {upper!r}] (uniformization rate*T = {q:.3g})")
     return BoundedProbability(lower, upper)
+
+
+def _step_series(jump: np.ndarray, r_lo: float, r_hi: float, terms: int) -> np.ndarray:
+    """Entry-wise bounds on the step series S = Σ_(k<=terms) r^k/k! P^k as a
+    stacked (L, U) pair: L from r_lo and the lower jump matrix, U from r_hi
+    and the upper one. By Paterson & Stockmeyer (SIAM J. Computing 1973),
+    with m = isqrt(terms + 1), S = Σ_b A_b (P^m)^b over the blocks
+    A_b = Σ_(i<m) c_(bm+i) P^i, so it takes m - 1 products for the powers
+    and one per block after the first for Horner in P^m: about 2√terms,
+    where Horner in P takes terms. Every coefficient and every power is
+    non-negative, so the bounds on each carry through."""
+    n = jump.shape[1]
+    m = math.isqrt(terms + 1)
+    count = -(-(terms + 1) // m)  # blocks
+    # P^0 ... P^m, each a pair of bounds as in squaring: a product's n-term
+    # sums take n roundings, _factors(n) covers them, and _SHIFT what
+    # underflowed.
+    powers = np.empty((m + 1, 2, n, n))
+    powers[0] = np.eye(n)
+    powers[1] = jump
+    factor = _factors(n)
+    for i in range(2, m + 1):
+        power = np.matmul(powers[i - 1], jump, out=powers[i])
+        power *= factor
+        power += _SHIFT
+        np.maximum(power, 0.0, out=power)
+
+    # c_k = r^k/k! takes k divisions and k - 1 products: 2k - 1 roundings
+    # (c_0 = 1 none). Term k then takes 1 in its product by P^i, m - 1 in
+    # its block's sum and 1 where its block joins the Horner sum: 2k + m in
+    # all. _factors(2k + m) covers them, the _SHIFT after that addition and
+    # the scaling by the factor itself. Coefficients past `terms` are 0.
+    coef = np.zeros((2, count * m))
+    coef[:, 0] = 1.0
+    coef[:, 1:terms + 1] = np.cumprod(np.array([[r_lo], [r_hi]]) / np.arange(1.0, terms + 1),
+                                      axis=1)
+    coef *= _factors(2 * np.arange(count * m) + m).reshape(2, -1)
+    # Each block's sum pairs lower with lower and upper with upper.
+    blocks = np.einsum("sbi,isjk->bsjk", coef.reshape(2, count, m), powers[:m])
+
+    # Horner in P^m: S <- A_b + P^m·S for b = count - 2 ... 0. The product
+    # takes n roundings and the addition of A_b 1: _factors(n + 1). _SHIFT
+    # covers what underflowed in the product and in the block sums before
+    # it: P^m's entries are about 1 at most, so those stay far below _TINY.
+    # With one block, the caller's shift after exp(-r) covers its sum.
+    factor = _factors(n + 1)
+    pair = blocks[-1]
+    for block in blocks[-2::-1]:
+        pair = powers[m] @ pair
+        pair *= factor
+        pair += block
+        pair += _SHIFT
+        np.maximum(pair, 0.0, out=pair)
+    return pair
 
 
 @dataclass(frozen=True)

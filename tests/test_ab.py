@@ -12,7 +12,8 @@ _SPEC = importlib.util.spec_from_file_location("_tools_ab", _PATH)
 ab = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(ab)
 
-_DECLARED = [{"name": "wall_s", "better": "lower"}, {"name": "ok_rate", "better": "higher"}]
+_DECLARED = [{"name": "wall_s", "better": "lower", "bound": 0.22},
+             {"name": "ok_rate", "better": "higher", "bound": 0.01}]
 
 
 def _pairs(base_wall, change_wall, base_ok, change_ok):
@@ -135,3 +136,31 @@ def test_each_pair_records_the_timed_passes_of_both_sides(tmp_path, monkeypatch,
     assert [pair["passes"] for pair in pairs] == [
         {"base": 700 + n, "change": 950 + n} for n in (1, 2, 3)]
     assert "median timed passes 702 base, 952 change" in capsys.readouterr().out
+
+
+def test_a_metric_worse_than_its_bound_is_flagged(tmp_path, monkeypatch, capsys):
+    # peak_rss_mb's bound is 5%: +6% on seed 1 is beyond it, +4% on seed 2 is
+    # not, and the 30% fall in wall_s on both is a gain.
+    declared = json.loads((ab.ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    rss = {1: 1.06, 2: 1.04}
+
+    def run_benchmark(tree, workload, seed):
+        metrics = {metric["name"]: 1.0 for metric in declared}
+        if tree.name == "change":
+            metrics.update(peak_rss_mb=rss[seed], wall_s=0.7)
+        return {"env": {"src_sha256": "-"}, "digest": "-", "passes": 1, "metrics": metrics}
+
+    monkeypatch.setattr(ab, "run_benchmark", run_benchmark)
+    monkeypatch.setattr(ab, "run_cli", lambda tree, argv: 1.0)
+    monkeypatch.setattr(ab, "_compile", lambda tree: None)
+    monkeypatch.setattr(ab, "PAIRS", 2)
+    monkeypatch.setattr(ab, "RECORD_DIR", tmp_path)
+    assert ab.main(["HEAD", "--change", "HEAD", "--workload", "markov-stiff", "--seed", "1",
+                    "--seed", "2", "--label", "bound"]) == 0
+    seeds = json.loads((tmp_path / "BENCH_bound.json").read_text())["workloads"]["markov-stiff"]
+    flagged = {seed: sorted(name for name, entry in seeds[seed]["summary"].items()
+                            if entry["beyond_bound"]) for seed in seeds}
+    assert flagged == {"1": ["peak_rss_mb"], "2": []}
+    marked = [line.split()[0] for line in capsys.readouterr().out.splitlines()
+              if line.endswith("BEYOND BOUND")]
+    assert marked == ["peak_rss_mb"]

@@ -91,6 +91,15 @@ def test_sim_bad_program_is_parse_error(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("source", [",", " , ", "NOP\n,\nHALT"])
+def test_sim_program_line_of_only_commas_is_a_parse_error(source, tmp_path, capsys):
+    program = tmp_path / "commas.asm"
+    program.write_text(source + "\n")
+    assert main(["sim", str(program), str(SAMPLES / "faultfree.flt")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "expected a mnemonic" in err and err.count("\n") == 1
+
+
 def test_sim_config_file_overrides(tmp_path):
     config = tmp_path / "core.cfg"
     config.write_text("permanent_threshold=20\nflush_cycles=5\n")

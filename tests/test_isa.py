@@ -45,6 +45,13 @@ def test_assemble_errors(source, fragment):
         assemble(source)
 
 
+@pytest.mark.parametrize("source, line", [(",", 1), (" , ", 1), ("NOP\n,\nHALT", 2)])
+def test_line_of_only_commas_is_an_assembly_error(source, line):
+    with pytest.raises(AssemblyError, match="expected a mnemonic") as excinfo:
+        assemble(source)
+    assert excinfo.value.line == line
+
+
 def test_assembly_error_carries_line_number():
     with pytest.raises(AssemblyError) as excinfo:
         assemble("; c\n\nBEQ r0, r0, 5\nHALT")

@@ -380,8 +380,8 @@ def test_repair_chain_bracket_contains_the_mpmath_value(mu):
 @pytest.mark.parametrize("mu", [1.0, 10.0, 1e2, 1e3, 4.2e9])
 def test_squared_bracket_is_as_wide_as_its_rounding(lam, mu):
     # Above SERIES_Q_MAX the bracket is as wide as its rounding: about
-    # 4e-12 relative at q = 1e3 (3.4e-15·q to 4.1e-15·q on these chains),
-    # bounded here at twice that. The bound is relative even where the
+    # 3.6e-12 relative at q = 1e3 (3.5e-15·q to 4.4e-15·q on these chains),
+    # bounded here at about twice that. The bound is relative even where the
     # upper bound is below WIDTH_FLOOR (5e-15 and 5e-13 at mu = 4.2e9/h),
     # where tol alone would let the bracket be tol·WIDTH_FLOOR wide.
     model = _repair_chain(lam, mu)
@@ -504,6 +504,32 @@ def test_squaring_step_bounds_hold_in_exact_arithmetic(n):
             assert pair[0, i, j] <= exact <= pair[1, i, j], (i, j)
 
 
+# terms + 1 = 3 and 2 take m = 1 (Horner in P); 16 and 25 are perfect squares;
+# 70 and 27 leave the last block short (m = 8 and 5).
+@pytest.mark.parametrize("n, terms", [(3, 2), (3, 69), (4, 15), (4, 26), (5, 1), (5, 24)])
+def test_step_series_bounds_hold_in_exact_arithmetic(n, terms):
+    # Row sums near 1 let every block count. Entries below 1e-3 make the
+    # terms k <= 1 dominate, which only their coefficient factors cover.
+    rng = np.random.default_rng([n, terms])
+    r = rng.uniform(2.0, 4.0)
+    for scale in (1.0, 1e-3):
+        p = rng.random((n, n))
+        p *= scale * rng.uniform(0.9, 1.0) / p.sum(axis=1, keepdims=True)
+        pair = markov._step_series(np.stack([p, p]), r, r, terms)
+        step = [[Fraction(x) for x in row] for row in p.tolist()]
+        power = [[Fraction(i == j) for j in range(n)] for i in range(n)]
+        total, coefficient = power, Fraction(1)
+        for k in range(1, terms + 1):
+            power = [[sum(power[i][l] * step[l][j] for l in range(n)) for j in range(n)]
+                     for i in range(n)]
+            coefficient *= Fraction(r) / k
+            total = [[total[i][j] + coefficient * power[i][j] for j in range(n)]
+                     for i in range(n)]
+        for i in range(n):
+            for j in range(n):
+                assert pair[0, i, j] <= total[i][j] <= pair[1, i, j], (scale, i, j)
+
+
 @st.composite
 def _chains_with_parallel_rates(draw):
     """1 to 3 live states and 1 or 2 death states; up to two parallel
@@ -597,8 +623,8 @@ def test_squared_bracket_below_one_step_brackets_the_exact_value(q):
 
 def test_squared_bracket_wider_than_tol_is_refused():
     # The squaring factors alone stay below tol, but the bracket is wider:
-    # [6.4e-10, 7.0e-10] is about 9% wide, and at mu = 1 the bracket is
-    # 3.4e-12 wide around 0.00199. The refusal prints both bounds in full,
+    # [6.3e-10, 7.1e-10] is about 11% wide, and at mu = 1 the bracket is
+    # 3.6e-12 wide around 0.00199. The refusal prints both bounds in full,
     # so the width that caused it shows even where 3 digits would agree.
     for lam, mu, tol in [(0.1, 3e10, DEFAULT_TOL), (1e-3, 1.0, 3e-12)]:
         with pytest.raises(SolverError, match=r"not reached by \d+ squarings") as refusal:

@@ -21,7 +21,9 @@ a time.
 For each end-to-end metric of BENCHMARK.json it prints, per workload and
 seed, the median and quartiles of each side and how many pairs each side
 won, and each side's median count of timed passes: a faster side runs more
-passes in the same time, and `peak_rss_mb` can follow that count. It also
+passes in the same time, and `peak_rss_mb` can follow that count. A metric
+whose change median is worse than the base's by more than its `bound` is
+marked BEYOND BOUND, and `beyond_bound` in its summary. It also
 times each `ifrsim` line of README.md's command block as `python -m
 ifrsim.cli ...` in fresh interpreters, alternating the trees one process at
 a time, and keeps each side's minimum of 7 runs: the CLI's startup time. It
@@ -146,8 +148,9 @@ def _spread(values: list[float]) -> dict:
 def summarize(pairs: list[dict], declared: list[dict]) -> dict:
     """Per declared metric: each side's median and quartiles over `pairs`
     (each {"base": metrics, "change": metrics}), the change of the median
-    relative to the base's, and the pairs each side won in the metric's
-    `better` direction."""
+    relative to the base's, the pairs each side won in the metric's
+    `better` direction, and `beyond_bound`: whether the change's median is
+    worse than the base's by more than the metric's relative `bound`."""
     summary = {}
     for metric in declared:
         name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
@@ -156,8 +159,9 @@ def summarize(pairs: list[dict], declared: list[dict]) -> dict:
         wins = [sign * (c - b) for b, c in zip(base, change)]
         entry = {"base": _spread(base), "change": _spread(change),
                  "change_wins": sum(w > 0 for w in wins), "base_wins": sum(w < 0 for w in wins)}
-        median = entry["base"]["median"]
-        entry["relative"] = entry["change"]["median"] / median - 1 if median else None
+        median, change_median = entry["base"]["median"], entry["change"]["median"]
+        entry["relative"] = change_median / median - 1 if median else None
+        entry["beyond_bound"] = sign * (median - change_median) > metric["bound"] * abs(median)
         summary[name] = entry
     return summary
 
@@ -173,8 +177,9 @@ def _print_summary(workload: str, seed: int, summary: dict, pairs: list[dict]) -
         cells = [f"{s['median']:.5g} [{s['q1']:.5g}, {s['q3']:.5g}]"
                  for s in (entry["base"], entry["change"])]
         relative = "" if entry["relative"] is None else f"{entry['relative']:+.1%}"
+        flag = "  BEYOND BOUND" if entry["beyond_bound"] else ""
         print(f"  {name:12s} {cells[0]:>32s} {cells[1]:>32s} {relative:>8s}"
-              f" {entry['change_wins']:>4d}/{entry['base_wins']:<4d}")
+              f" {entry['change_wins']:>4d}/{entry['base_wins']:<4d}{flag}")
 
 
 def _print_startup(times: dict) -> None:
