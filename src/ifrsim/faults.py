@@ -4,6 +4,8 @@ Faults are injected on a block's output bus after parity encoding, so any
 change to a transported line shows up as a data/parity inconsistency at the
 consumer. Stuck-at faults force a line, transient flips XOR it for a bounded
 window, and delay faults make the data lines lag behind the fresh parity.
+`fold_faults` alone defines how a site's active faults corrupt its lines,
+and in which order.
 """
 from __future__ import annotations
 
@@ -92,9 +94,7 @@ class TimedFault:
         return math.inf if self.duration is None else self.start + self.duration
 
     def active_at(self, cycle: int) -> bool:
-        if cycle < self.start:
-            return False
-        return self.duration is None or cycle < self.start + self.duration
+        return self.start <= cycle < self.end
 
     def is_permanent(self, permanent_threshold: int) -> bool:
         """Ground-truth label: permanent iff unbounded or at least as long as
@@ -116,48 +116,33 @@ class FaultScenario:
                     "be classified permanent", stacklevel=2)
 
 
-_KIND_RANK = {Delay: 0, TransientFlip: 1, StuckAt: 2}
-
-
-def _fault_order(fault: TimedFault) -> tuple:
-    """The one order faults apply in: by kind (delay, flip, stuck-at), then
-    bit, then stuck value, so stuck-ats dominate and a line stuck at both
-    values reads 1."""
-    kind = fault.kind
-    return _KIND_RANK[type(kind)], getattr(kind, "bit", -1), getattr(kind, "value", 0)
-
-
 def apply_faults(bus: int, faults: list[TimedFault], stale: int) -> int:
     """Corrupt one bus (`hw.encode_bus`'s 36 lines) with the active faults of
-    its site. If any of them is a delay, the data lines first carry `stale`,
-    the data word the caller latched `extra` cycles back when the delay
-    activated, while the parity stays fresh; flips and stuck-ats then apply
-    on top.
-    """
-    if any(isinstance(fault.kind, Delay) for fault in faults):
-        bus = bus & ~_DATA_LINES | stale & _DATA_LINES
-    return apply_vector_faults(bus, faults, BUS_BITS)
+    its site, `stale` being a delay's latched data word, by `fold_faults`'
+    masks. It stays only because perfbench's layer lists (`layertrace.LAYERS`
+    and `run.py`'s `_TIMED`) look it up by name, and `--trace 1` breaks
+    without it; once they drop it, it goes."""
+    delayed = any(isinstance(fault.kind, Delay) for fault in faults)
+    flips, keep, ones = fold_faults(faults, stale if delayed else None)
+    return ((bus ^ flips) & keep | ones) & ((1 << BUS_BITS) - 1)
 
 
 def apply_vector_faults(vector: int, faults: list[TimedFault], width: int = CONTROLLER_VEC_BITS) -> int:
-    """Flip and stuck-at application on a flat bit vector: a controller rail
-    or a packed bus. Delays are `apply_faults`' to apply."""
-    for fault in sorted(faults, key=_fault_order):
-        kind = fault.kind
-        if isinstance(kind, TransientFlip):
-            vector ^= 1 << kind.bit
-        elif isinstance(kind, StuckAt):
-            vector = vector | (1 << kind.bit) if kind.value else vector & ~(1 << kind.bit)
-    return vector & ((1 << width) - 1)
+    """Corrupt a flat bit vector, a controller rail or a packed bus, by
+    `fold_faults`' masks, delays aside. It stays only for perfbench's layer
+    lists, as `apply_faults` does."""
+    flips, keep, ones = fold_faults(faults)
+    return ((vector ^ flips) & keep | ones) & ((1 << width) - 1)
 
 
 def fold_faults(faults: list[TimedFault], stale: int | None = None) -> tuple[int, int, int]:
-    """Fold the active faults of one site into masks (flips, keep, ones), so
-    that `(vector ^ flips) & keep | ones` equals `apply_faults(vector,
-    faults, stale)` for a bus, and `apply_vector_faults(vector, faults)` for
-    a rail, in the same order: flips XOR, then stuck lines clear and the
-    lines stuck at 1 (at both values too) set. With `stale` given, for the
-    latched word of a delay among them, the data lines carry `stale`."""
+    """Fold the active faults of one site into masks (flips, keep, ones);
+    `(vector ^ flips) & keep | ones` is the site's corrupted vector. This is
+    the one definition of the order faults apply in: with `stale` given, the
+    latched data word of a delay among them, the data lines first carry
+    `stale` while the parity lines stay fresh; then flips XOR, then stuck
+    lines clear, then the lines stuck at 1 set, so a line stuck at both
+    values reads 1."""
     flips = stuck = ones = 0
     for fault in faults:
         kind = fault.kind

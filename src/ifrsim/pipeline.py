@@ -26,11 +26,10 @@ import math
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import islice
 from operator import itemgetter
 
 from .faults import (CONTROLLER_VEC_BITS, Delay, FaultScenario, FaultUnit,
-                     StressLedger, StuckAt, apply_faults, fold_faults)
+                     StressLedger, StuckAt, fold_faults)
 from .hw import (OFF, ON, POWERING, Copy, PIPELINE_ORDER, PowerState,
                  StageKind, encode_bus, parity_check, trc_compare)
 from .isa import (ADD, AND, BEQ, HALT, JMP, LD, LDI, MOV, NOP, OR, ST, SUB, XOR,
@@ -313,9 +312,10 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
     fault starts, and that run's state after n commits fixes every later
     cycle. So a run with faults starts from the last fault-free commit record
     whose cycle is at most min(earliest start - margin, `max_cycles` - 1),
-    where the margin, the largest delay `extra` + 1 or 0, lets the replayed
-    cycles fill each delay history. It records the fault-free commits up to
-    there, once per `Program`; a run with no faults starts from `records[0]`.
+    where the margin, the largest delay `extra` (at most `max_cycles`) + 1
+    or 0, lets the replayed cycles fill each delay history. It records the
+    fault-free commits up to there, once per `Program`; a run with no faults
+    starts from `records[0]`.
 
     A run with faults also ends early once it has rejoined the fault-free
     run. It is *settled* at a commit when every fault is inert (past its
@@ -348,10 +348,11 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
     so on its first evaluated cycle in such a window they are folded into
     three masks (`faults.fold_faults`), and each cycle there applies them in
     one step; a delay's stale word, latched on its first evaluated cycle,
-    is folded in too. Likewise the controller rails are built and two-rail
-    checked only in a run with rail faults, with masks folded the same way,
-    and the stress ledger is kept as spans that close when a block's power
-    changes.
+    is folded in too. `fold_faults` is the only fault application: a
+    parity-error run's culprit is found by folding each active fault alone.
+    Likewise the controller rails are built and two-rail checked only in a
+    run with rail faults, with masks folded the same way, and the stress
+    ledger is kept as spans that close when a block's power changes.
 
     A run without rail faults takes in one step the cycles that change only
     a count: the FLUSH and POWER_SWAP countdowns, and the frozen error
@@ -426,7 +427,8 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
         for copy, faults in enumerate(copies):
             extras = [f.kind.extra for _, f in faults if isinstance(f.kind, Delay)]
             if extras:
-                delay_hist[stage, copy] = deque(maxlen=max(extras) + 1)
+                # A run appends at most `max_cycles` words.
+                delay_hist[stage, copy] = deque(maxlen=min(max(extras), max_cycles) + 1)
     held_delay: dict = {}  # fault index -> latched stale data word
     # Per stage, (first cycle, scenario index of the fault credited) of its
     # latest parity-error run.
@@ -473,11 +475,12 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
         if mask and not ctrl.error_counters[stage]:
             # A parity-error run starts (the controller has counted no error
             # at this stage yet). Its culprit is the first active fault, in
-            # scenario order, whose corruption alone breaks parity, else the
+            # scenario order, whose own folded masks break parity, else the
             # first active one.
             run_start[stage] = cycle, active[0][0] if len(active) == 1 else next(
                 (i for i, f in active
-                 if parity_check(apply_faults(encode_bus(word), [f], held_delay.get(i, word)))),
+                 for f_flips, f_keep, f_ones in [fold_faults([f], held_delay.get(i))]
+                 if parity_check((encode_bus(word) ^ f_flips) & f_keep | f_ones)),
                 active[0][0])
         return bus & WORD_MASK, mask
 
@@ -748,8 +751,10 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
                 skip = min(ctrl.remaining - 1, max_cycles - total_cycles)
                 ctrl.remaining -= skip
             if skip:
-                next(islice(cycles, skip, skip), None)  # consumes `skip` cycles
                 total_cycles += skip
+                # The range iterator moves past `skip` cycles in one step,
+                # whatever their number.
+                cycles.__setstate__(total_cycles - resume)
                 skipped += skip
 
     if outcome is None:

@@ -547,6 +547,35 @@ def test_sim_bad_config_is_a_usage_error(flags, config, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, scenario", [
+    ("--powerup-cycles-per-block", "decode_delay.flt"),
+    ("--flush-cycles", "decode_stuckat.flt"),
+    ("--permanent-threshold", "decode_stuckat.flt"),
+], ids=["powerup", "flush", "threshold"])
+def test_sim_takes_a_count_past_a_machine_word_in_one_step(flag, scenario, tmp_path):
+    # A countdown or a frozen error window longer than sys.maxsize cycles
+    # is skipped in one step, as a short one is, and the run is exhausted.
+    huge = "9" * 20
+    code, text = run_cli(["sim", WORKLOAD, str(SAMPLES / scenario), flag, huge,
+                          "--max-cycles", huge], tmp_path)
+    meta, _, _ = parse_csv(text)
+    assert code == 6
+    assert meta["outcome"] == "exhausted" and meta["total_cycles"] == huge
+
+
+def test_sim_delay_longer_than_any_run(tmp_path):
+    # A delay past a machine word reads its site's first word, as a delay
+    # as long as the run does.
+    scenario = tmp_path / "delay.flt"
+    texts = []
+    for extra in ("9" * 20, str(100_000)):
+        scenario.write_text(f"@12 PERM decode.main delay {extra}\n")
+        code, text = run_cli(["sim", WORKLOAD, str(scenario)], tmp_path)
+        assert code == 0
+        texts.append(text)
+    assert texts[0] == texts[1]
+
+
 _REPAIR_MODEL = ("CONST lambda = 1e-3;\nCONST mu = 1;\n"
                  "STATE up;\nSTATE degraded;\nSTATE dead DEATH;\nINIT up;\n"
                  "up -> degraded : 2*lambda;\ndegraded -> up : mu;\n"
