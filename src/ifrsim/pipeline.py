@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
@@ -421,14 +422,18 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
                 "selected copy must be powered"
 
     # Each site with a delay fault keeps the true data words of its last
-    # `extra` + 1 observed cycles, for the largest `extra` there.
+    # `extra` + 1 observed cycles, for the largest `extra` there. A run
+    # appends at most `max_cycles` words and a deque holds at most
+    # sys.maxsize, so a longer history drops none and is left unbounded.
     delay_hist: dict = {}  # (stage, copy) -> deque of true data words
+    delay_depth: dict = {}  # (stage, copy) -> min(largest extra, max_cycles) + 1
     for stage, copies in enumerate(stage_faults):
         for copy, faults in enumerate(copies):
             extras = [f.kind.extra for _, f in faults if isinstance(f.kind, Delay)]
             if extras:
-                # A run appends at most `max_cycles` words.
-                delay_hist[stage, copy] = deque(maxlen=min(max(extras), max_cycles) + 1)
+                depth = delay_depth[stage, copy] = min(max(extras), max_cycles) + 1
+                delay_hist[stage, copy] = deque(
+                    maxlen=None if depth > min(max_cycles, sys.maxsize) else depth)
     held_delay: dict = {}  # fault index -> latched stale data word
     # Per stage, (first cycle, scenario index of the fault credited) of its
     # latest parity-error run.
@@ -500,7 +505,7 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
 
     # The start record and the records this run makes are at or before
     # `bound`; a run with no faults starts at cycle 0 and records none.
-    margin = max((hist.maxlen for hist in delay_hist.values()), default=0)
+    margin = max(delay_depth.values(), default=0)
     earliest = min((f.start for f in scenario.faults), default=0)
     bound = max(min(earliest - margin, max_cycles - 1), 0)
     commits = bisect_right(records, bound, key=itemgetter(0)) - 1
@@ -536,8 +541,8 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
     skipped = 0  # cycles taken in one step
     joined = None
     length = len(slots)
-    cycles = iter(range(resume, max_cycles))
-    for cycle in cycles:
+    cycle = resume
+    while cycle < max_cycles:
         total_cycles = cycle + 1
         masks = _NO_MASKS
         # The pipeline holds this cycle: the controller is not live, or a
@@ -742,9 +747,10 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
                                                 for count in counters)
                     # Each skipped cycle appends the same true word.
                     for stage in range(len(PIPELINE_ORDER)):
-                        hist = delay_hist.get((stage, stage in ctrl.on_spare))
+                        site = stage, stage in ctrl.on_spare
+                        hist = delay_hist.get(site)
                         if hist:
-                            hist.extend([hist[-1]] * min(skip, hist.maxlen))
+                            hist.extend([hist[-1]] * min(skip, delay_depth[site]))
             elif ctrl.remaining > 1:
                 # FLUSH and POWER_SWAP count down: until `remaining` is 1, a
                 # cycle changes nothing else.
@@ -752,10 +758,8 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
                 ctrl.remaining -= skip
             if skip:
                 total_cycles += skip
-                # The range iterator moves past `skip` cycles in one step,
-                # whatever their number.
-                cycles.__setstate__(total_cycles - resume)
                 skipped += skip
+        cycle = total_cycles
 
     if outcome is None:
         outcome = RUN_EXHAUSTED

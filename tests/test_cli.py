@@ -563,17 +563,20 @@ def test_sim_takes_a_count_past_a_machine_word_in_one_step(flag, scenario, tmp_p
     assert meta["outcome"] == "exhausted" and meta["total_cycles"] == huge
 
 
-def test_sim_delay_longer_than_any_run(tmp_path):
-    # A delay past a machine word reads its site's first word, as a delay
+@pytest.mark.parametrize("max_cycles", [[], ["--max-cycles", "9" * 20]],
+                         ids=["default", "past-a-machine-word"])
+def test_sim_delay_longer_than_any_run(max_cycles, tmp_path):
+    # A delay past a machine word, or as long as `--max-cycles` even when
+    # that is past a machine word, reads its site's first word, as a delay
     # as long as the run does.
     scenario = tmp_path / "delay.flt"
     texts = []
-    for extra in ("9" * 20, str(100_000)):
+    for extra in ("9" * 20, "9" * 19, str(100_000)):
         scenario.write_text(f"@12 PERM decode.main delay {extra}\n")
-        code, text = run_cli(["sim", WORKLOAD, str(scenario)], tmp_path)
+        code, text = run_cli(["sim", WORKLOAD, str(scenario), *max_cycles], tmp_path)
         assert code == 0
         texts.append(text)
-    assert texts[0] == texts[1]
+    assert texts[0] == texts[1] == texts[2]
 
 
 _REPAIR_MODEL = ("CONST lambda = 1e-3;\nCONST mu = 1;\n"

@@ -87,14 +87,16 @@ def _edited(text: str, alphabet: str):
 
 # Each input language: its sample texts, the characters its edits draw from
 # besides a sample's own, and the argv that reads the edited file at PATH.
+# MAX is a `--max-cycles` drawn from EXTREMES: the sample program halts
+# under any scenario or config, but an edited program may not.
 LANGUAGES = {
     "program": ([Path(WORKLOAD).read_text()], "-,;#:\t\n",
                 ["sim", "PATH", str(SAMPLES / "decode_stuckat.flt"), "--max-cycles", MAX_CYCLES]),
     "scenario": ([Path(path).read_text() for path in SCENARIOS], "@.:#-\t\nTPERM",
-                 ["sim", WORKLOAD, "PATH", "--max-cycles", MAX_CYCLES]),
+                 ["sim", WORKLOAD, "PATH", "--max-cycles", "MAX"]),
     "model": ([Path(MODEL).read_text()], "-;>:=#\t\n", ["markov", "--model", "PATH"]),
     "config": ([CONFIG], "=#_\t\n", ["sim", WORKLOAD, str(SAMPLES / "decode_delay.flt"),
-                                     "--config", "PATH", "--max-cycles", MAX_CYCLES]),
+                                     "--config", "PATH", "--max-cycles", "MAX"]),
 }
 
 
@@ -107,6 +109,9 @@ def test_edited_input_files_exit_cleanly(language, data, tmp_path):
     text = data.draw(st.sampled_from(texts), label="sample")
     path = tmp_path / f"{language}.txt"
     path.write_text(data.draw(_edited(text, text + alphabet), label="edited"), encoding="utf-8")
+    if "MAX" in argv:
+        argv = [data.draw(st.sampled_from(EXTREMES), label="max_cycles") if arg == "MAX"
+                else arg for arg in argv]
     _check([str(path) if arg == "PATH" else arg for arg in argv])
 
 
