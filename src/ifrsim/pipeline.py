@@ -360,9 +360,10 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
     window. An error freezes the pipeline, so until a fault starts or ends,
     each later SUSPECT cycle re-presents the same words and adds one to each
     nonzero error counter; the skip stops short of the threshold, so the
-    next simulated cycle classifies or clears on the same cycle, and it
-    appends the re-presented word to each selected copy's delay history. A
-    run with rail faults takes neither skip.
+    next simulated cycle classifies or clears on the same cycle. The skip
+    adds its cycles to the newest entry of each selected copy's delay
+    history: one addition, however long the skip. A run with rail faults
+    takes neither skip.
 
     The execute stage does not call `isa.execute_result`: the decode table
     names each word's execute kind, the decode latch carries it, and the
@@ -421,19 +422,19 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
             assert not live_next or copies[position in ctrl.on_spare] is ON, \
                 "selected copy must be powered"
 
-    # Each site with a delay fault keeps the true data words of its last
-    # `extra` + 1 observed cycles, for the largest `extra` there. A run
-    # appends at most `max_cycles` words and a deque holds at most
-    # sys.maxsize, so a longer history drops none and is left unbounded.
-    delay_hist: dict = {}  # (stage, copy) -> deque of true data words
-    delay_depth: dict = {}  # (stage, copy) -> min(largest extra, max_cycles) + 1
+    # Each site with a delay fault keeps one [true data word, cycles] entry
+    # per evaluated cycle, newest last; a frozen-window skip adds to the
+    # newest count. A delay latches the word driven `extra` cycles back, else
+    # the oldest kept, else the current one. An entry covers at least one
+    # cycle, so a latch reads at most `extra` entries; no run holds sys.maxsize.
+    delay_hist: dict = {}  # (stage, copy) -> deque of [word, cycles] entries
+    margin = 0  # the largest delay `extra`, at most `max_cycles`, + 1, or 0
     for stage, copies in enumerate(stage_faults):
         for copy, faults in enumerate(copies):
             extras = [f.kind.extra for _, f in faults if isinstance(f.kind, Delay)]
             if extras:
-                depth = delay_depth[stage, copy] = min(max(extras), max_cycles) + 1
-                delay_hist[stage, copy] = deque(
-                    maxlen=None if depth > min(max_cycles, sys.maxsize) else depth)
+                delay_hist[stage, copy] = deque(maxlen=min(max(extras) + 1, sys.maxsize))
+                margin = max(margin, min(max(extras), max_cycles) + 1)
     held_delay: dict = {}  # fault index -> latched stale data word
     # Per stage, (first cycle, scenario index of the fault credited) of its
     # latest parity-error run.
@@ -455,8 +456,12 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
         for i, f in active:
             if isinstance(f.kind, Delay):
                 if i not in held_delay:
-                    hist = delay_hist[unit, copy]
-                    held_delay[i] = hist[max(len(hist) - f.kind.extra, 0)] if hist else word
+                    stale, back = word, f.kind.extra
+                    for stale, cycles in reversed(delay_hist[unit, copy]):
+                        back -= cycles
+                        if back <= 0:
+                            break
+                    held_delay[i] = stale
                 stale = held_delay[i]
         folded = folds[unit, copy, bisect_right(edges, cycle)] = (
             active, *fold_faults([f for _, f in active], stale))
@@ -470,7 +475,7 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
                                      or fold(stage, copy, cycle, word))
         hist = delay_hist.get((stage, copy))
         if hist is not None:
-            hist.append(word)
+            hist.append([word, 1])
         if not active:
             return word, 0
         bus = (encode_bus(word) ^ flips) & keep | ones
@@ -505,7 +510,6 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
 
     # The start record and the records this run makes are at or before
     # `bound`; a run with no faults starts at cycle 0 and records none.
-    margin = max(delay_depth.values(), default=0)
     earliest = min((f.start for f in scenario.faults), default=0)
     bound = max(min(earliest - margin, max_cycles - 1), 0)
     commits = bisect_right(records, bound, key=itemgetter(0)) - 1
@@ -745,12 +749,11 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
                 if skip:
                     ctrl.error_counters = tuple(count + skip if count else 0
                                                 for count in counters)
-                    # Each skipped cycle appends the same true word.
+                    # Each skipped cycle drives the same true word again.
                     for stage in range(len(PIPELINE_ORDER)):
-                        site = stage, stage in ctrl.on_spare
-                        hist = delay_hist.get(site)
+                        hist = delay_hist.get((stage, stage in ctrl.on_spare))
                         if hist:
-                            hist.extend([hist[-1]] * min(skip, delay_depth[site]))
+                            hist[-1][1] += skip
             elif ctrl.remaining > 1:
                 # FLUSH and POWER_SWAP count down: until `remaining` is 1, a
                 # cycle changes nothing else.

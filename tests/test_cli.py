@@ -548,16 +548,20 @@ def test_sim_bad_config_is_a_usage_error(flags, config, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag, scenario", [
-    ("--powerup-cycles-per-block", "decode_delay.flt"),
-    ("--flush-cycles", "decode_stuckat.flt"),
-    ("--permanent-threshold", "decode_stuckat.flt"),
-], ids=["powerup", "flush", "threshold"])
+    ("--powerup-cycles-per-block", (SAMPLES / "decode_delay.flt").read_text()),
+    ("--flush-cycles", (SAMPLES / "decode_stuckat.flt").read_text()),
+    ("--permanent-threshold", (SAMPLES / "decode_stuckat.flt").read_text()),
+    ("--permanent-threshold", f"@12 PERM decode.main delay {'9' * 20}\n"),
+], ids=["powerup", "flush", "threshold", "threshold-delay"])
 def test_sim_takes_a_count_past_a_machine_word_in_one_step(flag, scenario, tmp_path):
     # A countdown or a frozen error window longer than sys.maxsize cycles
-    # is skipped in one step, as a short one is, and the run is exhausted.
+    # is skipped in one step, as a short one is, and the run is exhausted;
+    # so is a frozen window at a delay site, whose history the skip extends.
     huge = "9" * 20
-    code, text = run_cli(["sim", WORKLOAD, str(SAMPLES / scenario), flag, huge,
-                          "--max-cycles", huge], tmp_path)
+    path = tmp_path / "scenario.flt"
+    path.write_text(scenario)
+    code, text = run_cli(["sim", WORKLOAD, str(path), flag, huge, "--max-cycles", huge],
+                         tmp_path)
     meta, _, _ = parse_csv(text)
     assert code == 6
     assert meta["outcome"] == "exhausted" and meta["total_cycles"] == huge

@@ -2,6 +2,7 @@ import hashlib
 import inspect
 import random
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -12,7 +13,7 @@ from corpus import (fault_free_records, fault_free_words, gen_loop_program,
 from ifrsim.faults import (Delay, FaultScenario, FaultSite, FaultUnit, PERMANENT,
                            StuckAt, TimedFault, TransientFlip, parse_scenario)
 from ifrsim import pipeline
-from ifrsim.hw import Copy, PIPELINE_ORDER, PowerState, StageKind, encode_bus
+from ifrsim.hw import BUS_DATA_BITS, Copy, PIPELINE_ORDER, PowerState, StageKind, encode_bus
 from ifrsim.isa import (WORD_MASK, Opcode, Program, assemble, decode_word, dst_reg,
                         encode_instruction, execute_result, run_reference, src_regs)
 from ifrsim.pipeline import (ControllerActions, ControllerMode, ControllerState,
@@ -1370,6 +1371,120 @@ def test_skipped_error_windows_equal_windows_taken_cycle_by_cycle(threshold):
             for target in (Program(program.instructions), program):
                 assert run_core(target, config, parse_scenario(text),
                                 max_cycles=max_cycles) == expected, (name, max_cycles)
+
+
+def _delay_scenario(rng, threshold, horizon, swapped_at):
+    """1-3 delays with `extra` 1 to 6, PERM or T:n, on a main copy or, after
+    `_DECODE_SWAP` has swapped decode at `swapped_at`, on the decode spare.
+    A later delay often shares the site of the one before it and starts
+    inside or just after that one's window, so it reads back across the
+    frozen cycles of that window's errors."""
+    lines = [] if swapped_at is None else [_DECODE_SWAP]
+    site = None
+    for _ in range(rng.randrange(1, 4)):
+        if site is None or rng.random() < 0.4:
+            if swapped_at is not None and rng.random() < 0.5:
+                site, start = "decode.spare", swapped_at + rng.randrange(12)
+            else:
+                site = rng.choice(("predecode", "decode", "execute")) + ".main"
+                start = rng.randrange(3, horizon)
+        else:
+            start += rng.randrange(1, threshold + 8)
+        window = "PERM" if rng.random() < 0.4 else f"T:{rng.randrange(1, 2 * threshold)}"
+        lines.append(f"@{start} {window} {site} delay {rng.randrange(1, 7)}")
+    return "\n".join(lines)
+
+
+def _as_stuck_data_lines(scenario, words):
+    """`scenario` with its earliest fault replaced by stuck-ats that hold its
+    latched word on the data lines: the word its site drove `extra` cycles
+    back in the fault-free run with bus `words`, or the first. Only for a
+    delay on a main copy that starts before every other fault and shares
+    its site with none; None otherwise."""
+    faults = scenario.faults
+    first = min(faults, key=lambda f: f.start)
+    if (not isinstance(first.kind, Delay) or first.site.copy is not _MAIN
+            or [f.start for f in faults].count(first.start) > 1
+            or [f.site for f in faults].count(first.site) > 1):
+        return None
+    stage = [kind.value for kind in PIPELINE_ORDER].index(first.site.unit.value)
+    stale = words[max(first.start - first.kind.extra, 0)][stage]
+    index = faults.index(first)
+    stuck = tuple(replace(first, kind=StuckAt(bit, stale >> bit & 1))
+                  for bit in range(BUS_DATA_BITS))
+    return FaultScenario(faults[:index] + stuck + faults[index + 1:])
+
+
+def _result(report):
+    """A report's result with no fault credited by scenario index."""
+    return (report.outcome, report.final_state, report.total_cycles, report.stress,
+            report.final_power, [replace(event, fault_id=None) for event in report.events])
+
+
+def test_skipped_error_windows_equal_cycle_by_cycle_runs_under_random_delays():
+    # Corpus programs under seeded delay scenarios, thresholds 2, 4 and 16,
+    # and budgets mostly drawn inside the error windows: each run equals its
+    # twin that takes no cycles in one step, on a fresh `Program` and on a
+    # warm one, and simulates no more cycles than it reports. A delay on a
+    # main copy that starts before any other fault latches the word its
+    # site drove `extra` cycles back, as that word stuck on its data lines.
+    rng = random.Random(0xDE1A)
+    seen = set()
+    for index in range(24):
+        program = (gen_loop_program(rng, rng.randrange(3, 8)) if index % 2
+                   else gen_program(rng, rng.randrange(8, 24)))
+        words = fault_free_words(program, CFG)
+        for threshold in (2, 4, 16):
+            config = replace(CFG, permanent_threshold=threshold)
+            swap = run_core(Program(program.instructions), config,
+                            parse_scenario(_DECODE_SWAP)).events
+            swapped_at = swap[0].resume_cycle if swap and rng.random() < 0.4 else None
+            for _ in range(2):
+                text = _delay_scenario(rng, threshold, len(words), swapped_at)
+                scenario = parse_scenario(text)
+                budget = 3 * len(words) + 300
+                probe = run_core(Program(program.instructions), config, scenario,
+                                 max_cycles=budget)
+                inside = [cycle for e in probe.events
+                          for cycle in range(e.detect_cycle + 1,
+                                             (e.resume_cycle or e.end_cycle) + 2)]
+                if inside and rng.random() < 0.7:
+                    budget = rng.choice(inside)
+                expected = run_core(Program(program.instructions), config,
+                                    _without_skips(text, budget), max_cycles=budget)
+                fresh = run_core(Program(program.instructions), config, scenario,
+                                 max_cycles=budget)
+                warm = run_core(program, config, scenario, max_cycles=budget)
+                assert fresh == warm == expected, (program, threshold, text, budget)
+                assert warm.simulated_cycles <= warm.total_cycles
+                stuck = _as_stuck_data_lines(scenario, words)
+                if stuck is not None:
+                    assert _result(fresh) == _result(run_core(
+                        Program(program.instructions), config, stuck, max_cycles=budget)), \
+                        (program, threshold, text, budget)
+                seen.update(e.classified for e in fresh.events)
+                seen.update(("inside",) * (budget in inside)
+                            + ("spare",) * ("spare" in text and len(fresh.events) > 1)
+                            + ("skips",) * (fresh.simulated_cycles < expected.simulated_cycles)
+                            + ("latch",) * (stuck is not None))
+    assert seen == {"permanent", "transient", "inside", "spare", "skips", "latch"}
+
+
+def test_a_million_cycle_delay_keeps_a_small_history():
+    # The frozen window before a threshold of a million is one history
+    # entry at the delay's site, however long the delay.
+    program = assemble(WORKLOAD)
+    config = replace(CFG, permanent_threshold=10**6)
+    scenario = parse_scenario("@12 PERM decode.main delay 1000000")
+    tracemalloc.start()
+    try:
+        report = run_core(program, config, scenario, max_cycles=2 * 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.outcome is Outcome.COMPLETED and matches_reference(report, program)
+    assert [event.classified for event in report.events] == ["permanent"]
+    assert peak < 2**20, f"{peak / 2**20:.1f} MiB traced"
 
 
 @pytest.mark.parametrize("text, steps", [
