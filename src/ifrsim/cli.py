@@ -15,6 +15,7 @@ import argparse
 import dataclasses
 import functools
 import math
+import re
 import sys
 
 from . import formulas
@@ -35,6 +36,7 @@ DEFAULT_AUX_RATIO = 1e-3  # lambda_sw = lambda_ctrl = ratio * lambda_p for built
 # CoreConfig's settings by name, with the type of each default (float or int).
 _CONFIG_KEYS = {f.name: type(f.default) for f in dataclasses.fields(CoreConfig)}
 _MAX_RANGE_POINTS = 1_000_000  # most rows a formulas range or a sweep may ask for
+_MAX_MC_TRIALS = 1_000_000_000  # most Monte Carlo trials, about 20 s of sampling
 
 
 class CliError(Exception):
@@ -84,12 +86,15 @@ def _parse_range(spec: str, *, integer: bool = False) -> list:
 
 
 def _whole_number(value, name: str) -> int:
-    """`value` (a number or its text) as an int; ValueError unless it is a
-    whole number, so 2.5 is refused rather than cut to 2."""
+    """`value` (a number or its text) as an exact int; ValueError unless it
+    is whole, so 2.5 is refused rather than cut to 2. Text such as `1e3`
+    that is not integer text must be below 2**53, where floats are exact."""
     try:
-        if float(value).is_integer():
+        if isinstance(value, int) or re.fullmatch(r"\s*[+-]?\d+\s*", str(value)):
+            return int(value)
+        if float(value).is_integer() and abs(float(value)) < 2**53:
             return int(float(value))
-    except (OverflowError, ValueError):
+    except ValueError:
         pass
     raise ValueError(f"{name} must be a whole number, got {value}")
 
@@ -405,6 +410,8 @@ def cmd_markov(args) -> int:
             raise CliError("--seed applies to --mc only")
     elif args.mc < 1:
         raise CliError(f"--mc needs at least 1 trial, got {args.mc}")
+    elif args.mc > _MAX_MC_TRIALS:
+        raise CliError(f"--mc {args.mc:,} is more than {_MAX_MC_TRIALS:,} trials")
     elif args.seed is None:
         args.seed = 0
     elif args.seed < 0:

@@ -355,15 +355,14 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
     run with rail faults, with masks folded the same way, and the stress
     ledger is kept as spans that close when a block's power changes.
 
-    A run without rail faults takes in one step the cycles that change only
-    a count: the FLUSH and POWER_SWAP countdowns, and the frozen error
-    window. An error freezes the pipeline, so until a fault starts or ends,
-    each later SUSPECT cycle re-presents the same words and adds one to each
-    nonzero error counter; the skip stops short of the threshold, so the
-    next simulated cycle classifies or clears on the same cycle. The skip
-    adds its cycles to the newest entry of each selected copy's delay
-    history: one addition, however long the skip. A run with rail faults
-    takes neither skip.
+    Every run takes in one step, up to the next fault start or end and the
+    budget, the cycles that change only a count: the FLUSH and POWER_SWAP
+    countdowns, and the frozen error window. Until that fault edge the
+    rails carry the same outputs and faults. An error freezes the pipeline,
+    so each later SUSPECT cycle re-presents the same words and adds one to
+    each nonzero error counter; the skip stops short of the threshold, so
+    the next simulated cycle classifies or clears on the same cycle. It adds
+    its cycles to the newest entry of each selected copy's delay history.
 
     The execute stage does not call `isa.execute_result`: the decode table
     names each word's execute kind, the decode latch carries it, and the
@@ -394,7 +393,6 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
         edges.update((fault.start, min(fault.end, never)))
     edges = sorted(edges)
     stage_faults = site_faults[:-1]
-    rail_a, rail_b = site_faults[-1]
     # A stage fault can be active before `stage_end`.
     stage_end = max((f.end for copies in stage_faults for faults in copies
                      for _, f in faults), default=0)
@@ -540,7 +538,7 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
     # only writer, and whether the pipeline runs in that mode.
     mode = ctrl.mode
     live = mode in _LIVE_MODES
-    rails = bool(rail_a or rail_b)
+    rails = any(site_faults[-1])
     resumed_from = commits
     skipped = 0  # cycles taken in one step
     joined = None
@@ -733,35 +731,30 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
                         outcome, final = end
                         regs, pc, mem = final.regs, final.pc, dict(final.mem)
                         break
-        elif not rails:
-            # In a run without rail faults, the cycles that change nothing but
-            # a count are taken in one step.
-            skip = 0
+        else:
+            # The cycles that change nothing but a count are taken in one
+            # step: until the next fault start or end, the stages and the
+            # rails see what they saw on this one.
+            limit = min(edges[bisect_right(edges, cycle)], max_cycles) - total_cycles
             if mode is SUSPECT:
-                # The frozen pipeline re-presents this cycle's words, so until
-                # a fault starts or ends, each cycle sees this cycle's masks
-                # and adds one to each nonzero counter. Stop short of the
-                # threshold, so the next simulated cycle classifies or clears.
+                # Each cycle re-presents this cycle's words, so it sees its
+                # masks and adds one to each nonzero counter. Stop short of
+                # the threshold, so the next simulated cycle classifies or
+                # clears; each skipped cycle drives the same true words.
                 counters = ctrl.error_counters
-                skip = min(config.permanent_threshold - 1 - max(counters),
-                           edges[bisect_right(edges, cycle)] - total_cycles,
-                           max_cycles - total_cycles)
-                if skip:
-                    ctrl.error_counters = tuple(count + skip if count else 0
-                                                for count in counters)
-                    # Each skipped cycle drives the same true word again.
-                    for stage in range(len(PIPELINE_ORDER)):
-                        hist = delay_hist.get((stage, stage in ctrl.on_spare))
-                        if hist:
-                            hist[-1][1] += skip
-            elif ctrl.remaining > 1:
+                skip = min(config.permanent_threshold - 1 - max(counters), limit)
+                ctrl.error_counters = tuple(count + skip if count else 0 for count in counters)
+                for stage in range(len(PIPELINE_ORDER)):
+                    hist = delay_hist.get((stage, stage in ctrl.on_spare))
+                    if hist:
+                        hist[-1][1] += skip
+            else:
                 # FLUSH and POWER_SWAP count down: until `remaining` is 1, a
-                # cycle changes nothing else.
-                skip = min(ctrl.remaining - 1, max_cycles - total_cycles)
+                # cycle changes nothing else. RESUME has none left.
+                skip = min(max(ctrl.remaining - 1, 0), limit)
                 ctrl.remaining -= skip
-            if skip:
-                total_cycles += skip
-                skipped += skip
+            total_cycles += skip
+            skipped += skip
         cycle = total_cycles
 
     if outcome is None:

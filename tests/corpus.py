@@ -7,14 +7,13 @@ run's bus words so stuck-at exposures are guaranteed by construction.
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 
-from ifrsim import pipeline
 from ifrsim.faults import (FaultScenario, FaultSite, FaultUnit, StuckAt,
                            TimedFault, TransientFlip, PERMANENT)
 from ifrsim.hw import Copy, PIPELINE_ORDER, encode_bus
 from ifrsim.isa import Program, assemble
 from ifrsim.pipeline import DEFAULT_MAX_CYCLES, CoreConfig, run_core
+from refcore import reference_run
 
 _ALU = ("ADD", "SUB", "AND", "OR", "XOR")
 
@@ -92,31 +91,12 @@ def fault_free_records(program: Program, config: CoreConfig) -> list:
 
 def fault_free_words(program: Program, config: CoreConfig) -> list:
     """The (predecode, decode, execute) bus words of each cycle of the
-    fault-free run. They are observed at `pipeline.encode_bus` in a run on
-    a fresh copy of `program` whose only faults are two flips of bit 0 on
-    each main stage, active for the whole run: each pair cancels, so every
-    stage's bus is encoded once on every cycle and carries its true word.
-    Its threshold lies above the flips' duration, so they are not classified
-    permanent, and the run must equal the fault-free run."""
-    flips = tuple(TimedFault(TransientFlip(0), FaultSite(FaultUnit(stage.value), Copy.MAIN),
-                             0, DEFAULT_MAX_CYCLES)
-                  for stage in PIPELINE_ORDER for _ in range(2))
-    seen = []
-
-    def observe(word):
-        seen.append(word)
-        return encode_bus(word)
-
-    fresh = Program(program.instructions)
-    pipeline.encode_bus = observe
-    try:
-        observed = run_core(fresh, replace(config, permanent_threshold=DEFAULT_MAX_CYCLES + 1),
-                            FaultScenario(flips))
-    finally:
-        pipeline.encode_bus = encode_bus
-    assert observed == run_core(fresh, config, FaultScenario())
-    assert len(seen) == len(PIPELINE_ORDER) * observed.total_cycles
-    return list(zip(*[iter(seen)] * len(PIPELINE_ORDER)))
+    fault-free run, as the reference core drives them. Its report must
+    equal `run_core`'s."""
+    run = reference_run(program, config, FaultScenario())
+    assert run.reports[DEFAULT_MAX_CYCLES] == run_core(Program(program.instructions), config,
+                                                       FaultScenario())
+    return run.words
 
 
 def _bus_bit(data_word: int, bit: int) -> int:

@@ -413,6 +413,10 @@ def test_markov_aux_ratio_flag_changes_ifr_curve(tmp_path):
     ["formulas", "--ifr", "-s", "0..1" + "0" * 400],
     ["formulas", "--ifr", "-s", "1" + "0" * 400],
     ["formulas", "--ifr", "-s=-1" + "0" * 308 + "..1" + "0" * 308],
+    # Trials are limited, and a count past the limit is refused before any
+    # model is built.
+    ["markov", "--builtin", "simplex", "--lam", "1e-3", "--mc", "9" * 20],
+    ["markov", "--builtin", "simplex", "--lam", "1e-3", "--mc", "1000000001"],
 ])
 def test_markov_and_compare_bad_numbers_are_usage_errors(args, tmp_path, capsys):
     out = tmp_path / "x.csv"
@@ -526,14 +530,17 @@ def test_sim_rejects_unknown_config_key(tmp_path):
     # Integer keys are whole numbers, not truncated or overflowed.
     ([], "permanent_threshold=2.5\n"),
     ([], "flush_cycles=1e400\n"),
+    # Text that is not integer text goes through a float, which holds every
+    # whole number only below 2**53.
+    ([], "flush_cycles=1e23\n"),
     # A key set twice is refused, not overridden by its last line.
     ([], "permanent_threshold=16\npermanent_threshold=2\n"),
     (["--max-cycles", "0"], None),
     (["--max-cycles", "-5"], None),
     (["--flush-cycles", "0"], None),
 ], ids=["clock-hz-nan", "clock-hz-inf", "config-clock-hz-nan", "config-threshold-2.5",
-        "config-flush-1e400", "config-duplicate-key", "max-cycles-0", "max-cycles-negative",
-        "flush-cycles-0"])
+        "config-flush-1e400", "config-flush-1e23", "config-duplicate-key", "max-cycles-0",
+        "max-cycles-negative", "flush-cycles-0"])
 def test_sim_bad_config_is_a_usage_error(flags, config, tmp_path, capsys):
     if config is not None:
         path = tmp_path / "core.cfg"
@@ -545,6 +552,21 @@ def test_sim_bad_config_is_a_usage_error(flags, config, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_sim_whole_numbers_past_2_53_are_exact(source, tmp_path):
+    # A flag's int and a config file's integer text are read exactly, not
+    # rounded through a float to 2**53.
+    value = str(2**53 + 1)
+    flags = ["--flush-cycles", value]
+    if source == "config":
+        config = tmp_path / "core.cfg"
+        config.write_text(f"flush_cycles={value}\n")
+        flags = ["--config", str(config)]
+    code, text = run_cli(["sim", WORKLOAD, str(SAMPLES / "faultfree.flt"), *flags], tmp_path)
+    meta, _, _ = parse_csv(text)
+    assert code == 0 and meta["flush_cycles"] == value
 
 
 @pytest.mark.parametrize("flag, scenario", [

@@ -7,6 +7,7 @@ from ifrsim.faults import (Delay, FaultScenario, FaultSite, FaultUnit, PERMANENT
                            TransientFlip, apply_faults, apply_vector_faults,
                            fold_faults, parse_scenario, update_stress)
 from ifrsim.hw import Copy, PowerState, StageKind, encode_bus
+from refcore import sorted_order
 
 _SITE = FaultSite(FaultUnit.DECODE, Copy.MAIN)
 _DATA = 0xFFFFFFFF  # the data lines of a bus
@@ -130,27 +131,9 @@ def _draw_active_set(rng: random.Random, site: FaultSite, width: int) -> tuple[l
     return [TimedFault(kind, site, 0, PERMANENT) for kind in kinds], set(names)
 
 
-def _sorted_order(vector: int, faults, stale=None, width: int = 36) -> int:
-    """The reference for `fold_faults`: a delay's `stale` word, if given,
-    replaces the data lines, then the faults apply one at a time, sorted by
-    kind (flips before stuck-ats), bit and stuck value, so a line stuck at
-    both values reads 1."""
-    if stale is not None:
-        vector = vector & ~_DATA | stale & _DATA
-    rank = {Delay: 0, TransientFlip: 1, StuckAt: 2}
-    for fault in sorted(faults, key=lambda f: (rank[type(f.kind)], getattr(f.kind, "bit", -1),
-                                               getattr(f.kind, "value", 0))):
-        kind = fault.kind
-        if isinstance(kind, TransientFlip):
-            vector ^= 1 << kind.bit
-        elif isinstance(kind, StuckAt):
-            vector = vector | (1 << kind.bit) if kind.value else vector & ~(1 << kind.bit)
-    return vector & ((1 << width) - 1)
-
-
 def test_folded_masks_equal_the_fault_order_bit_for_bit():
     # The simulator folds a site's active faults into (flips, keep, ones)
-    # once per fault window; `_sorted_order`, one fault at a time, is the
+    # once per fault window; `sorted_order`, one fault at a time, is the
     # oracle for the order they apply in.
     rng = random.Random(31)
     seen = set()
@@ -169,14 +152,14 @@ def test_folded_masks_equal_the_fault_order_bit_for_bit():
         flips, keep, ones = fold_faults(faults, stale)
         for _ in range(4):
             bus = encode_bus(rng.getrandbits(32))
-            assert (bus ^ flips) & keep | ones == _sorted_order(bus, faults, stale), faults
+            assert (bus ^ flips) & keep | ones == sorted_order(bus, faults, stale), faults
 
         faults, names = _draw_active_set(rng, rail, 16)
         seen |= {f"rail {name}" for name in names}
         flips, keep, ones = fold_faults(faults)
         for _ in range(4):
             vector = rng.getrandbits(16)
-            assert (vector ^ flips) & keep | ones == _sorted_order(vector, faults, width=16), faults
+            assert (vector ^ flips) & keep | ones == sorted_order(vector, faults, width=16), faults
     assert seen >= {"stuck at both", "two flips", "flip under a stuck-at", "1 delays",
                     "2 delays", "rail stuck at both", "rail two flips",
                     "rail flip under a stuck-at"}

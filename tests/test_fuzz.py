@@ -32,9 +32,9 @@ EXTREMES = ("0", "-0", "1", "-1", "2", "0.5", "5e-324", "1e-300", "1e308", "-1e3
 # Sweep points, whose cost grows with their count: a count past the limit
 # must be refused, so none is drawn between a few and that limit.
 COUNTS = ("0", "-1", "1", "2", "3", "2.5", "1e308", "nan", "inf", "9" * 20, "x")
-# Monte Carlo trials have no limit, and a run takes time in proportion to
-# them, so only a few are drawn.
-TRIALS = ("0", "-1", "1", "3", "2.5", "nan", "x", "-" + "9" * 20)
+# Monte Carlo trials are limited to a billion, which still takes seconds,
+# so only a few are drawn below the limit; the counts past it are refused.
+TRIALS = ("0", "-1", "1", "3", "2.5", "nan", "x", "-" + "9" * 20, "1000000001", "9" * 20)
 
 # The documented warning that a long transient flip is classified permanent
 # is not an error; pytest's `filterwarnings = error` would raise it.

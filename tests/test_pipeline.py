@@ -20,6 +20,7 @@ from ifrsim.pipeline import (ControllerActions, ControllerMode, ControllerState,
                              CoreConfig, Outcome, controller_step,
                              controller_output_vector, matches_reference,
                              run_core)
+from refcore import reference_run
 
 CFG = CoreConfig()
 WORKLOAD = (Path(__file__).resolve().parent.parent / "samples" / "workload.asm").read_text()
@@ -500,8 +501,9 @@ def test_the_execute_cases_cover_every_opcode():
 
 @pytest.mark.parametrize("name", _EXECUTE_CASES)
 def test_the_execute_stage_of_every_opcode(name):
-    # `run_core` executes inline, apart from `isa.execute_result`, the
-    # reference's ALU: both must drive `want`, and the run must commit it.
+    # `run_core` executes inline, apart from `isa.execute_result`, the ALU
+    # of the reference interpreter and the reference core: both cores'
+    # execute buses must carry `want`, and `run_core` must commit it.
     a, b, lines, want = _EXECUTE_CASES[name]
     lines = lines.split("\n")
     program = assemble("\n".join([f"LDI r1, {a}", f"LDI r2, {b}", *lines, "LDI r4, 7", "HALT"]))
@@ -517,11 +519,16 @@ def test_the_execute_stage_of_every_opcode(name):
     report = run_core(program, CFG, FaultScenario())
     assert report.outcome is Outcome.COMPLETED and matches_reference(report, program)
     # Straight-line code before it: it is commit at + 1, and the execute bus
-    # carries its word on the cycle before record at + 1, or on the last
-    # cycle if it is the last commit.
-    records = fault_free_records(program, CFG)
-    commit_cycle = records[at + 1][0] - 1 if at + 1 < len(records) else report.total_cycles - 1
-    assert fault_free_words(program, CFG)[commit_cycle][2] == want
+    # carries its word on that commit's cycle.
+    reference = reference_run(program, CFG, FaultScenario())
+    cycle = reference.commits[at]
+    assert reference.words[cycle][2] == want
+    # On that cycle, any data line stuck at the other value than `want`'s
+    # bit breaks parity, so `run_core`'s word is `want` bit for bit.
+    for bit in range(BUS_DATA_BITS):
+        stuck = run_core(program, CFG, parse_scenario(
+            f"@{cycle} T:1 execute.main stuckat {bit} {1 - (want >> bit & 1)}"))
+        assert [e.detect_cycle for e in stuck.events] == [cycle], bit
     final = report.final_state
     op = instr.opcode
     if op is Opcode.ST:
@@ -1193,8 +1200,8 @@ def test_a_rail_stuck_at_its_idle_level_is_inert(name):
     # Once every stage fault is inert, the controller idles in MONITOR with
     # no strobe, so a rail stuck at the level it carries there is never
     # seen: a run that completes rejoins the fault-free run before its HALT
-    # on a warm `Program`. Every run equals its fresh run, and its twin that
-    # takes no shortcut.
+    # on a warm `Program`. Every run equals its fresh run and the reference
+    # core's.
     program = assemble(WORKLOAD)
     run_core(program, CFG, FaultScenario())
     run_core(program, CFG, parse_scenario(_DECODE_SWAP))
@@ -1202,8 +1209,7 @@ def test_a_rail_stuck_at_its_idle_level_is_inert(name):
     scenario = parse_scenario(text)
     fresh = run_core(Program(program.instructions), CFG, scenario)
     assert fresh.outcome is outcome
-    assert fresh == run_core(Program(program.instructions), CFG,
-                             _without_skips(text, pipeline.DEFAULT_MAX_CYCLES))
+    assert fresh == reference_run(program, CFG, scenario).reports[pipeline.DEFAULT_MAX_CYCLES]
     warm = run_core(program, CFG, scenario)
     assert warm == fresh
     if outcome is Outcome.COMPLETED:
@@ -1323,12 +1329,6 @@ def test_the_join_table_holds_the_fault_free_cycles_left_after_each_commit():
 # The frozen error window: SUSPECT cycles change only the error counters
 # ---------------------------------------------------------------------------
 
-def _without_skips(text, max_cycles):
-    """`text` plus a rail fault that starts as the budget runs out: it changes
-    no result, but a run with rail faults takes no cycles in one step."""
-    return parse_scenario(f"{text}\n@{max_cycles} PERM controller.a stuckat 0 1")
-
-
 def _window_scenarios(threshold):
     """Scenarios around the error window of each `threshold`."""
     half = max(threshold // 2, 1)  # a fault this long ends inside the window
@@ -1362,15 +1362,16 @@ def _window_scenarios(threshold):
 def test_skipped_error_windows_equal_windows_taken_cycle_by_cycle(threshold):
     config = replace(CFG, permanent_threshold=threshold)
     program = _alternating_program(80)
+    # Budgets that end inside the windows opening at cycles 10 and 12, and
+    # one that does not.
+    budgets = (*range(11, 13 + threshold), pipeline.DEFAULT_MAX_CYCLES)
     for name, text in _window_scenarios(threshold).items():
-        # Budgets that end inside the windows opening at cycles 10 and 12,
-        # and one that does not.
-        for max_cycles in (*range(11, 13 + threshold), pipeline.DEFAULT_MAX_CYCLES):
-            expected = run_core(program, config, _without_skips(text, max_cycles),
-                                max_cycles=max_cycles)
+        scenario = parse_scenario(text)
+        expected = reference_run(program, config, scenario, budgets).reports
+        for max_cycles in budgets:
             for target in (Program(program.instructions), program):
-                assert run_core(target, config, parse_scenario(text),
-                                max_cycles=max_cycles) == expected, (name, max_cycles)
+                assert run_core(target, config, scenario,
+                                max_cycles=max_cycles) == expected[max_cycles], (name, max_cycles)
 
 
 def _delay_scenario(rng, threshold, horizon, swapped_at):
@@ -1423,11 +1424,11 @@ def _result(report):
 
 def test_skipped_error_windows_equal_cycle_by_cycle_runs_under_random_delays():
     # Corpus programs under seeded delay scenarios, thresholds 2, 4 and 16,
-    # and budgets mostly drawn inside the error windows: each run equals its
-    # twin that takes no cycles in one step, on a fresh `Program` and on a
-    # warm one, and simulates no more cycles than it reports. A delay on a
-    # main copy that starts before any other fault latches the word its
-    # site drove `extra` cycles back, as that word stuck on its data lines.
+    # and budgets mostly drawn inside the error windows: each run equals the
+    # reference core's, on a fresh `Program` and on a warm one, and
+    # simulates no more cycles than it reports. A delay on a main copy that
+    # starts before any other fault latches the word its site drove `extra`
+    # cycles back, as that word stuck on its data lines.
     rng = random.Random(0xDE1A)
     seen = set()
     for index in range(24):
@@ -1450,8 +1451,7 @@ def test_skipped_error_windows_equal_cycle_by_cycle_runs_under_random_delays():
                                              (e.resume_cycle or e.end_cycle) + 2)]
                 if inside and rng.random() < 0.7:
                     budget = rng.choice(inside)
-                expected = run_core(Program(program.instructions), config,
-                                    _without_skips(text, budget), max_cycles=budget)
+                expected = reference_run(program, config, scenario, (budget,)).reports[budget]
                 fresh = run_core(Program(program.instructions), config, scenario,
                                  max_cycles=budget)
                 warm = run_core(program, config, scenario, max_cycles=budget)
@@ -1465,7 +1465,7 @@ def test_skipped_error_windows_equal_cycle_by_cycle_runs_under_random_delays():
                 seen.update(e.classified for e in fresh.events)
                 seen.update(("inside",) * (budget in inside)
                             + ("spare",) * ("spare" in text and len(fresh.events) > 1)
-                            + ("skips",) * (fresh.simulated_cycles < expected.simulated_cycles)
+                            + ("skips",) * (fresh.simulated_cycles < fresh.total_cycles)
                             + ("latch",) * (stuck is not None))
     assert seen == {"permanent", "transient", "inside", "spare", "skips", "latch"}
 
@@ -1515,6 +1515,54 @@ def test_a_frozen_error_window_costs_two_controller_steps(monkeypatch, text, ste
         assert report.outcome is Outcome.COMPLETED and matches_reference(report, program)
         assert len(report.events) == 1
         assert calls[0] == steps
+
+
+# ---------------------------------------------------------------------------
+# Every run against the reference core
+# ---------------------------------------------------------------------------
+
+@pytest.mark.filterwarnings("ignore:fault .* transient flip")
+def test_runs_equal_the_reference_core():
+    # Corpus loop and forward-branch programs under 1-3 faults anywhere,
+    # rail faults included, thresholds 2, 4 and 16, and budgets that end
+    # inside error windows and countdowns. One reference pass reports every
+    # budget of a scenario. Each run, on a fresh `Program` and on one that
+    # earlier scenarios warmed, equals the reference core's, simulates no
+    # more cycles than it reports, and charges each block every cycle.
+    rng = random.Random(0x27EF)
+    seen = set()
+    for index in range(16):
+        program = (gen_loop_program(rng, rng.randrange(3, 8)) if index % 2
+                   else gen_program(rng, rng.randrange(8, 24)))
+        fault_free = run_core(Program(program.instructions), CFG, FaultScenario()).total_cycles
+        for _ in range(4):
+            config = replace(CFG, permanent_threshold=rng.choice((2, 4, 16)))
+            faults = tuple(_random_fault(rng, fault_free + 20) for _ in range(rng.randrange(1, 4)))
+            scenario = FaultScenario(faults)
+            full = 3 * fault_free + 300
+            probe = run_core(Program(program.instructions), config, scenario, max_cycles=full)
+            # A budget b ends on cycle b - 1.
+            windows = [b for e in probe.events for b in range(e.detect_cycle + 1, e.end_cycle + 1)]
+            countdowns = [b for e in probe.permanent_events
+                          for b in range(e.end_cycle + 2,
+                                         (e.resume_cycle or probe.total_cycles) + 1)]
+            budgets = {full, *rng.sample(windows, min(2, len(windows))),
+                       *rng.sample(countdowns, min(2, len(countdowns)))}
+            expected = reference_run(program, config, scenario, budgets).reports
+            for budget in budgets:
+                for target in (Program(program.instructions), program):
+                    report = run_core(target, config, scenario, max_cycles=budget)
+                    assert report == expected[budget], (program, config, scenario, budget)
+                    assert report.simulated_cycles <= report.total_cycles
+                    assert all(stress.total == report.total_cycles
+                               for stress in report.stress.blocks.values())
+                seen.add(report.outcome)
+                seen.update(("window budget",) * (budget in windows)
+                            + ("countdown budget",) * (budget in countdowns))
+            seen.update(e.classified for e in probe.events)
+            seen.update(("rail",) * any(f.site.unit is FaultUnit.CONTROLLER for f in faults))
+    assert seen >= {Outcome.COMPLETED, Outcome.DEAD, Outcome.EXHAUSTED, "permanent",
+                    "transient", "rail", "window budget", "countdown budget"}
 
 
 # ---------------------------------------------------------------------------
