@@ -12,10 +12,10 @@ models (`markov` and `compare`), so `sim` and `formulas` start without it.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import math
-import re
 import sys
 
 from . import formulas
@@ -86,16 +86,14 @@ def _parse_range(spec: str, *, integer: bool = False) -> list:
 
 
 def _whole_number(value, name: str) -> int:
-    """`value` (a number or its text) as an exact int; ValueError unless it
-    is whole, so 2.5 is refused rather than cut to 2. Text such as `1e3`
-    that is not integer text must be below 2**53, where floats are exact."""
-    try:
-        if isinstance(value, int) or re.fullmatch(r"\s*[+-]?\d+\s*", str(value)):
-            return int(value)
+    """`value` (a number or its text) as an exact int; ValueError unless it is
+    whole, so 2.5 is refused, not cut to 2, and `1e3` must be below 2**53."""
+    if isinstance(value, (int, str)):
+        with contextlib.suppress(ValueError):
+            return int(value)  # `16.0` or `1e3` is not integer text
+    with contextlib.suppress(ValueError):
         if float(value).is_integer() and abs(float(value)) < 2**53:
             return int(float(value))
-    except ValueError:
-        pass
     raise ValueError(f"{name} must be a whole number, got {value}")
 
 

@@ -357,8 +357,9 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
 
     Every run takes in one step, up to the next fault start or end and the
     budget, the cycles that change only a count: the FLUSH and POWER_SWAP
-    countdowns, and the frozen error window. Until that fault edge the
-    rails carry the same outputs and faults. An error freezes the pipeline,
+    countdowns, and the frozen error window. It starts after a cycle that
+    drove no action strobe, so until that fault edge the rails carry the
+    outputs and faults of that cycle. An error freezes the pipeline,
     so each later SUSPECT cycle re-presents the same words and adds one to
     each nonzero error counter; the skip stops short of the threshold, so
     the next simulated cycle classifies or clears on the same cycle. It adds
@@ -731,10 +732,11 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
                         outcome, final = end
                         regs, pc, mem = final.regs, final.pc, dict(final.mem)
                         break
-        else:
+        elif actions is _NO_ACTIONS:
             # The cycles that change nothing but a count are taken in one
             # step: until the next fault start or end, the stages and the
-            # rails see what they saw on this one.
+            # rails see what they saw on this one. A strobe is driven on its
+            # own cycle only, so a cycle that drove one takes no skip.
             limit = min(edges[bisect_right(edges, cycle)], max_cycles) - total_cycles
             if mode is SUSPECT:
                 # Each cycle re-presents this cycle's words, so it sees its

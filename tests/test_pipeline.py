@@ -835,6 +835,22 @@ def test_rail_fault_inside_the_countdown_ends_dead_on_its_first_cycle(start):
     assert _run_summary(report) == _cut_in_countdown(Outcome.DEAD, start)
 
 
+@pytest.mark.parametrize("strobe, rail", [
+    (_CLASSIFIED, "a stuckat 5 1"), (_CLASSIFIED, "b stuckat 8 0"),
+    (_POWER_ON, "a stuckat 14 1"), (_POWER_ON, "b stuckat 12 0")])
+def test_rail_stuck_at_a_strobe_ends_dead_on_the_cycle_after_it(strobe, rail):
+    # A rail stuck at the level a strobe drives, from the strobe's own cycle
+    # (flush and decode's power-off at 25, power-on at 28): the rails agree
+    # on that cycle and disagree on the next, the countdown's first without
+    # the strobe, so no skip may start on the strobe's cycle.
+    text = f"{_DECODE_SWAP}\n@{strobe} PERM controller.{rail}"
+    program = _alternating_program(80)
+    report = run_core(program, CFG, parse_scenario(text))
+    assert _run_summary(report) == _cut_in_countdown(Outcome.DEAD, strobe + 1)
+    expected = reference_run(program, CFG, parse_scenario(text)).reports
+    assert report == expected[pipeline.DEFAULT_MAX_CYCLES]
+
+
 @pytest.mark.parametrize("max_cycles", range(_CLASSIFIED + 1, _SWAP + 2))
 def test_cycle_budget_ending_inside_the_countdown(max_cycles):
     report = run_core(_alternating_program(80), CFG, parse_scenario(_DECODE_SWAP),
@@ -1489,10 +1505,10 @@ def test_a_million_cycle_delay_keeps_a_small_history():
 
 @pytest.mark.parametrize("text, steps", [
     # A step on the window's first error cycle and one on the cycle that
-    # classifies; then the ends of the FLUSH and POWER_SWAP countdowns, and
-    # the RESUME cycle.
-    ("@125 PERM decode.main stuckat 0 1", 5),
-    ("@40 PERM execute.main delay 2", 5),
+    # classifies; then the first cycle after each countdown's strobe and
+    # the ends of the FLUSH and POWER_SWAP countdowns, and the RESUME cycle.
+    ("@125 PERM decode.main stuckat 0 1", 7),
+    ("@40 PERM execute.main delay 2", 7),
     # The flip ends inside the window: its first error cycle, and the cycle
     # that clears.
     ("@60 T:10 predecode.main flip 3", 2),
@@ -1525,8 +1541,9 @@ def test_a_frozen_error_window_costs_two_controller_steps(monkeypatch, text, ste
 def test_runs_equal_the_reference_core():
     # Corpus loop and forward-branch programs under 1-3 faults anywhere,
     # rail faults included, thresholds 2, 4 and 16, and budgets that end
-    # inside error windows and countdowns. One reference pass reports every
-    # budget of a scenario. Each run, on a fresh `Program` and on one that
+    # inside error windows and countdowns, and again with a rail stuck from
+    # a strobe's cycle on. One reference pass reports every budget of a
+    # scenario. Each run, on a fresh `Program` and on one that
     # earlier scenarios warmed, equals the reference core's, simulates no
     # more cycles than it reports, and charges each block every cycle.
     rng = random.Random(0x27EF)
@@ -1548,21 +1565,38 @@ def test_runs_equal_the_reference_core():
                                          (e.resume_cycle or probe.total_cycles) + 1)]
             budgets = {full, *rng.sample(windows, min(2, len(windows))),
                        *rng.sample(countdowns, min(2, len(countdowns)))}
-            expected = reference_run(program, config, scenario, budgets).reports
-            for budget in budgets:
-                for target in (Program(program.instructions), program):
-                    report = run_core(target, config, scenario, max_cycles=budget)
-                    assert report == expected[budget], (program, config, scenario, budget)
-                    assert report.simulated_cycles <= report.total_cycles
-                    assert all(stress.total == report.total_cycles
-                               for stress in report.stress.blocks.values())
-                seen.add(report.outcome)
-                seen.update(("window budget",) * (budget in windows)
-                            + ("countdown budget",) * (budget in countdowns))
+            runs = [(scenario, budgets)]
+            # A rail stuck at the level one of a strobe's bits drives, from
+            # the strobe's own cycle on: classify, power-on or switch.
+            strobes = [(cycle, bit) for e in probe.permanent_events
+                       for stage in [PIPELINE_ORDER.index(e.stage)]
+                       for cycle, bits in ((e.end_cycle, (5, 7 + stage)),
+                                           (e.end_cycle + config.flush_cycles, (11 + stage, 14)),
+                                           ((e.resume_cycle or 0) - 1, (6, 15)))
+                       if cycle >= e.end_cycle for bit in bits]
+            if strobes:
+                cycle, bit = rng.choice(strobes)
+                value = rng.randrange(2)
+                rail = TimedFault(StuckAt(bit, value), FaultSite(
+                    FaultUnit.CONTROLLER, Copy.MAIN if value else Copy.SPARE), cycle, PERMANENT)
+                runs.append((FaultScenario(faults + (rail,)), {full}))
+                seen.add("strobe")
+            for scenario, budgets in runs:
+                expected = reference_run(program, config, scenario, budgets).reports
+                for budget in budgets:
+                    for target in (Program(program.instructions), program):
+                        report = run_core(target, config, scenario, max_cycles=budget)
+                        assert report == expected[budget], (program, config, scenario, budget)
+                        assert report.simulated_cycles <= report.total_cycles
+                        assert all(stress.total == report.total_cycles
+                                   for stress in report.stress.blocks.values())
+                    seen.add(report.outcome)
+                    seen.update(("window budget",) * (budget in windows)
+                                + ("countdown budget",) * (budget in countdowns))
             seen.update(e.classified for e in probe.events)
             seen.update(("rail",) * any(f.site.unit is FaultUnit.CONTROLLER for f in faults))
     assert seen >= {Outcome.COMPLETED, Outcome.DEAD, Outcome.EXHAUSTED, "permanent",
-                    "transient", "rail", "window budget", "countdown budget"}
+                    "transient", "rail", "window budget", "countdown budget", "strobe"}
 
 
 # ---------------------------------------------------------------------------
