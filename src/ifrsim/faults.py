@@ -160,7 +160,9 @@ def fold_faults(faults: list[TimedFault], stale: int | None = None) -> tuple[int
 
 
 _STAGE_TOKENS = {u.value: u for u in FaultUnit}
-_COPY_TOKENS = {"main": Copy.MAIN, "spare": Copy.SPARE, "a": Copy.MAIN, "b": Copy.SPARE}
+# A stage's copies are main and spare; the controller's are rails a and b.
+_COPY_TOKENS = {unit: {"a": Copy.MAIN, "b": Copy.SPARE} if unit is FaultUnit.CONTROLLER
+                else {"main": Copy.MAIN, "spare": Copy.SPARE} for unit in FaultUnit}
 # Scenario keyword -> (fault kind, usage naming one integer per field).
 _KIND_TOKENS = {"stuckat": (StuckAt, "<bit> <0|1>"), "delay": (Delay, "<extra>"),
                 "flip": (TransientFlip, "<bit>")}
@@ -206,9 +208,10 @@ def parse_scenario(text: str) -> FaultScenario:
         unit_name, copy_name = site_token.split(".", 1)
         if unit_name not in _STAGE_TOKENS:
             raise ScenarioError(lineno, f"unknown unit {unit_name!r}")
-        if copy_name not in _COPY_TOKENS:
-            raise ScenarioError(lineno, f"unknown copy {copy_name!r}")
-        site = FaultSite(_STAGE_TOKENS[unit_name], _COPY_TOKENS[copy_name])
+        unit = _STAGE_TOKENS[unit_name]
+        if copy_name not in _COPY_TOKENS[unit]:
+            raise ScenarioError(lineno, f"unknown copy {copy_name!r} of {unit_name}")
+        site = FaultSite(unit, _COPY_TOKENS[unit][copy_name])
 
         kind_name = parts[3].lower()
         if kind_name not in _KIND_TOKENS:

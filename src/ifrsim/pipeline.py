@@ -238,6 +238,8 @@ class SimReport:
     simulated_cycles: int = field(compare=False)
     resumed_from: int = field(compare=False)
     joined_at: int | None = field(compare=False)
+    # The first cycle on which a corrupted data word passed parity, or None.
+    diverged_at: int | None = field(compare=False)
 
     @property
     def permanent_events(self) -> list:
@@ -439,7 +441,7 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
     # latest parity-error run.
     run_start: list = [None] * len(PIPELINE_ORDER)
 
-    diverged = False  # a corrupted data word passed parity
+    diverged_at = None  # the first cycle a corrupted data word passed parity
     # (unit, copy, window) -> (active, flips, keep, ones): the (scenario
     # index, fault) pairs active at that site between edges[window - 1] and
     # edges[window], and their corruption folded by `fold_faults`.
@@ -469,7 +471,7 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
     def faulty_bus(stage: int, copy: int, word: int, cycle: int) -> tuple[int, int]:
         """Drive `word` through a site that carries faults: (data, error mask).
         With none of them active the site drives `word` clean."""
-        nonlocal diverged
+        nonlocal diverged_at
         active, flips, keep, ones = (folds.get((stage, copy, bisect_right(edges, cycle)))
                                      or fold(stage, copy, cycle, word))
         hist = delay_hist.get((stage, copy))
@@ -479,8 +481,8 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
             return word, 0
         bus = (encode_bus(word) ^ flips) & keep | ones
         mask = parity_check(bus)
-        if not mask and bus & WORD_MASK != word:
-            diverged = True
+        if not mask and bus & WORD_MASK != word and diverged_at is None:
+            diverged_at = cycle
         if mask and not ctrl.error_counters[stage]:
             # A parity-error run starts (the controller has counted no error
             # at this stage yet). Its culprit is the first active fault, in
@@ -719,7 +721,7 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
                         saved_mem = dict(mem)
                     records.append((total_cycles, saved_regs, saved_mem, pc, fetch_pc,
                                     fetch_wait, pd, de))
-                if total_cycles >= inert_at and not diverged:
+                if total_cycles >= inert_at and diverged_at is None:
                     # A settled run after n commits is the fault-free run, whose
                     # last commit ends the loop above: n < len(tails) once the
                     # table is filled.
@@ -781,7 +783,7 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
     return SimReport(outcome=outcome, final_state=final_state,
                      total_cycles=total_cycles, events=events, stress=ledger,
                      final_power=final_power, simulated_cycles=simulated,
-                     resumed_from=resumed_from, joined_at=joined)
+                     resumed_from=resumed_from, joined_at=joined, diverged_at=diverged_at)
 
 
 def matches_reference(report: SimReport, program: Program) -> bool:

@@ -8,9 +8,11 @@ every cycle on which the pipeline runs it drives all three stage buses
 through `hw.encode_bus`, the active faults of the selected copy one at a
 time (`sorted_order`) and `hw.parity_check`. On every cycle it builds both
 controller rails and two-rail checks them, and it counts each block's
-stress one cycle at a time. It shares with `run_core` only the controller
-(`controller_step`, `controller_output_vector`), the instruction decoding
-and `isa.execute_result`. It is meant to be read, not to be fast.
+stress one cycle at a time. Where it drives a bus it notes the first cycle
+on which a corrupted data word passed parity (`diverged_at`). It shares
+with `run_core` only the controller (`controller_step`,
+`controller_output_vector`), the instruction decoding and
+`isa.execute_result`. It is meant to be read, not to be fast.
 """
 from __future__ import annotations
 
@@ -103,6 +105,7 @@ class _Core:
         # and the pipeline ran; a delay latches one of them.
         self.history = {key: [] for key in self.power}
         self.latched = {}  # scenario index of a delay -> its stale word
+        self.diverged_at = None  # the first cycle a corrupted data word passed parity
         self.error_run = {}  # stage -> (first cycle, culprit) of its error run
         self.events = []
         self.open_events = []  # permanent events until the first commit after the swap
@@ -136,6 +139,8 @@ class _Core:
         stale = self.latched[delays[-1]] if delays else None
         bus = sorted_order(encode_bus(word), [f for _, f in active], stale)
         mask = parity_check(bus)
+        if not mask and bus & WORD_MASK != word and self.diverged_at is None:
+            self.diverged_at = self.cycle
         if mask and not self.ctrl.error_counters[stage]:
             # An error run starts. Its culprit is the first active fault
             # that breaks parity on its own, else the first active one.
@@ -273,4 +278,5 @@ class _Core:
         return SimReport(outcome=outcome, final_state=final_state,
                          total_cycles=self.cycle, events=copying.deepcopy(self.events),
                          stress=copying.deepcopy(self.stress), final_power=dict(self.power),
-                         simulated_cycles=self.cycle, resumed_from=0, joined_at=None)
+                         simulated_cycles=self.cycle, resumed_from=0, joined_at=None,
+                         diverged_at=self.diverged_at)

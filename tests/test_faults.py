@@ -220,6 +220,8 @@ def test_parse_scenario_empty_is_fault_free():
     ("@1 PERM decode stuckat 3 1", "expected <unit>.<copy>"),
     ("@1 PERM writeback.main stuckat 3 1", "unknown unit"),
     ("@1 PERM decode.tertiary stuckat 3 1", "unknown copy"),
+    ("@1 PERM decode.a stuckat 3 1", "unknown copy 'a' of decode"),
+    ("@1 PERM controller.main stuckat 3 1", "unknown copy 'main' of controller"),
     ("@1 PERM decode.main melt 3", "unknown fault kind"),
     ("@1 PERM decode.main stuckat 3", "stuckat takes"),
     ("@1 PERM decode.main stuckat 40 1", "outside the 36-bit"),

@@ -504,6 +504,24 @@ def test_squaring_step_bounds_hold_in_exact_arithmetic(n):
             assert pair[0, i, j] <= exact <= pair[1, i, j], (i, j)
 
 
+def _assert_step_series_bounds(p, r, terms):
+    """`_step_series` on the exact pair (p, p) holds Σ_(k<=terms) r^k/k! p^k,
+    summed in exact rationals, between its bounds."""
+    n = len(p)
+    pair = markov._step_series(np.stack([p, p]), r, r, terms)
+    step = [[Fraction(x) for x in row] for row in p.tolist()]
+    power = [[Fraction(i == j) for j in range(n)] for i in range(n)]
+    total, coefficient = power, Fraction(1)
+    for k in range(1, terms + 1):
+        power = [[sum(power[i][l] * step[l][j] for l in range(n)) for j in range(n)]
+                 for i in range(n)]
+        coefficient *= Fraction(r) / k
+        total = [[total[i][j] + coefficient * power[i][j] for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(n):
+            assert pair[0, i, j] <= total[i][j] <= pair[1, i, j], (i, j)
+
+
 # terms + 1 = 3 and 2 take m = 1 (Horner in P); 16 and 25 are perfect squares;
 # 70 and 27 leave the last block short (m = 8 and 5).
 @pytest.mark.parametrize("n, terms", [(3, 2), (3, 69), (4, 15), (4, 26), (5, 1), (5, 24)])
@@ -515,19 +533,58 @@ def test_step_series_bounds_hold_in_exact_arithmetic(n, terms):
     for scale in (1.0, 1e-3):
         p = rng.random((n, n))
         p *= scale * rng.uniform(0.9, 1.0) / p.sum(axis=1, keepdims=True)
-        pair = markov._step_series(np.stack([p, p]), r, r, terms)
-        step = [[Fraction(x) for x in row] for row in p.tolist()]
-        power = [[Fraction(i == j) for j in range(n)] for i in range(n)]
-        total, coefficient = power, Fraction(1)
-        for k in range(1, terms + 1):
-            power = [[sum(power[i][l] * step[l][j] for l in range(n)) for j in range(n)]
-                     for i in range(n)]
-            coefficient *= Fraction(r) / k
-            total = [[total[i][j] + coefficient * power[i][j] for j in range(n)]
-                     for i in range(n)]
-        for i in range(n):
-            for j in range(n):
-                assert pair[0, i, j] <= total[i][j] <= pair[1, i, j], (scale, i, j)
+        _assert_step_series_bounds(p, r, terms)
+
+
+@pytest.mark.parametrize("n, terms", [(3, 2), (5, 2), (4, 15)])
+def test_step_series_bounds_hold_where_products_underflow(n, terms):
+    # A chain, p[i, i + 1] near 2^-540 and 0 elsewhere: every product of two
+    # entries underflows to 0, so p^2 is 0 in floats but not exactly, and
+    # its entries have no first-order term to hide behind. Only a _SHIFT
+    # after the product keeps the upper bound above them.
+    rng = np.random.default_rng([n, terms])
+    p = np.diag(rng.uniform(0.5, 1.0, n - 1) * 2.0 ** -540, k=1)
+    _assert_step_series_bounds(p, rng.uniform(2.0, 4.0), terms)
+
+
+def test_step_series_takes_the_factors_and_shifts_its_account_gives(monkeypatch):
+    # A product's float error is far below the worst case its factor covers,
+    # and a later _SHIFT covers an earlier one's underflow, so no bound shows
+    # a factor cut short or a shift dropped. This checks the account itself:
+    # each factor `_factors` returns, and `_SHIFT`, log the operations they
+    # take part in. For n = 4 and terms = 26 (m = 5, 6 blocks): the powers'
+    # factor covers n roundings and scales each of the m - 1 products, each
+    # followed by a shift; coefficient k's covers 2k + m; and the Horner
+    # factor covers n + 1 and scales each of the 5 Horner steps, each
+    # followed by a shift.
+    log, rounds = [], []
+
+    class Logged(np.ndarray):
+        def __array_finalize__(self, obj):
+            self.tag = getattr(obj, "tag", None)
+
+        def __array_ufunc__(self, ufunc, method, *inputs, out=(), **kwargs):
+            log.append((ufunc.__name__, self.tag))
+            plain = [x.view(np.ndarray) if isinstance(x, Logged) else x for x in inputs]
+            out = tuple(x.view(np.ndarray) if isinstance(x, Logged) else x for x in out)
+            return getattr(ufunc, method)(*plain, **({"out": out} if out else {}), **kwargs)
+
+    def logged(array, tag):
+        array = array.view(Logged)
+        array.tag = tag
+        return array
+
+    factors = markov._factors
+    monkeypatch.setattr(markov, "_factors", lambda count: (
+        rounds.append(count), logged(factors(count), len(rounds) - 1))[1])
+    monkeypatch.setattr(markov, "_SHIFT", logged(markov._SHIFT, "shift"))
+    n, terms, m, blocks = 4, 26, 5, 6
+    p = np.full((n, n), 0.2)
+    markov._step_series(np.stack([p, p]), 3.0, 3.0, terms)
+    assert rounds[0] == n and rounds[2] == n + 1
+    assert rounds[1].tolist() == [2 * k + m for k in range(blocks * m)]
+    assert log == ([("multiply", 0), ("add", "shift")] * (m - 1) + [("multiply", 1)]
+                   + [("multiply", 2), ("add", "shift")] * (blocks - 1))
 
 
 @st.composite

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import inspect
 import random
@@ -903,47 +904,6 @@ def _random_fault(rng, horizon):
     return TimedFault(kind, FaultSite(unit, copy), rng.randrange(horizon), duration)
 
 
-@pytest.mark.filterwarnings("ignore:fault .* transient flip")
-def test_resumed_runs_equal_runs_from_cycle_zero():
-    # A run resumed from the fault-free run's records equals the same run
-    # simulated from cycle 0, on a fresh `Program` with no records, in every
-    # report field. One program object serves every config and scenario, so
-    # later runs resume from records that earlier runs left, in random order.
-    rng = random.Random(0x5E5E)
-    seen = set()
-    for _ in range(40):
-        program = gen_loop_program(rng, rng.randrange(3, 8))
-        fault_free = run_core(program, CFG, FaultScenario()).total_cycles
-        for _ in range(6):
-            config = rng.choice(_RESUME_CONFIGS)
-            faults = tuple(_random_fault(rng, fault_free + 40)
-                           for _ in range(rng.randrange(1, 4)))
-            first = min(f.start for f in faults)
-            budget = 3 * fault_free + 300
-            if first and rng.random() < 0.15:
-                budget = rng.randrange(1, first + 1)
-            scenario = FaultScenario(faults)
-            resumed = run_core(program, config, scenario, max_cycles=budget)
-            from_zero = run_core(Program(program.instructions), config, scenario,
-                                 max_cycles=budget)
-            assert resumed == from_zero, (program, config, scenario, budget)
-            seen.add("rail" if any(f.site.unit is FaultUnit.CONTROLLER for f in faults)
-                     else "stage")
-            seen.update(type(f.kind).__name__ for f in faults)
-            seen.update("perm" if f.duration is None else "window" for f in faults)
-            if any(isinstance(f.kind, Delay) and f.site.copy is _MAIN
-                   and f.start > f.kind.extra for f in faults):
-                seen.add("main delay")
-            if first >= fault_free:
-                seen.add("past the end")
-            if budget <= first:
-                seen.add("budget below start")
-            if config is not CFG:
-                seen.add("config")
-    assert seen >= {"rail", "stage", "StuckAt", "TransientFlip", "Delay", "perm", "window",
-                    "main delay", "past the end", "budget below start", "config"}
-
-
 def test_fault_free_records_stop_where_runs_asked():
     # A 20,000-cycle fault-free run is recorded only up to the cycle a run
     # resumed from, not to its end: one record per commit made by then.
@@ -1017,115 +977,6 @@ def test_program_tables_are_built_once(monkeypatch):
 # ---------------------------------------------------------------------------
 # Ending a run once it rejoins the fault-free run
 # ---------------------------------------------------------------------------
-
-def _committed_opcode(program, n):
-    """The opcode of the fault-free run's commit number n >= 1: the n-th
-    instruction the reference interpreter steps."""
-    pc = run_reference(program, n - 1)[0].pc if n > 1 else 0
-    return program.instructions[pc].opcode
-
-
-def _main_fault(rng, words):
-    """One fault on a main stage copy that a run can settle from: a
-    permanent stuck-at exposed at its start, which swaps the stage, or a
-    flip, stuck-at or delay in a window of 1 to 40 cycles."""
-    if rng.random() < 0.4:
-        return gen_permanent_stuckat_scenario(rng, words).faults[0]
-    roll = rng.random()
-    kind = (StuckAt(rng.randrange(36), rng.randrange(2)) if roll < 0.3 else
-            TransientFlip(rng.randrange(36)) if roll < 0.6 else Delay(rng.randrange(1, 5)))
-    site = FaultSite(rng.choice((FaultUnit.PREDECODE, FaultUnit.DECODE, FaultUnit.EXECUTE)),
-                     _MAIN)
-    return TimedFault(kind, site, rng.randrange(len(words)), rng.randrange(1, 41))
-
-
-@pytest.mark.filterwarnings("ignore:fault .* transient flip")
-def test_runs_that_rejoin_the_fault_free_run_equal_runs_from_cycle_zero():
-    # A run on a warm `Program`, which may end early from its join table,
-    # equals the same run on a fresh `Program`, which simulates every cycle,
-    # in every report field. Half the programs see a run with no faults
-    # first; on the others only faulted runs fill the table. Besides loop
-    # kernels, the programs include straight-line code: the forward-branch
-    # corpus and `samples/workload.asm`.
-    rng = random.Random(0x7017)
-    seen = set()
-
-    def check(program, config, scenario, budget):
-        fresh = run_core(Program(program.instructions), config, scenario, max_cycles=budget)
-        warm = run_core(program, config, scenario, max_cycles=budget)
-        assert warm == fresh, (program, config, scenario, budget)
-        assert fresh.joined_at is None
-        joined = warm.joined_at if warm.outcome is Outcome.COMPLETED else None
-        return fresh, joined
-
-    sources = ([lambda: gen_loop_program(rng, rng.randrange(3, 8))] * 30
-               + [lambda: gen_program(rng, rng.randrange(8, 30))] * 12
-               + [lambda: assemble(WORKLOAD)] * 3)
-    for make in sources:
-        program = make()
-        words = fault_free_words(program, CFG)
-        golden = run_core(Program(program.instructions), CFG, FaultScenario())
-        warmed = rng.random() < 0.5
-        if warmed:
-            assert run_core(program, CFG, FaultScenario()) == golden
-        budget = 3 * len(words) + 300
-        for _ in range(8):
-            config = rng.choice(_RESUME_CONFIGS)
-            first = _main_fault(rng, words)
-            roll = rng.random()
-            if roll < 0.15:
-                faults = (first, _random_fault(rng, len(words) + 40))
-            elif roll < 0.3:
-                rail = FaultSite(FaultUnit.CONTROLLER, rng.choice(list(Copy)))
-                faults = (first, TimedFault(StuckAt(rng.randrange(16), rng.randrange(2)),
-                                            rail, rng.randrange(len(words)),
-                                            rng.randrange(1, 41)))
-            elif roll < 0.45:
-                # A second fault that starts well after the first has
-                # closed its window or completed its swap: on a main copy, or
-                # on the first one's spare, which kills the run if the first
-                # swapped to it.
-                alone = run_core(Program(program.instructions), config, FaultScenario((first,)),
-                                 max_cycles=budget)
-                settled = max([e.swap_complete_cycle or 0 for e in alone.events]
-                              + [first.end if first.duration else 0])
-                second = _main_fault(rng, words) if rng.random() < 0.5 else TimedFault(
-                    StuckAt(rng.randrange(36), rng.randrange(2)),
-                    replace(first.site, copy=Copy.SPARE), 0, PERMANENT)
-                faults = (first, replace(second, start=settled + rng.randrange(20, 80)))
-                seen.add("second after settling")
-            else:
-                faults = (first,)
-            scenario = FaultScenario(faults)
-            fresh, joined = check(program, config, scenario, budget)
-            if joined is not None:
-                seen.add("jump")
-                if _committed_opcode(program, joined) not in (Opcode.BEQ, Opcode.JMP):
-                    seen.add("jump at a non-branch commit")
-                seen.add("swap" if any(f.duration is None for f in faults) else "window")
-                if any(f.site.unit is FaultUnit.CONTROLLER for f in faults):
-                    seen.add("rail")
-                if any(f.site.copy is Copy.SPARE and f.site.unit is not FaultUnit.CONTROLLER
-                       and f.duration is None for f in faults):
-                    seen.add("unselected spare")
-                if config is not CFG:
-                    seen.add("config")
-                if not warmed:
-                    seen.add("table filled by faulted runs")
-                if rng.random() < 0.3:
-                    offset = rng.choice((-1, 0, 1))
-                    check(program, config, scenario, fresh.total_cycles + offset)
-                    seen.add(f"budget {offset:+d}")
-            if (fresh.outcome is Outcome.COMPLETED and fresh.final_state != golden.final_state
-                    and all(isinstance(f.kind, Delay) for f in faults)):
-                seen.add("silent delay")
-            if fresh.outcome is Outcome.DEAD and faults[-1].site.copy is Copy.SPARE:
-                seen.add("selected spare")
-    assert seen >= {"jump", "jump at a non-branch commit", "swap", "window", "rail", "config",
-                    "table filled by faulted runs", "second after settling", "unselected spare",
-                    "selected spare", "silent delay",
-                    "budget -1", "budget +0", "budget +1"}
-
 
 def test_a_run_that_rejoins_the_fault_free_run_executes_far_fewer_instructions():
     program = _loop_program(200)
@@ -1390,102 +1241,6 @@ def test_skipped_error_windows_equal_windows_taken_cycle_by_cycle(threshold):
                                 max_cycles=max_cycles) == expected[max_cycles], (name, max_cycles)
 
 
-def _delay_scenario(rng, threshold, horizon, swapped_at):
-    """1-3 delays with `extra` 1 to 6, PERM or T:n, on a main copy or, after
-    `_DECODE_SWAP` has swapped decode at `swapped_at`, on the decode spare.
-    A later delay often shares the site of the one before it and starts
-    inside or just after that one's window, so it reads back across the
-    frozen cycles of that window's errors."""
-    lines = [] if swapped_at is None else [_DECODE_SWAP]
-    site = None
-    for _ in range(rng.randrange(1, 4)):
-        if site is None or rng.random() < 0.4:
-            if swapped_at is not None and rng.random() < 0.5:
-                site, start = "decode.spare", swapped_at + rng.randrange(12)
-            else:
-                site = rng.choice(("predecode", "decode", "execute")) + ".main"
-                start = rng.randrange(3, horizon)
-        else:
-            start += rng.randrange(1, threshold + 8)
-        window = "PERM" if rng.random() < 0.4 else f"T:{rng.randrange(1, 2 * threshold)}"
-        lines.append(f"@{start} {window} {site} delay {rng.randrange(1, 7)}")
-    return "\n".join(lines)
-
-
-def _as_stuck_data_lines(scenario, words):
-    """`scenario` with its earliest fault replaced by stuck-ats that hold its
-    latched word on the data lines: the word its site drove `extra` cycles
-    back in the fault-free run with bus `words`, or the first. Only for a
-    delay on a main copy that starts before every other fault and shares
-    its site with none; None otherwise."""
-    faults = scenario.faults
-    first = min(faults, key=lambda f: f.start)
-    if (not isinstance(first.kind, Delay) or first.site.copy is not _MAIN
-            or [f.start for f in faults].count(first.start) > 1
-            or [f.site for f in faults].count(first.site) > 1):
-        return None
-    stage = [kind.value for kind in PIPELINE_ORDER].index(first.site.unit.value)
-    stale = words[max(first.start - first.kind.extra, 0)][stage]
-    index = faults.index(first)
-    stuck = tuple(replace(first, kind=StuckAt(bit, stale >> bit & 1))
-                  for bit in range(BUS_DATA_BITS))
-    return FaultScenario(faults[:index] + stuck + faults[index + 1:])
-
-
-def _result(report):
-    """A report's result with no fault credited by scenario index."""
-    return (report.outcome, report.final_state, report.total_cycles, report.stress,
-            report.final_power, [replace(event, fault_id=None) for event in report.events])
-
-
-def test_skipped_error_windows_equal_cycle_by_cycle_runs_under_random_delays():
-    # Corpus programs under seeded delay scenarios, thresholds 2, 4 and 16,
-    # and budgets mostly drawn inside the error windows: each run equals the
-    # reference core's, on a fresh `Program` and on a warm one, and
-    # simulates no more cycles than it reports. A delay on a main copy that
-    # starts before any other fault latches the word its site drove `extra`
-    # cycles back, as that word stuck on its data lines.
-    rng = random.Random(0xDE1A)
-    seen = set()
-    for index in range(24):
-        program = (gen_loop_program(rng, rng.randrange(3, 8)) if index % 2
-                   else gen_program(rng, rng.randrange(8, 24)))
-        words = fault_free_words(program, CFG)
-        for threshold in (2, 4, 16):
-            config = replace(CFG, permanent_threshold=threshold)
-            swap = run_core(Program(program.instructions), config,
-                            parse_scenario(_DECODE_SWAP)).events
-            swapped_at = swap[0].resume_cycle if swap and rng.random() < 0.4 else None
-            for _ in range(2):
-                text = _delay_scenario(rng, threshold, len(words), swapped_at)
-                scenario = parse_scenario(text)
-                budget = 3 * len(words) + 300
-                probe = run_core(Program(program.instructions), config, scenario,
-                                 max_cycles=budget)
-                inside = [cycle for e in probe.events
-                          for cycle in range(e.detect_cycle + 1,
-                                             (e.resume_cycle or e.end_cycle) + 2)]
-                if inside and rng.random() < 0.7:
-                    budget = rng.choice(inside)
-                expected = reference_run(program, config, scenario, (budget,)).reports[budget]
-                fresh = run_core(Program(program.instructions), config, scenario,
-                                 max_cycles=budget)
-                warm = run_core(program, config, scenario, max_cycles=budget)
-                assert fresh == warm == expected, (program, threshold, text, budget)
-                assert warm.simulated_cycles <= warm.total_cycles
-                stuck = _as_stuck_data_lines(scenario, words)
-                if stuck is not None:
-                    assert _result(fresh) == _result(run_core(
-                        Program(program.instructions), config, stuck, max_cycles=budget)), \
-                        (program, threshold, text, budget)
-                seen.update(e.classified for e in fresh.events)
-                seen.update(("inside",) * (budget in inside)
-                            + ("spare",) * ("spare" in text and len(fresh.events) > 1)
-                            + ("skips",) * (fresh.simulated_cycles < fresh.total_cycles)
-                            + ("latch",) * (stuck is not None))
-    assert seen == {"permanent", "transient", "inside", "spare", "skips", "latch"}
-
-
 def test_a_million_cycle_delay_keeps_a_small_history():
     # The frozen window before a threshold of a million is one history
     # entry at the delay's site, however long the delay.
@@ -1537,26 +1292,150 @@ def test_a_frozen_error_window_costs_two_controller_steps(monkeypatch, text, ste
 # Every run against the reference core
 # ---------------------------------------------------------------------------
 
+def test_the_reference_core_takes_nothing_from_the_fast_path():
+    # `tests/refcore.py` checks `run_core`'s shortcuts, so it must not share
+    # them: it imports ifrsim names one by one, and none of them is
+    # `run_core`, `fold_faults` or a private name.
+    tree = ast.parse((Path(__file__).resolve().parent / "refcore.py").read_text())
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert all(alias.name.split(".")[0] != "ifrsim" for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "ifrsim":
+            assert node.module != "ifrsim", "a whole ifrsim module"
+            names += [(node.module, alias.name) for alias in node.names]
+    assert ("ifrsim.pipeline", "controller_step") in names
+    assert [(module, name) for module, name in names
+            if name in ("*", "run_core", "fold_faults") or name.startswith("_")] == []
+
+
 @pytest.mark.filterwarnings("ignore:fault .* transient flip")
 def test_runs_equal_the_reference_core():
-    # Corpus loop and forward-branch programs under 1-3 faults anywhere,
-    # rail faults included, thresholds 2, 4 and 16, and budgets that end
-    # inside error windows and countdowns, and again with a rail stuck from
-    # a strobe's cycle on. One reference pass reports every budget of a
-    # scenario. Each run, on a fresh `Program` and on one that
-    # earlier scenarios warmed, equals the reference core's, simulates no
-    # more cycles than it reports, and charges each block every cycle.
+    # Corpus loop and forward-branch programs and `samples/workload.asm`.
+    # Every scenario runs on a fresh `Program` and on one warm `Program` per
+    # program, so later runs resume from records and join through tails that
+    # earlier ones left; a run with no faults warms it first for half the
+    # programs, faulted runs alone fill it for the others. Scenarios: 1-3
+    # faults anywhere; a main-copy fault a run can settle from, alone, with
+    # another fault or a rail window, or with a second fault once it has
+    # settled; chains of delays, some on decode's spare after
+    # `_DECODE_SWAP`; and some of those with permanent events again with a
+    # rail stuck at a strobe's level from the strobe's cycle. Configs:
+    # thresholds 2, 4 and 16 and `_RESUME_CONFIGS`. Budgets: the full one,
+    # inside error windows and countdowns, at or below the first fault
+    # start, and the fresh total -1, +0 or +1. One reference pass reports
+    # every budget of a scenario. Each run equals it and diverges on the
+    # same cycle, simulates no more cycles than it reports and charges each
+    # block every cycle; a fresh run never joins, and a completed run that
+    # never diverged matches the reference interpreter.
     rng = random.Random(0x27EF)
     seen = set()
-    for index in range(16):
-        program = (gen_loop_program(rng, rng.randrange(3, 8)) if index % 2
-                   else gen_program(rng, rng.randrange(8, 24)))
-        fault_free = run_core(Program(program.instructions), CFG, FaultScenario()).total_cycles
-        for _ in range(4):
-            config = replace(CFG, permanent_threshold=rng.choice((2, 4, 16)))
-            faults = tuple(_random_fault(rng, fault_free + 20) for _ in range(rng.randrange(1, 4)))
+    configs = (*(replace(CFG, permanent_threshold=t) for t in (2, 4, 16)), *_RESUME_CONFIGS)
+    decode_swap = parse_scenario(_DECODE_SWAP).faults
+
+    def check(program, warm, config, scenario, budgets):
+        """The run of each budget on a fresh and on the warm `Program`,
+        against one reference pass: {budget: (fresh report, warm report)}."""
+        expected = reference_run(program, config, scenario, budgets).reports
+        runs = {}
+        for budget in sorted(budgets):
+            want = expected[budget]
+            seen.add(want.outcome)
+            fresh = run_core(Program(program.instructions), config, scenario, max_cycles=budget)
+            runs[budget] = fresh, run_core(warm, config, scenario, max_cycles=budget)
+            for report in runs[budget]:
+                assert (report, report.diverged_at) == (want, want.diverged_at), \
+                    (program, config, scenario, budget)
+                assert report.simulated_cycles <= report.total_cycles
+                assert all(stress.total == report.total_cycles
+                           for stress in report.stress.blocks.values())
+                if report.outcome is Outcome.COMPLETED and report.diverged_at is None:
+                    assert matches_reference(report, program), (program, config, scenario)
+            assert fresh.joined_at is None
+        return runs
+
+    def main_fault(words):
+        """A fault on a main stage copy that a run can settle from: a
+        permanent stuck-at exposed at its start, which swaps the stage, or
+        a flip, stuck-at or delay in a window of 1 to 40 cycles."""
+        if rng.random() < 0.4:
+            return gen_permanent_stuckat_scenario(rng, words).faults[0]
+        roll = rng.random()
+        kind = (StuckAt(rng.randrange(36), rng.randrange(2)) if roll < 0.3 else
+                TransientFlip(rng.randrange(36)) if roll < 0.6 else Delay(rng.randrange(1, 5)))
+        return TimedFault(kind, _site(rng.choice(PIPELINE_ORDER)), rng.randrange(len(words)),
+                          rng.randrange(1, 41))
+
+    def settling(program, words, config, full):
+        """A main fault alone or with a second one: anywhere, a rail window,
+        or one that starts well after the first has closed its window or
+        completed its swap, on a main copy or on the first one's spare."""
+        first, roll = main_fault(words), rng.random()
+        if roll < 0.2:
+            return first, _random_fault(rng, len(words) + 40)
+        if roll < 0.4:
+            rail = FaultSite(FaultUnit.CONTROLLER, rng.choice(list(Copy)))
+            return first, TimedFault(StuckAt(rng.randrange(16), rng.randrange(2)), rail,
+                                     rng.randrange(len(words)), rng.randrange(1, 41))
+        if roll < 0.65:
+            alone = run_core(Program(program.instructions), config, FaultScenario((first,)),
+                             max_cycles=full)
+            settled = max([e.swap_complete_cycle or 0 for e in alone.events]
+                          + [first.end if first.duration else 0])
+            second = main_fault(words) if rng.random() < 0.5 else TimedFault(
+                StuckAt(rng.randrange(36), rng.randrange(2)),
+                replace(first.site, copy=Copy.SPARE), 0, PERMANENT)
+            seen.add("second after settling")
+            return first, replace(second, start=settled + rng.randrange(20, 80))
+        return first,
+
+    def delays(program, words, config):
+        """1-3 delays with `extra` 1 to 6, PERM or T:n, on a main copy or,
+        after `_DECODE_SWAP` has swapped decode, on the decode spare. A later
+        delay often shares the site of the one before it and starts inside
+        or just after that one's window, so it reads back across the frozen
+        cycles of that window's errors."""
+        threshold = config.permanent_threshold
+        swap = run_core(Program(program.instructions), config, FaultScenario(decode_swap)).events
+        swapped_at = swap[0].resume_cycle if swap and rng.random() < 0.4 else None
+        faults = [] if swapped_at is None else list(decode_swap)
+        site = None
+        for _ in range(rng.randrange(1, 4)):
+            if site is None or rng.random() < 0.4:
+                if swapped_at is not None and rng.random() < 0.5:
+                    site = FaultSite(FaultUnit.DECODE, Copy.SPARE)
+                    start = swapped_at + rng.randrange(12)
+                else:
+                    site, start = _site(rng.choice(PIPELINE_ORDER)), rng.randrange(3, len(words))
+            else:
+                start += rng.randrange(1, threshold + 8)
+            duration = PERMANENT if rng.random() < 0.4 else rng.randrange(1, 2 * threshold)
+            faults.append(TimedFault(Delay(rng.randrange(1, 7)), site, start, duration))
+        return tuple(faults)
+
+    sources = ([lambda: gen_loop_program(rng, rng.randrange(3, 8))] * 20
+               + [lambda: gen_program(rng, rng.randrange(8, 30))] * 12
+               + [lambda: assemble(WORKLOAD)] * 3)
+    for make in sources:
+        program = make()
+        words = fault_free_words(program, CFG)
+        golden = run_core(Program(program.instructions), CFG, FaultScenario())
+        warm = Program(program.instructions)
+        warmed = rng.random() < 0.5
+        if warmed:
+            check(program, warm, CFG, FaultScenario(), {pipeline.DEFAULT_MAX_CYCLES})
+        full = 3 * golden.total_cycles + 300
+        for _ in range(5):
+            config = rng.choice(configs)
+            roll = rng.random()
+            if roll < 0.3:
+                faults = tuple(_random_fault(rng, golden.total_cycles + 40)
+                               for _ in range(rng.randrange(1, 4)))
+            elif roll < 0.75:
+                faults = settling(program, words, config, full)
+            else:
+                faults = delays(program, words, config)
             scenario = FaultScenario(faults)
-            full = 3 * fault_free + 300
             probe = run_core(Program(program.instructions), config, scenario, max_cycles=full)
             # A budget b ends on cycle b - 1.
             windows = [b for e in probe.events for b in range(e.detect_cycle + 1, e.end_cycle + 1)]
@@ -1565,7 +1444,14 @@ def test_runs_equal_the_reference_core():
                                          (e.resume_cycle or probe.total_cycles) + 1)]
             budgets = {full, *rng.sample(windows, min(2, len(windows))),
                        *rng.sample(countdowns, min(2, len(countdowns)))}
-            runs = [(scenario, budgets)]
+            first = min(f.start for f in faults)
+            if first and rng.random() < 0.2:
+                budgets.add(rng.randrange(1, first + 1))
+            near = rng.choice((-1, 0, 1)) if rng.random() < 0.4 else None
+            if near is not None:
+                budgets.add(max(probe.total_cycles + near, 1))
+            fresh, hot = check(program, warm, config, scenario, budgets)[full]
+
             # A rail stuck at the level one of a strobe's bits drives, from
             # the strobe's own cycle on: classify, power-on or switch.
             strobes = [(cycle, bit) for e in probe.permanent_events
@@ -1574,29 +1460,67 @@ def test_runs_equal_the_reference_core():
                                            (e.end_cycle + config.flush_cycles, (11 + stage, 14)),
                                            ((e.resume_cycle or 0) - 1, (6, 15)))
                        if cycle >= e.end_cycle for bit in bits]
-            if strobes:
+            if strobes and rng.random() < 0.4:
                 cycle, bit = rng.choice(strobes)
                 value = rng.randrange(2)
                 rail = TimedFault(StuckAt(bit, value), FaultSite(
                     FaultUnit.CONTROLLER, Copy.MAIN if value else Copy.SPARE), cycle, PERMANENT)
-                runs.append((FaultScenario(faults + (rail,)), {full}))
+                check(program, warm, config, FaultScenario(faults + (rail,)), {full})
                 seen.add("strobe")
-            for scenario, budgets in runs:
-                expected = reference_run(program, config, scenario, budgets).reports
-                for budget in budgets:
-                    for target in (Program(program.instructions), program):
-                        report = run_core(target, config, scenario, max_cycles=budget)
-                        assert report == expected[budget], (program, config, scenario, budget)
-                        assert report.simulated_cycles <= report.total_cycles
-                        assert all(stress.total == report.total_cycles
-                                   for stress in report.stress.blocks.values())
-                    seen.add(report.outcome)
-                    seen.update(("window budget",) * (budget in windows)
-                                + ("countdown budget",) * (budget in countdowns))
-            seen.update(e.classified for e in probe.events)
-            seen.update(("rail",) * any(f.site.unit is FaultUnit.CONTROLLER for f in faults))
-    assert seen >= {Outcome.COMPLETED, Outcome.DEAD, Outcome.EXHAUSTED, "permanent",
-                    "transient", "rail", "window budget", "countdown budget", "strobe"}
+
+            rails = any(f.site.unit is FaultUnit.CONTROLLER for f in faults)
+            other_config = config.flush_cycles != CFG.flush_cycles
+            seen.add("rail" if rails else "stage")
+            seen.update(type(f.kind).__name__ for f in faults)
+            seen.update("PERM" if f.duration is PERMANENT else "T:n" for f in faults)
+            seen.add(f"threshold {config.permanent_threshold}")
+            seen.update(("config",) * other_config
+                        + ("past the end",) * (first >= golden.total_cycles)
+                        + ("budget below start",) * (min(budgets) <= first)
+                        + ("window budget",) * bool(budgets.intersection(windows))
+                        + ("countdown budget",) * bool(budgets.intersection(countdowns)))
+            if any(isinstance(f.kind, Delay) and f.site.copy is _MAIN and f.start > f.kind.extra
+                   for f in faults):
+                seen.add("main delay")
+            earliest = min(faults, key=lambda f: f.start)
+            if (isinstance(earliest.kind, Delay) and earliest.site.copy is _MAIN
+                    and [f.start for f in faults].count(first) == 1):
+                seen.add("main delay first")
+            seen.update(e.classified for e in fresh.events)
+            seen.update(("skips",) * (fresh.simulated_cycles < fresh.total_cycles)
+                        + ("diverged",) * (fresh.diverged_at is not None))
+            if hot.joined_at is not None:
+                seen.add("jump")
+                pc = run_reference(program, hot.joined_at - 1)[0].pc if hot.joined_at > 1 else 0
+                if program.instructions[pc].opcode not in (Opcode.BEQ, Opcode.JMP):
+                    seen.add("jump at a non-branch commit")
+                seen.add("swap" if any(f.duration is PERMANENT for f in faults) else "window")
+                seen.update(("jump with a rail fault",) * rails
+                            + ("jump under another config",) * other_config
+                            + ("table filled by faulted runs",) * (not warmed))
+                if any(f.site.copy is Copy.SPARE and f.site.unit is not FaultUnit.CONTROLLER
+                       and f.duration is PERMANENT for f in faults):
+                    seen.add("unselected spare")
+                if near is not None:
+                    seen.add(f"budget {near:+d}")
+            if (fresh.outcome is Outcome.COMPLETED and fresh.final_state != golden.final_state
+                    and all(isinstance(f.kind, Delay) for f in faults)):
+                seen.add("silent delay")
+            if fresh.outcome is Outcome.DEAD and faults[-1].site.copy is Copy.SPARE:
+                seen.add("selected spare")
+            if len(fresh.events) > 1 and any(isinstance(f.kind, Delay)
+                                             and f.site.copy is Copy.SPARE for f in faults):
+                seen.add("spare delay")
+    assert seen >= {
+        Outcome.COMPLETED, Outcome.DEAD, Outcome.EXHAUSTED, "permanent", "transient",
+        "rail", "stage", "StuckAt", "TransientFlip", "Delay", "PERM", "T:n",
+        "threshold 2", "threshold 4", "threshold 16", "config",
+        "main delay", "main delay first", "spare delay", "silent delay", "diverged",
+        "past the end", "budget below start", "window budget", "countdown budget",
+        "budget -1", "budget +0", "budget +1", "strobe", "skips",
+        "jump", "jump at a non-branch commit", "swap", "window", "jump with a rail fault",
+        "jump under another config", "table filled by faulted runs",
+        "second after settling", "unselected spare", "selected spare"}
 
 
 # ---------------------------------------------------------------------------
