@@ -1309,26 +1309,29 @@ def test_the_reference_core_takes_nothing_from_the_fast_path():
             if name in ("*", "run_core", "fold_faults") or name.startswith("_")] == []
 
 
-@pytest.mark.filterwarnings("ignore:fault .* transient flip")
-def test_runs_equal_the_reference_core():
-    # Corpus loop and forward-branch programs and `samples/workload.asm`.
-    # Every scenario runs on a fresh `Program` and on one warm `Program` per
-    # program, so later runs resume from records and join through tails that
-    # earlier ones left; a run with no faults warms it first for half the
-    # programs, faulted runs alone fill it for the others. Scenarios: 1-3
-    # faults anywhere; a main-copy fault a run can settle from, alone, with
-    # another fault or a rail window, or with a second fault once it has
-    # settled; chains of delays, some on decode's spare after
-    # `_DECODE_SWAP`; and some of those with permanent events again with a
-    # rail stuck at a strobe's level from the strobe's cycle. Configs:
-    # thresholds 2, 4 and 16 and `_RESUME_CONFIGS`. Budgets: the full one,
-    # inside error windows and countdowns, at or below the first fault
-    # start, and the fresh total -1, +0 or +1. One reference pass reports
-    # every budget of a scenario. Each run equals it and diverges on the
-    # same cycle, simulates no more cycles than it reports and charges each
-    # block every cycle; a fresh run never joins, and a completed run that
-    # never diverged matches the reference interpreter.
-    rng = random.Random(0x27EF)
+def _reference_property(seed, programs, strata):
+    """The coverage marks of runs checked against the reference core.
+    `programs` counts corpus loop kernels, forward-branch programs and
+    copies of `samples/workload.asm`. Each scenario draws from one of
+    `strata`: "random", 1-3 faults anywhere; "settling", a main-copy fault
+    a run can settle from, alone, with another fault or a rail window, or
+    with a second fault once it has settled; "delays", chains of delays,
+    some on decode's spare after `_DECODE_SWAP`. Some scenarios with
+    permanent events run again with a rail stuck at a strobe's level from
+    the strobe's cycle.
+
+    Every scenario runs on a fresh `Program` and on one warm `Program` per
+    program, so later runs resume from records and join through tails that
+    earlier ones left; a run with no faults warms it first for half the
+    programs, faulted runs alone fill it for the others. Configs:
+    thresholds 2, 4 and 16 and `_RESUME_CONFIGS`. Budgets: the full one,
+    inside error windows and countdowns, at or below the first fault start,
+    and the fresh total -1, +0 or +1. One reference pass reports every
+    budget of a scenario. Each run equals it and diverges on the same
+    cycle, simulates no more cycles than it reports and charges each block
+    every cycle; a fresh run never joins, and a completed run that never
+    diverged matches the reference interpreter."""
+    rng = random.Random(seed)
     seen = set()
     configs = (*(replace(CFG, permanent_threshold=t) for t in (2, 4, 16)), *_RESUME_CONFIGS)
     decode_swap = parse_scenario(_DECODE_SWAP).faults
@@ -1413,9 +1416,10 @@ def test_runs_equal_the_reference_core():
             faults.append(TimedFault(Delay(rng.randrange(1, 7)), site, start, duration))
         return tuple(faults)
 
-    sources = ([lambda: gen_loop_program(rng, rng.randrange(3, 8))] * 20
-               + [lambda: gen_program(rng, rng.randrange(8, 30))] * 12
-               + [lambda: assemble(WORKLOAD)] * 3)
+    loops, branches, workloads = programs
+    sources = ([lambda: gen_loop_program(rng, rng.randrange(3, 8))] * loops
+               + [lambda: gen_program(rng, rng.randrange(8, 30))] * branches
+               + [lambda: assemble(WORKLOAD)] * workloads)
     for make in sources:
         program = make()
         words = fault_free_words(program, CFG)
@@ -1427,11 +1431,11 @@ def test_runs_equal_the_reference_core():
         full = 3 * golden.total_cycles + 300
         for _ in range(5):
             config = rng.choice(configs)
-            roll = rng.random()
-            if roll < 0.3:
+            stratum = rng.choice(strata)
+            if stratum == "random":
                 faults = tuple(_random_fault(rng, golden.total_cycles + 40)
                                for _ in range(rng.randrange(1, 4)))
-            elif roll < 0.75:
+            elif stratum == "settling":
                 faults = settling(program, words, config, full)
             else:
                 faults = delays(program, words, config)
@@ -1511,16 +1515,45 @@ def test_runs_equal_the_reference_core():
             if len(fresh.events) > 1 and any(isinstance(f.kind, Delay)
                                              and f.site.copy is Copy.SPARE for f in faults):
                 seen.add("spare delay")
-    assert seen >= {
-        Outcome.COMPLETED, Outcome.DEAD, Outcome.EXHAUSTED, "permanent", "transient",
-        "rail", "stage", "StuckAt", "TransientFlip", "Delay", "PERM", "T:n",
-        "threshold 2", "threshold 4", "threshold 16", "config",
-        "main delay", "main delay first", "spare delay", "silent delay", "diverged",
-        "past the end", "budget below start", "window budget", "countdown budget",
-        "budget -1", "budget +0", "budget +1", "strobe", "skips",
+    return seen
+
+
+@pytest.mark.filterwarnings("ignore:fault .* transient flip")
+def test_resumed_runs_equal_runs_from_cycle_zero():
+    # Runs that resume from records left by earlier runs, in random order,
+    # under 1-3 faults anywhere, equal the reference core's runs from cycle 0.
+    assert _reference_property(0x5E5E, (8, 0, 0), ("random",)) >= {
+        "rail", "stage", "StuckAt", "TransientFlip", "Delay", "PERM", "T:n", "config",
+        "main delay", "past the end", "budget below start"}
+
+
+@pytest.mark.filterwarnings("ignore:fault .* transient flip")
+def test_runs_that_rejoin_the_fault_free_run_equal_runs_from_cycle_zero():
+    # Runs that settle from a main-copy fault and may end early from the
+    # join table equal the reference core's runs from cycle 0.
+    assert _reference_property(0x7017, (10, 5, 2), ("settling",)) >= {
         "jump", "jump at a non-branch commit", "swap", "window", "jump with a rail fault",
         "jump under another config", "table filled by faulted runs",
-        "second after settling", "unselected spare", "selected spare"}
+        "second after settling", "unselected spare", "selected spare", "silent delay",
+        "budget -1", "budget +0", "budget +1"}
+
+
+@pytest.mark.filterwarnings("ignore:fault .* transient flip")
+def test_skipped_error_windows_equal_cycle_by_cycle_runs_under_random_delays():
+    # Runs under chains of delays, which skip their frozen error windows and
+    # countdowns, equal the reference core's cycle-by-cycle runs, budgets
+    # inside those windows and countdowns among them.
+    assert _reference_property(0xDE1A, (5, 5, 0), ("delays",)) >= {
+        "permanent", "transient", "Delay", "main delay first", "spare delay", "skips",
+        "window budget", "countdown budget"}
+
+
+@pytest.mark.filterwarnings("ignore:fault .* transient flip")
+def test_runs_equal_the_reference_core():
+    # Every stratum mixed, on every kind of program.
+    assert _reference_property(0x27EF, (4, 4, 1), ("random", "settling", "delays")) >= {
+        Outcome.COMPLETED, Outcome.DEAD, Outcome.EXHAUSTED, "permanent", "transient",
+        "threshold 2", "threshold 4", "threshold 16", "diverged", "strobe"}
 
 
 # ---------------------------------------------------------------------------
