@@ -75,50 +75,37 @@ MONITOR, SUSPECT, FLUSH, POWER_SWAP, RESUME, DEAD = ControllerMode
 
 @dataclass
 class ControllerState:
-    """The controller's registers, which `controller_step` updates in place
-    on every clock. Stages are pipeline positions 0..2 (predecode, decode,
-    execute), the indices `run_core` uses. A step reassigns
-    `error_counters` and `on_spare` rather than mutating them."""
+    """The controller's registers, which only `controller_step` and
+    `controller_skip` update, reassigning `error_counters` and `on_spare`.
+    Stages are pipeline positions 0..2, the indices `run_core` uses. The
+    suspect stage is the first at the highest nonzero error counter."""
     mode: ControllerMode = MONITOR
-    suspect_stage: int | None = None
     swap_stage: int | None = None
     remaining: int = 0
     error_counters: tuple[int, int, int] = (0, 0, 0)
     on_spare: frozenset = frozenset()
 
 
-@dataclass(frozen=True)
-class ControllerActions:
-    """The strobes of one controller step; at most one field is set. Stages
-    are pipeline positions 0..2. `classified` flushes the pipeline and powers
-    off that stage's main copy; `power_on` starts powering up its spare;
-    `swap` flips its switch to the spare and replays; `transient_clear` is
-    the stage whose error run cleared; `dead` is fail-stop.
-    """
-    classified: int | None = None
-    power_on: int | None = None
-    swap: int | None = None
-    transient_clear: int | None = None
-    dead: bool = False
-
-
-_NO_ACTIONS = ControllerActions()
-_DEAD_ACTIONS = ControllerActions(dead=True)
+# The strobes a controller step drives, each for one stage and on its own
+# cycle alone: CLASSIFY flushes the pipeline and powers off the stage's main
+# copy; POWER_ON starts powering up its spare; SWAP flips its switch to the
+# spare and replays; CLEAR ends its error run below the threshold.
+CLASSIFY, POWER_ON, SWAP, CLEAR = range(4)
 
 
 def controller_step(state: ControllerState, masks, trc_error: bool,
-                    config: CoreConfig) -> ControllerActions:
+                    config: CoreConfig) -> tuple[int, int] | None:
     """One clock of the repair controller: steps `state` in place and returns
-    only the action strobes the surrounding logic must obey.
+    the `(strobe, stage)` the surrounding logic must obey, or None.
 
     `masks` holds the 4-bit parity error mask of each stage in pipeline
-    order; stages in the state and the actions are positions 0..2. A
-    two-rail error is fail-stop from any mode, DEAD included; otherwise
-    stepping a DEAD controller raises.
+    order; stages in the state and the strobes are positions 0..2. A
+    two-rail error is fail-stop (DEAD, no strobe) from any mode, DEAD
+    included; otherwise stepping a DEAD controller raises.
     """
     if trc_error:
         state.mode = DEAD
-        return _DEAD_ACTIONS
+        return None
     mode = state.mode
     if mode is DEAD:
         raise ValueError("controller is dead; Dead is absorbing")
@@ -126,25 +113,25 @@ def controller_step(state: ControllerState, masks, trc_error: bool,
     if mode is FLUSH or mode is POWER_SWAP:
         state.remaining -= 1
         if state.remaining > 0:
-            return _NO_ACTIONS
+            return None
         stage = state.swap_stage
         if mode is FLUSH:
             state.mode = POWER_SWAP
             state.remaining = config.powerup_cycles_per_block
-            return ControllerActions(power_on=stage)
+            return POWER_ON, stage
         state.mode = RESUME
         state.on_spare = state.on_spare | {stage}
-        return ControllerActions(swap=stage)
+        return SWAP, stage
 
     # MONITOR / SUSPECT / RESUME watch the parity masks.
     if not any(masks):
-        actions = _NO_ACTIONS
+        strobe = None
         if mode is SUSPECT:
-            actions = ControllerActions(transient_clear=state.suspect_stage)
-            state.suspect_stage = None
+            counters = state.error_counters
+            strobe = CLEAR, counters.index(max(counters))
             state.error_counters = (0, 0, 0)
         state.mode = MONITOR
-        return actions
+        return strobe
 
     counters = tuple(count + 1 if mask else 0
                      for count, mask in zip(state.error_counters, masks))
@@ -154,39 +141,56 @@ def controller_step(state: ControllerState, masks, trc_error: bool,
     stage = counters.index(peak)
     if peak < config.permanent_threshold:
         state.mode = SUSPECT
-        state.suspect_stage = stage
         state.error_counters = counters
-        return _NO_ACTIONS
+        return None
     if stage in state.on_spare:
         # The spare itself has failed permanently: nothing left to swap in.
         state.mode = DEAD
-        return _DEAD_ACTIONS
+        return None
     state.mode = FLUSH
-    state.suspect_stage = None
     state.swap_stage = stage
     state.remaining = config.flush_cycles
     state.error_counters = (0, 0, 0)
-    return ControllerActions(classified=stage)
+    return CLASSIFY, stage
 
 
-def controller_output_vector(state: ControllerState, actions: ControllerActions) -> int:
+def controller_skip(state: ControllerState, config: CoreConfig, limit: int) -> int:
+    """Take up to `limit` cycles, each seeing the masks of the last step,
+    which drove no strobe, and return how many. In SUSPECT each adds one to
+    each nonzero counter, short of the threshold. Otherwise each counts
+    `remaining` down, short of the strobe; MONITOR and RESUME have none."""
+    if state.mode is SUSPECT:
+        counters = state.error_counters
+        skip = min(config.permanent_threshold - 1 - max(counters), limit)
+        state.error_counters = tuple(count + skip if count else 0 for count in counters)
+    else:
+        skip = min(max(state.remaining - 1, 0), limit)
+        state.remaining -= skip
+    return skip
+
+
+def controller_output_vector(state: ControllerState, strobe: tuple[int, int] | None) -> int:
     """Pack the controller's observable outputs into a 16-bit vector.
 
-    Layout: [0:3] mode, [3:5] focal stage code (position + 1), 5 flush,
+    Layout: [0:3] mode, [3:5] focal stage code (position + 1: the suspect
+    stage while an error counter is nonzero, else the swap stage), 5 flush,
     6 replay, [7:10] power-off stage one-hot, 10 power-off-targets-spare
     (always 0: only main copies are powered off), [11:14] power-on stage
     one-hot, 14 power-on-targets-spare, 15 switch flip.
     """
     vec = state.mode.value
-    focal = state.suspect_stage if state.suspect_stage is not None else state.swap_stage
+    counters = state.error_counters
+    focal = counters.index(max(counters)) if any(counters) else state.swap_stage
     if focal is not None:
         vec |= (focal + 1) << 3
-    if actions.classified is not None:
-        vec |= 1 << 5 | 1 << (7 + actions.classified)
-    if actions.power_on is not None:
-        vec |= 1 << (11 + actions.power_on) | 1 << 14
-    if actions.swap is not None:
-        vec |= 1 << 6 | 1 << 15
+    if strobe is not None:
+        kind, stage = strobe
+        if kind == CLASSIFY:
+            vec |= 1 << 5 | 1 << (7 + stage)
+        elif kind == POWER_ON:
+            vec |= 1 << (11 + stage) | 1 << 14
+        elif kind == SWAP:
+            vec |= 1 << 6 | 1 << 15
     return vec
 
 
@@ -357,15 +361,17 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
     run with rail faults, with masks folded the same way, and the stress
     ledger is kept as spans that close when a block's power changes.
 
-    Every run takes in one step, up to the next fault start or end and the
-    budget, the cycles that change only a count: the FLUSH and POWER_SWAP
-    countdowns, and the frozen error window. It starts after a cycle that
-    drove no action strobe, so until that fault edge the rails carry the
-    outputs and faults of that cycle. An error freezes the pipeline,
-    so each later SUSPECT cycle re-presents the same words and adds one to
-    each nonzero error counter; the skip stops short of the threshold, so
-    the next simulated cycle classifies or clears on the same cycle. It adds
-    its cycles to the newest entry of each selected copy's delay history.
+    After a cycle that drove no strobe, every run takes in one step
+    (`controller_skip`), up to the budget, the cycles that change only a
+    count: the frozen error window, up to the next fault start or end, and
+    the FLUSH and POWER_SWAP countdowns, which evaluate no stage bus, up to
+    that edge only in a run with rail faults, whose rails carry the outputs
+    and faults of that cycle until then. An error freezes the pipeline, so
+    each later SUSPECT cycle re-presents the same words and adds one to
+    each nonzero counter; the skip stops short of the threshold, so the
+    next simulated cycle classifies or clears on the same cycle. A window
+    skip adds its cycles to the newest entry of each selected copy's delay
+    history.
 
     The execute stage does not call `isa.execute_result`: the decode table
     names each word's execute kind, the decode latch carries it, and the
@@ -412,7 +418,7 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
         since[stage][copy] = end
 
     def set_power(stage: int, copy: int, state: PowerState, cycle: int) -> None:
-        # A controller action of this cycle takes effect from the next one.
+        # A controller strobe of this cycle takes effect from the next one.
         close_span(stage, copy, cycle + 1)
         power[stage][copy] = state
         # Power changes only here, so the invariants are checked here.
@@ -502,7 +508,7 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
         or at once if it is a stuck-at at the level its rail carries while
         the controller idles in MONITOR: once every stage fault is inert,
         the controller idles for good."""
-        idle = controller_output_vector(ControllerState(swap_stage=ctrl.swap_stage), _NO_ACTIONS)
+        idle = controller_output_vector(ControllerState(swap_stage=ctrl.swap_stage), None)
         return max((end for end, unit, copy, kind in inert_when
                     if (copy == (unit in ctrl.on_spare) if unit != _RAIL else
                         not (isinstance(kind, StuckAt)
@@ -618,9 +624,9 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
                 frozen = any(masks)
 
         # Controller. Idle monitoring is the identity step.
-        actions = _NO_ACTIONS
+        strobe = None
         if mode is not MONITOR or frozen:
-            actions = controller_step(ctrl, masks, False, config)
+            strobe = controller_step(ctrl, masks, False, config)
             mode = ctrl.mode
             live = mode in _LIVE_MODES
         if rails:
@@ -628,22 +634,22 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
             # outputs are complemented and the rails are compared. Without
             # rail faults the rails agree by construction. A mismatch ends
             # the controller DEAD, even when this cycle's step already has.
-            vec = controller_output_vector(ctrl, actions)
+            vec = controller_output_vector(ctrl, strobe)
             window = bisect_right(edges, cycle)
             _, flips_a, keep_a, ones_a = folds.get((_RAIL, 0, window)) or fold(_RAIL, 0, cycle, 0)
             _, flips_b, keep_b, ones_b = folds.get((_RAIL, 1, window)) or fold(_RAIL, 1, cycle, 0)
             out_a = (vec ^ flips_a) & keep_a | ones_a
             out_b = ((~vec & _RAIL_MASK) ^ flips_b) & keep_b | ones_b
             if not trc_compare(out_a, out_b, CONTROLLER_VEC_BITS):
-                actions = controller_step(ctrl, _NO_MASKS, True, config)
+                controller_step(ctrl, _NO_MASKS, True, config)
                 mode = ctrl.mode
 
-        if actions is not _NO_ACTIONS:
-            if actions.dead:
-                outcome = RUN_DEAD
-                break
-            if actions.classified is not None:
-                stage = actions.classified
+        if mode is DEAD:
+            outcome = RUN_DEAD
+            break
+        if strobe is not None:
+            kind, stage = strobe
+            if kind == CLASSIFY:
                 detect, culprit = run_start[stage]
                 event = RecoveryEvent(
                     fault_id=culprit, stage=PIPELINE_ORDER[stage], classified="permanent",
@@ -652,18 +658,17 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
                 open_events.append(event)
                 pd = de = None
                 set_power(stage, 0, OFF, cycle)
-            if actions.power_on is not None:
-                set_power(actions.power_on, 1, POWERING, cycle)
-            if actions.swap is not None:
-                set_power(actions.swap, 1, ON, cycle)
+            elif kind == POWER_ON:
+                set_power(stage, 1, POWERING, cycle)
+            elif kind == SWAP:
+                set_power(stage, 1, ON, cycle)
                 inert_at = inert_from()
                 fetch_pc = pc
                 fetch_wait = False
                 for event in open_events:
                     if event.resume_cycle is None:
                         event.resume_cycle = cycle + 1
-            if actions.transient_clear is not None:
-                stage = actions.transient_clear
+            else:  # CLEAR
                 detect, culprit = run_start[stage]
                 events.append(RecoveryEvent(
                     fault_id=culprit, stage=PIPELINE_ORDER[stage], classified="transient",
@@ -734,29 +739,21 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
                         outcome, final = end
                         regs, pc, mem = final.regs, final.pc, dict(final.mem)
                         break
-        elif actions is _NO_ACTIONS:
+        elif strobe is None:
             # The cycles that change nothing but a count are taken in one
-            # step: until the next fault start or end, the stages and the
-            # rails see what they saw on this one. A strobe is driven on its
-            # own cycle only, so a cycle that drove one takes no skip.
-            limit = min(edges[bisect_right(edges, cycle)], max_cycles) - total_cycles
-            if mode is SUSPECT:
-                # Each cycle re-presents this cycle's words, so it sees its
-                # masks and adds one to each nonzero counter. Stop short of
-                # the threshold, so the next simulated cycle classifies or
-                # clears; each skipped cycle drives the same true words.
-                counters = ctrl.error_counters
-                skip = min(config.permanent_threshold - 1 - max(counters), limit)
-                ctrl.error_counters = tuple(count + skip if count else 0 for count in counters)
+            # step; a strobe is driven on its own cycle only. Until the next
+            # fault start or end the stages and the rails see what they saw
+            # on this cycle; a countdown evaluates no stage bus, so only rail
+            # faults bound it.
+            window = mode is SUSPECT
+            edge = edges[bisect_right(edges, cycle)] if window or rails else never
+            skip = controller_skip(ctrl, config, min(edge, max_cycles) - total_cycles)
+            if window:
+                # Each skipped cycle drives the same true words.
                 for stage in range(len(PIPELINE_ORDER)):
                     hist = delay_hist.get((stage, stage in ctrl.on_spare))
                     if hist:
                         hist[-1][1] += skip
-            else:
-                # FLUSH and POWER_SWAP count down: until `remaining` is 1, a
-                # cycle changes nothing else. RESUME has none left.
-                skip = min(max(ctrl.remaining - 1, 0), limit)
-                ctrl.remaining -= skip
             total_cycles += skip
             skipped += skip
         cycle = total_cycles

@@ -3,21 +3,21 @@
 
 It is written from README's description of the core and takes none of
 `run_core`'s shortcuts: it keeps no memo, never resumes from a commit
-record, never joins the fault-free run, and takes no cycle in a skip. On
-every cycle on which the pipeline runs it drives all three stage buses
-through `hw.encode_bus`, the active faults of the selected copy one at a
-time (`sorted_order`) and `hw.parity_check`. On every cycle it builds both
-controller rails and two-rail checks them, and it counts each block's
-stress one cycle at a time. Where it drives a bus it notes the first cycle
-on which a corrupted data word passed parity (`diverged_at`). It shares
-with `run_core` only the controller (`controller_step`,
-`controller_output_vector`), the instruction decoding and
-`isa.execute_result`. It is meant to be read, not to be fast.
+record, never joins the fault-free run, and takes no cycle in a skip
+(`controller_skip`). On every cycle on which the pipeline runs it drives
+all three stage buses through `hw.encode_bus`, the active faults of the
+selected copy one at a time (`sorted_order`) and `hw.parity_check`. On
+every cycle it builds both controller rails and two-rail checks them,
+and it counts each block's stress one cycle at a time. Where it drives a
+bus it notes the first cycle on which a corrupted data word passed
+parity (`diverged_at`). It shares with `run_core` only the controller
+(`controller_step`, `controller_output_vector`), the instruction
+decoding and `isa.execute_result`. It is meant to be read, not to be
+fast.
 """
 from __future__ import annotations
 
-import copy as copying
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from ifrsim.faults import (CONTROLLER_VEC_BITS, Delay, FaultUnit, StressLedger, StuckAt,
                            TransientFlip)
@@ -25,9 +25,9 @@ from ifrsim.hw import (OFF, ON, POWERING, BUS_DATA_BITS, Copy, PIPELINE_ORDER, e
                        parity_check, trc_compare)
 from ifrsim.isa import (BEQ, HALT, JMP, LDI, ST, WORD_MASK, ArchState, decode_word, dst_reg,
                         encode_instruction, execute_result, src_regs)
-from ifrsim.pipeline import (DEFAULT_MAX_CYCLES, MONITOR, RESUME, SUSPECT, ControllerState,
-                             Outcome, RecoveryEvent, SimReport, controller_output_vector,
-                             controller_step)
+from ifrsim.pipeline import (CLASSIFY, CLEAR, DEAD, DEFAULT_MAX_CYCLES, MONITOR, POWER_ON,
+                             RESUME, SUSPECT, SWAP, ControllerState, Outcome, RecoveryEvent,
+                             SimReport, controller_output_vector, controller_step)
 
 _DATA = (1 << BUS_DATA_BITS) - 1
 _RAIL_MASK = (1 << CONTROLLER_VEC_BITS) - 1
@@ -150,10 +150,10 @@ class _Core:
             self.error_run[stage] = self.cycle, (culprits or [active[0][0]])[0]
         return bus & WORD_MASK, mask
 
-    def rails_agree(self, actions) -> bool:
+    def rails_agree(self, strobe) -> bool:
         """Both controller copies' outputs through their rail faults, rail
         b complemented, two-rail checked."""
-        vector = controller_output_vector(self.ctrl, actions)
+        vector = controller_output_vector(self.ctrl, strobe)
         rail_a = sorted_order(vector, [f for _, f in self.active(FaultUnit.CONTROLLER, Copy.MAIN)],
                               width=CONTROLLER_VEC_BITS)
         rail_b = sorted_order(~vector & _RAIL_MASK,
@@ -207,13 +207,13 @@ class _Core:
             self.words.append(None)
         frozen = not live or any(masks)
 
-        actions = controller_step(self.ctrl, masks, False, self.config)
-        if not self.rails_agree(actions):
-            actions = controller_step(self.ctrl, (0, 0, 0), True, self.config)
-        if actions.dead:
+        strobe = controller_step(self.ctrl, masks, False, self.config)
+        if not self.rails_agree(strobe):
+            controller_step(self.ctrl, (0, 0, 0), True, self.config)
+        if self.ctrl.mode is DEAD:
             return Outcome.DEAD
-        if actions.classified is not None:
-            stage = actions.classified
+        kind, stage = strobe or (None, None)
+        if kind == CLASSIFY:
             detect, culprit = self.error_run[stage]
             event = RecoveryEvent(fault_id=culprit, stage=PIPELINE_ORDER[stage],
                                   classified="permanent", detect_cycle=detect, end_cycle=cycle)
@@ -221,16 +221,15 @@ class _Core:
             self.open_events.append(event)
             self.pd = self.de = None
             self.set_power(stage, Copy.MAIN, OFF)
-        if actions.power_on is not None:
-            self.set_power(actions.power_on, Copy.SPARE, POWERING)
-        if actions.swap is not None:
-            self.set_power(actions.swap, Copy.SPARE, ON)
+        elif kind == POWER_ON:
+            self.set_power(stage, Copy.SPARE, POWERING)
+        elif kind == SWAP:
+            self.set_power(stage, Copy.SPARE, ON)
             self.fetch_pc, self.fetch_wait = self.pc, False
             for event in self.open_events:
                 if event.resume_cycle is None:
                     event.resume_cycle = cycle + 1
-        if actions.transient_clear is not None:
-            stage = actions.transient_clear
+        elif kind == CLEAR:
             detect, culprit = self.error_run[stage]
             self.events.append(RecoveryEvent(
                 fault_id=culprit, stage=PIPELINE_ORDER[stage], classified="transient",
@@ -275,8 +274,9 @@ class _Core:
         self.stress.assert_conserved(self.cycle)
         final_state = ArchState(tuple(self.regs), self.pc, dict(self.mem),
                                 outcome is Outcome.COMPLETED)
+        stress = StressLedger({key: replace(block) for key, block in self.stress.blocks.items()})
         return SimReport(outcome=outcome, final_state=final_state,
-                         total_cycles=self.cycle, events=copying.deepcopy(self.events),
-                         stress=copying.deepcopy(self.stress), final_power=dict(self.power),
+                         total_cycles=self.cycle, events=[replace(e) for e in self.events],
+                         stress=stress, final_power=dict(self.power),
                          simulated_cycles=self.cycle, resumed_from=0, joined_at=None,
                          diverged_at=self.diverged_at)

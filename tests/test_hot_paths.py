@@ -5,11 +5,12 @@ times the cost of a global load, so these tests keep such loads out of the
 hot functions and check that every alias is the member it is named for. A
 run also makes no call to `Enum.__hash__`, which is Python code too. And only
 `controller_step` writes the controller's mode, which `run_core` keeps in a
-local."""
+local, and only it and `controller_skip` write the controller's registers."""
 import dis
 import enum
 import sys
 import types
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -21,7 +22,7 @@ from ifrsim.pipeline import ControllerMode, Outcome
 
 _WORKLOAD = Path(__file__).resolve().parent.parent / "samples" / "workload.asm"
 HOT_PATHS = (isa.execute_result, isa._step, pipeline.controller_step,
-             pipeline.run_core, faults.BlockStress.add)
+             pipeline.controller_skip, pipeline.run_core, faults.BlockStress.add)
 
 
 def _nested_codes(code):
@@ -62,30 +63,38 @@ def test_the_guard_sees_an_enum_attribute_load_in_a_closure():
     assert _enum_attribute_loads(outer) == ["inner: Opcode.ADD"]
 
 
-def _mode_stores(code) -> list:
-    """The name of each code object in `code`, nested ones included, once
-    for each store to a `mode` attribute."""
-    return [nested.co_name for nested in _nested_codes(code)
+_REGISTERS = tuple(register.name for register in fields(pipeline.ControllerState))
+
+
+def _register_stores(code) -> list:
+    """(name of the code object, attribute) for each store to an attribute
+    named like a `ControllerState` register in `code`, nested code objects
+    included."""
+    return [(nested.co_name, instruction.argval) for nested in _nested_codes(code)
             for instruction in dis.get_instructions(nested)
-            if instruction.opname == "STORE_ATTR" and instruction.argval == "mode"]
+            if instruction.opname == "STORE_ATTR" and instruction.argval in _REGISTERS]
 
 
 def test_only_controller_step_stores_the_controller_mode():
     # `run_core` keeps the controller's mode in a local that it reads afresh
     # after each `controller_step` call, which is sound only while no other
-    # code in the module writes `ControllerState.mode`.
+    # code in the module writes `ControllerState.mode`. The other registers
+    # are written by the controller's two functions alone, so each rule of
+    # the controller is said once.
     path = Path(pipeline.__file__)
-    code = compile(path.read_text(), str(path), "exec")
-    assert set(_mode_stores(code)) == {"controller_step"}
+    stores = _register_stores(compile(path.read_text(), str(path), "exec"))
+    assert {name for name, attribute in stores if attribute == "mode"} == {"controller_step"}
+    assert {name for name, _ in stores} == {"controller_step", "controller_skip"}
 
 
 def test_the_mode_guard_sees_a_store_in_a_closure():
     def outer(state):
         def inner():
             state.mode = None
+            state.remaining -= 1
         return inner
 
-    assert _mode_stores(outer.__code__) == ["inner"]
+    assert _register_stores(outer.__code__) == [("inner", "mode"), ("inner", "remaining")]
 
 
 # (module, enum, prefix): the module binds each member of the enum as a

@@ -17,10 +17,9 @@ from ifrsim import pipeline
 from ifrsim.hw import BUS_DATA_BITS, Copy, PIPELINE_ORDER, PowerState, StageKind, encode_bus
 from ifrsim.isa import (WORD_MASK, Opcode, Program, assemble, decode_word, dst_reg,
                         encode_instruction, execute_result, run_reference, src_regs)
-from ifrsim.pipeline import (ControllerActions, ControllerMode, ControllerState,
-                             CoreConfig, Outcome, controller_step,
-                             controller_output_vector, matches_reference,
-                             run_core)
+from ifrsim.pipeline import (CLASSIFY, CLEAR, POWER_ON, SWAP, ControllerMode, ControllerState,
+                             CoreConfig, Outcome, controller_output_vector, controller_skip,
+                             controller_step, matches_reference, run_core)
 from refcore import reference_run
 
 CFG = CoreConfig()
@@ -65,29 +64,28 @@ def _loop_program(trips):
 
 def test_monitor_idle_is_identity():
     state = ControllerState()
-    actions = controller_step(state, _NO_ERRORS, False, CFG)
+    assert controller_step(state, _NO_ERRORS, False, CFG) is None
     assert state == ControllerState()
-    assert actions == ControllerActions()
 
 
 def test_threshold_crossing_schedules_flush_and_power_off():
     counters = tuple(CFG.permanent_threshold - 1 if s == DECODE else 0
                      for s in (PREDECODE, DECODE, EXECUTE))
-    state = ControllerState(mode=ControllerMode.SUSPECT, suspect_stage=DECODE,
-                            error_counters=counters)
-    actions = controller_step(state, (0, 0b0001, 0), False, CFG)
+    state = ControllerState(mode=ControllerMode.SUSPECT, error_counters=counters)
+    strobe = controller_step(state, (0, 0b0001, 0), False, CFG)
     assert state.mode is ControllerMode.FLUSH
     assert state.remaining == CFG.flush_cycles
     # Classifying a stage flushes and powers off its main copy.
-    assert actions == ControllerActions(classified=DECODE)
+    assert strobe == (CLASSIFY, DECODE)
 
 
 def test_trc_error_is_fail_stop():
     state = ControllerState()
-    actions = controller_step(state, _NO_ERRORS, True, CFG)
-    assert state.mode is ControllerMode.DEAD and actions.dead
+    # Fail-stop drives no strobe: the mode alone says the controller died.
+    assert controller_step(state, _NO_ERRORS, True, CFG) is None
+    assert state.mode is ControllerMode.DEAD
     # A rail mismatch on the cycle the controller has died leaves it dead.
-    assert controller_step(state, _NO_ERRORS, True, CFG).dead
+    assert controller_step(state, _NO_ERRORS, True, CFG) is None
     assert state.mode is ControllerMode.DEAD
 
 
@@ -97,58 +95,95 @@ def test_dead_is_absorbing():
 
 
 def test_error_clearing_classifies_transient():
-    state = ControllerState(mode=ControllerMode.SUSPECT, suspect_stage=EXECUTE,
-                            error_counters=(0, 0, 5))
-    actions = controller_step(state, _NO_ERRORS, False, CFG)
+    state = ControllerState(mode=ControllerMode.SUSPECT, error_counters=(0, 0, 5))
+    strobe = controller_step(state, _NO_ERRORS, False, CFG)
     assert state.mode is ControllerMode.MONITOR
     assert state.error_counters == (0, 0, 0)
-    assert actions.transient_clear == EXECUTE
+    assert strobe == (CLEAR, EXECUTE)
 
 
 def test_counters_never_exceed_threshold():
     state = ControllerState()
     for _ in range(CFG.permanent_threshold):
         assert all(c <= CFG.permanent_threshold for c in state.error_counters)
-        actions = controller_step(state, (0, 0, 1), False, CFG)
+        strobe = controller_step(state, (0, 0, 1), False, CFG)
     assert state.mode is ControllerMode.FLUSH  # classified exactly at threshold
-    assert actions.classified == EXECUTE
+    assert strobe == (CLASSIFY, EXECUTE)
 
 
 def test_spare_failure_after_swap_is_dead():
     counters = (0, CFG.permanent_threshold - 1, 0)
-    state = ControllerState(mode=ControllerMode.SUSPECT, suspect_stage=DECODE,
-                            error_counters=counters,
+    state = ControllerState(mode=ControllerMode.SUSPECT, error_counters=counters,
                             on_spare=frozenset({DECODE}))
-    actions = controller_step(state, (0, 1, 0), False, CFG)
-    assert state.mode is ControllerMode.DEAD and actions.dead
+    assert controller_step(state, (0, 1, 0), False, CFG) is None
+    assert state.mode is ControllerMode.DEAD
 
 
 def test_flush_then_powerswap_then_resume_timing():
     state = ControllerState(mode=ControllerMode.FLUSH, swap_stage=DECODE,
                             remaining=CFG.flush_cycles)
-    power_on_at = resume_at = None
+    strobes = {}
     for step in range(1, CFG.flush_cycles + CFG.powerup_cycles_per_block + 1):
-        actions = controller_step(state, _NO_ERRORS, False, CFG)
-        if actions.power_on is not None:
-            power_on_at = step
-            assert actions.power_on == DECODE  # the spare copy
-        if actions.swap is not None:
-            resume_at = step
-            assert actions.swap == DECODE  # switch flip and replay
-    assert power_on_at == CFG.flush_cycles
-    assert resume_at == CFG.flush_cycles + CFG.powerup_cycles_per_block
+        strobe = controller_step(state, _NO_ERRORS, False, CFG)
+        if strobe is not None:
+            strobes[step] = strobe
+    # Power up the spare copy, then flip the switch and replay.
+    assert strobes == {CFG.flush_cycles: (POWER_ON, DECODE),
+                       CFG.flush_cycles + CFG.powerup_cycles_per_block: (SWAP, DECODE)}
     assert state.mode is ControllerMode.RESUME
     assert DECODE in state.on_spare
 
 
 def test_output_vector_is_16_bits_and_distinguishes_actions():
-    idle = controller_output_vector(ControllerState(), ControllerActions())
+    idle = controller_output_vector(ControllerState(), None)
     busy = controller_output_vector(
         ControllerState(mode=ControllerMode.FLUSH, swap_stage=DECODE,
                         remaining=3),
-        ControllerActions(classified=DECODE))
+        (CLASSIFY, DECODE))
     assert 0 <= idle < (1 << 16) and 0 <= busy < (1 << 16)
     assert idle != busy
+
+
+@pytest.mark.parametrize("counters, vector", [
+    # Predecode and decode tie at the peak: the first of them is the suspect.
+    ((3, 3, 0), 0x000D),
+    ((0, 2, 7), 0x001D),
+])
+def test_a_rail_mismatch_in_suspect_keeps_the_suspect_as_the_focal_stage(counters, vector):
+    # The cycle on which a rail mismatch kills the controller drives DEAD
+    # (mode 5) with the suspect's code, (position + 1) << 3, and no strobe.
+    state = ControllerState(mode=ControllerMode.SUSPECT, error_counters=counters)
+    assert controller_step(state, _NO_ERRORS, True, CFG) is None
+    assert controller_output_vector(state, None) == vector
+
+
+# A state after a step that drove no strobe, the masks every later cycle
+# sees, the most cycles a skip may take, and what the next step drives.
+_SKIPS = [
+    (ControllerState(mode=ControllerMode.SUSPECT, error_counters=(0, 3, 3)), (0, 1, 4),
+     CFG.permanent_threshold - 4, (CLASSIFY, DECODE)),
+    (ControllerState(mode=ControllerMode.FLUSH, swap_stage=EXECUTE, remaining=3), _NO_ERRORS,
+     2, (POWER_ON, EXECUTE)),
+    (ControllerState(mode=ControllerMode.POWER_SWAP, swap_stage=PREDECODE, remaining=64),
+     _NO_ERRORS, 63, (SWAP, PREDECODE)),
+    (ControllerState(), _NO_ERRORS, 0, None),
+    (ControllerState(mode=ControllerMode.RESUME, on_spare=frozenset({DECODE})), _NO_ERRORS,
+     0, None),
+]
+
+
+@pytest.mark.parametrize("state, masks, most, then", _SKIPS,
+                         ids=["suspect", "flush", "power-swap", "monitor", "resume"])
+def test_a_controller_skip_equals_its_cycles_stepped_one_at_a_time(state, masks, most, then):
+    for limit in range(most + 3):
+        skipped, stepped = replace(state), replace(state)
+        taken = controller_skip(skipped, CFG, limit)
+        assert taken == min(limit, most)
+        for _ in range(taken):
+            assert controller_step(stepped, masks, False, CFG) is None
+        assert skipped == stepped
+    # A full skip stops short of the strobe, which the next step drives.
+    assert controller_step(skipped, masks, False, CFG) == then
 
 
 # Parity masks in pipeline order, each held for a number of steps: a decode
@@ -181,10 +216,10 @@ def test_output_vector_along_a_full_repair():
     seen, clears = [], []
     for masks, steps in _REPAIR_SCHEDULE:
         for _ in range(steps):
-            actions = controller_step(state, masks, False, CFG)
-            seen.append((state.mode, controller_output_vector(state, actions)))
-            if actions.transient_clear is not None:
-                clears.append(actions.transient_clear)
+            strobe = controller_step(state, masks, False, CFG)
+            seen.append((state.mode, controller_output_vector(state, strobe)))
+            if strobe is not None and strobe[0] == CLEAR:
+                clears.append(strobe[1])
     expected = [(mode, vec) for mode, vec, steps in _REPAIR_VECTORS for _ in range(steps)]
     assert seen == expected
     assert clears == [EXECUTE]
@@ -1288,6 +1323,25 @@ def test_a_frozen_error_window_costs_two_controller_steps(monkeypatch, text, ste
         assert calls[0] == steps
 
 
+def test_a_countdown_skips_past_a_stage_fault_edge():
+    # The flip on execute's cold spare starts and ends inside decode's
+    # POWER_SWAP countdown, which evaluates no stage bus: the countdown is
+    # one skip, as it is under the decode fault alone.
+    program = assemble(WORKLOAD)
+    decode = "@10 PERM decode.main stuckat 3 1"
+    scenario = parse_scenario(decode + "\n@40 T:5 execute.spare flip 3")
+    expected = reference_run(program, CFG, scenario).reports[pipeline.DEFAULT_MAX_CYCLES]
+    for warm in (False, True):
+        alone, target = Program(program.instructions), Program(program.instructions)
+        if warm:
+            run_core(alone, CFG, FaultScenario())
+            run_core(target, CFG, FaultScenario())
+        report = run_core(target, CFG, scenario)
+        assert report == expected and [e.end_cycle for e in report.events] == [25]
+        assert report.simulated_cycles == run_core(alone, CFG,
+                                                   parse_scenario(decode)).simulated_cycles
+
+
 # ---------------------------------------------------------------------------
 # Every run against the reference core
 # ---------------------------------------------------------------------------
@@ -1295,7 +1349,7 @@ def test_a_frozen_error_window_costs_two_controller_steps(monkeypatch, text, ste
 def test_the_reference_core_takes_nothing_from_the_fast_path():
     # `tests/refcore.py` checks `run_core`'s shortcuts, so it must not share
     # them: it imports ifrsim names one by one, and none of them is
-    # `run_core`, `fold_faults` or a private name.
+    # `run_core`, `fold_faults`, `controller_skip` or a private name.
     tree = ast.parse((Path(__file__).resolve().parent / "refcore.py").read_text())
     names = []
     for node in ast.walk(tree):
@@ -1306,7 +1360,8 @@ def test_the_reference_core_takes_nothing_from_the_fast_path():
             names += [(node.module, alias.name) for alias in node.names]
     assert ("ifrsim.pipeline", "controller_step") in names
     assert [(module, name) for module, name in names
-            if name in ("*", "run_core", "fold_faults") or name.startswith("_")] == []
+            if name in ("*", "run_core", "fold_faults", "controller_skip")
+            or name.startswith("_")] == []
 
 
 def _reference_property(seed, programs, strata):
