@@ -19,7 +19,7 @@ import math
 import sys
 
 from . import formulas
-from .faults import ScenarioError, parse_scenario
+from .faults import ScenarioError, TransientFlip, parse_scenario
 from .isa import AssemblyError, assemble
 from .pipeline import DEFAULT_MAX_CYCLES, CoreConfig, Outcome, matches_reference, run_core
 from .report import CsvReport, TOOL_ID, fmt_float
@@ -195,6 +195,11 @@ def cmd_sim(args) -> int:
                        config.cycles_to_us(cycles) if cycles is not None else None)
     _emit(report, args)
 
+    for event in sim.permanent_events:
+        if isinstance(scenario.faults[event.fault_id].kind, TransientFlip):
+            print(f"note: fault {event.fault_id}, a flip, was classified permanent: its "
+                  f"errors lasted the permanent threshold ({config.permanent_threshold} "
+                  "cycles)", file=sys.stderr)
     summary = (f"outcome={sim.outcome.value} cycles={sim.total_cycles} "
                f"events={len(sim.events)} golden="
                f"{'na' if golden is None else str(golden).lower()}")

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import enum
 import math
-import warnings
 from dataclasses import dataclass, field
 
 from .hw import BUS_BITS, BUS_DATA_BITS, Copy, OFF, ON, PowerState, StageKind
@@ -96,24 +95,10 @@ class TimedFault:
     def active_at(self, cycle: int) -> bool:
         return self.start <= cycle < self.end
 
-    def is_permanent(self, permanent_threshold: int) -> bool:
-        """Ground-truth label: permanent iff unbounded or at least as long as
-        the classification threshold."""
-        return self.duration is None or self.duration >= permanent_threshold
-
 
 @dataclass(frozen=True)
 class FaultScenario:
     faults: tuple[TimedFault, ...] = ()
-
-    def validate(self, permanent_threshold: int) -> None:
-        for index, fault in enumerate(self.faults):
-            if (isinstance(fault.kind, TransientFlip)
-                    and fault.is_permanent(permanent_threshold)):
-                warnings.warn(
-                    f"fault {index}: transient flip lasting {fault.duration} cycles "
-                    f"meets the permanent threshold ({permanent_threshold}) and will "
-                    "be classified permanent", stacklevel=2)
 
 
 def apply_faults(bus: int, faults: list[TimedFault], stale: int) -> int:

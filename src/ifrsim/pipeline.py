@@ -381,7 +381,6 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
     """
     if max_cycles < 1:
         raise ValueError(f"max_cycles must be >= 1, got {max_cycles}")
-    scenario.validate(config.permanent_threshold)
     memo = _program_memo(program)
     slots, decoded, records = memo["slots"], memo["decoded"], memo["records"]
 

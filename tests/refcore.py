@@ -7,13 +7,13 @@ record, never joins the fault-free run, and takes no cycle in a skip
 (`controller_skip`). On every cycle on which the pipeline runs it drives
 all three stage buses through `hw.encode_bus`, the active faults of the
 selected copy one at a time (`sorted_order`) and `hw.parity_check`. On
-every cycle it builds both controller rails and two-rail checks them,
-and it counts each block's stress one cycle at a time. Where it drives a
-bus it notes the first cycle on which a corrupted data word passed
-parity (`diverged_at`). It shares with `run_core` only the controller
-(`controller_step`, `controller_output_vector`), the instruction
-decoding and `isa.execute_result`. It is meant to be read, not to be
-fast.
+every cycle it steps its own repair controller, written from README's
+description of the state machine and the output vector, builds both
+controller rails and two-rail checks them, and it counts each block's
+stress one cycle at a time. Where it drives a bus it notes the first
+cycle on which a corrupted data word passed parity (`diverged_at`). It
+shares with `run_core` only the instruction decoding and
+`isa.execute_result`. It is meant to be read, not to be fast.
 """
 from __future__ import annotations
 
@@ -25,12 +25,15 @@ from ifrsim.hw import (OFF, ON, POWERING, BUS_DATA_BITS, Copy, PIPELINE_ORDER, e
                        parity_check, trc_compare)
 from ifrsim.isa import (BEQ, HALT, JMP, LDI, ST, WORD_MASK, ArchState, decode_word, dst_reg,
                         encode_instruction, execute_result, src_regs)
-from ifrsim.pipeline import (CLASSIFY, CLEAR, DEAD, DEFAULT_MAX_CYCLES, MONITOR, POWER_ON,
-                             RESUME, SUSPECT, SWAP, ControllerState, Outcome, RecoveryEvent,
-                             SimReport, controller_output_vector, controller_step)
+from ifrsim.pipeline import DEFAULT_MAX_CYCLES, Outcome, RecoveryEvent, SimReport
 
 _DATA = (1 << BUS_DATA_BITS) - 1
 _RAIL_MASK = (1 << CONTROLLER_VEC_BITS) - 1
+
+# The controller's modes, named by their codes in the output vector.
+MONITOR, SUSPECT, FLUSH, POWER_SWAP, RESUME, DEAD = range(6)
+# The strobes the controller drives, each for one stage.
+CLASSIFY, POWER_ON, SWAP, CLEAR = "classify", "power on", "swap", "clear"
 
 
 def sorted_order(vector: int, faults, stale=None, width: int = 36) -> int:
@@ -66,7 +69,6 @@ class ReferenceRun:
 def reference_run(program, config, scenario, budgets=(DEFAULT_MAX_CYCLES,)) -> ReferenceRun:
     """Run `program` under `scenario` one cycle at a time, from cycle 0 to
     its end or the largest budget, and report it under each budget."""
-    scenario.validate(config.permanent_threshold)
     core = _Core(program, config, scenario)
     reports = {}
     pending = sorted(set(budgets))
@@ -84,7 +86,7 @@ def reference_run(program, config, scenario, budgets=(DEFAULT_MAX_CYCLES,)) -> R
 class _Core:
     """The core's state, stepped one cycle at a time. Stages are pipeline
     positions 0..2; a stage's switch selects its spare once it is in
-    `ctrl.on_spare`."""
+    `on_spare`."""
 
     def __init__(self, program, config, scenario):
         self.instructions = program.instructions
@@ -97,7 +99,12 @@ class _Core:
         self.fetch_wait = False  # a control-flow instruction was fetched
         self.pd = None  # the predecode latch: a fetched word
         self.de = None  # the decode latch: (instruction, op_a, op_b)
-        self.ctrl = ControllerState()
+        # The controller's registers.
+        self.mode = MONITOR
+        self.counters = [0, 0, 0]  # consecutive error cycles per stage
+        self.swap_stage = None  # the stage being or last swapped
+        self.countdown = 0  # cycles left in FLUSH or POWER_SWAP
+        self.on_spare = set()
         self.power = {(kind, copy): ON if copy is Copy.MAIN else OFF
                       for kind in PIPELINE_ORDER for copy in Copy}
         self.stress = StressLedger()
@@ -113,7 +120,7 @@ class _Core:
         self.commits = []
 
     def selected(self, stage: int) -> Copy:
-        return Copy.SPARE if stage in self.ctrl.on_spare else Copy.MAIN
+        return Copy.SPARE if stage in self.on_spare else Copy.MAIN
 
     def active(self, unit: FaultUnit, copy: Copy) -> list:
         """The (scenario index, fault) pairs active at a site this cycle."""
@@ -141,7 +148,7 @@ class _Core:
         mask = parity_check(bus)
         if not mask and bus & WORD_MASK != word and self.diverged_at is None:
             self.diverged_at = self.cycle
-        if mask and not self.ctrl.error_counters[stage]:
+        if mask and not self.counters[stage]:
             # An error run starts. Its culprit is the first active fault
             # that breaks parity on its own, else the first active one.
             culprits = [i for i, f in active
@@ -150,10 +157,63 @@ class _Core:
             self.error_run[stage] = self.cycle, (culprits or [active[0][0]])[0]
         return bus & WORD_MASK, mask
 
+    def suspect(self) -> int:
+        """The first stage at the highest error counter."""
+        return self.counters.index(max(self.counters))
+
+    def control(self, masks) -> tuple | None:
+        """One clock of the repair controller, seeing each stage's parity
+        error mask: the (strobe, stage) it drives, or None."""
+        if self.mode in (FLUSH, POWER_SWAP):
+            self.countdown -= 1
+            if self.countdown > 0:
+                return None
+            if self.mode == FLUSH:
+                self.mode, self.countdown = POWER_SWAP, self.config.powerup_cycles_per_block
+                return POWER_ON, self.swap_stage
+            self.mode = RESUME
+            self.on_spare.add(self.swap_stage)
+            return SWAP, self.swap_stage
+        if not any(masks):
+            # An error run that ends below the threshold was transient.
+            strobe = (CLEAR, self.suspect()) if self.mode == SUSPECT else None
+            self.mode, self.counters = MONITOR, [0, 0, 0]
+            return strobe
+        self.counters = [count + 1 if mask else 0 for count, mask in zip(self.counters, masks)]
+        stage = self.suspect()
+        if self.counters[stage] < self.config.permanent_threshold:
+            self.mode = SUSPECT
+            return None
+        if stage in self.on_spare:
+            self.mode = DEAD  # its spare failed too
+            return None
+        self.mode, self.counters = FLUSH, [0, 0, 0]
+        self.swap_stage, self.countdown = stage, self.config.flush_cycles
+        return CLASSIFY, stage
+
+    def output_vector(self, strobe) -> int:
+        """The controller's 16 output lines: the mode's code in bits 0-2,
+        the focal stage's position + 1 in bits 3-4 (the suspect while a
+        counter is nonzero, else the swap stage, else 0), then one line per
+        strobe output."""
+        focal = self.suspect() if any(self.counters) else self.swap_stage
+        vector = self.mode | (0 if focal is None else focal + 1) << 3
+        kind, stage = strobe or (None, None)
+        if kind == CLASSIFY:
+            vector |= 1 << 5  # flush
+            vector |= 1 << (7 + stage)  # power off this stage's main
+        elif kind == POWER_ON:
+            vector |= 1 << (11 + stage)  # power on this stage's ...
+            vector |= 1 << 14  # ... spare
+        elif kind == SWAP:
+            vector |= 1 << 6  # replay
+            vector |= 1 << 15  # switch flip
+        return vector
+
     def rails_agree(self, strobe) -> bool:
         """Both controller copies' outputs through their rail faults, rail
         b complemented, two-rail checked."""
-        vector = controller_output_vector(self.ctrl, strobe)
+        vector = self.output_vector(strobe)
         rail_a = sorted_order(vector, [f for _, f in self.active(FaultUnit.CONTROLLER, Copy.MAIN)],
                               width=CONTROLLER_VEC_BITS)
         rail_b = sorted_order(~vector & _RAIL_MASK,
@@ -174,7 +234,7 @@ class _Core:
         """The work of cycle `cycle`, which `self.cycle` still names."""
         for key, state in self.power.items():
             self.stress.blocks[key].add(state, 1)
-        live = self.ctrl.mode in (MONITOR, SUSPECT, RESUME)
+        live = self.mode in (MONITOR, SUSPECT, RESUME)
         masks = (0, 0, 0)
         stall = False
         fetched = decoded = None
@@ -207,10 +267,10 @@ class _Core:
             self.words.append(None)
         frozen = not live or any(masks)
 
-        strobe = controller_step(self.ctrl, masks, False, self.config)
+        strobe = self.control(masks)
         if not self.rails_agree(strobe):
-            controller_step(self.ctrl, (0, 0, 0), True, self.config)
-        if self.ctrl.mode is DEAD:
+            self.mode = DEAD  # fail-stop
+        if self.mode == DEAD:
             return Outcome.DEAD
         kind, stage = strobe or (None, None)
         if kind == CLASSIFY:

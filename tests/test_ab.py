@@ -2,7 +2,11 @@
 and the trees it runs."""
 import importlib.util
 import json
+import os
+import signal
 import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -164,3 +168,30 @@ def test_a_metric_worse_than_its_bound_is_flagged(tmp_path, monkeypatch, capsys)
     marked = [line.split()[0] for line in capsys.readouterr().out.splitlines()
               if line.endswith("BEYOND BOUND")]
     assert marked == ["peak_rss_mb"]
+
+
+def test_sigterm_removes_both_trees_and_leaves_no_child_running(tmp_path):
+    # Stopped while it exports or compiles the trees, the tool kills its
+    # child, removes its temporary directory and exits non-zero. It runs in
+    # a session of its own, so that its children share its process group.
+    temp = tmp_path / "tmp"
+    temp.mkdir()
+    argv = [sys.executable, str(_PATH), "HEAD", "--change", "HEAD", "--workload", "markov-oracle",
+            "--label", "sigterm"]
+    proc = subprocess.Popen(argv, cwd=ab.ROOT, env=dict(os.environ, TMPDIR=str(temp)),
+                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+                            start_new_session=True)
+    try:
+        deadline = time.monotonic() + 60
+        while not list(temp.glob("ifrsim-ab-*/change")):
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=60) != 0
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    assert list(temp.iterdir()) == []
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)

@@ -124,6 +124,40 @@ def test_sim_transient_row_has_no_swap_or_recovery(tmp_path):
                                      "recovery_us")] == [""] * 3
 
 
+
+def _notes(capsys) -> list[str]:
+    return [line for line in capsys.readouterr().err.splitlines() if line.startswith("note:")]
+
+
+def test_sim_notes_a_flip_that_was_classified_permanent(tmp_path, capsys):
+    # The flip's errors last the permanent threshold, so decode swaps to its
+    # spare as for a stuck-at, and `sim` says so once. The warning filter of
+    # the suite shows that no warning is issued too.
+    scenario = tmp_path / "flip.flt"
+    scenario.write_text("@5 T:20 decode.main flip 3\n")
+    code, text = run_cli(["sim", WORKLOAD, str(scenario)], tmp_path)
+    meta, _, rows = parse_csv(text)
+    assert code == 0
+    assert (meta["outcome"], meta["total_cycles"], meta["golden_match"]) == (
+        "completed", "214", "true")
+    assert rows == [{"fault_id": "0", "class": "permanent", "stage": "decode",
+                     "detect_cycle": "5", "swap_complete_cycle": "90", "recovery_cycles": "85",
+                     "recovery_us": "8.50000000e-01"}]
+    assert _notes(capsys) == ["note: fault 0, a flip, was classified permanent: its errors "
+                              "lasted the permanent threshold (16 cycles)"]
+
+
+def test_sim_notes_no_flip_that_never_reached_a_selected_copy(tmp_path, capsys):
+    # The same flip on decode's unpowered spare raises no error and gets no
+    # note, though it is as long.
+    scenario = tmp_path / "flip.flt"
+    scenario.write_text("@5 T:20 decode.spare flip 3\n")
+    code, text = run_cli(["sim", WORKLOAD, str(scenario)], tmp_path)
+    meta, _, rows = parse_csv(text)
+    assert code == 0
+    assert (meta["outcome"], meta["total_cycles"], rows) == ("completed", "129", [])
+    assert _notes(capsys) == []
+
 @pytest.mark.parametrize("name", ["work\nload.asm", "work\rload.asm"])
 def test_line_break_in_a_metadata_value_is_a_usage_error(name, tmp_path, capsys):
     # The program path is written as metadata; a line break in it would

@@ -178,18 +178,6 @@ def test_fault_validation():
         TimedFault(Delay(1), FaultSite(FaultUnit.CONTROLLER, Copy.MAIN), 0, 1)
 
 
-def test_ground_truth_labels():
-    faults = (_fault(StuckAt(0, 1), duration=PERMANENT), _fault(StuckAt(0, 1), duration=16),
-              _fault(TransientFlip(2), duration=3))
-    assert [fault.is_permanent(16) for fault in faults] == [True, True, False]
-
-
-def test_long_flip_warns():
-    scenario = FaultScenario((_fault(TransientFlip(0), duration=20),))
-    with pytest.warns(UserWarning, match="permanent threshold"):
-        scenario.validate(16)
-
-
 def test_parse_scenario_roundtrip():
     text = """
     # canonical decode fault

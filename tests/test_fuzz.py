@@ -36,10 +36,6 @@ COUNTS = ("0", "-1", "1", "2", "3", "2.5", "1e308", "nan", "inf", "9" * 20, "x")
 # so only a few are drawn below the limit; the counts past it are refused.
 TRIALS = ("0", "-1", "1", "3", "2.5", "nan", "x", "-" + "9" * 20, "1000000001", "9" * 20)
 
-# The documented warning that a long transient flip is classified permanent
-# is not an error; pytest's `filterwarnings = error` would raise it.
-_LONG_FLIP = pytest.mark.filterwarnings(
-    "ignore:fault [0-9]+. transient flip lasting .* will be classified permanent")
 _SETTINGS = dict(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
@@ -100,7 +96,6 @@ LANGUAGES = {
 }
 
 
-@_LONG_FLIP
 @pytest.mark.parametrize("language", sorted(LANGUAGES))
 @settings(max_examples=50, **_SETTINGS)
 @given(data=st.data())
@@ -151,7 +146,6 @@ SUBCOMMANDS = {
 }
 
 
-@_LONG_FLIP
 @pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
 @settings(max_examples=30, **_SETTINGS)
 @given(data=st.data())

@@ -1259,7 +1259,6 @@ def _window_scenarios(threshold):
     }
 
 
-@pytest.mark.filterwarnings("ignore:fault .* transient flip")
 @pytest.mark.parametrize("threshold", (2, 4, 16))
 def test_skipped_error_windows_equal_windows_taken_cycle_by_cycle(threshold):
     config = replace(CFG, permanent_threshold=threshold)
@@ -1347,9 +1346,10 @@ def test_a_countdown_skips_past_a_stage_fault_edge():
 # ---------------------------------------------------------------------------
 
 def test_the_reference_core_takes_nothing_from_the_fast_path():
-    # `tests/refcore.py` checks `run_core`'s shortcuts, so it must not share
-    # them: it imports ifrsim names one by one, and none of them is
-    # `run_core`, `fold_faults`, `controller_skip` or a private name.
+    # `tests/refcore.py` checks `run_core`'s shortcuts and its controller, so
+    # it must not share them: it imports ifrsim names one by one, and none
+    # of them is `run_core`, `fold_faults`, a controller function, the
+    # controller's registers or a private name.
     tree = ast.parse((Path(__file__).resolve().parent / "refcore.py").read_text())
     names = []
     for node in ast.walk(tree):
@@ -1358,11 +1358,33 @@ def test_the_reference_core_takes_nothing_from_the_fast_path():
         elif isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "ifrsim":
             assert node.module != "ifrsim", "a whole ifrsim module"
             names += [(node.module, alias.name) for alias in node.names]
-    assert ("ifrsim.pipeline", "controller_step") in names
+    assert ("ifrsim.isa", "execute_result") in names
     assert [(module, name) for module, name in names
-            if name in ("*", "run_core", "fold_faults", "controller_skip")
+            if name in ("*", "run_core", "fold_faults", "controller_step", "controller_skip",
+                        "controller_output_vector", "ControllerState")
             or name.startswith("_")] == []
 
+
+
+@pytest.mark.parametrize("text, culprit", [
+    # Alone, the delay breaks parity from cycle 8 and the stuck-at from
+    # cycle 6; together they break it on cycle 5, and the first active
+    # fault is credited, in either order.
+    ("@5 PERM predecode.main delay 2\n@5 PERM predecode.main stuckat 16 1", 0),
+    ("@5 PERM predecode.main stuckat 16 1\n@5 PERM predecode.main delay 2", 0),
+    # Otherwise the first active fault that breaks parity alone is.
+    ("@5 PERM predecode.main delay 2\n@5 PERM predecode.main flip 0\n"
+     "@5 PERM predecode.main flip 8", 1),
+    ("@5 PERM predecode.main stuckat 16 1\n@5 PERM predecode.main delay 2\n"
+     "@5 PERM predecode.main flip 8", 2),
+])
+def test_an_error_run_credits_its_culprit(text, culprit):
+    program = assemble(WORKLOAD)
+    scenario = parse_scenario(text)
+    report = run_core(program, CFG, scenario)
+    assert report == reference_run(program, CFG, scenario).reports[pipeline.DEFAULT_MAX_CYCLES]
+    assert [(e.fault_id, e.classified, e.detect_cycle) for e in report.events] == [
+        (culprit, "permanent", 5)]
 
 def _reference_property(seed, programs, strata):
     """The coverage marks of runs checked against the reference core.
@@ -1573,7 +1595,6 @@ def _reference_property(seed, programs, strata):
     return seen
 
 
-@pytest.mark.filterwarnings("ignore:fault .* transient flip")
 def test_resumed_runs_equal_runs_from_cycle_zero():
     # Runs that resume from records left by earlier runs, in random order,
     # under 1-3 faults anywhere, equal the reference core's runs from cycle 0.
@@ -1582,7 +1603,6 @@ def test_resumed_runs_equal_runs_from_cycle_zero():
         "main delay", "past the end", "budget below start"}
 
 
-@pytest.mark.filterwarnings("ignore:fault .* transient flip")
 def test_runs_that_rejoin_the_fault_free_run_equal_runs_from_cycle_zero():
     # Runs that settle from a main-copy fault and may end early from the
     # join table equal the reference core's runs from cycle 0.
@@ -1593,7 +1613,6 @@ def test_runs_that_rejoin_the_fault_free_run_equal_runs_from_cycle_zero():
         "budget -1", "budget +0", "budget +1"}
 
 
-@pytest.mark.filterwarnings("ignore:fault .* transient flip")
 def test_skipped_error_windows_equal_cycle_by_cycle_runs_under_random_delays():
     # Runs under chains of delays, which skip their frozen error windows and
     # countdowns, equal the reference core's cycle-by-cycle runs, budgets
@@ -1603,7 +1622,6 @@ def test_skipped_error_windows_equal_cycle_by_cycle_runs_under_random_delays():
         "window budget", "countdown budget"}
 
 
-@pytest.mark.filterwarnings("ignore:fault .* transient flip")
 def test_runs_equal_the_reference_core():
     # Every stratum mixed, on every kind of program.
     assert _reference_property(0x27EF, (4, 4, 1), ("random", "settling", "delays")) >= {
@@ -1625,7 +1643,6 @@ def _report_bytes(report) -> bytes:
 _PINNED_RUNS = "9bc156ef241f66805898aa38f327c159f435b5c138667474ad9ac408360ab3b5"
 
 
-@pytest.mark.filterwarnings("ignore:fault .* transient flip")
 def test_seeded_runs_are_pinned():
     # 200 seeded cases: forward-branch and loop programs; stuck-ats, flips
     # and delays on main and spare copies and on the controller rails, PERM

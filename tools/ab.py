@@ -30,7 +30,8 @@ a time, and keeps each side's minimum of 7 runs: the CLI's startup time. It
 writes the per-pair numbers, pass counts included, and the startup times
 with both commits and the environment line to `BENCH_<label>.json` at the
 root of the checkout. Exits 1 if a benchmark run or a README command fails,
-or a benchmark reports a wrong output.
+or a benchmark reports a wrong output. SIGTERM stops it with exit 143, after
+it has killed the running benchmark or command and removed both trees.
 """
 from __future__ import annotations
 
@@ -38,6 +39,7 @@ import argparse
 import json
 import os
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -189,6 +191,10 @@ def _print_startup(times: dict) -> None:
         print(f"  {entry['base']:8.4f} {entry['change']:8.4f} {entry['relative']:+7.1%}  {command}")
 
 
+def _stop(signum, frame):
+    raise SystemExit(128 + signum)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base", metavar="BASE_REF")
@@ -253,6 +259,10 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    # SIGTERM raises, so that `subprocess.run` kills its child and `main`'s
+    # `with` block removes both trees, as on an error. It is set here, not in
+    # `main`, which the tests call in their own process.
+    signal.signal(signal.SIGTERM, _stop)
     try:
         sys.exit(main())
     except (RuntimeError, subprocess.CalledProcessError, subprocess.TimeoutExpired) as exc:
