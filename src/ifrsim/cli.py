@@ -341,8 +341,9 @@ def _markov_command(command):
 
 def _markov_source(args, report: CsvReport):
     """Pick the model source and what it varies: returns a `build(value) ->
-    model`, the swept column name (None for a model file's single point), and
-    the grid of values, one value for a single point."""
+    model`, the swept column name (None for a model file's single point), the
+    name of the constant a value sets (None for a model file's single point),
+    and the grid of values, one value for a single point."""
     from . import markov
     if args.aux_ratio is not None and args.builtin != "ifr-pipeline":
         raise CliError("--aux-ratio applies to --builtin ifr-pipeline only")
@@ -358,11 +359,12 @@ def _markov_source(args, report: CsvReport):
         report.add_meta("model", args.builtin)
         report.add_meta("aux_ratio", fmt_float(aux_ratio))
         build = _builtin(args.builtin, aux_ratio, "--sweep" if args.sweep else "--lam")
+        constant = _BUILTINS[args.builtin][1]
         if args.sweep:
             lo, hi, points = args.sweep
-            return build, "lambda", markov.SweepSpec("lambda", lo, hi, _sweep_points(points),
-                                                     args.T).grid()
-        return build, "lambda", [args.lam]
+            return build, "lambda", constant, markov.SweepSpec(
+                "lambda", lo, hi, _sweep_points(points), args.T).grid()
+        return build, "lambda", constant, [args.lam]
     if args.lam is not None or args.sweep:
         raise CliError("--lam and --sweep apply to --builtin only; --model takes "
                        "--sweep-const")
@@ -373,17 +375,25 @@ def _markov_source(args, report: CsvReport):
     report.add_meta("model", args.model)
     if args.sweep_const:
         name, lo, hi, points = args.sweep_const
-        return (functools.partial(model.with_constant, name), name,
+        return (functools.partial(model.with_constant, name), name, name,
                 markov.SweepSpec(name, float(lo), float(hi), _sweep_points(points),
                                  args.T).grid())
-    return lambda _: model, None, [None]
+    return lambda _: model, None, None, [None]
 
 
-def _solve_grid(build, grid, args, trials=None) -> list:
+def _solve_grid(build, grid, args, trials=None, constant=None) -> list:
     """The point loop of `markov` and `compare`. At each grid value it builds
     the model once and brackets its death probability; with `trials` it then
-    gives each solved point's model to the Monte Carlo oracle, once the whole
-    grid is solved, so a grid refused at a later point costs no trials.
+    gives the solved points to the Monte Carlo oracle, once the whole grid is
+    solved, so a grid refused at a later point costs no trials.
+
+    Where every rate is the swept `constant` times a factor free of it, the
+    model at value v dies by T with the probability that the model at the
+    largest solved value, v_max, dies by T·v/v_max. Then one oracle run of
+    that model serves every solved point, each counting the trials dead by
+    its own T·v/v_max. Otherwise, and for a single solved point, each point
+    gets its own run of its own model, up to T.
+
     Returns, per value, the cells lower, upper and width_rel, then
     mc_estimate and mc_ci99 with `trials`; or, where the solver refuses the
     point, its SolverError."""
@@ -398,9 +408,15 @@ def _solve_grid(build, grid, args, trials=None) -> list:
             continue
         points.append([bracket.lower, bracket.upper, bracket.relative_width])
         if trials:
-            sampled.append((points[-1], model))
-    for cells, model in sampled:
-        estimate = markov.monte_carlo_death_probability(model, args.T, trials, args.seed)
+            sampled.append((points[-1], model, value))
+    if len(sampled) > 1 and sampled[-1][1].scales_with(constant):
+        _, model, top = sampled[-1]
+        estimates = markov.monte_carlo_death_probability(
+            model, [args.T * (value / top) for _, _, value in sampled], trials, args.seed)
+    else:
+        estimates = [markov.monte_carlo_death_probability(model, [args.T], trials, args.seed)[0]
+                     for _, model, _ in sampled]
+    for (cells, _, _), estimate in zip(sampled, estimates):
         cells += [estimate.estimate, estimate.ci99]
     return points
 
@@ -429,14 +445,14 @@ def cmd_markov(args) -> int:
         report.add_meta("mc_trials", args.mc)
         report.add_meta("mc_seed", args.seed)
 
-    build, column, grid = _markov_source(args, report)
+    build, column, constant, grid = _markov_source(args, report)
     # A sweep has at least 2 points. Only a sweep has the error column; a
     # single point's refusal goes to `main`, which writes no report.
     swept = len(grid) > 1
     head = [] if column is None else [column]
     report.columns = head + ["lower", "upper", "width_rel"] + ["error"] * swept + mc_cols
     status = EXIT_OK
-    for value, cells in zip(grid, _solve_grid(build, grid, args, args.mc)):
+    for value, cells in zip(grid, _solve_grid(build, grid, args, args.mc, constant)):
         lead = [] if column is None else [value]
         if isinstance(cells, markov.SolverError):
             if not swept:

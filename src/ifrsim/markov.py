@@ -147,6 +147,14 @@ class MarkovModel:
                       [(tr.source, tr.target, tr.expr) for tr in self.transitions],
                       definitions)
 
+    def scales_with(self, name: str) -> bool:
+        """Whether every rate is `name` times an expression free of it, with
+        the other constants expanded through their definitions: each rate
+        expression is homogeneous of degree 1 in `name`. Then the model at
+        `c·name` is this model with time sped up by c, so its death
+        probability by T is this model's by c·T."""
+        return all(_degree(tr.expr, name, self.definitions) == 1 for tr in self.transitions)
+
 
 @dataclass(frozen=True)
 class BoundedProbability:
@@ -256,6 +264,26 @@ def _eval_expr(expr: tuple, definitions: dict, values: dict, trail: tuple = ()) 
         return (_eval_expr(expr[1], definitions, values, trail)
                 * _eval_expr(expr[2], definitions, values, trail))
     raise AssertionError(expr)
+
+
+def _degree(expr: tuple, name: str, definitions: dict) -> int | None:
+    """The degree in the constant `name` of every term of an expression AST,
+    or None where its terms differ in degree. Another constant counts by its
+    entry in `definitions`, or as degree 0 without one."""
+    op = expr[0]
+    if op == "num":
+        return 0
+    if op == "const":
+        if expr[1] == name:
+            return 1
+        definition = definitions.get(expr[1])
+        return 0 if definition is None else _degree(definition, name, definitions)
+    left, right = (_degree(side, name, definitions) for side in expr[1:])
+    if left is None or right is None:
+        return None
+    if op == "*":
+        return left + right
+    return left if left == right else None
 
 
 def _model(states, initial: str, death, transitions, definitions: dict) -> MarkovModel:
@@ -697,33 +725,47 @@ class MonteCarloEstimate:
     deaths: int
 
 
-def monte_carlo_death_probability(model: MarkovModel, mission_time: float,
-                                  trials: int, seed: int) -> MonteCarloEstimate:
-    """Trajectory-sampling oracle for the bound solver.
+def monte_carlo_death_probability(model: MarkovModel, mission_times, trials: int,
+                                  seed: int) -> list[MonteCarloEstimate]:
+    """Trajectory-sampling oracle for the bound solver: one estimate per
+    mission time of the sorted `mission_times`, of the probability of having
+    entered a death state by it.
 
-    Each trial follows the chain by total-rate (Gillespie direct-method)
-    sampling and records whether a death state is entered by the mission
-    time. The trials run in consecutive chunks of MC_CHUNK that share one
-    random stream, so memory is bounded by MC_CHUNK trials and the result
-    depends only on `(seed, trials)`.
+    The trials are simulated once, up to the last mission time, and each
+    mission time counts the trials that died by it, so the estimates share
+    their draws and never decrease. Each trial follows the chain by
+    total-rate (Gillespie direct-method) sampling. The trials run in
+    consecutive chunks of MC_CHUNK that share one random stream, so memory
+    is bounded by MC_CHUNK trials and the result depends only on
+    `(seed, trials)` and the mission times.
 
     A chunk's first hop is one multinomial draw: every trial starts in the
-    initial state at clock 0, so it gives how many trials leave by the
-    mission time towards each target, and how many stay. Trials sent to a
-    death state are counted; only those sent to a live state draw a holding
-    time, from the exponential truncated at the mission time. Then each
-    round visits the states in index order. The trials waiting in a state
-    each draw one exponential at the state's total rate, and those that
-    arrive in time draw one uniform against the cumulative rate shares to
-    pick a target; no target is drawn for a state with one target or with
-    only death targets. A trial that moves to a later state is visited again
-    in the same round, one that moves to an earlier state in the next round.
-    Trials that reach a death state are counted where they are drawn; only
-    those that live on are kept in arrays.
+    initial state at clock 0, so it gives how many trials leave by the last
+    mission time towards each live target, how many leave towards each death
+    target between each two consecutive mission times, and how many stay.
+    With one mission time that is one category per target, and one for
+    staying. Trials sent to a death state are counted; only those sent to a
+    live state draw a holding time, from the exponential truncated at the
+    last mission time. Then each round visits the states in index order. The
+    trials waiting in a state each draw one exponential at the state's total
+    rate, and those that arrive in time draw one uniform against the
+    cumulative rate shares to pick a target; no target is drawn for a state
+    with one target or with only death targets. A trial that moves to a
+    later state is visited again in the same round, one that moves to an
+    earlier state in the next round. Trials that reach a death state are
+    counted against each mission time where they are drawn; only those that
+    live on are kept in arrays.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    _check_mission_time(mission_time)
+    times = list(mission_times)
+    if not times:
+        raise ValueError("the oracle needs at least one mission time")
+    for mission_time in times:
+        _check_mission_time(mission_time)
+    if any(b < a for a, b in zip(times, times[1:])):
+        raise ValueError("mission times must be sorted")
+    horizon = times[-1]
     rng = np.random.default_rng(seed)
     index = {s: i for i, s in enumerate(model.states)}
     targets: list = [[] for _ in model.states]
@@ -744,30 +786,49 @@ def monte_carlo_death_probability(model: MarkovModel, mission_time: float,
               for dest, share in zip(targets, shares)]
 
     first = index[model.initial]
-    # Expected jumps out of the initial state by the mission time; none at
+    # The chance of leaving the initial state by each mission time; none at
     # mission time 0, even where the total rate overflows.
-    q0 = totals[first] * mission_time if mission_time else 0.0
-    p_move = -math.expm1(-q0)
-    # Leaves by the mission time towards each target, or stays put.
-    first_p = np.append(p_move * shares[first], math.exp(-q0))
+    leave = [-math.expm1(-totals[first] * t) if t else 0.0 for t in times]
+    p_move = leave[-1]
+    between = np.diff(leave, prepend=0.0)
+    # The first hop's categories, then staying put: the category of each
+    # live target, and of each death target the row of one per interval.
+    first_p: list = []
+    live: list = []
+    dying: list = []
+    for t, share in zip(targets[first], shares[first]):
+        if is_death[t]:
+            dying.append(range(len(first_p), len(first_p) + len(times)))
+            first_p.extend(share * between)
+        else:
+            live.append((t, len(first_p)))
+            first_p.append(share * p_move)
+    first_p.append(math.exp(-totals[first] * horizon) if horizon else 1.0)
+    dying = np.array(dying, dtype=np.intp).reshape(-1, len(times))
 
-    deaths = 0
+    deaths = [0] * len(times)  # trials dead by each mission time
+
+    def count_deaths(arrival):
+        for i, mission_time in enumerate(times):
+            deaths[i] += int(np.count_nonzero(arrival <= mission_time))
+
     for start in range(0, trials, MC_CHUNK):
-        counts = rng.multinomial(min(MC_CHUNK, trials - start), first_p)[:-1]
-        live = [(t, int(n)) for t, n in zip(targets[first], counts) if not is_death[t]]
-        movers = sum(n for _, n in live)
-        deaths += int(counts.sum()) - movers
+        counts = rng.multinomial(min(MC_CHUNK, trials - start), first_p)
+        for i, n in enumerate(np.cumsum(counts[dying].sum(axis=0))):
+            deaths[i] += int(n)
+        moved = [(t, int(counts[c])) for t, c in live]
+        movers = sum(n for _, n in moved)
         # Arrival clocks of the live trials waiting in each state.
         waiting: list = [[] for _ in model.states]
         if movers:
-            # Holding times given that they end by the mission time.
+            # Holding times given that they end by the last mission time.
             clock = rng.random(movers)
             clock *= -p_move
             np.log1p(clock, out=clock)
             clock /= -totals[first]
-            np.minimum(clock, mission_time, out=clock)
+            np.minimum(clock, horizon, out=clock)
             at = 0
-            for t, n in live:
+            for t, n in moved:
                 if n:
                     waiting[t].append(clock[at:at + n])
                     at += n
@@ -783,9 +844,9 @@ def monte_carlo_death_probability(model: MarkovModel, mission_time: float,
                 arrival /= total
                 arrival += clock
                 if bounds[s] is None and is_death[targets[s][0]]:
-                    deaths += int(np.count_nonzero(arrival <= mission_time))
+                    count_deaths(arrival)
                     continue
-                arrival = arrival[arrival <= mission_time]
+                arrival = arrival[arrival <= horizon]
                 if bounds[s] is None:
                     if arrival.size:
                         waiting[targets[s][0]].append(arrival)
@@ -794,10 +855,13 @@ def monte_carlo_death_probability(model: MarkovModel, mission_time: float,
                 for k, t in enumerate(targets[s]):
                     chosen = pick == k
                     if is_death[t]:
-                        deaths += int(np.count_nonzero(chosen))
+                        count_deaths(arrival[chosen])
                     elif chosen.any():
                         waiting[t].append(arrival[chosen])
 
-    p = deaths / trials
-    ci99 = 2.5758293035489004 * math.sqrt(max(p * (1.0 - p), 0.0) / trials)
-    return MonteCarloEstimate(estimate=p, ci99=ci99, deaths=deaths)
+    estimates = []
+    for dead in deaths:
+        p = dead / trials
+        ci99 = 2.5758293035489004 * math.sqrt(max(p * (1.0 - p), 0.0) / trials)
+        estimates.append(MonteCarloEstimate(estimate=p, ci99=ci99, deaths=dead))
+    return estimates

@@ -72,8 +72,8 @@ def test_criterion_3_monte_carlo_oracle():
     ]
     for seed_offset, (name, model) in enumerate(models):
         bracket = death_probability(model, T_MISSION)
-        mc = monte_carlo_death_probability(model, T_MISSION, 10 ** 6,
-                                           seed=20260809 + seed_offset)
+        mc = monte_carlo_death_probability(model, [T_MISSION], 10 ** 6,
+                                           seed=20260809 + seed_offset)[0]
         assert mc.estimate - mc.ci99 <= bracket.upper, name
         assert mc.estimate + mc.ci99 >= bracket.lower, name
     _report(3, "10^6-trial Monte Carlo CI overlaps the solver bracket", started, 30.0)

@@ -3,6 +3,7 @@ keep those names working. The benchmark files are only read, never changed."""
 import dataclasses
 import importlib
 import importlib.util
+import inspect
 import random
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from ifrsim.cli import build_parser, main
 from ifrsim.faults import parse_scenario
 from ifrsim.hw import BUS_BITS, encode_bus
 from ifrsim.isa import ArchState, assemble, run_reference
+from ifrsim import markov
 from ifrsim.markov import parse_model
 from ifrsim.pipeline import CoreConfig, Outcome, RecoveryEvent, SimReport, run_core
 from test_sim_golden import CLI_CASES, GOLDEN, ROOT
@@ -118,6 +120,24 @@ def test_markov_stiff_tiny_passes_its_check_with_no_op_refused(monkeypatch):
     outputs = [op() for op in workload.ops]
     assert not any(workload.refused(output) for output in outputs)
     workload.check(outputs)
+
+
+def test_markov_oracle_tiny_passes_its_check(monkeypatch):
+    # The benchmark's own correctness gate on markov-oracle: each bracket
+    # holds its closed form, and each Monte Carlo cell, now from one run per
+    # sweep, lies within twice its 99% half-width of the bracket.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workload = _load("workloads").MarkovOracle(1, tiny=True)
+    try:
+        workload.check([op() for op in workload.ops])
+    finally:
+        workload.close()
+
+
+def test_monte_carlo_oracle_takes_trials_third():
+    # perfbench's `mc_trials` observer reads the trial count as `args[2]`.
+    parameters = list(inspect.signature(markov.monte_carlo_death_probability).parameters)
+    assert parameters[2] == "trials"
 
 
 def test_run_reference_returns_the_state_and_the_steps_with_halt_counted():

@@ -9,6 +9,7 @@ import pytest
 
 from ifrsim import cli, markov
 from ifrsim.cli import main
+from ifrsim.report import fmt_float
 
 ROOT = Path(__file__).resolve().parent.parent
 SAMPLES = ROOT / "samples"
@@ -661,6 +662,40 @@ def test_markov_sweep_const_solver_failure_row(tmp_path, capsys):
                                      "mc_ci99")] == [""] * 5
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("mu=1000.0: ")
+
+
+def test_markov_sweep_whose_rates_do_not_scale_runs_the_oracle_per_point(tmp_path):
+    # mu stays fixed while lambda moves, so no one run serves the sweep: each
+    # point's cells are its own model's run, as a single point would draw.
+    model = tmp_path / "repair.model"
+    model.write_text(_REPAIR_MODEL)
+    code, text = run_cli(["markov", "--model", str(model), "--sweep-const", "lambda",
+                          "1e-3", "1e-1", "3", "--mc", "3000", "--seed", "4"], tmp_path)
+    _, _, rows = parse_csv(text)
+    assert code == 0
+    base = markov.parse_model(_REPAIR_MODEL)
+    for row, lam in zip(rows, markov.SweepSpec("lambda", 1e-3, 1e-1, 3, 1000.0).grid()):
+        (own,) = markov.monte_carlo_death_probability(base.with_constant("lambda", lam),
+                                                      [1000.0], 3000, 4)
+        assert (row["mc_estimate"], row["mc_ci99"]) == (fmt_float(own.estimate),
+                                                        fmt_float(own.ci99))
+
+
+def test_markov_sweep_refused_at_its_top_shares_the_largest_solved_run(tmp_path, capsys):
+    # At --tol 1e-6 the rounding of lambda = 1e6's squaring steps alone is
+    # wider; the two solved points share one run of lambda = 10's model.
+    code, text = run_cli(["markov", "--builtin", "tmr", "--sweep", "1e-4", "1e6", "3",
+                          "--tol", "1e-6", "--mc", "2000", "--seed", "1"], tmp_path)
+    _, _, rows = parse_csv(text)
+    assert code == 3
+    assert [row["error"] for row in rows] == ["", "", "solver_failure"]
+    lo, top, _ = markov.SweepSpec("lambda", 1e-4, 1e6, 3, 1000.0).grid()
+    shared = markov.monte_carlo_death_probability(markov.build_tmr_model(top),
+                                                  [1000.0 * (lo / top), 1000.0], 2000, 1)
+    assert [(row["mc_estimate"], row["mc_ci99"]) for row in rows[:2]] == [
+        (fmt_float(e.estimate), fmt_float(e.ci99)) for e in shared]
+    assert (rows[2]["mc_estimate"], rows[2]["mc_ci99"]) == ("", "")
+    assert capsys.readouterr().err.startswith("lambda=1000000.0: ")
 
 
 def test_markov_sweep_const_brackets_stiff_repair(tmp_path, capsys):

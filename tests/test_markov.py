@@ -4,7 +4,7 @@ import re
 import tracemalloc
 import warnings
 from fractions import Fraction
-from functools import partial
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from ifrsim import markov
+from ifrsim.cli import main
 from ifrsim.markov import (DEFAULT_TOL, MC_CHUNK, WIDTH_FLOOR, BoundedProbability, MarkovModel, ModelError, SolverError,
                            SweepSpec, Transition, build_ifr_pipeline_model,
                            build_simplex_model, build_standby_model, build_tmr_model,
@@ -189,7 +190,7 @@ def test_live_trap_state_has_zero_death_probability():
     # never die. Analytic: (1/3) * (1 - exp(-1.5e-3 * T)).
     truth = (0.5 / 1.5) * -math.expm1(-1.5e-3 * T)
     assert bracket.lower <= truth <= bracket.upper
-    mc = monte_carlo_death_probability(model, T, 100_000, seed=2)
+    mc = monte_carlo_death_probability(model, [T], 100_000, seed=2)[0]
     assert abs(mc.estimate - truth) <= mc.ci99
 
 
@@ -703,33 +704,37 @@ def test_chain_too_stiff_for_the_rounding_is_refused_without_a_warning():
 # ---------------------------------------------------------------------------
 
 def test_mc_simplex_matches_analytic():
-    estimate = monte_carlo_death_probability(build_simplex_model(1e-3), T, 10 ** 6, seed=7)
+    estimate = monte_carlo_death_probability(build_simplex_model(1e-3), [T], 10 ** 6,
+                                             seed=7)[0]
     assert abs(estimate.estimate - (1 - math.exp(-1))) <= estimate.ci99
 
 
 def test_mc_single_trial_reproducible():
-    one = monte_carlo_death_probability(build_simplex_model(1e-3), T, 1, seed=3)
-    two = monte_carlo_death_probability(build_simplex_model(1e-3), T, 1, seed=3)
+    one = monte_carlo_death_probability(build_simplex_model(1e-3), [T], 1, seed=3)[0]
+    two = monte_carlo_death_probability(build_simplex_model(1e-3), [T], 1, seed=3)[0]
     assert one.estimate in (0.0, 1.0)
     assert one.estimate == two.estimate
 
 
 def test_mc_zero_mission_time():
-    estimate = monte_carlo_death_probability(build_tmr_model(1e-3), 0.0, 100, seed=1)
+    estimate = monte_carlo_death_probability(build_tmr_model(1e-3), [0.0], 100, seed=1)[0]
     assert estimate.estimate == 0.0
 
 
 @pytest.mark.parametrize("mission_time", [math.nan, math.inf, -1.0])
 def test_mc_refuses_a_mission_time_the_solver_refuses(mission_time):
-    for oracle in (death_probability, partial(monte_carlo_death_probability,
-                                              trials=100, seed=1)):
+    # The oracle refuses it as any of its mission times.
+    for oracle in (death_probability,
+                   lambda model, t: monte_carlo_death_probability(model, [t], 100, seed=1),
+                   lambda model, t: monte_carlo_death_probability(model, [0.0, t], 100, seed=1)):
         with pytest.raises(ValueError, match="^mission time must be non-negative and finite$"):
             oracle(build_simplex_model(1e-3), mission_time)
 
 
 def test_mc_seed_determinism():
-    a = monte_carlo_death_probability(build_ifr_pipeline_model(1e-3, 1e-3, 1e-3), T, 5000, seed=5)
-    b = monte_carlo_death_probability(build_ifr_pipeline_model(1e-3, 1e-3, 1e-3), T, 5000, seed=5)
+    model = build_ifr_pipeline_model(1e-3, 1e-3, 1e-3)
+    a = monte_carlo_death_probability(model, [T], 5000, seed=5)[0]
+    b = monte_carlo_death_probability(model, [T], 5000, seed=5)[0]
     assert a.estimate == b.estimate and a.deaths == b.deaths
 
 
@@ -737,7 +742,7 @@ def test_mc_overlap_with_solver_bracket():
     for builder in (build_simplex_model, build_tmr_model, build_standby_model):
         model = builder(1e-3)
         bracket = death_probability(model, T)
-        estimate = monte_carlo_death_probability(model, T, 200_000, seed=21)
+        estimate = monte_carlo_death_probability(model, [T], 200_000, seed=21)[0]
         assert estimate.estimate - estimate.ci99 <= bracket.upper
         assert estimate.estimate + estimate.ci99 >= bracket.lower
 
@@ -777,7 +782,7 @@ _REPAIR_CHAIN = """
 def test_mc_exact_draws_are_pinned(make_model, trials, deaths, estimate, ci99):
     # Pins the oracle's draw order: any change to which trial consumes which
     # random number moves these exact values.
-    got = monte_carlo_death_probability(make_model(), T, trials, seed=7)
+    got = monte_carlo_death_probability(make_model(), [T], trials, seed=7)[0]
     assert (got.deaths, got.estimate, got.ci99) == (deaths, estimate, ci99)
 
 
@@ -785,7 +790,7 @@ def test_mc_memory_is_bounded_by_one_chunk():
     model = build_ifr_pipeline_model(1e-3, 1e-3, 1e-3)
     tracemalloc.start()
     try:
-        monte_carlo_death_probability(model, T, 2 ** 19, seed=1)
+        monte_carlo_death_probability(model, [T], 2 ** 19, seed=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -803,7 +808,7 @@ def test_mc_memory_holds_only_one_chunk_of_live_trials():
     model = build_ifr_pipeline_model(1e-3, 1e-3, 1e-3)
     tracemalloc.start()
     try:
-        monte_carlo_death_probability(model, T, 2 ** 20, seed=1)
+        monte_carlo_death_probability(model, [T], 2 ** 20, seed=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -815,7 +820,8 @@ def test_mc_trials_that_stay_in_the_initial_state_cost_no_memory():
     # first hop leaves the others undrawn and unstored.
     tracemalloc.start()
     try:
-        estimate = monte_carlo_death_probability(build_simplex_model(1e-9), T, 2 ** 20, seed=1)
+        estimate = monte_carlo_death_probability(build_simplex_model(1e-9), [T], 2 ** 20,
+                                                 seed=1)[0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -826,12 +832,15 @@ def test_mc_trials_that_stay_in_the_initial_state_cost_no_memory():
 def test_mc_splits_a_total_rate_that_overflows_by_the_rates():
     model = parse_model("STATE up; STATE a DEATH; STATE b DEATH; INIT up;"
                         "up -> a : 1e308; up -> b : 1e308;")
-    assert monte_carlo_death_probability(model, T, 100, seed=1).deaths == 100
-    assert monte_carlo_death_probability(model, 0.0, 100, seed=1).deaths == 0
+    assert monte_carlo_death_probability(model, [T], 100, seed=1)[0].deaths == 100
+    assert monte_carlo_death_probability(model, [0.0], 100, seed=1)[0].deaths == 0
+    assert [e.deaths for e in monte_carlo_death_probability(model, [0.0, T], 100, seed=1)] \
+        == [0, 100]
 
 
 def test_mc_initial_state_without_transitions_never_dies():
-    estimate = monte_carlo_death_probability(parse_model("STATE up; INIT up;"), T, 1000, seed=1)
+    estimate = monte_carlo_death_probability(parse_model("STATE up; INIT up;"), [T], 1000,
+                                             seed=1)[0]
     assert (estimate.estimate, estimate.ci99, estimate.deaths) == (0.0, 0.0, 0)
 
 
@@ -847,15 +856,18 @@ def test_mc_initial_state_without_transitions_never_dies():
     lambda: parse_model(_TRAP_MODEL),
 ], ids=["simplex", "tmr", "ifr-pipeline", "repair", "trap"])
 def test_mc_death_counts_follow_the_binomial(make_model):
+    # Each mission time of one shared run counts a binomial number of deaths.
     model = make_model()
-    bracket = death_probability(model, T, tol=1e-9)
-    p = (bracket.lower + bracket.upper) / 2
+    times = [T / 8, T / 2, T]
     trials, seeds = 4_000, range(50)
-    sd = math.sqrt(trials * p * (1 - p))
-    z = np.array([(monte_carlo_death_probability(model, T, trials, seed=seed).deaths
-                   - trials * p) / sd for seed in seeds])
-    assert abs(z.sum() / math.sqrt(z.size)) <= 4.5
-    assert 0.5 <= z.std(ddof=1) <= 1.6
+    runs = [monte_carlo_death_probability(model, times, trials, seed=seed) for seed in seeds]
+    for i, mission_time in enumerate(times):
+        bracket = death_probability(model, mission_time, tol=1e-9)
+        p = (bracket.lower + bracket.upper) / 2
+        sd = math.sqrt(trials * p * (1 - p))
+        z = np.array([(run[i].deaths - trials * p) / sd for run in runs])
+        assert abs(z.sum() / math.sqrt(z.size)) <= 4.5, mission_time
+        assert 0.5 <= z.std(ddof=1) <= 1.6, mission_time
 
 
 def test_mc_next_chunk_continues_the_stream():
@@ -864,9 +876,90 @@ def test_mc_next_chunk_continues_the_stream():
     model = build_ifr_pipeline_model(1e-3, 0.1, 0.1)
 
     def deaths(trials):
-        return monte_carlo_death_probability(model, T, trials, seed=11).deaths
+        return monte_carlo_death_probability(model, [T], trials, seed=11)[0].deaths
 
     assert deaths(MC_CHUNK + 1) - deaths(MC_CHUNK) in (0, 1)
+
+
+def test_mc_sweep_estimates_never_decrease(tmp_path):
+    # The points of a sweep share one run, so a point counts every death a
+    # smaller rate counts. Independent runs, one per point, differ by more
+    # than these close-spaced points do.
+    out = tmp_path / "sweep.csv"
+    assert main(["markov", "--builtin", "ifr-pipeline", "--sweep", "1e-3", "1.01e-3", "9",
+                 "--mc", "4000", "--seed", "5", "--out", str(out)]) == 0
+    header, *rows = [line.split(",") for line in out.read_text().splitlines()
+                     if not line.startswith("#")]
+    estimates = [float(row[header.index("mc_estimate")]) for row in rows]
+    assert len(estimates) == 9
+    assert estimates == sorted(estimates)
+
+
+def test_mc_multiple_mission_times_keep_one_chunk_of_memory():
+    # The 25 mission times of a 25-point sweep: the first hop has 25
+    # categories per death target, and each count reads the arrivals drawn.
+    model = build_ifr_pipeline_model(1e-3, 1e-3, 1e-3)
+    times = [T * 10 ** (i / 12 - 2) for i in range(25)]
+    tracemalloc.start()
+    try:
+        monte_carlo_death_probability(model, times, 2 ** 20, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
+
+
+def test_mc_last_mission_time_is_a_run_of_its_own_where_nothing_dies_first():
+    # tmr's first hop has one live target, so more mission times add no
+    # category there, and the last one counts the deaths of its own run.
+    model = build_tmr_model(1e-3)
+    alone = monte_carlo_death_probability(model, [T], 20_000, seed=7)
+    shared = monte_carlo_death_probability(model, [T / 4, T / 2, T], 20_000, seed=7)
+    assert shared[-1] == alone[0]
+    assert [e.deaths for e in shared] == sorted(e.deaths for e in shared)
+
+
+@pytest.mark.parametrize("times, message", [
+    ([], "at least one mission time"),
+    ([T, T / 2], "mission times must be sorted"),
+])
+def test_mc_refuses_no_mission_time_or_unsorted_ones(times, message):
+    with pytest.raises(ValueError, match=message):
+        monte_carlo_death_probability(build_simplex_model(1e-3), times, 100, seed=1)
+
+
+# ---------------------------------------------------------------------------
+# Rates that scale with one constant
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("model, name", [
+    (build_simplex_model(1e-3), "lambda"), (build_tmr_model(1e-3), "lambda"),
+    (build_standby_model(1e-3), "lambda"),
+    # Its switch and controller rates are constants defined from lambda_p.
+    (build_ifr_pipeline_model(1e-3, 1e-3, 1e-3), "lambda_p"),
+    (parse_model(Path(__file__).resolve().parent.parent.joinpath(
+        "samples", "twostate.model").read_text()), "lambda"),
+    # A sum of terms of degree 1, and a factor in parentheses.
+    (parse_model("CONST l = 1; CONST k = 2 * l; STATE up; STATE dead DEATH; INIT up;"
+                 "up -> dead : (l + k) * 3;"), "l"),
+], ids=["simplex", "tmr", "standby", "ifr-pipeline", "twostate", "sum"])
+def test_rates_that_are_the_constant_times_a_factor_scale_with_it(model, name):
+    assert model.scales_with(name)
+
+
+@pytest.mark.parametrize("text, name", [
+    ("CONST lambda = 1; CONST c = 2; STATE up; STATE dead DEATH; INIT up;"
+     "up -> dead : lambda + c;", "lambda"),
+    ("CONST lambda = 1; STATE up; STATE dead DEATH; INIT up;"
+     "up -> dead : lambda * lambda;", "lambda"),
+    # The repair rate mu stays fixed while lambda moves.
+    (_REPAIR_CHAIN, "lambda"),
+    (_REPAIR_CHAIN, "mu"),
+    ("CONST lambda = 1; CONST c = lambda * lambda; STATE up; STATE dead DEATH; INIT up;"
+     "up -> dead : c;", "lambda"),
+], ids=["plus-constant", "square", "repair-lambda", "repair-mu", "defined-square"])
+def test_rates_not_of_degree_one_do_not_scale(text, name):
+    assert not parse_model(text).scales_with(name)
 
 
 # ---------------------------------------------------------------------------
