@@ -391,8 +391,8 @@ def _solve_grid(build, grid, args, trials=None, constant=None) -> list:
     model at value v dies by T with the probability that the model at the
     largest solved value, v_max, dies by T·v/v_max. Then one oracle run of
     that model serves every solved point, each counting the trials dead by
-    its own T·v/v_max. Otherwise, and for a single solved point, each point
-    gets its own run of its own model, up to T.
+    its own T·v/v_max. Otherwise each point gets its own run of its own
+    model, up to T.
 
     Returns, per value, the cells lower, upper and width_rel, then
     mc_estimate and mc_ci99 with `trials`; or, where the solver refuses the
@@ -409,7 +409,8 @@ def _solve_grid(build, grid, args, trials=None, constant=None) -> list:
         points.append([bracket.lower, bracket.upper, bracket.relative_width])
         if trials:
             sampled.append((points[-1], model, value))
-    if len(sampled) > 1 and sampled[-1][1].scales_with(constant):
+    # A model file's single point sets no constant to scale by.
+    if sampled and constant is not None and sampled[-1][1].scales_with(constant):
         _, model, top = sampled[-1]
         estimates = markov.monte_carlo_death_probability(
             model, [args.T * (value / top) for _, _, value in sampled], trials, args.seed)

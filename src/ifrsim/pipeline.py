@@ -93,19 +93,15 @@ class ControllerState:
 CLASSIFY, POWER_ON, SWAP, CLEAR = range(4)
 
 
-def controller_step(state: ControllerState, masks, trc_error: bool,
-                    config: CoreConfig) -> tuple[int, int] | None:
+def controller_step(state: ControllerState, masks, config: CoreConfig) -> tuple[int, int] | None:
     """One clock of the repair controller: steps `state` in place and returns
     the `(strobe, stage)` the surrounding logic must obey, or None.
 
     `masks` holds the 4-bit parity error mask of each stage in pipeline
-    order; stages in the state and the strobes are positions 0..2. A
-    two-rail error is fail-stop (DEAD, no strobe) from any mode, DEAD
-    included; otherwise stepping a DEAD controller raises.
+    order; stages in the state and the strobes are positions 0..2. Stepping
+    a DEAD controller raises. A two-rail mismatch is not the controller's
+    to see: `run_core` checks the rails and ends the run on it.
     """
-    if trc_error:
-        state.mode = DEAD
-        return None
     mode = state.mode
     if mode is DEAD:
         raise ValueError("controller is dead; Dead is absorbing")
@@ -347,10 +343,10 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
     no faults is settled from cycle 0: it fills the table while the program
     has no end, and never ends early.
 
-    Bus words and parity masks are plain ints. The bus fabric (parity
-    encode, fault application, parity check) is evaluated only at sites with
-    an active fault, and only before the latest stage fault window ends: any
-    other site drives its word with a zero error mask by construction.
+    Bus words and parity masks are plain ints. The stage loop drives the bus
+    fabric (parity encode, fault application, parity check) only at selected
+    copies with an active fault, before the latest stage fault window ends:
+    any other site drives its word with a zero error mask by construction.
     Between two fault starts or ends a site's active faults stay the same,
     so on its first evaluated cycle in such a window they are folded into
     three masks (`faults.fold_faults`), and each cycle there applies them in
@@ -358,7 +354,8 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
     is folded in too. `fold_faults` is the only fault application: a
     parity-error run's culprit is found by folding each active fault alone.
     Likewise the controller rails are built and two-rail checked only in a
-    run with rail faults, with masks folded the same way, and the stress
+    run with rail faults, with masks folded the same way; a mismatch ends
+    the run DEAD on its cycle without stepping the controller. The stress
     ledger is kept as spans that close when a block's power changes.
 
     After a cycle that drove no strobe, every run takes in one step
@@ -387,23 +384,34 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
     # A cycle count past the budget, which no commit reaches: a permanent
     # fault ends here, and a run settled only from here never settles.
     never = max_cycles + 1
-    # site_faults[unit][copy]: the (scenario index, fault) pairs at that site;
-    # inert_when: the (end, unit, copy, kind) of each fault.
+    # The run's fault table, from one pass over the scenario.
+    # site_faults[unit][copy]: the (scenario index, fault) pairs at that site.
     site_faults = [([], []) for _ in range(len(PIPELINE_ORDER) + 1)]
-    inert_when = []
     # The cycles on which a fault starts or ends, and `never`: between two of
     # them the same faults are active.
     edges = {never}
+    stage_end = 0  # a stage fault can be active before `stage_end`
+    earliest = math.inf if scenario.faults else 0  # the earliest fault start
+    # Each delay site keeps one [true data word, cycles] entry per evaluated
+    # cycle, newest last; a frozen-window skip adds to the newest count. A
+    # delay latches the word driven `extra` cycles back, else the oldest
+    # kept, else the current one. An entry covers at least one cycle, so a
+    # site keeps its largest `extra` + 1 entries; no run holds sys.maxsize.
+    depths: dict = {}  # (stage, copy) -> entries kept
+    margin = 0  # the largest delay `extra`, at most `max_cycles`, + 1, or 0
     for index, fault in enumerate(scenario.faults):
         unit, copy = _UNIT_INDEX[fault.site.unit], _COPY_INDEX[fault.site.copy]
         site_faults[unit][copy].append((index, fault))
-        inert_when.append((min(fault.end, never), unit, copy, fault.kind))
         edges.update((fault.start, min(fault.end, never)))
+        earliest = min(earliest, fault.start)
+        if unit != _RAIL:
+            stage_end = max(stage_end, fault.end)
+        if isinstance(fault.kind, Delay):  # never on a rail
+            extra = fault.kind.extra
+            depths[unit, copy] = max(depths.get((unit, copy), 0), min(extra + 1, sys.maxsize))
+            margin = max(margin, min(extra, max_cycles) + 1)
     edges = sorted(edges)
-    stage_faults = site_faults[:-1]
-    # A stage fault can be active before `stage_end`.
-    stage_end = max((f.end for copies in stage_faults for faults in copies
-                     for _, f in faults), default=0)
+    delay_hist = {site: deque(maxlen=depth) for site, depth in depths.items()}
 
     power = [[ON, OFF] for _ in PIPELINE_ORDER]
     since = [[0, 0] for _ in PIPELINE_ORDER]  # first cycle of each block's power span
@@ -428,19 +436,6 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
             assert not live_next or copies[position in ctrl.on_spare] is ON, \
                 "selected copy must be powered"
 
-    # Each site with a delay fault keeps one [true data word, cycles] entry
-    # per evaluated cycle, newest last; a frozen-window skip adds to the
-    # newest count. A delay latches the word driven `extra` cycles back, else
-    # the oldest kept, else the current one. An entry covers at least one
-    # cycle, so a latch reads at most `extra` entries; no run holds sys.maxsize.
-    delay_hist: dict = {}  # (stage, copy) -> deque of [word, cycles] entries
-    margin = 0  # the largest delay `extra`, at most `max_cycles`, + 1, or 0
-    for stage, copies in enumerate(stage_faults):
-        for copy, faults in enumerate(copies):
-            extras = [f.kind.extra for _, f in faults if isinstance(f.kind, Delay)]
-            if extras:
-                delay_hist[stage, copy] = deque(maxlen=min(max(extras) + 1, sys.maxsize))
-                margin = max(margin, min(max(extras), max_cycles) + 1)
     held_delay: dict = {}  # fault index -> latched stale data word
     # Per stage, (first cycle, scenario index of the fault credited) of its
     # latest parity-error run.
@@ -473,33 +468,6 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
             active, *fold_faults([f for _, f in active], stale))
         return folded
 
-    def faulty_bus(stage: int, copy: int, word: int, cycle: int) -> tuple[int, int]:
-        """Drive `word` through a site that carries faults: (data, error mask).
-        With none of them active the site drives `word` clean."""
-        nonlocal diverged_at
-        active, flips, keep, ones = (folds.get((stage, copy, bisect_right(edges, cycle)))
-                                     or fold(stage, copy, cycle, word))
-        hist = delay_hist.get((stage, copy))
-        if hist is not None:
-            hist.append([word, 1])
-        if not active:
-            return word, 0
-        bus = (encode_bus(word) ^ flips) & keep | ones
-        mask = parity_check(bus)
-        if not mask and bus & WORD_MASK != word and diverged_at is None:
-            diverged_at = cycle
-        if mask and not ctrl.error_counters[stage]:
-            # A parity-error run starts (the controller has counted no error
-            # at this stage yet). Its culprit is the first active fault, in
-            # scenario order, whose own folded masks break parity, else the
-            # first active one.
-            run_start[stage] = cycle, active[0][0] if len(active) == 1 else next(
-                (i for i, f in active
-                 for f_flips, f_keep, f_ones in [fold_faults([f], held_delay.get(i))]
-                 if parity_check((encode_bus(word) ^ f_flips) & f_keep | f_ones)),
-                active[0][0])
-        return bus & WORD_MASK, mask
-
     def inert_from() -> int:
         """The cycle from which every fault is inert while the switches stay
         as they are: a fault on a selected copy is inert from its end, one
@@ -508,15 +476,15 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
         the controller idles in MONITOR: once every stage fault is inert,
         the controller idles for good."""
         idle = controller_output_vector(ControllerState(swap_stage=ctrl.swap_stage), None)
-        return max((end for end, unit, copy, kind in inert_when
+        return max((min(f.end, never) for unit, copies in enumerate(site_faults)
+                    for copy, faults in enumerate(copies) for _, f in faults
                     if (copy == (unit in ctrl.on_spare) if unit != _RAIL else
-                        not (isinstance(kind, StuckAt)
-                             and kind.value == (idle >> kind.bit & 1) ^ copy))),
+                        not (isinstance(f.kind, StuckAt)
+                             and f.kind.value == (idle >> f.kind.bit & 1) ^ copy))),
                    default=0)
 
     # The start record and the records this run makes are at or before
     # `bound`; a run with no faults starts at cycle 0 and records none.
-    earliest = min((f.start for f in scenario.faults), default=0)
     bound = max(min(earliest - margin, max_cycles - 1), 0)
     commits = bisect_right(records, bound, key=itemgetter(0)) - 1
     # `pd` and `de` are the predecode and decode latches: the fetched word and
@@ -542,8 +510,8 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
     settled_at: dict = {}
     inert_at = inert_from() if scenario.faults or end is None else never
 
-    # The controller's mode, read afresh after each `controller_step`, its
-    # only writer, and whether the pipeline runs in that mode.
+    # The controller's mode, read afresh after each `controller_step` or set
+    # DEAD by a rail mismatch, and whether the pipeline runs in that mode.
     mode = ctrl.mode
     live = mode in _LIVE_MODES
     rails = any(site_faults[-1])
@@ -613,26 +581,52 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
                     e_word = op_a
 
             if cycle < stage_end:
+                # Each selected copy that carries faults drives its bus.
                 words = [p_word, d_word, e_word]
                 masks = [0, 0, 0]
+                window = None  # found once per cycle, on a selected faulted copy
                 for stage in range(len(PIPELINE_ORDER)):
                     copy = stage in ctrl.on_spare
-                    if stage_faults[stage][copy]:
-                        words[stage], masks[stage] = faulty_bus(stage, copy, words[stage], cycle)
+                    if not site_faults[stage][copy]:
+                        continue
+                    if window is None:
+                        window = bisect_right(edges, cycle)
+                    word = words[stage]
+                    active, flips, keep, ones = (folds.get((stage, copy, window))
+                                                 or fold(stage, copy, cycle, word))
+                    hist = delay_hist.get((stage, copy))
+                    if hist is not None:
+                        hist.append([word, 1])
+                    if not active:
+                        continue
+                    bus = (encode_bus(word) ^ flips) & keep | ones
+                    words[stage] = bus & WORD_MASK
+                    mask = masks[stage] = parity_check(bus)
+                    if not mask and words[stage] != word and diverged_at is None:
+                        diverged_at = cycle
+                    if mask and not ctrl.error_counters[stage]:
+                        # A parity-error run starts. Its culprit is the first
+                        # active fault whose own folded masks break parity,
+                        # else the first active one.
+                        run_start[stage] = cycle, active[0][0] if len(active) == 1 else next(
+                            (i for i, f in active
+                             for f_flips, f_keep, f_ones in [fold_faults([f], held_delay.get(i))]
+                             if parity_check((encode_bus(word) ^ f_flips) & f_keep | f_ones)),
+                            active[0][0])
                 p_word, d_word, e_word = words
                 frozen = any(masks)
 
         # Controller. Idle monitoring is the identity step.
         strobe = None
         if mode is not MONITOR or frozen:
-            strobe = controller_step(ctrl, masks, False, config)
+            strobe = controller_step(ctrl, masks, config)
             mode = ctrl.mode
             live = mode in _LIVE_MODES
         if rails:
             # Both controller copies compute the same transition; copy B's
             # outputs are complemented and the rails are compared. Without
-            # rail faults the rails agree by construction. A mismatch ends
-            # the controller DEAD, even when this cycle's step already has.
+            # rail faults the rails agree by construction. A mismatch is
+            # fail-stop: the run ends DEAD on this cycle, its strobe dropped.
             vec = controller_output_vector(ctrl, strobe)
             window = bisect_right(edges, cycle)
             _, flips_a, keep_a, ones_a = folds.get((_RAIL, 0, window)) or fold(_RAIL, 0, cycle, 0)
@@ -640,8 +634,7 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
             out_a = (vec ^ flips_a) & keep_a | ones_a
             out_b = ((~vec & _RAIL_MASK) ^ flips_b) & keep_b | ones_b
             if not trc_compare(out_a, out_b, CONTROLLER_VEC_BITS):
-                controller_step(ctrl, _NO_MASKS, True, config)
-                mode = ctrl.mode
+                mode = DEAD
 
         if mode is DEAD:
             outcome = RUN_DEAD

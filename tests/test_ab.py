@@ -76,7 +76,7 @@ def test_change_ref_is_exported_from_its_commit(tmp_path, monkeypatch):
     assert ab._git("status", "--porcelain", "--untracked-files=all", "--ignored") == status
 
 
-def test_startup_is_each_sides_minimum_over_fresh_runs(monkeypatch):
+def test_startup_is_each_sides_minimum_over_fresh_runs(monkeypatch, capsys):
     commands = ab.readme_commands()
     assert commands and ["sim", "samples/workload.asm", "samples/decode_stuckat.flt"] in commands
     trees = {"base": Path("base"), "change": Path("change")}
@@ -100,6 +100,20 @@ def test_startup_is_each_sides_minimum_over_fresh_runs(monkeypatch):
         assert entry["base"] == pytest.approx(1.0 - 0.01 * runs)
         assert entry["change"] == pytest.approx(0.99 - 0.01 * runs)
         assert entry["relative"] == pytest.approx(entry["change"] / entry["base"] - 1)
+        # Every run is kept, in order, and each side's spread is that of its
+        # runs: 1 - 0.01·k for the base's k-th run, 0.01 less for the change.
+        for side, shift in (("base", 0.0), ("change", 0.01)):
+            assert entry["runs"][side] == pytest.approx(
+                [1.0 - shift - 0.01 * k for k in range(1, runs + 1)])
+            middle = 1.0 - shift - 0.01 * (runs + 1) / 2
+            quarter = 0.01 * (runs - 1) / 4
+            assert entry["spread"][side] == pytest.approx(
+                {"median": middle, "q1": middle - quarter, "q3": middle + quarter})
+    # Each line prints both sides' minimum, then their median and quartiles.
+    ab._print_startup(times)
+    line = capsys.readouterr().out.splitlines()[2]
+    assert line.split()[:8] == ["0.9300", "0.9600", "[0.9450,", "0.9750]",
+                                "0.9200", "0.9500", "[0.9350,", "0.9650]"]
 
 
 def test_run_benchmark_reads_the_timed_pass_count(tmp_path):

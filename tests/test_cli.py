@@ -698,6 +698,31 @@ def test_markov_sweep_refused_at_its_top_shares_the_largest_solved_run(tmp_path,
     assert capsys.readouterr().err.startswith("lambda=1000000.0: ")
 
 
+@pytest.mark.parametrize("source, text", [
+    (["--builtin", "tmr", "--lam", "1e-3"], None),
+    (["--model", str(SAMPLES / "twostate.model")], (SAMPLES / "twostate.model").read_text()),
+    # No transition: every rate scales with any constant, yet a model
+    # file's single point sets none.
+    (["--model", "still.model"], "STATE up;\nINIT up;\n"),
+], ids=["builtin", "model", "no-transitions"])
+def test_a_single_point_mc_row_is_its_own_models_run_up_to_T(tmp_path, monkeypatch, source,
+                                                              text):
+    # A single solved point that scales takes the sweep's path, whose run
+    # goes up to T·v/v = T: the run of its own model up to T.
+    monkeypatch.chdir(tmp_path)
+    if text is None:
+        model = markov.build_tmr_model(1e-3)
+    else:
+        model = markov.parse_model(text)
+        Path(source[-1]).write_text(text)
+    code, out = run_cli(["markov", *source, "--T", "1000", "--mc", "20000", "--seed", "7"],
+                        tmp_path)
+    (row,) = parse_csv(out)[2]
+    (own,) = markov.monte_carlo_death_probability(model, [1000.0], 20000, 7)
+    assert code == 0
+    assert (row["mc_estimate"], row["mc_ci99"]) == (fmt_float(own.estimate), fmt_float(own.ci99))
+
+
 def test_markov_sweep_const_brackets_stiff_repair(tmp_path, capsys):
     # mu=1e3/h over 1000 h is q = 1e6 uniformized jumps: squared, not refused.
     model = tmp_path / "repair.model"

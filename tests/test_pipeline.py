@@ -64,7 +64,7 @@ def _loop_program(trips):
 
 def test_monitor_idle_is_identity():
     state = ControllerState()
-    assert controller_step(state, _NO_ERRORS, False, CFG) is None
+    assert controller_step(state, _NO_ERRORS, CFG) is None
     assert state == ControllerState()
 
 
@@ -72,31 +72,21 @@ def test_threshold_crossing_schedules_flush_and_power_off():
     counters = tuple(CFG.permanent_threshold - 1 if s == DECODE else 0
                      for s in (PREDECODE, DECODE, EXECUTE))
     state = ControllerState(mode=ControllerMode.SUSPECT, error_counters=counters)
-    strobe = controller_step(state, (0, 0b0001, 0), False, CFG)
+    strobe = controller_step(state, (0, 0b0001, 0), CFG)
     assert state.mode is ControllerMode.FLUSH
     assert state.remaining == CFG.flush_cycles
     # Classifying a stage flushes and powers off its main copy.
     assert strobe == (CLASSIFY, DECODE)
 
 
-def test_trc_error_is_fail_stop():
-    state = ControllerState()
-    # Fail-stop drives no strobe: the mode alone says the controller died.
-    assert controller_step(state, _NO_ERRORS, True, CFG) is None
-    assert state.mode is ControllerMode.DEAD
-    # A rail mismatch on the cycle the controller has died leaves it dead.
-    assert controller_step(state, _NO_ERRORS, True, CFG) is None
-    assert state.mode is ControllerMode.DEAD
-
-
 def test_dead_is_absorbing():
     with pytest.raises(ValueError):
-        controller_step(ControllerState(mode=ControllerMode.DEAD), _NO_ERRORS, False, CFG)
+        controller_step(ControllerState(mode=ControllerMode.DEAD), _NO_ERRORS, CFG)
 
 
 def test_error_clearing_classifies_transient():
     state = ControllerState(mode=ControllerMode.SUSPECT, error_counters=(0, 0, 5))
-    strobe = controller_step(state, _NO_ERRORS, False, CFG)
+    strobe = controller_step(state, _NO_ERRORS, CFG)
     assert state.mode is ControllerMode.MONITOR
     assert state.error_counters == (0, 0, 0)
     assert strobe == (CLEAR, EXECUTE)
@@ -106,7 +96,7 @@ def test_counters_never_exceed_threshold():
     state = ControllerState()
     for _ in range(CFG.permanent_threshold):
         assert all(c <= CFG.permanent_threshold for c in state.error_counters)
-        strobe = controller_step(state, (0, 0, 1), False, CFG)
+        strobe = controller_step(state, (0, 0, 1), CFG)
     assert state.mode is ControllerMode.FLUSH  # classified exactly at threshold
     assert strobe == (CLASSIFY, EXECUTE)
 
@@ -115,7 +105,7 @@ def test_spare_failure_after_swap_is_dead():
     counters = (0, CFG.permanent_threshold - 1, 0)
     state = ControllerState(mode=ControllerMode.SUSPECT, error_counters=counters,
                             on_spare=frozenset({DECODE}))
-    assert controller_step(state, (0, 1, 0), False, CFG) is None
+    assert controller_step(state, (0, 1, 0), CFG) is None
     assert state.mode is ControllerMode.DEAD
 
 
@@ -124,7 +114,7 @@ def test_flush_then_powerswap_then_resume_timing():
                             remaining=CFG.flush_cycles)
     strobes = {}
     for step in range(1, CFG.flush_cycles + CFG.powerup_cycles_per_block + 1):
-        strobe = controller_step(state, _NO_ERRORS, False, CFG)
+        strobe = controller_step(state, _NO_ERRORS, CFG)
         if strobe is not None:
             strobes[step] = strobe
     # Power up the spare copy, then flip the switch and replay.
@@ -142,19 +132,6 @@ def test_output_vector_is_16_bits_and_distinguishes_actions():
         (CLASSIFY, DECODE))
     assert 0 <= idle < (1 << 16) and 0 <= busy < (1 << 16)
     assert idle != busy
-
-
-@pytest.mark.parametrize("counters, vector", [
-    # Predecode and decode tie at the peak: the first of them is the suspect.
-    ((3, 3, 0), 0x000D),
-    ((0, 2, 7), 0x001D),
-])
-def test_a_rail_mismatch_in_suspect_keeps_the_suspect_as_the_focal_stage(counters, vector):
-    # The cycle on which a rail mismatch kills the controller drives DEAD
-    # (mode 5) with the suspect's code, (position + 1) << 3, and no strobe.
-    state = ControllerState(mode=ControllerMode.SUSPECT, error_counters=counters)
-    assert controller_step(state, _NO_ERRORS, True, CFG) is None
-    assert controller_output_vector(state, None) == vector
 
 
 # A state after a step that drove no strobe, the masks every later cycle
@@ -180,10 +157,10 @@ def test_a_controller_skip_equals_its_cycles_stepped_one_at_a_time(state, masks,
         taken = controller_skip(skipped, CFG, limit)
         assert taken == min(limit, most)
         for _ in range(taken):
-            assert controller_step(stepped, masks, False, CFG) is None
+            assert controller_step(stepped, masks, CFG) is None
         assert skipped == stepped
     # A full skip stops short of the strobe, which the next step drives.
-    assert controller_step(skipped, masks, False, CFG) == then
+    assert controller_step(skipped, masks, CFG) == then
 
 
 # Parity masks in pipeline order, each held for a number of steps: a decode
@@ -216,7 +193,7 @@ def test_output_vector_along_a_full_repair():
     seen, clears = [], []
     for masks, steps in _REPAIR_SCHEDULE:
         for _ in range(steps):
-            strobe = controller_step(state, masks, False, CFG)
+            strobe = controller_step(state, masks, CFG)
             seen.append((state.mode, controller_output_vector(state, strobe)))
             if strobe is not None and strobe[0] == CLEAR:
                 clears.append(strobe[1])
@@ -885,6 +862,28 @@ def test_rail_stuck_at_a_strobe_ends_dead_on_the_cycle_after_it(strobe, rail):
     assert _run_summary(report) == _cut_in_countdown(Outcome.DEAD, strobe + 1)
     expected = reference_run(program, CFG, parse_scenario(text)).reports
     assert report == expected[pipeline.DEFAULT_MAX_CYCLES]
+
+
+@pytest.mark.parametrize("text, cycle", [
+    # Rail b carries the complement of MONITOR's vector 0 on bit 0.
+    ("@5 PERM controller.b stuckat 0 0", 5),
+    # Rail a stuck at 0 on a bit of the mode code: bit 0 first reads 1 in
+    # SUSPECT (1), bit 1 in FLUSH (2) and bit 2 in RESUME (4); bit 0 also
+    # reads 1 in POWER_SWAP (3), here from a cycle that drives no strobe.
+    ("@0 PERM controller.a stuckat 0 0", 10),
+    ("@0 PERM controller.a stuckat 1 0", _CLASSIFIED),
+    (f"@{_POWER_ON + 5} PERM controller.a stuckat 0 0", _POWER_ON + 5),
+    ("@0 PERM controller.a stuckat 2 0", _SWAP),
+], ids=["monitor", "suspect", "flush", "power-swap", "resume"])
+def test_a_rail_mismatch_ends_the_run_dead_on_its_cycle_in_every_mode(text, cycle):
+    # The controller is in the mode each case names after the step of the
+    # cycle on which the rails first disagree; the run ends DEAD on that
+    # cycle whatever the mode, as the reference core's does.
+    program = _alternating_program(80)
+    scenario = parse_scenario(f"{_DECODE_SWAP}\n{text}")
+    report = run_core(program, CFG, scenario)
+    assert (report.outcome, report.total_cycles) == (Outcome.DEAD, cycle + 1)
+    assert report == reference_run(program, CFG, scenario).reports[pipeline.DEFAULT_MAX_CYCLES]
 
 
 @pytest.mark.parametrize("max_cycles", range(_CLASSIFIED + 1, _SWAP + 2))
@@ -1627,6 +1626,75 @@ def test_runs_equal_the_reference_core():
     assert _reference_property(0x27EF, (4, 4, 1), ("random", "settling", "delays")) >= {
         Outcome.COMPLETED, Outcome.DEAD, Outcome.EXHAUSTED, "permanent", "transient",
         "threshold 2", "threshold 4", "threshold 16", "diverged", "strobe"}
+
+
+# ---------------------------------------------------------------------------
+# Small scope: every fault of a few kinds at every start of a short program
+# ---------------------------------------------------------------------------
+
+_STRAIGHT_LINE = assemble("""
+LDI r1, 3
+LDI r2, 5
+ADD r3, r1, r2
+ST r3, r0, 4
+LD r4, r0, 4
+XOR r5, r4, r1
+HALT
+""")
+
+
+def _small_scope_faults(threshold):
+    """(kind, site, duration) of each fault of the small-scope check: a PERM
+    stuck-at at both values on bits 0 and 32 of each stage copy; on each
+    main copy a flip of `threshold` - 1 and `threshold` cycles and a PERM
+    delay of 1 and 2; and a PERM stuck-at at both values on bits 0, 5 and
+    15 of each rail."""
+    for kind in PIPELINE_ORDER:
+        unit = FaultUnit(kind.value)
+        for copy in Copy:
+            for bit in (0, 32):
+                for value in (0, 1):
+                    yield StuckAt(bit, value), FaultSite(unit, copy), PERMANENT
+        main = FaultSite(unit, _MAIN)
+        for duration in (threshold - 1, threshold):
+            yield TransientFlip(0), main, duration
+        for extra in (1, 2):
+            yield Delay(extra), main, PERMANENT
+    for copy in Copy:
+        for bit in (0, 5, 15):
+            for value in (0, 1):
+                yield StuckAt(bit, value), FaultSite(FaultUnit.CONTROLLER, copy), PERMANENT
+
+
+def test_every_small_fault_at_every_start_equals_the_reference_core():
+    # No random draw hits every critical cycle, so each fault above starts
+    # on each cycle of the 12-cycle fault-free run. Each scenario runs on a
+    # fresh `Program` and on one warm `Program`, which resumes from records
+    # and joins through tails, and equals the reference core's run, on the
+    # same divergence cycle too.
+    program = _STRAIGHT_LINE
+    cycles = run_core(Program(program.instructions), CFG, FaultScenario()).total_cycles
+    assert cycles == 12
+    warm = Program(program.instructions)
+    run_core(warm, CFG, FaultScenario())
+    runs, mismatches, seen = 0, [], set()
+    for kind, site, duration in _small_scope_faults(CFG.permanent_threshold):
+        for start in range(cycles):
+            scenario = FaultScenario((TimedFault(kind, site, start, duration),))
+            want = reference_run(program, CFG, scenario).reports[pipeline.DEFAULT_MAX_CYCLES]
+            seen.add(want.outcome)
+            seen.update(e.classified for e in want.events)
+            seen.update(("diverged",) * (want.diverged_at is not None))
+            for target in (Program(program.instructions), warm):
+                report = run_core(target, CFG, scenario)
+                runs += 1
+                seen.update(("joined",) * (report.joined_at is not None))
+                if (report, report.diverged_at) != (want, want.diverged_at):
+                    mismatches.append(scenario.faults[0])
+    assert runs == 2 * 48 * cycles
+    assert not mismatches, f"{len(mismatches)} mismatches, the first {mismatches[:3]}"
+    assert seen == {Outcome.COMPLETED, Outcome.DEAD, "permanent", "transient", "diverged",
+                    "joined"}
 
 
 # ---------------------------------------------------------------------------

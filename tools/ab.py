@@ -26,7 +26,9 @@ whose change median is worse than the base's by more than its `bound` is
 marked BEYOND BOUND, and `beyond_bound` in its summary. It also
 times each `ifrsim` line of README.md's command block as `python -m
 ifrsim.cli ...` in fresh interpreters, alternating the trees one process at
-a time, and keeps each side's minimum of 7 runs: the CLI's startup time. It
+a time, and keeps each side's minimum of 7 runs: the CLI's startup time.
+Beside each minimum it keeps every run and prints the median and quartiles,
+since a difference inside either side's quartiles is not resolved. It
 writes the per-pair numbers, pass counts included, and the startup times
 with both commits and the environment line to `BENCH_<label>.json` at the
 root of the checkout. Exits 1 if a benchmark run or a README command fails,
@@ -129,7 +131,8 @@ def run_cli(tree: Path, argv: list[str]) -> float:
 def startup_times(trees: dict[str, Path]) -> dict:
     """Per README command, each side's minimum wall time over STARTUP_RUNS
     runs, the sides alternating which runs first, and the change's minimum
-    relative to the base's."""
+    relative to the base's; beside them every run of each side, and each
+    side's median and quartiles."""
     times = {}
     for argv in readme_commands():
         runs = {side: [] for side in trees}
@@ -137,8 +140,9 @@ def startup_times(trees: dict[str, Path]) -> dict:
             for side in (trees if index % 2 == 0 else reversed(trees)):
                 runs[side].append(run_cli(trees[side], argv))
         best = {side: min(values) for side, values in runs.items()}
-        times[" ".join(["ifrsim", *argv])] = {**best,
-                                             "relative": best["change"] / best["base"] - 1}
+        times[" ".join(["ifrsim", *argv])] = {
+            **best, "relative": best["change"] / best["base"] - 1, "runs": runs,
+            "spread": {side: _spread(values) for side, values in runs.items()}}
     return times
 
 
@@ -185,10 +189,13 @@ def _print_summary(workload: str, seed: int, summary: dict, pairs: list[dict]) -
 
 
 def _print_startup(times: dict) -> None:
-    print(f"startup, minimum of {STARTUP_RUNS} fresh runs:")
-    print(f"  {'base s':>8s} {'change s':>8s} {'rel':>7s}  command")
+    print(f"startup over {STARTUP_RUNS} fresh runs, min and median [q1, q3] in s; rel compares"
+          " the minima:")
+    print(f"  {'base':>30s} {'change':>30s} {'rel':>7s}  command")
     for command, entry in times.items():
-        print(f"  {entry['base']:8.4f} {entry['change']:8.4f} {entry['relative']:+7.1%}  {command}")
+        cells = [f"{entry[side]:.4f}  {s['median']:.4f} [{s['q1']:.4f}, {s['q3']:.4f}]"
+                 for side in ("base", "change") for s in [entry["spread"][side]]]
+        print(f"  {cells[0]:>30s} {cells[1]:>30s} {entry['relative']:+7.1%}  {command}")
 
 
 def _stop(signum, frame):
