@@ -343,32 +343,34 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
     no faults is settled from cycle 0: it fills the table while the program
     has no end, and never ends early.
 
-    Bus words and parity masks are plain ints. The stage loop drives the bus
-    fabric (parity encode, fault application, parity check) only at selected
-    copies with an active fault, before the latest stage fault window ends:
-    any other site drives its word with a zero error mask by construction.
+    Bus words and parity masks are plain ints. The spares are cold, so only
+    a fault on a selected copy can act, and only a swap changes a switch:
+    `acting` lists the selected copies with faults at the start and at each
+    swap, and the stage loop drives the bus fabric (parity encode, fault
+    application, parity check) only at those, until their last fault ends.
+    Any other site drives its word with a zero error mask by construction.
     Between two fault starts or ends a site's active faults stay the same,
     so on its first evaluated cycle in such a window they are folded into
     three masks (`faults.fold_faults`), and each cycle there applies them in
     one step; a delay's stale word, latched on its first evaluated cycle,
     is folded in too. `fold_faults` is the only fault application: a
     parity-error run's culprit is found by folding each active fault alone.
-    Likewise the controller rails are built and two-rail checked only in a
-    run with rail faults, with masks folded the same way; a mismatch ends
-    the run DEAD on its cycle without stepping the controller. The stress
-    ledger is kept as spans that close when a block's power changes.
+    Likewise the controller rails are built and two-rail checked only until
+    the last rail fault ends, with masks folded the same way; a mismatch
+    ends the run DEAD on its cycle without stepping the controller. The
+    stress ledger is kept as spans that close when a block's power changes.
 
     After a cycle that drove no strobe, every run takes in one step
     (`controller_skip`), up to the budget, the cycles that change only a
     count: the frozen error window, up to the next fault start or end, and
     the FLUSH and POWER_SWAP countdowns, which evaluate no stage bus, up to
-    that edge only in a run with rail faults, whose rails carry the outputs
-    and faults of that cycle until then. An error freezes the pipeline, so
-    each later SUSPECT cycle re-presents the same words and adds one to
-    each nonzero counter; the skip stops short of the threshold, so the
-    next simulated cycle classifies or clears on the same cycle. A window
-    skip adds its cycles to the newest entry of each selected copy's delay
-    history.
+    that edge only until the last rail fault ends, since the rails carry
+    the outputs and faults of that cycle until then. An error freezes the
+    pipeline, so each later SUSPECT cycle re-presents the same words and
+    adds one to each nonzero counter; the skip stops short of the
+    threshold, so the next simulated cycle classifies or clears on the same
+    cycle. A window skip adds its cycles to the newest entry of the delay
+    history of each copy `acting` lists.
 
     The execute stage does not call `isa.execute_result`: the decode table
     names each word's execute kind, the decode latch carries it, and the
@@ -390,7 +392,7 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
     # The cycles on which a fault starts or ends, and `never`: between two of
     # them the same faults are active.
     edges = {never}
-    stage_end = 0  # a stage fault can be active before `stage_end`
+    rail_end = 0  # a rail fault can be active before `rail_end`
     earliest = math.inf if scenario.faults else 0  # the earliest fault start
     # Each delay site keeps one [true data word, cycles] entry per evaluated
     # cycle, newest last; a frozen-window skip adds to the newest count. A
@@ -404,8 +406,8 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
         site_faults[unit][copy].append((index, fault))
         edges.update((fault.start, min(fault.end, never)))
         earliest = min(earliest, fault.start)
-        if unit != _RAIL:
-            stage_end = max(stage_end, fault.end)
+        if unit == _RAIL:
+            rail_end = max(rail_end, fault.end)
         if isinstance(fault.kind, Delay):  # never on a rail
             extra = fault.kind.extra
             depths[unit, copy] = max(depths.get((unit, copy), 0), min(extra + 1, sys.maxsize))
@@ -468,20 +470,23 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
             active, *fold_faults([f for _, f in active], stale))
         return folded
 
-    def inert_from() -> int:
-        """The cycle from which every fault is inert while the switches stay
-        as they are: a fault on a selected copy is inert from its end, one
-        on an unselected copy at once. A rail fault is inert from its end,
+    def acting() -> tuple[list, int, int]:
+        """Which faults can act until the next swap, the only change of a
+        switch: the selected stage copies that carry faults, as (stage, copy);
+        the cycle from which none of their faults is active; and the cycle
+        from which every fault is inert. A rail fault is inert from its end,
         or at once if it is a stuck-at at the level its rail carries while
         the controller idles in MONITOR: once every stage fault is inert,
         the controller idles for good."""
+        faulted = [(stage, copy) for stage in range(len(PIPELINE_ORDER))
+                   for copy in [stage in ctrl.on_spare] if site_faults[stage][copy]]
+        fabric_end = max((min(f.end, never) for stage, copy in faulted
+                          for _, f in site_faults[stage][copy]), default=0)
         idle = controller_output_vector(ControllerState(swap_stage=ctrl.swap_stage), None)
-        return max((min(f.end, never) for unit, copies in enumerate(site_faults)
-                    for copy, faults in enumerate(copies) for _, f in faults
-                    if (copy == (unit in ctrl.on_spare) if unit != _RAIL else
-                        not (isinstance(f.kind, StuckAt)
-                             and f.kind.value == (idle >> f.kind.bit & 1) ^ copy))),
-                   default=0)
+        return faulted, fabric_end, max([fabric_end, *(
+            min(f.end, never) for copy, faults in enumerate(site_faults[_RAIL]) for _, f in faults
+            if not (isinstance(f.kind, StuckAt)
+                    and f.kind.value == (idle >> f.kind.bit & 1) ^ copy))])
 
     # The start record and the records this run makes are at or before
     # `bound`; a run with no faults starts at cycle 0 and records none.
@@ -508,13 +513,13 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
     # the run has diverged. A run with no faults fills the table only while
     # the program has no end, so it never finds a tail there.
     settled_at: dict = {}
-    inert_at = inert_from() if scenario.faults or end is None else never
+    faulted, fabric_end, inert_at = acting()
+    inert_at = inert_at if scenario.faults or end is None else never
 
     # The controller's mode, read afresh after each `controller_step` or set
     # DEAD by a rail mismatch, and whether the pipeline runs in that mode.
     mode = ctrl.mode
     live = mode in _LIVE_MODES
-    rails = any(site_faults[-1])
     resumed_from = commits
     skipped = 0  # cycles taken in one step
     joined = None
@@ -580,17 +585,12 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
                 else:  # _ST drives the stored value, _JMP its target
                     e_word = op_a
 
-            if cycle < stage_end:
+            if cycle < fabric_end:
                 # Each selected copy that carries faults drives its bus.
                 words = [p_word, d_word, e_word]
                 masks = [0, 0, 0]
-                window = None  # found once per cycle, on a selected faulted copy
-                for stage in range(len(PIPELINE_ORDER)):
-                    copy = stage in ctrl.on_spare
-                    if not site_faults[stage][copy]:
-                        continue
-                    if window is None:
-                        window = bisect_right(edges, cycle)
+                window = bisect_right(edges, cycle)
+                for stage, copy in faulted:
                     word = words[stage]
                     active, flips, keep, ones = (folds.get((stage, copy, window))
                                                  or fold(stage, copy, cycle, word))
@@ -622,11 +622,11 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
             strobe = controller_step(ctrl, masks, config)
             mode = ctrl.mode
             live = mode in _LIVE_MODES
-        if rails:
+        if cycle < rail_end:
             # Both controller copies compute the same transition; copy B's
-            # outputs are complemented and the rails are compared. Without
-            # rail faults the rails agree by construction. A mismatch is
-            # fail-stop: the run ends DEAD on this cycle, its strobe dropped.
+            # outputs are complemented and the rails are compared. Once the
+            # last rail fault has ended they agree by construction. A mismatch
+            # is fail-stop: the run ends DEAD on this cycle, its strobe dropped.
             vec = controller_output_vector(ctrl, strobe)
             window = bisect_right(edges, cycle)
             _, flips_a, keep_a, ones_a = folds.get((_RAIL, 0, window)) or fold(_RAIL, 0, cycle, 0)
@@ -654,7 +654,7 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
                 set_power(stage, 1, POWERING, cycle)
             elif kind == SWAP:
                 set_power(stage, 1, ON, cycle)
-                inert_at = inert_from()
+                faulted, fabric_end, inert_at = acting()
                 fetch_pc = pc
                 fetch_wait = False
                 for event in open_events:
@@ -736,14 +736,14 @@ def run_core(program: Program, config: CoreConfig, scenario: FaultScenario, *,
             # step; a strobe is driven on its own cycle only. Until the next
             # fault start or end the stages and the rails see what they saw
             # on this cycle; a countdown evaluates no stage bus, so only rail
-            # faults bound it.
-            window = mode is SUSPECT
-            edge = edges[bisect_right(edges, cycle)] if window or rails else never
+            # faults bound it, until the last one ends.
+            suspect = mode is SUSPECT
+            edge = edges[bisect_right(edges, cycle)] if suspect or cycle < rail_end else never
             skip = controller_skip(ctrl, config, min(edge, max_cycles) - total_cycles)
-            if window:
+            if suspect:
                 # Each skipped cycle drives the same true words.
-                for stage in range(len(PIPELINE_ORDER)):
-                    hist = delay_hist.get((stage, stage in ctrl.on_spare))
+                for site in faulted:
+                    hist = delay_hist.get(site)
                     if hist:
                         hist[-1][1] += skip
             total_cycles += skip

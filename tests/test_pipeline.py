@@ -886,6 +886,21 @@ def test_a_rail_mismatch_ends_the_run_dead_on_its_cycle_in_every_mode(text, cycl
     assert report == reference_run(program, CFG, scenario).reports[pipeline.DEFAULT_MAX_CYCLES]
 
 
+def test_a_finite_rail_window_costs_rail_checks_only_until_it_ends(monkeypatch):
+    # Rail a stuck at 0 on bit 0, its idle level, on cycles 10-59 of a
+    # 994-cycle loop: the run completes. A fresh `Program` simulates from
+    # cycle 0, so the rails are two-rail checked on cycles 0-59 at most, not
+    # on every cycle the loop simulates.
+    program, scenario = _loop_program(90), parse_scenario("@10 T:50 controller.a stuckat 0 0")
+    calls = []
+    check = pipeline.trc_compare
+    monkeypatch.setattr(pipeline, "trc_compare", lambda *args: calls.append(args) or check(*args))
+    report = run_core(program, CFG, scenario)
+    assert (report.outcome, report.total_cycles) == (Outcome.COMPLETED, 994)
+    assert len(calls) <= 60
+    assert report == reference_run(program, CFG, scenario).reports[pipeline.DEFAULT_MAX_CYCLES]
+
+
 @pytest.mark.parametrize("max_cycles", range(_CLASSIFIED + 1, _SWAP + 2))
 def test_cycle_budget_ending_inside_the_countdown(max_cycles):
     report = run_core(_alternating_program(80), CFG, parse_scenario(_DECODE_SWAP),
@@ -1644,11 +1659,11 @@ HALT
 
 
 def _small_scope_faults(threshold):
-    """(kind, site, duration) of each fault of the small-scope check: a PERM
-    stuck-at at both values on bits 0 and 32 of each stage copy; on each
-    main copy a flip of `threshold` - 1 and `threshold` cycles and a PERM
-    delay of 1 and 2; and a PERM stuck-at at both values on bits 0, 5 and
-    15 of each rail."""
+    """(kind, site, duration) of each single fault of the small-scope check:
+    a PERM stuck-at at both values on bits 0 and 32 of each stage copy; on
+    each main copy a flip of `threshold` - 1 and `threshold` cycles and a
+    PERM delay of 1 and 2; and a PERM, a 1-cycle and a 2-cycle stuck-at at
+    both values on bits 0, 5 and 15 of each rail."""
     for kind in PIPELINE_ORDER:
         unit = FaultUnit(kind.value)
         for copy in Copy:
@@ -1663,35 +1678,64 @@ def _small_scope_faults(threshold):
     for copy in Copy:
         for bit in (0, 5, 15):
             for value in (0, 1):
-                yield StuckAt(bit, value), FaultSite(FaultUnit.CONTROLLER, copy), PERMANENT
+                for duration in (PERMANENT, 1, 2):
+                    yield StuckAt(bit, value), FaultSite(FaultUnit.CONTROLLER, copy), duration
+
+
+# The pairs take a short repair, so that each run steps few countdown cycles.
+_PAIR_CFG = _RESUME_CONFIGS[1]
+
+
+def _small_scope_scenarios(program, cycles):
+    """(config, scenario) of every small-scope run: each single fault at
+    every start from 0 to `cycles` - 1 under `CFG`, then the pairs under
+    `_PAIR_CFG`. For each stage, a PERM stuck-at at 1 on bit 32 of its main
+    copy from cycle 0 swaps the stage; it is paired with a PERM stuck-at at
+    both values on bits 0 and 32 of that stage's spare, from cycle 0 and
+    from each cycle from two before the swap strobe to the end of the run."""
+    for kind, site, duration in _small_scope_faults(CFG.permanent_threshold):
+        for start in range(cycles):
+            yield CFG, FaultScenario((TimedFault(kind, site, start, duration),))
+    for kind in PIPELINE_ORDER:
+        unit = FaultUnit(kind.value)
+        swap = TimedFault(StuckAt(32, 1), FaultSite(unit, _MAIN), 0, PERMANENT)
+        alone = reference_run(program, _PAIR_CFG, FaultScenario((swap,))).reports[
+            pipeline.DEFAULT_MAX_CYCLES]
+        strobe = alone.permanent_events[0].resume_cycle - 1
+        for bit in (0, 32):
+            for value in (0, 1):
+                for start in (0, *range(strobe - 2, alone.total_cycles)):
+                    yield _PAIR_CFG, FaultScenario((swap, TimedFault(
+                        StuckAt(bit, value), FaultSite(unit, Copy.SPARE), start, PERMANENT)))
 
 
 def test_every_small_fault_at_every_start_equals_the_reference_core():
-    # No random draw hits every critical cycle, so each fault above starts
-    # on each cycle of the 12-cycle fault-free run. Each scenario runs on a
-    # fresh `Program` and on one warm `Program`, which resumes from records
-    # and joins through tails, and equals the reference core's run, on the
-    # same divergence cycle too.
+    # No random draw hits every critical cycle, so each single fault above
+    # starts on each cycle of the 12-cycle fault-free run, and each pair's
+    # spare fault on each cycle from just before its stage's swap. Each
+    # scenario runs on a fresh `Program` and on one warm `Program`, which
+    # resumes from records and joins through tails, and equals the reference
+    # core's run, on the same divergence cycle too.
     program = _STRAIGHT_LINE
     cycles = run_core(Program(program.instructions), CFG, FaultScenario()).total_cycles
     assert cycles == 12
     warm = Program(program.instructions)
     run_core(warm, CFG, FaultScenario())
     runs, mismatches, seen = 0, [], set()
-    for kind, site, duration in _small_scope_faults(CFG.permanent_threshold):
-        for start in range(cycles):
-            scenario = FaultScenario((TimedFault(kind, site, start, duration),))
-            want = reference_run(program, CFG, scenario).reports[pipeline.DEFAULT_MAX_CYCLES]
-            seen.add(want.outcome)
-            seen.update(e.classified for e in want.events)
-            seen.update(("diverged",) * (want.diverged_at is not None))
-            for target in (Program(program.instructions), warm):
-                report = run_core(target, CFG, scenario)
-                runs += 1
-                seen.update(("joined",) * (report.joined_at is not None))
-                if (report, report.diverged_at) != (want, want.diverged_at):
-                    mismatches.append(scenario.faults[0])
-    assert runs == 2 * 48 * cycles
+    for config, scenario in _small_scope_scenarios(program, cycles):
+        want = reference_run(program, config, scenario).reports[pipeline.DEFAULT_MAX_CYCLES]
+        seen.add(want.outcome)
+        seen.update(e.classified for e in want.events)
+        seen.update(("diverged",) * (want.diverged_at is not None))
+        for target in (Program(program.instructions), warm):
+            report = run_core(target, config, scenario)
+            runs += 1
+            seen.update(("joined",) * (report.joined_at is not None))
+            if (report, report.diverged_at) != (want, want.diverged_at):
+                mismatches.append(scenario.faults)
+    # 72 single faults at 12 starts; 3 stages x 4 spare faults at cycle 0
+    # and at each of the 15 cycles from two before the swap strobe (12).
+    assert runs == 2 * (72 * cycles + 3 * 4 * 16)
     assert not mismatches, f"{len(mismatches)} mismatches, the first {mismatches[:3]}"
     assert seen == {Outcome.COMPLETED, Outcome.DEAD, "permanent", "transient", "diverged",
                     "joined"}

@@ -44,7 +44,7 @@ CLI_CASES = {
 
 
 def test_every_sample_scenario_has_a_golden_csv():
-    assert len(SCENARIOS) == 6
+    assert len(SCENARIOS) == 7
     assert sorted(path.stem for path in GOLDEN.glob("*.csv")) == SCENARIOS
 
 
